@@ -17,8 +17,11 @@ provides the production path for large sweeps:
   column per axis) to :class:`DesignArrays` in a few vectorized
   passes. A cold sweep of such a factory never evaluates the scalar
   substrate point-by-point (see :mod:`repro.dse.factories` for the
-  stock implementations); warm sweeps keep the scalar + cache path,
-  which is already a dict probe per point;
+  stock implementations) and keeps its answer as columns: parameter
+  dicts, DesignPoints and cache entries are built only when read. A
+  re-sweep of the same grid adopts those columns; other warm sweeps
+  keep the scalar + cache path, which is already a dict probe per
+  point;
 * with ``workers > 0`` a cold vector-factory sweep runs
   **parallel-columnar**: the grid is sharded into contiguous,
   chunk-aligned spans, each span ships to a worker as axis *columns*
@@ -27,12 +30,13 @@ provides the production path for large sweeps:
   ``multiprocessing.shared_memory`` block (compact pickled arrays when
   shared memory is unavailable — see :mod:`repro.dse.parallel`). The
   factory ships once per pool via an initializer; no DesignPoint ever
-  crosses the process boundary. The parent then materializes points,
-  re-evaluates invalid rows scalar to capture genuine ``DomainError``
-  objects, and fills the cache — byte-identical to ``workers=0``;
+  crosses the process boundary. The parent copies the valid rows'
+  columns out of the block and defers everything point-level exactly
+  like ``workers=0`` does — byte-identical results and cache contents;
 * :class:`BatchSweepResult` holds the sweep as arrays and converts back
   to the scalar :class:`~repro.dse.explorer.ExplorationResult` objects
-  on demand.
+  on demand; its ``params``/``designs`` are built on first read when
+  the sweep kept columns.
 
 ``BatchExplorer.explore`` is byte-identical to ``Explorer.explore``:
 same point ordering, same skip semantics for invalid corners, and
@@ -53,6 +57,7 @@ the last completed chunk.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -86,6 +91,7 @@ from ..core.errors import (
     QuarantinedPoint,
     ValidationError,
 )
+from ..core.quantities import ensure_positive
 from ..core.scenario import E2OWeight
 from ..obs import events as _events
 from ..obs import metrics as _metrics
@@ -190,16 +196,65 @@ class FactoryCache:
     Effectiveness is reported through :meth:`stats` (hits, misses, hit
     ratio, size); every path that bumps the counters goes through the
     single :meth:`record` choke point.
+
+    A cold columnar sweep does not fill the cache point by point: it
+    hands over its result columns as one *pending record*
+    (:meth:`defer`) and counts its misses. The counters, ``len`` and
+    :meth:`stats` are exact without touching the record; the first
+    point-level read — ``_entries``, :meth:`lookup`, :meth:`evaluate`,
+    :meth:`store`/:meth:`store_many` or a call — expands it into
+    entries through the same materialization an eager sweep runs, so
+    the memoized contents never depend on when they were read.
     """
 
     def __init__(self, factory: DesignFactory) -> None:
         self.factory = factory
-        self._entries: dict[tuple, DesignPoint | DomainError] = {}
+        self._memo: dict[tuple, DesignPoint | DomainError] = {}
+        self._pending: _SweepColumns | None = None
         self._hits = 0
         self._misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        if self._pending is not None:
+            return len(self._memo) + self._pending.distinct_points()
+        return len(self._memo)
+
+    @property
+    def _entries(self) -> dict[tuple, DesignPoint | DomainError]:
+        """The memo dict, with any pending record expanded into it."""
+        self._expand()
+        return self._memo
+
+    def _expand(self) -> None:
+        record, self._pending = self._pending, None
+        if record is not None:
+            memo = self._memo
+            for keys, outcomes in record.chunk_outcomes():
+                for key, outcome in zip(keys, outcomes):
+                    memo[key] = outcome
+
+    def defer(self, record: "_SweepColumns") -> None:
+        """Hold a columnar sweep's columns as the pending record.
+
+        Counters are the sweep's business (it records its misses as it
+        goes). A record only stays pending in an otherwise empty cache;
+        anywhere else it expands at once, keeping insertion order.
+        """
+        empty = not len(self)
+        self._expand()
+        self._pending = record
+        if not empty:
+            self._expand()
+
+    def pending_for(
+        self, grid: ParameterGrid, chunk_size: int
+    ) -> "_SweepColumns | None":
+        """The pending record, when it covers exactly *grid* swept at
+        *chunk_size* — a re-sweep may then adopt its columns whole."""
+        record = self._pending
+        if record is not None and record.covers(grid, chunk_size):
+            return record
+        return None
 
     @property
     def hits(self) -> int:
@@ -219,7 +274,7 @@ class FactoryCache:
 
     def stats(self) -> CacheStats:
         """Snapshot of hits, misses, hit ratio and entry count."""
-        return CacheStats(hits=self._hits, misses=self._misses, size=len(self._entries))
+        return CacheStats(hits=self._hits, misses=self._misses, size=len(self))
 
     def reset(self) -> None:
         """Zero the hit/miss counters (keeps memoized entries)."""
@@ -228,7 +283,8 @@ class FactoryCache:
 
     def clear(self) -> None:
         """Drop all memoized evaluations (keeps hit/miss counters)."""
-        self._entries.clear()
+        self._memo.clear()
+        self._pending = None
 
     def lookup(self, key: tuple) -> DesignPoint | DomainError | None:
         """The memoized outcome for *key*, or ``None`` when unseen."""
@@ -330,34 +386,34 @@ class _StoreUse:
 class _ParallelPlan:
     """Execution state of one parallel-columnar sweep.
 
-    Holds the collected grid chunks, the shared result block, the
-    worker pool and the chunk-aligned shard spans still to evaluate
-    (chunks restored from a checkpoint — and chunks the persistent
-    store holds any rows of — are excluded: their rows of the block
-    are never written or read). The kernel-phase timing fields feed
-    the ``focal_parallel_*`` gauges.
+    Holds the grid's geometry, the shared result block, the worker pool
+    and the chunk-aligned shard spans still to evaluate (chunks restored
+    from a checkpoint — and chunks the persistent store holds any rows
+    of — are excluded: their rows of the block are never written or
+    read). The kernel-phase timing fields feed the ``focal_parallel_*``
+    gauges.
     """
 
     def __init__(
         self,
-        chunks: list[Sequence[Mapping[str, object]]],
+        index: _GridIndex,
         chunk_size: int,
         block: "_parallel.ColumnarBlock",
         pool,
         spans: list[tuple[int, int]],
+        planned: set[int],
         spill_dir: str | None = None,
-        planned: set[int] | None = None,
         arena: "_parallel.GridArena | None" = None,
         scheduler: str = "steal",
     ) -> None:
-        self.chunks = chunks
+        self.index = index
         self.chunk_size = chunk_size
         self.block = block
         self.pool = pool
         self.spans = spans
         #: Chunk indices whose block rows the kernel phase fills —
         #: only these may be read back via :meth:`chunk_arrays`.
-        self.planned = planned if planned is not None else set(range(len(chunks)))
+        self.planned = planned
         #: Chunk indices covered by shards the supervisor salvaged as
         #: INCOMPLETE — their block rows were never written and the
         #: chunk loop must stop (salvage) when it reaches them.
@@ -388,19 +444,11 @@ class _ParallelPlan:
         """The smallest dispatched span, in grid points."""
         return min((hi - lo for lo, hi in self.spans), default=0)
 
-    def points(self, lo: int, hi: int) -> list[Mapping[str, object]]:
-        """The grid-point dicts of span ``[lo, hi)`` (chunk-aligned)."""
-        first = lo // self.chunk_size
-        last = -(-hi // self.chunk_size)
-        return [
-            params for chunk in self.chunks[first:last] for params in chunk
-        ]
-
     def chunk_arrays(self, index: int) -> DesignArrays:
         """Chunk *index*'s kernel columns, copied out of the block (so
         the shared segment can be unlinked before results are dropped)."""
         lo = index * self.chunk_size
-        hi = lo + len(self.chunks[index])
+        hi = min(lo + self.chunk_size, self.index.total)
         return DesignArrays(*self.block.rows(lo, hi))
 
     def release(self) -> None:
@@ -444,6 +492,272 @@ class DesignArrays:
 
     def __len__(self) -> int:
         return int(self.area.shape[0])
+
+
+class _GridIndex:
+    """Flat-row arithmetic over a grid's cartesian product.
+
+    Grid iteration is row-major, so point ``i`` takes value
+    ``axis[(i // stride) % len(axis)]`` where an axis's stride is the
+    product of the later axes' sizes. That yields a chunk's kernel
+    columns, or any rows' parameter dicts, without iterating the grid.
+    """
+
+    def __init__(self, grid: ParameterGrid) -> None:
+        self.names = list(grid.axes)
+        self.sizes = [len(grid.axes[name]) for name in self.names]
+        self.strides = [1] * len(self.names)
+        for axis in range(len(self.names) - 2, -1, -1):
+            self.strides[axis] = self.strides[axis + 1] * self.sizes[axis + 1]
+        self.total = len(grid)
+        self._arrays = [np.asarray(grid.axes[name]) for name in self.names]
+
+    def columns(self, start: int, stop: int) -> dict[str, np.ndarray]:
+        """One NumPy column per axis for grid rows ``[start, stop)``."""
+        rows = np.arange(start, stop)
+        return {
+            name: values[(rows // stride) % size]
+            for name, values, stride, size in zip(
+                self.names, self._arrays, self.strides, self.sizes
+            )
+        }
+
+    def params(
+        self, grid: ParameterGrid, rows: np.ndarray
+    ) -> list[dict[str, object]]:
+        """The grid-point dicts of *rows*, holding the grid's own value
+        objects (exactly what iterating the grid yields)."""
+        values = []
+        for name, stride, size in zip(self.names, self.strides, self.sizes):
+            axis = grid.axes[name]
+            values.append([axis[i] for i in ((rows // stride) % size).tolist()])
+        names = self.names
+        return [dict(zip(names, combo)) for combo in zip(*values)]
+
+    def distinct(self, grid: ParameterGrid, stop: int) -> int:
+        """Distinct cache keys among grid rows ``[0, stop)``.
+
+        Keys compare by value (``1 == 1.0``), so each axis value maps to
+        the class of the first equal value; a full grid then has the
+        product of the class counts, a prefix is counted row by row.
+        """
+        classes = []
+        counts = []
+        for name in self.names:
+            first: dict[object, int] = {}
+            classes.append(
+                [first.setdefault(value, len(first)) for value in grid.axes[name]]
+            )
+            counts.append(len(first))
+        if stop == self.total:
+            return math.prod(counts)
+        rows = np.arange(stop)
+        code = np.zeros(stop, dtype=np.int64)
+        for ids, stride, size in zip(classes, self.strides, self.sizes):
+            code = code * size + np.asarray(ids)[(rows // stride) % size]
+        return int(np.unique(code).size)
+
+
+def _check_design_columns(
+    area: np.ndarray, perf: np.ndarray, power: np.ndarray
+) -> None:
+    """DesignPoint's finite-and-positive checks over whole columns:
+    raises the ``ValidationError`` the first offending row's
+    DesignPoint would (same field order, same message)."""
+    ok = np.ones(area.shape, dtype=bool)
+    for column in (area, perf, power):
+        ok &= np.isfinite(column) & (column > 0.0)
+    if ok.all():
+        return
+    row = int(np.argmin(ok))
+    for name, column in (("area", area), ("perf", perf), ("power", power)):
+        ensure_positive(float(column[row]), name)
+
+
+def _design_slots(
+    factory: DesignFactory,
+    chunk: Sequence[Mapping[str, object]],
+    arrays: DesignArrays,
+) -> list[DesignPoint | None]:
+    """The factory's ``design_points`` over one chunk's valid rows, one
+    slot per row: ``None`` for invalid rows, rows the materializer left
+    unbuilt, and every row of a factory without one."""
+    builder = getattr(factory, "design_points", None)
+    if builder is None:
+        return [None] * len(chunk)
+    valid = arrays.valid
+    if valid.all():
+        return list(builder(chunk, arrays))
+    # Builders may assume every row holds a constructible design (an
+    # all-valid factory never sees holes), but quarantined/never-written
+    # block rows are zeros — build from the valid subset only and
+    # scatter back. The conversions stay elementwise, so this is
+    # bit-exact.
+    rows = np.flatnonzero(valid)
+    sub = DesignArrays(
+        area=arrays.area[rows],
+        perf=arrays.perf[rows],
+        power=arrays.power[rows],
+        valid=valid[rows],
+    )
+    slots: list[DesignPoint | None] = [None] * len(chunk)
+    for row, point in zip(rows.tolist(), builder([chunk[r] for r in rows], sub)):
+        slots[row] = point
+    return slots
+
+
+def _fill_outcomes(
+    factory: DesignFactory,
+    chunk: Sequence[Mapping[str, object]],
+    slots: list,
+    marker: Callable[[Mapping[str, object]], object] | None = None,
+) -> list:
+    """Complete one chunk's outcome *slots* in place: every empty slot
+    takes the quarantine *marker*'s answer for its point, if any, else
+    one scalar call's outcome — for an invalid corner, the genuine
+    ``DomainError``."""
+    for row, outcome in enumerate(slots):
+        if outcome is None and marker is not None:
+            outcome = marker(chunk[row])
+        if outcome is None:
+            try:
+                outcome = factory(chunk[row])
+            except DomainError as exc:
+                outcome = exc
+        slots[row] = outcome
+    return slots
+
+
+class _SweepColumns:
+    """A columnar sweep's result, kept as columns.
+
+    Holds each valid row's area/perf/power and its flat grid row index
+    for grid rows ``[0, covered)``, plus what it takes to build point
+    objects from them on demand: the parameter dicts, the named
+    DesignPoints (memoized, so a :class:`BatchSweepResult` and the
+    :class:`FactoryCache` expanding this record share the objects) and
+    the per-chunk cache outcomes an eager sweep would have stored.
+    """
+
+    def __init__(
+        self, factory: DesignFactory, grid: ParameterGrid, chunk_size: int
+    ) -> None:
+        self.factory = factory
+        self.grid = grid
+        self.chunk_size = chunk_size
+        self.index = _GridIndex(grid)
+        self.covered = 0
+        self._parts: list[tuple[np.ndarray, ...]] = []
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.area = self.perf = self.power = np.zeros(0)
+        self._params: tuple[dict[str, object], ...] | None = None
+        self._designs: tuple[DesignPoint, ...] | None = None
+        self._distinct: int | None = None
+
+    def add(self, start: int, arrays: DesignArrays) -> int:
+        """Keep chunk ``[start, start + len(arrays))``'s valid rows;
+        returns how many there were."""
+        valid = arrays.valid
+        if valid.all():
+            rows = np.arange(start, start + len(arrays))
+            area, perf, power = arrays.area, arrays.perf, arrays.power
+        else:
+            keep = np.flatnonzero(valid)
+            rows = keep + start
+            area, perf, power = (
+                arrays.area[keep], arrays.perf[keep], arrays.power[keep]
+            )
+        _check_design_columns(area, perf, power)
+        self._parts.append((rows, area, perf, power))
+        self.covered = start + len(arrays)
+        return int(rows.shape[0])
+
+    def seal(self) -> None:
+        """Concatenate the collected chunks into the final columns."""
+        if self._parts:
+            self.rows, self.area, self.perf, self.power = (
+                np.concatenate(part) for part in zip(*self._parts)
+            )
+            self._parts = []
+
+    def covers(self, grid: ParameterGrid, chunk_size: int) -> bool:
+        """Whether this is a complete sweep of *grid* (equal axes, in
+        order, so equal cache keys row for row) at *chunk_size*."""
+        return (
+            chunk_size == self.chunk_size
+            and self.covered == self.index.total
+            and list(grid.axes) == self.index.names
+            and all(
+                list(grid.axes[name]) == list(self.grid.axes[name])
+                for name in self.index.names
+            )
+        )
+
+    def distinct_points(self) -> int:
+        """Cache entries this record expands to."""
+        if self._distinct is None:
+            self._distinct = self.index.distinct(self.grid, self.covered)
+        return self._distinct
+
+    def params(
+        self, grid: ParameterGrid | None = None
+    ) -> tuple[dict[str, object], ...]:
+        """The valid rows' parameter dicts, from *grid*'s own values
+        (default: the swept grid, memoized)."""
+        if grid is not None and grid is not self.grid:
+            return tuple(self.index.params(grid, self.rows))
+        if self._params is None:
+            self._params = tuple(self.index.params(self.grid, self.rows))
+        return self._params
+
+    def _chunk_bounds(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(lo, hi, first, last)`` per swept chunk: grid rows
+        ``[lo, hi)`` hold valid rows ``[first, last)`` of the columns."""
+        edges = np.arange(0, self.covered, self.chunk_size)
+        cuts = np.searchsorted(self.rows, edges).tolist() + [len(self.rows)]
+        for k, lo in enumerate(edges.tolist()):
+            yield lo, min(lo + self.chunk_size, self.covered), cuts[k], cuts[k + 1]
+
+    def designs(self) -> tuple[DesignPoint, ...]:
+        """The valid rows' DesignPoints: the factory's ``design_points``
+        per chunk, one scalar call for any row it leaves ``None`` (or
+        for every row, when the factory has no materializer)."""
+        if self._designs is not None:
+            return self._designs
+        params = self.params()
+        designs: list[DesignPoint] = []
+        for _, _, first, last in self._chunk_bounds():
+            chunk = list(params[first:last])
+            if not chunk:
+                continue
+            arrays = DesignArrays(
+                area=self.area[first:last],
+                perf=self.perf[first:last],
+                power=self.power[first:last],
+                valid=np.ones(len(chunk), dtype=bool),
+            )
+            designs += _fill_outcomes(
+                self.factory, chunk, _design_slots(self.factory, chunk, arrays)
+            )
+        self._designs = tuple(designs)
+        return self._designs
+
+    def chunk_outcomes(
+        self,
+    ) -> Iterator[tuple[list[tuple], list[DesignPoint | DomainError]]]:
+        """``(keys, outcomes)`` per swept chunk in grid order: exactly
+        what an eager sweep memoizes — the designs for valid rows and,
+        for each invalid corner, the outcome of one scalar call (the
+        genuine ``DomainError``)."""
+        designs = self.designs()
+        for lo, hi, first, last in self._chunk_bounds():
+            chunk = self.index.params(self.grid, np.arange(lo, hi))
+            slots: list = [None] * len(chunk)
+            for row, design in zip(
+                (self.rows[first:last] - lo).tolist(), designs[first:last]
+            ):
+                slots[row] = design
+            yield params_keys(chunk), _fill_outcomes(self.factory, chunk, slots)
 
 
 @runtime_checkable
@@ -507,8 +821,10 @@ class SweepEngineStats:
     ``mode`` names the execution path the engine resolved to:
     ``"parallel-columnar"`` (cold vector factory, worker pool, shard
     dispatch), ``"columnar"`` (cold vector factory, single process),
-    ``"scalar-pool"`` (per-point factory calls over a worker pool) or
-    ``"scalar"`` (per-point calls in-process). ``fallback_points``
+    ``"scalar-pool"`` (per-point factory calls over a worker pool),
+    ``"scalar"`` (per-point calls in-process) or ``"memo"`` (a re-sweep
+    that adopted the cache's pending columns whole — no factory,
+    kernel or pool ran). ``fallback_points``
     counts grid points that were evaluated through the scalar factory
     *although* the factory is vector-capable (warm cache, or rows
     needing point materialization) — the ``focal_vector_fallback_total``
@@ -651,27 +967,97 @@ class SweepEngineStats:
         return payload
 
 
+class _LazyPoints:
+    """A :class:`BatchSweepResult` point field (``params``/``designs``):
+    an ordinary dataclass field when the sweep supplied it, built from
+    the sweep's columns on first read — then memoized — when it kept
+    its result as columns. ``dataclasses.replace`` and the generated
+    ``__init__`` go through it like through any field."""
+
+    def __init__(self, build: Callable[["BatchSweepResult"], tuple]) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+        self.slot = "_" + name
+
+    def __get__(
+        self, result: "BatchSweepResult | None", owner: type | None = None
+    ):
+        if result is None:
+            # No class-level default: the dataclass field stays required.
+            raise AttributeError(self.name)
+        value = result.__dict__[self.slot]
+        if value is None:
+            value = self.build(result)
+            result.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, result: "BatchSweepResult", value: object) -> None:
+        result.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class BatchSweepResult:
     """A whole sweep held as arrays (valid points only, grid order).
 
-    ``quarantined`` lists the grid points failure containment excluded
-    (always reported, never silent), and ``failure`` is the
+    ``perf``, ``ncf_fixed_work``, ``ncf_fixed_time`` and ``codes`` are
+    the result. A sweep that kept its result as columns builds
+    ``params`` (the grid's own value objects) and ``designs`` on first
+    read and memoizes them; either way they equal what an eager sweep
+    holds. ``quarantined`` lists the grid points failure containment
+    excluded (always reported, never silent), and ``failure`` is the
     :class:`~repro.resilience.containment.FailureReport` of a salvaged
     partial run (``None`` for a run that completed).
     """
 
-    params: tuple[Mapping[str, object], ...]
-    designs: tuple[DesignPoint, ...]
+    params: tuple[Mapping[str, object], ...] = _LazyPoints(  # type: ignore[assignment]
+        lambda result: result._columns.params(result._grid)
+    )
+    designs: tuple[DesignPoint, ...] = _LazyPoints(  # type: ignore[assignment]
+        lambda result: result._columns.designs()
+    )
     perf: np.ndarray
     ncf_fixed_work: np.ndarray
     ncf_fixed_time: np.ndarray
     codes: np.ndarray
     quarantined: tuple[Mapping[str, object], ...] = ()
     failure: "FailureReport | None" = None
+    _columns: "_SweepColumns | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _grid: ParameterGrid | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        columns: _SweepColumns,
+        grid: ParameterGrid,
+        perf: np.ndarray,
+        ncf_fixed_work: np.ndarray,
+        ncf_fixed_time: np.ndarray,
+        codes: np.ndarray,
+        failure: "FailureReport | None" = None,
+    ) -> "BatchSweepResult":
+        """A result whose points are built from *columns* on demand
+        (``params`` from *grid*'s own values)."""
+        result = cls(
+            None,  # type: ignore[arg-type]
+            None,  # type: ignore[arg-type]
+            perf,
+            ncf_fixed_work,
+            ncf_fixed_time,
+            codes,
+            failure=failure,
+        )
+        object.__setattr__(result, "_columns", columns)
+        object.__setattr__(result, "_grid", grid)
+        return result
 
     def __len__(self) -> int:
-        return len(self.params)
+        return int(self.perf.shape[0])
 
     @property
     def complete(self) -> bool:
@@ -790,9 +1176,10 @@ class BatchExplorer:
     _active_workers: int | None = field(
         default=None, init=False, compare=False, repr=False
     )
-    #: Calibration leftovers of an auto sweep: ``(points, arrays)`` of
-    #: the first chunk, reused so calibration costs no extra kernels.
-    _cal: "tuple[int, DesignArrays] | None" = field(
+    #: Calibration leftovers of an auto sweep: ``(grid, points,
+    #: arrays)`` of the first chunk, reused so calibration costs no
+    #: extra kernels.
+    _cal: "tuple[ParameterGrid, int, DesignArrays] | None" = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -861,28 +1248,26 @@ class BatchExplorer:
         factory resolves to 0 — the memoized scalar path is already a
         dict probe per point.
         """
+        cal = self._cal
+        if cal is not None and cal[0] is grid:
+            # Already calibrated for this sweep (count_categories hands
+            # a pooled sweep on to explore_arrays).
+            return self._pool_workers
         object.__setattr__(self, "_cal", None)
         if self.workers != "auto":
             object.__setattr__(self, "_active_workers", self.workers)
             return self.workers
         resolved = 0
         if len(self.cache) == 0 and is_vector_factory(self.factory):
-            chunk = next(_chunked(iter(grid), self.chunk_size), [])
-            if not chunk:
-                object.__setattr__(self, "_active_workers", 0)
-                return 0
-            columns = self._chunk_columns(chunk)
+            first = min(self.chunk_size, len(grid))
+            columns = _GridIndex(grid).columns(0, first)
             begin = time.perf_counter()
             arrays = self.factory.batch_arrays(columns)
             elapsed = time.perf_counter() - begin
-            if len(arrays) != len(chunk):
-                raise ConfigurationError(
-                    f"batch_arrays returned {len(arrays)} rows for a "
-                    f"{len(chunk)}-point chunk"
-                )
-            serial_est = elapsed / max(1, len(chunk)) * len(grid)
+            self._check_rows(arrays, first)
+            serial_est = elapsed / first * len(grid)
             resolved = self._auto_decision(serial_est, self._cpu_count())
-            object.__setattr__(self, "_cal", (len(chunk), arrays))
+            object.__setattr__(self, "_cal", (grid, first, arrays))
         object.__setattr__(self, "_active_workers", resolved)
         return resolved
 
@@ -891,9 +1276,34 @@ class BatchExplorer:
         first chunk (consumed — reuse is single-shot)."""
         cal = self._cal
         object.__setattr__(self, "_cal", None)
-        if cal is not None and cal[0] == chunk_len:
-            return cal[1]
+        if cal is not None and cal[1] == chunk_len:
+            return cal[2]
         return None
+
+    @staticmethod
+    def _check_rows(arrays: DesignArrays, points: int) -> None:
+        if len(arrays) != points:
+            raise ConfigurationError(
+                f"batch_arrays returned {len(arrays)} rows for a "
+                f"{points}-point chunk"
+            )
+
+    def _chunk_kernel(self, index: _GridIndex, start: int) -> DesignArrays:
+        """Kernel columns of the chunk starting at grid row *start*.
+
+        The one chunk source of both columnar sweeps (explore and
+        count): stride-built axis columns, the ``workers="auto"``
+        calibration arrays reused for the first chunk, and the row
+        count checked against the chunk.
+        """
+        stop = min(start + self.chunk_size, index.total)
+        if start == 0:
+            cal = self._take_cal_arrays(stop)
+            if cal is not None:
+                return cal
+        arrays = self.factory.batch_arrays(index.columns(start, stop))
+        self._check_rows(arrays, stop - start)
+        return arrays
 
     # ------------------------------------------------------------------
     # Factory evaluation (cached, optionally parallel)
@@ -972,7 +1382,8 @@ class BatchExplorer:
         The columnar kernels engage only on a genuinely cold sweep: a
         vector-capable factory and an empty cache (a warm cache means
         the memoized scalar path is already a dict probe per point,
-        which the columnar path cannot beat). With workers the cold
+        which the columnar path cannot beat; ``len`` sees a pending
+        record without expanding it). With workers the cold
         columnar sweep runs *parallel*-columnar — grid shards dispatch
         to the pool as columns (:mod:`repro.dse.parallel`) — and the
         non-columnar pool path is ``scalar-pool``. Decided once at
@@ -1002,11 +1413,7 @@ class BatchExplorer:
         with the parallel path (:meth:`_outcomes_from_arrays`).
         """
         arrays = self.factory.batch_arrays(self._chunk_columns(chunk))
-        if len(arrays) != len(chunk):
-            raise ConfigurationError(
-                f"batch_arrays returned {len(arrays)} rows for a "
-                f"{len(chunk)}-point chunk"
-            )
+        self._check_rows(arrays, len(chunk))
         return self._outcomes_from_arrays(chunk, arrays)
 
     def _outcomes_from_arrays(
@@ -1030,41 +1437,12 @@ class BatchExplorer:
         the scalar fallback — re-running a poison point in the *parent*
         process would crash the sweep itself.
         """
-        factory = self.factory
-        builder = getattr(factory, "design_points", None)
-        valid = arrays.valid
-        points: list | None = None
-        if builder is not None:
-            if valid.all():
-                points = list(builder(chunk, arrays))
-            else:
-                # Builders may assume every row holds a constructible
-                # design (an all-valid factory never sees holes), but
-                # quarantined/never-written block rows are zeros — build
-                # from the valid subset only and scatter back. The
-                # conversions stay elementwise, so this is bit-exact.
-                rows = np.flatnonzero(valid)
-                sub = DesignArrays(
-                    area=arrays.area[rows],
-                    perf=arrays.perf[rows],
-                    power=arrays.power[rows],
-                    valid=valid[rows],
-                )
-                built = list(builder([chunk[r] for r in rows], sub))
-                points = [None] * len(chunk)
-                for r, point in zip(rows, built):
-                    points[r] = point
-        outcomes: list[DesignPoint | DomainError] = []
-        for row, params in enumerate(chunk):
-            outcome = points[row] if points is not None and valid[row] else None
-            if outcome is None and qsession is not None:
-                outcome = qsession.marker(params)
-            if outcome is None:
-                try:
-                    outcome = factory(params)
-                except DomainError as exc:
-                    outcome = exc
-            outcomes.append(outcome)
+        outcomes = _fill_outcomes(
+            self.factory,
+            chunk,
+            _design_slots(self.factory, chunk, arrays),
+            qsession.marker if qsession is not None else None,
+        )
         self.cache.store_many(params_keys(chunk), outcomes, misses=len(chunk))
         return outcomes
 
@@ -1116,36 +1494,13 @@ class BatchExplorer:
             initargs=initargs,
         )
 
-    def _grid_columns(self, grid: ParameterGrid) -> dict[str, np.ndarray]:
-        """One full-grid NumPy column per axis, by stride arithmetic.
-
-        Grid iteration is row-major over the cartesian product, so
-        point ``i`` takes value ``axis[(i // stride) % len(axis)]``
-        where an axis's stride is the product of the later axes' sizes
-        — the same construction :meth:`_count_columnar` relies on.
-        """
-        names = list(grid.axes)
-        values = [np.asarray(grid.axes[name]) for name in names]
-        sizes = [v.shape[0] for v in values]
-        strides = [1] * len(names)
-        for axis in range(len(names) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * sizes[axis + 1]
-        rows = np.arange(len(grid))
-        return {
-            name: axis_values[(rows // stride) % size]
-            for name, axis_values, stride, size in zip(
-                names, values, strides, sizes
-            )
-        }
-
     def _parallel_setup(
         self,
-        chunks: list[Sequence[Mapping[str, object]]],
-        restored: int,
+        index: _GridIndex,
+        restored: int = 0,
         probes: "dict[int, ChunkProbe] | None" = None,
         qsession: "QuarantineSession | None" = None,
         blocked: "set[int] | None" = None,
-        grid: "ParameterGrid | None" = None,
     ) -> _ParallelPlan:
         """Allocate the sweep's shared block, publish the input grid
         columns, plan the shard spans over the still-pending chunks,
@@ -1167,30 +1522,30 @@ class BatchExplorer:
         up front and the chunk is dropped from the dispatch spans —
         calibration cost no extra kernel work.
         """
-        total = sum(len(chunk) for chunk in chunks)
+        total = index.total
+        size = self.chunk_size
         spill_kw = dict(spill_dir=self.spill_dir, spill_bytes=self.spill_bytes)
         block = _parallel.ColumnarBlock.allocate(total, **spill_kw)
         pending: set[int] = set()
-        for index in range(restored, len(chunks)):
-            if blocked and index in blocked:
+        for chunk in range(restored, -(-total // size)):
+            if blocked and chunk in blocked:
                 continue
-            probe = probes.get(index) if probes else None
+            probe = probes.get(chunk) if probes else None
             if probe is None or not probe.hit_points:
-                pending.add(index)
+                pending.add(chunk)
         planned = set(pending)
-        if chunks and 0 in pending:
-            cal = self._take_cal_arrays(len(chunks[0]))
+        if 0 in pending:
+            first = min(size, total)
+            cal = self._take_cal_arrays(first)
             if cal is not None:
                 # Prefill the calibration chunk: its rows read back via
                 # chunk_arrays like any dispatched chunk's would.
-                block.write(
-                    0, len(chunks[0]), cal.area, cal.perf, cal.power, cal.valid
-                )
+                block.write(0, first, cal.area, cal.perf, cal.power, cal.valid)
                 pending.discard(0)
         runs: list[tuple[int, int]] = []
-        for index in sorted(pending):
-            lo = index * self.chunk_size
-            hi = lo + len(chunks[index])
+        for chunk in sorted(pending):
+            lo = chunk * size
+            hi = min(lo + size, total)
             if runs and runs[-1][1] == lo:
                 runs[-1] = (runs[-1][0], hi)
             else:
@@ -1202,9 +1557,9 @@ class BatchExplorer:
         )
         spans = planner(runs, self.chunk_size, self._pool_workers)
         arena = None
-        if spans and grid is not None:
+        if spans:
             arena = _parallel.GridArena.publish(
-                self._grid_columns(grid), **spill_kw
+                index.columns(0, total), **spill_kw
             )
         pool = None
         capture = _events.get_log().enabled
@@ -1230,13 +1585,13 @@ class BatchExplorer:
                 scratch_dir=scratch,
             )
         return _ParallelPlan(
-            chunks,
+            index,
             self.chunk_size,
             block,
             pool,
             spans,
+            planned,
             spill_dir=spill,
-            planned=planned,
             arena=arena,
             scheduler=self.scheduler,
         )
@@ -1264,10 +1619,7 @@ class BatchExplorer:
             # their columns from the published arena locally.
             jobs = [(lo, hi, seq) for seq, (lo, hi) in enumerate(plan.spans)]
         else:
-            jobs = [
-                (lo, hi, self._chunk_columns(plan.points(lo, hi)))
-                for lo, hi in plan.spans
-            ]
+            jobs = [(lo, hi, plan.index.columns(lo, hi)) for lo, hi in plan.spans]
         with tracer.span(
             "kernels",
             shards=len(jobs),
@@ -1340,8 +1692,15 @@ class BatchExplorer:
 
         A cold sweep of a :class:`VectorFactory` runs columnar: each
         chunk's area/perf/power come from ``batch_arrays`` instead of
-        per-point factory calls. Output (ordering, skips, values, cache
-        contents) is byte-identical either way.
+        per-point factory calls. Without checkpoint, store or quarantine
+        (whose formats encode points) it keeps only the valid rows'
+        columns: the result builds ``params``/``designs`` on first
+        read, and the cache holds the columns as one pending record
+        (misses counted now, entries built on the first point-level
+        read). A later sweep of the same grid at the same chunk size
+        adopts that record (``mode="memo"``: n hits, nothing
+        evaluated). Output (ordering, skips, values, cache contents) is
+        byte-identical on every path.
 
         With *checkpoint* set, every completed chunk is atomically
         persisted to that path; with *resume*, completed chunks found
@@ -1399,6 +1758,18 @@ class BatchExplorer:
         qsession: QuarantineSession | None = None
         if qledger is not None:
             qsession = qledger.session(describe_factory(self.factory))
+        # The durable layers (checkpoint, store, quarantine) encode
+        # points; a sweep without them keeps its result as columns, and
+        # re-sweeping a grid the cache holds as columns adopts them.
+        record: _SweepColumns | None = None
+        adopted = False
+        if ckpt is None and session is None and qsession is None:
+            record = self.cache.pending_for(grid, self.chunk_size)
+            if record is not None:
+                adopted = True
+                mode = "memo"
+            elif mode in COLUMNAR_MODES:
+                record = _SweepColumns(self.factory, grid, self.chunk_size)
         fingerprint: dict | None = None
         restored_chunks: list = []
         if ckpt is not None:
@@ -1435,7 +1806,24 @@ class BatchExplorer:
             chunks_done = 0
             points_done = 0
             try:
-                if mode == "parallel-columnar":
+                if adopted:
+                    # Served whole from the cache: no kernel, no pool.
+                    chunk_stream: Iterable = ()
+                    self.cache.record(hits=len(grid))
+                    if registry.enabled:
+                        registry.counter(
+                            "focal_cache_hits_total", "factory cache hits"
+                        ).inc(len(grid))
+                elif record is not None:
+                    if mode == "parallel-columnar":
+                        plan = self._parallel_setup(record.index)
+                        pool = plan.pool
+                        self._parallel_kernels(plan, tracer)
+                    # Chunks are grid-row start offsets on this path.
+                    chunk_stream = enumerate(
+                        range(0, len(grid), self.chunk_size)
+                    )
+                elif mode == "parallel-columnar":
                     chunks = list(_chunked(iter(grid), self.chunk_size))
                     if session is not None:
                         # Probe up front: chunks the store can serve (in
@@ -1456,16 +1844,15 @@ class BatchExplorer:
                             )
                         }
                     plan = self._parallel_setup(
-                        chunks,
+                        _GridIndex(grid),
                         len(restored_chunks),
                         probes,
                         qsession,
                         blocked,
-                        grid=grid,
                     )
                     pool = plan.pool
                     self._parallel_kernels(plan, tracer)
-                    chunk_stream: Iterable = enumerate(plan.chunks)
+                    chunk_stream = enumerate(chunks)
                 else:
                     if workers:
                         pool = self._make_pool(
@@ -1489,73 +1876,84 @@ class BatchExplorer:
                         if observing:
                             chunk_start = time.perf_counter()
                             before = self.cache.stats()
-                        if restored:
-                            outcomes = self._restore_chunk(
-                                chunk, restored_chunks[index], ckpt
+                        if record is not None:
+                            arrays = (
+                                plan.chunk_arrays(index)
+                                if plan is not None
+                                else self._chunk_kernel(record.index, chunk)
                             )
-                            saved_chunks.append(restored_chunks[index])
-                            if session is not None:
-                                # Resumed work is stored too: the next
-                                # process should not recompute it.
-                                session.put(chunk, outcomes)
+                            points = len(arrays)
+                            valid = record.add(chunk, arrays)
+                            self.cache.record(misses=points)
                         else:
-                            outcomes = None
-                            if (
-                                qsession is not None
-                                and qsession.known_count
-                                and not (plan is not None and index in plan.planned)
-                                and any(
-                                    qsession.known(params) is not None
-                                    for params in chunk
+                            points = len(chunk)
+                            if restored:
+                                outcomes = self._restore_chunk(
+                                    chunk, restored_chunks[index], ckpt
                                 )
-                            ):
-                                outcomes = self._quarantined_chunk(
-                                    chunk, qsession, pool, mode
-                                )
-                            if outcomes is None:
-                                probe = probes.pop(index, None)
-                                if probe is None and session is not None:
-                                    probe = session.probe(chunk)
-                                outcomes = self._resolve_chunk(
-                                    chunk, index, probe, plan, pool, mode,
-                                    session, use, qsession,
-                                )
-                        valid = 0
-                        for params, outcome in zip(chunk, outcomes):
-                            if isinstance(outcome, QuarantinedPoint):
-                                quarantined_params.append(params)
-                                continue
-                            if isinstance(outcome, DomainError):
-                                continue
-                            params_list.append(params)
-                            designs.append(outcome)
-                            valid += 1
-                        if ckpt is not None and not restored:
-                            saved_chunks.append(encode_outcomes(outcomes))
-                            try:
-                                ckpt.save(
-                                    kind="sweep",
-                                    fingerprint=fingerprint,
-                                    state={"chunks": saved_chunks},
-                                )
-                            except CheckpointError as exc:
-                                # A dead checkpoint must not kill a live
-                                # sweep: continue without checkpointing.
-                                get_logger().warning(
-                                    kv(
-                                        "checkpoint.disabled",
-                                        path=str(ckpt.path),
-                                        error=str(exc),
+                                saved_chunks.append(restored_chunks[index])
+                                if session is not None:
+                                    # Resumed work is stored too: the next
+                                    # process should not recompute it.
+                                    session.put(chunk, outcomes)
+                            else:
+                                outcomes = None
+                                if (
+                                    qsession is not None
+                                    and qsession.known_count
+                                    and not (plan is not None and index in plan.planned)
+                                    and any(
+                                        qsession.known(params) is not None
+                                        for params in chunk
                                     )
-                                )
-                                ckpt = None
+                                ):
+                                    outcomes = self._quarantined_chunk(
+                                        chunk, qsession, pool, mode
+                                    )
+                                if outcomes is None:
+                                    probe = probes.pop(index, None)
+                                    if probe is None and session is not None:
+                                        probe = session.probe(chunk)
+                                    outcomes = self._resolve_chunk(
+                                        chunk, index, probe, plan, pool, mode,
+                                        session, use, qsession,
+                                    )
+                            valid = 0
+                            for params, outcome in zip(chunk, outcomes):
+                                if isinstance(outcome, QuarantinedPoint):
+                                    quarantined_params.append(params)
+                                    continue
+                                if isinstance(outcome, DomainError):
+                                    continue
+                                params_list.append(params)
+                                designs.append(outcome)
+                                valid += 1
+                            if ckpt is not None and not restored:
+                                saved_chunks.append(encode_outcomes(outcomes))
+                                try:
+                                    ckpt.save(
+                                        kind="sweep",
+                                        fingerprint=fingerprint,
+                                        state={"chunks": saved_chunks},
+                                    )
+                                except CheckpointError as exc:
+                                    # A dead checkpoint must not kill a live
+                                    # sweep: continue without checkpointing.
+                                    get_logger().warning(
+                                        kv(
+                                            "checkpoint.disabled",
+                                            path=str(ckpt.path),
+                                            error=str(exc),
+                                        )
+                                    )
+                                    ckpt = None
                         chunks_done += 1
-                        points_done += len(chunk)
+                        points_done += points
                         if observing:
                             self._observe_chunk(
                                 registry,
                                 chunk_span,
-                                points=len(chunk),
+                                points=points,
                                 valid=valid,
                                 seconds=time.perf_counter() - chunk_start,
                                 before=before,
@@ -1595,19 +1993,31 @@ class BatchExplorer:
                         _events.cleanup_spill_dir(plan.spill_dir)
                 if workers:
                     _parallel.clear_worker_state()
+                object.__setattr__(self, "_cal", None)
+                if record is not None and not adopted and record.covered:
+                    # Even an aborted sweep leaves its completed chunks
+                    # memoized, as a point-level sweep would.
+                    record.seal()
+                    self.cache.defer(record)
             self._record_supervision(pool, sweep_span)
-            if not designs and failure is None:
+            valid_points = len(designs) if record is None else len(record.rows)
+            if not valid_points and failure is None:
                 raise ConfigurationError(
                     "exploration produced no valid design points"
                 )
-            with tracer.span("classify", points=len(designs)):
-                perf, ncf_fw, ncf_ft = self._ncf_arrays(designs)
+            with tracer.span("classify", points=valid_points):
+                if record is None:
+                    perf, ncf_fw, ncf_ft = self._ncf_arrays(designs)
+                else:
+                    perf, ncf_fw, ncf_ft = self._ncf_from_columns(
+                        record.area, record.perf, record.power
+                    )
                 codes = classify_arrays(ncf_fw, ncf_ft)
             cache_after = self.cache.stats()
             stats = self._engine_stats(
                 mode=mode,
                 grid_points=len(grid),
-                valid_points=len(params_list),
+                valid_points=valid_points,
                 seconds=time.perf_counter() - start_s,
                 plan=plan,
                 use=use,
@@ -1618,6 +2028,10 @@ class BatchExplorer:
             )
             if observing:
                 self._observe_sweep(registry, sweep_span, stats)
+        if record is not None:
+            return BatchSweepResult._from_columns(
+                record, grid, perf, ncf_fw, ncf_ft, codes, failure
+            )
         return BatchSweepResult(
             params=tuple(params_list),
             designs=tuple(designs),
@@ -1854,7 +2268,9 @@ class BatchExplorer:
         line must not require observability to be enabled)."""
         vector = mode in COLUMNAR_MODES
         fallback = (
-            grid_points if not vector and is_vector_factory(self.factory) else 0
+            grid_points
+            if mode in ("scalar", "scalar-pool") and is_vector_factory(self.factory)
+            else 0
         )
         extras: dict[str, object] = {}
         if self.workers == "auto":
@@ -2072,11 +2488,12 @@ class BatchExplorer:
         re-sweep is a dict probe and a few vector ops per chunk.
 
         On a cold sweep of a :class:`VectorFactory` this goes fully
-        columnar: axis columns are built from the grid's cartesian
-        structure by stride arithmetic, chunks flow through
-        ``batch_arrays``, and verdicts accumulate via ``np.bincount`` —
-        no per-point dicts, DesignPoints or cache writes at all (the
-        cache stays cold; use :meth:`explore_arrays` to warm it).
+        columnar: chunks come from the same source as a columnar
+        :meth:`explore_arrays` (stride-built axis columns through
+        ``batch_arrays``, the ``workers="auto"`` calibration chunk
+        reused), and verdicts accumulate via ``np.bincount`` — no
+        per-point dicts, DesignPoints or cache writes at all (the cache
+        stays cold; use :meth:`explore_arrays` to warm it).
         """
         if self._activate_workers(grid):
             return self.explore_arrays(grid).category_counts()
@@ -2126,44 +2543,21 @@ class BatchExplorer:
         self, grid: ParameterGrid, tracer: _trace.Tracer
     ) -> tuple[np.ndarray, int]:
         """The pure columnar cold count: per-category histogram and
-        valid-point total, with no per-point Python objects.
-
-        Axis columns for each chunk are computed straight from the
-        cartesian structure: grid iteration is row-major, so point
-        ``i`` takes value ``axis[(i // stride) % len(axis)]`` where an
-        axis's stride is the product of the later axes' sizes.
-        """
-        factory = self.factory
-        names = list(grid.axes)
-        values = [np.asarray(grid.axes[name]) for name in names]
-        sizes = [v.shape[0] for v in values]
-        strides = [1] * len(names)
-        for axis in range(len(names) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * sizes[axis + 1]
-        total = len(grid)
+        valid-point total, with no per-point Python objects — chunks
+        come from the same source as a columnar ``explore_arrays``
+        (:meth:`_chunk_kernel`)."""
+        index = _GridIndex(grid)
         histogram = np.zeros(len(CATEGORIES), dtype=np.int64)
         valid_total = 0
-        for index, start in enumerate(range(0, total, self.chunk_size)):
-            with tracer.span("chunk", index=index, mode="columnar") as chunk_span:
-                rows = np.arange(start, min(start + self.chunk_size, total))
-                columns = {
-                    name: axis_values[(rows // stride) % size]
-                    for name, axis_values, stride, size in zip(
-                        names, values, strides, sizes
-                    )
-                }
-                arrays = factory.batch_arrays(columns)
-                if len(arrays) != rows.shape[0]:
-                    raise ConfigurationError(
-                        f"batch_arrays returned {len(arrays)} rows for a "
-                        f"{rows.shape[0]}-point chunk"
-                    )
+        for number, start in enumerate(range(0, index.total, self.chunk_size)):
+            with tracer.span("chunk", index=number, mode="columnar") as chunk_span:
+                arrays = self._chunk_kernel(index, start)
                 mask = arrays.valid
                 area, perf, power = arrays.area, arrays.perf, arrays.power
                 if not mask.all():
                     area, perf, power = area[mask], perf[mask], power[mask]
                 if chunk_span is not _trace.NULL_SPAN:
-                    chunk_span.set(points=rows.shape[0], valid=int(area.shape[0]))
+                    chunk_span.set(points=len(arrays), valid=int(area.shape[0]))
                 if not area.shape[0]:
                     continue
                 _, ncf_fw, ncf_ft = self._ncf_from_columns(area, perf, power)

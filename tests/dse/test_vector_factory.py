@@ -52,6 +52,10 @@ def asymmetric_scalar_factory(params):
 
 
 GRID = ParameterGrid({"cores": [1, 2, 4, 8, 16], "f": linear_range(0.5, 0.99, 7)})
+#: A different grid whose points a GRID sweep has all cached: a warm
+#: sweep of it takes the point-level path (a re-sweep of GRID itself
+#: adopts the cached columns instead).
+SUBGRID = GRID.subgrid(cores=4)
 #: n <= m corners raise DomainError scalar-side, are masked vector-side.
 ASYM_GRID = ParameterGrid({"n": [2, 3, 4, 8, 16], "m": [1, 4, 8]})
 
@@ -185,10 +189,10 @@ class TestSweepEngineStats:
     def test_fallback_accounting_on_warm_cache(self, baseline):
         vector = _explorer(SymmetricMulticoreFactory(), baseline)
         vector.explore(GRID)
-        vector.explore(GRID)  # warm: scalar path although vector-capable
+        vector.explore(SUBGRID)  # warm: scalar path although vector-capable
         stats = vector.last_sweep
         assert stats.mode == "scalar"
-        assert stats.fallback_points == len(GRID)
+        assert stats.fallback_points == len(SUBGRID)
         assert "scalar-fallback" in stats.summary()
 
     def test_plain_factory_has_no_fallback(self, baseline):
@@ -222,10 +226,10 @@ class TestSweepEngineStats:
         pooled = _explorer(
             SymmetricMulticoreFactory(), baseline, workers=2, cache=warm.cache
         )
-        results = pooled.explore(GRID)
+        results = pooled.explore(SUBGRID)
         assert pooled.last_sweep.mode == "scalar-pool"
         assert list(results) == list(
-            _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)
+            _explorer(SymmetricMulticoreFactory(), baseline).explore(SUBGRID)
         )
 
     def test_as_dict_round_trips(self, baseline):
@@ -256,9 +260,9 @@ class TestObservability:
         metrics.enable()
         explorer = _explorer(SymmetricMulticoreFactory(), baseline)
         explorer.explore(GRID)
-        explorer.explore(GRID)  # warm -> scalar fallback
+        explorer.explore(SUBGRID)  # warm -> scalar fallback
         fallback = self._metric("focal_vector_fallback_total")
-        assert fallback is not None and fallback["value"] == len(GRID)
+        assert fallback is not None and fallback["value"] == len(SUBGRID)
 
     def test_metrics_do_not_change_results(self, baseline):
         plain_results = _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.dse import parallel
-from repro.dse.factories import SymmetricMulticoreFactory
 from repro.resilience import (
     CheckpointStore,
     FaultPlan,
@@ -49,29 +48,6 @@ def assert_identical(result, reference):
 @pytest.fixture
 def reference(make_explorer, grid):
     return make_explorer().explore_arrays(grid)
-
-
-class _InterruptingMaterializer:
-    """A vector factory whose ``design_points`` raises KeyboardInterrupt
-    on the parent's second materialization call — a deterministic Ctrl-C
-    landing while the worker pool and the shared block are both live
-    (workers only ever call ``batch_arrays``, never this)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def __call__(self, params):
-        return self.inner(params)
-
-    def batch_arrays(self, columns):
-        return self.inner.batch_arrays(columns)
-
-    def design_points(self, chunk, arrays):
-        self.calls += 1
-        if self.calls == 2:
-            raise KeyboardInterrupt()
-        return self.inner.design_points(chunk, arrays)
 
 
 class TestParallelChaos:
@@ -236,12 +212,23 @@ class TestParallelInterruptHygiene:
         monkeypatch.setattr(
             parallel.ColumnarBlock, "allocate", classmethod(recording)
         )
-        explorer = make_explorer(
-            factory=_InterruptingMaterializer(SymmetricMulticoreFactory()),
-            workers=2,
-        )
+        # A deterministic Ctrl-C on the parent's read of the second
+        # chunk's kernel columns, while the worker pool and the shared
+        # block are both live (workers only ever write the block).
+        real_rows = parallel.ColumnarBlock.rows
+        reads: list = []
+
+        def interrupting_rows(block, start, stop):
+            reads.append(start)
+            if len(reads) == 2:
+                raise KeyboardInterrupt()
+            return real_rows(block, start, stop)
+
+        monkeypatch.setattr(parallel.ColumnarBlock, "rows", interrupting_rows)
+        explorer = make_explorer(workers=2)
         with pytest.raises(KeyboardInterrupt):
             explorer.explore_arrays(grid)
+        assert len(reads) == 2
         assert _settled_children() == []
         assert parallel.live_blocks() == frozenset()
         assert parallel._STATE == {}
