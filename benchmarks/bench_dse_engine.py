@@ -402,7 +402,6 @@ def test_parallel_columnar_sweep(benchmark, emit):
             "parallel_forced_gate_enforced": False,
             "parallel_worker_utilization": forced_explorer.last_sweep.worker_utilization,
             "parallel_shm_bytes": forced_explorer.last_sweep.shm_bytes,
-            "parallel_scheduler": forced_explorer.last_sweep.scheduler,
         }
     )
     assert max_diff == 0.0
@@ -421,16 +420,20 @@ def test_parallel_columnar_sweep(benchmark, emit):
 
 
 def test_parallel_schedule_byte_identity(emit, tmp_path):
-    """Serial, static shards and work-stealing shards must be fully
+    """Serial, work-stealing shards over shared memory and
+    work-stealing shards over a spilled block must be fully
     interchangeable: identical result bytes, identical cache contents,
     identical checkpoint bytes (the fingerprint deliberately excludes
-    workers/scheduler/spill, so a checkpoint written under any schedule
-    resumes under any other)."""
+    workers/spill, so a checkpoint written under any schedule resumes
+    under any other)."""
     runs = {}
     for key, kwargs in (
         ("serial", dict(workers=0)),
-        ("static", dict(workers=2, scheduler="static")),
-        ("steal", dict(workers=2, scheduler="steal")),
+        ("steal", dict(workers=2)),
+        (
+            "steal-spilled",
+            dict(workers=2, spill_dir=tmp_path / "spill", spill_bytes=1),
+        ),
     ):
         factory = IterativeFixedPointFactory(iters=SCHEDULE_ITERS)
         explorer = BatchExplorer(
@@ -465,7 +468,7 @@ def test_parallel_schedule_byte_identity(emit, tmp_path):
     assert ckpt_equal
     emit(
         f"schedule identity: {len(SCHEDULE_GRID)} points x "
-        "{serial, static, steal} -> identical result, cache and "
+        "{serial, steal, steal spilled} -> identical result, cache and "
         "checkpoint bytes"
     )
 

@@ -12,7 +12,7 @@ operating point) three ways —
 
 A second operating point covers the parallel-columnar engine: the
 shipped ``eval_shard`` (which carries the worker-event capture hooks)
-is timed against a verbatim copy of its pre-telemetry form on the same
+is timed against a copy with those hooks stripped out, on the same
 worker pool and shared block, with event capture disabled and enabled.
 Numerical parity is asserted at both operating points — instrumented
 results (traced or not, and under injected worker faults) are
@@ -38,7 +38,7 @@ from repro.core.design import DesignPoint
 from repro.core.errors import ConfigurationError
 from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse import parallel
-from repro.dse.batch import BatchExplorer, FactoryCache
+from repro.dse.batch import BatchExplorer, FactoryCache, _GridIndex
 from repro.dse.factories import IterativeFixedPointFactory
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.obs import events as obs_events
@@ -261,58 +261,42 @@ def test_resweep_instrumentation_enabled(benchmark, explorer, emit):
 # Parallel-columnar operating point: the PR 5 shard kernel
 # ----------------------------------------------------------------------
 def uninstrumented_eval_shard(job):
-    """PR 5's ``eval_shard`` exactly as shipped before worker-event
-    telemetry existed — the baseline the shipped kernel is gated
-    against. Runs on the same pool/worker state the shipped kernel
-    uses, so the only delta between the two timings is the telemetry
-    hook itself."""
-    start, stop, columns = job
-    factory = parallel._STATE["factory"]
+    """``eval_shard`` with the worker-event telemetry stripped out —
+    the baseline the shipped kernel is gated against. Runs on the same
+    pool/worker state the shipped kernel uses (columns derived from the
+    resident grid index, rows written into the shared block), so the
+    only delta between the two timings is the telemetry hook itself."""
+    start, stop, _ = job
+    columns = parallel._STATE["index"].columns(start, stop)
     begin = time.perf_counter()
-    arrays = factory.batch_arrays(columns)
+    arrays = parallel._STATE["factory"].batch_arrays(columns)
     busy = time.perf_counter() - begin
     if len(arrays) != stop - start:
         raise ConfigurationError(
             f"batch_arrays returned {len(arrays)} rows for a "
             f"{stop - start}-point shard"
         )
-    block = parallel._STATE.get("block")
-    if block is None:
-        return (
-            start,
-            stop,
-            busy,
-            (arrays.area, arrays.perf, arrays.power, arrays.valid),
-        )
-    block.write(start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid)
+    parallel._STATE["block"].write(
+        start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid
+    )
     return (start, stop, busy, None)
 
 
 def _shard_jobs(grid, chunk_size, workers):
-    """The ``(lo, hi, columns)`` jobs a parallel-columnar sweep of
-    *grid* would dispatch (same planner, same column layout)."""
-    points = list(grid)
-    names = list(grid.axes)
-    return [
-        (
-            lo,
-            hi,
-            {
-                name: np.asarray([points[i][name] for i in range(lo, hi)])
-                for name in names
-            },
-        )
-        for lo, hi in parallel.plan_shards(len(points), 0, chunk_size, workers)
-    ]
+    """The ``(lo, hi, seq)`` jobs a parallel-columnar sweep of *grid*
+    would dispatch (same planner)."""
+    spans = parallel.plan_steal_runs([(0, len(grid))], chunk_size, workers)
+    return [(lo, hi, seq) for seq, (lo, hi) in enumerate(spans)]
 
 
-def _columnar_pool(factory, total, capture):
-    """A live worker pool attached to a fresh shared block."""
-    block = parallel.ColumnarBlock.allocate(total)
+def _columnar_pool(factory, grid, capture):
+    """A live worker pool holding *grid*'s index, attached to a fresh
+    shared block."""
+    block = parallel.ColumnarBlock.allocate(len(grid))
     pool = ProcessPoolExecutor(
         max_workers=PARALLEL_WORKERS,
         initializer=parallel.init_columnar_worker,
-        initargs=(factory, block.name, total, capture, None),
+        initargs=(factory, _GridIndex(grid), block.name, capture, None),
     )
     return pool, block
 
@@ -322,7 +306,7 @@ def parallel_rig():
     """One capture-disabled pool + jobs, shared by the paired timing."""
     factory = IterativeFixedPointFactory(iters=PARALLEL_ITERS)
     jobs = _shard_jobs(PARALLEL_GRID, PARALLEL_CHUNK, PARALLEL_WORKERS)
-    pool, block = _columnar_pool(factory, len(PARALLEL_GRID), capture=False)
+    pool, block = _columnar_pool(factory, PARALLEL_GRID, capture=False)
     yield pool, jobs
     pool.shutdown()
     block.release()
@@ -362,7 +346,7 @@ def test_parallel_shard_capture_enabled(emit):
     in the trajectory (no gate: capture is opt-in, priced here)."""
     factory = IterativeFixedPointFactory(iters=PARALLEL_ITERS)
     jobs = _shard_jobs(PARALLEL_GRID, PARALLEL_CHUNK, PARALLEL_WORKERS)
-    pool, block = _columnar_pool(factory, len(PARALLEL_GRID), capture=True)
+    pool, block = _columnar_pool(factory, PARALLEL_GRID, capture=True)
     try:
         _drain(pool, parallel.eval_shard, jobs)  # warm the pool
         best = float("inf")

@@ -255,18 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
             "process-pool workers (0 = in-process, 'auto' = calibrate: "
             "time the first chunk and engage a pool only when the "
             "dispatch math wins); a cold sweep of a vector factory runs "
-            "parallel-columnar: the grid resides in shared memory and "
-            "chunk-aligned shards return results via shared memory"
-        ),
-    )
-    sweep.add_argument(
-        "--scheduler",
-        choices=("steal", "static"),
-        default="steal",
-        help=(
-            "shard schedule for worker pools: 'steal' (default) queues "
-            "geometrically-shrinking shards that idle workers pick up, "
-            "'static' pre-assigns equal spans"
+            "parallel-columnar: idle workers pick up geometrically "
+            "shrinking chunk-aligned shards and write their results "
+            "into one shared block"
         ),
     )
     sweep.add_argument(
@@ -274,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "back the sweep's result block (and grid residency) with "
-            "memory-mapped files under DIR instead of shared memory; "
-            "without --spill-bytes every block spills"
+            "back the sweep's result block with a memory-mapped file "
+            "under DIR instead of shared memory; without --spill-bytes "
+            "every block spills"
         ),
     )
     sweep.add_argument(
@@ -666,7 +657,6 @@ def _cmd_sweep(
     store: str | None = None,
     quarantine: str | None = None,
     salvage: bool = False,
-    scheduler: str = "steal",
     spill_dir: str | None = None,
     spill_bytes: int | None = None,
 ) -> int:
@@ -690,7 +680,7 @@ def _cmd_sweep(
     )
     # A vector factory (frozen dataclass, picklable for --workers):
     # cold sweeps run columnar (parallel-columnar with --workers, grid
-    # shards dispatched as columns), warm re-sweeps hit the cache.
+    # shards dispatched as row spans), warm re-sweeps hit the cache.
     # Worker runs are supervised: crashed or hung workers are retried,
     # the pool is respawned, and as a last resort evaluation degrades
     # in-process — the sweep finishes either way.
@@ -710,7 +700,6 @@ def _cmd_sweep(
         chunk_size=chunk_size,
         workers=workers,
         resilience=policy,
-        scheduler=scheduler,
         spill_dir=spill_dir,
         spill_bytes=spill_bytes,
     )
@@ -916,7 +905,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.store,
             args.quarantine,
             args.salvage,
-            args.scheduler,
             args.spill_dir,
             args.spill_bytes,
         )

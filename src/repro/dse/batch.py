@@ -24,13 +24,12 @@ provides the production path for large sweeps:
   point;
 * with ``workers > 0`` a cold vector-factory sweep runs
   **parallel-columnar**: the grid is sharded into contiguous,
-  chunk-aligned spans, each span ships to a worker as axis *columns*
-  (one job per span, never per point), workers run ``batch_arrays``
-  over their shard and write the result columns into one
-  ``multiprocessing.shared_memory`` block (compact pickled arrays when
-  shared memory is unavailable — see :mod:`repro.dse.parallel`). The
-  factory ships once per pool via an initializer; no DesignPoint ever
-  crosses the process boundary. The parent copies the valid rows'
+  chunk-aligned spans, each span ships to a worker as a ``(lo, hi,
+  seq)`` job (one per span, never per point), workers derive the
+  span's axis columns, run ``batch_arrays`` over them and write the
+  result columns into one shared block (see :mod:`repro.dse.parallel`).
+  The factory and the grid index ship once per pool via an
+  initializer; no DesignPoint ever crosses the process boundary. The parent copies the valid rows'
   columns out of the block and defers everything point-level exactly
   like ``workers=0`` does — byte-identical results and cache contents;
 * :class:`BatchSweepResult` holds the sweep as arrays and converts back
@@ -386,7 +385,7 @@ class _StoreUse:
 class _ParallelPlan:
     """Execution state of one parallel-columnar sweep.
 
-    Holds the grid's geometry, the shared result block, the worker pool
+    Holds the grid's index, the shared result block, the worker pool
     and the chunk-aligned shard spans still to evaluate (chunks restored
     from a checkpoint — and chunks the persistent store holds any rows
     of — are excluded: their rows of the block are never written or
@@ -403,8 +402,6 @@ class _ParallelPlan:
         spans: list[tuple[int, int]],
         planned: set[int],
         spill_dir: str | None = None,
-        arena: "_parallel.GridArena | None" = None,
-        scheduler: str = "steal",
     ) -> None:
         self.index = index
         self.chunk_size = chunk_size
@@ -421,16 +418,10 @@ class _ParallelPlan:
         #: Crash-spill directory for worker events (None when telemetry
         #: is off) — collected and removed when the sweep winds down.
         self.spill_dir = spill_dir
-        #: The published input-grid columns (None when the axes cannot
-        #: be hosted — jobs then carry their columns by value).
-        self.arena = arena
-        self.scheduler = scheduler
-        #: Captured at setup — the segments are released before stats
-        #: are cut.
-        self.shm_bytes = block.nbytes + (arena.nbytes if arena else 0)
-        self.spill_nbytes = block.spill_nbytes + (
-            arena.spill_nbytes if arena else 0
-        )
+        #: Captured at setup — the block is released before stats are
+        #: cut.
+        self.shm_bytes = block.nbytes
+        self.spill_nbytes = block.spill_nbytes
         self.kernel_wall = 0.0
         self.busy = 0.0
 
@@ -453,8 +444,6 @@ class _ParallelPlan:
 
     def release(self) -> None:
         self.block.release()
-        if self.arena is not None:
-            self.arena.release()
 
 
 @dataclass(frozen=True)
@@ -844,11 +833,9 @@ class SweepEngineStats:
     shard_points: int = 0
     shm_bytes: int = 0
     worker_utilization: float = 0.0
-    #: Shard scheduling of a parallel-columnar sweep ("steal" or
-    #: "static"; "" otherwise), the smallest dispatched shard in grid
-    #: points (the steal tail), and spill-file bytes backing the
-    #: sweep's segments (0 unless out-of-core).
-    scheduler: str = ""
+    #: The smallest dispatched shard of a parallel-columnar sweep in
+    #: grid points (the steal tail), and file bytes backing the sweep's
+    #: result block (0 when it sat in shared memory).
     tail_shard_points: int = 0
     spill_bytes: int = 0
     #: True when ``workers="auto"`` resolved this sweep's worker count
@@ -899,9 +886,8 @@ class SweepEngineStats:
                 else ", workers auto->serial"
             )
         if self.shards:
-            sched = f", {self.scheduler}" if self.scheduler else ""
             line += (
-                f", {self.shards} shards (<= {self.shard_points} pts{sched}) "
+                f", {self.shards} shards (<= {self.shard_points} pts) "
                 f"x {self.workers} workers, "
                 f"{self.worker_utilization:.0%} kernel utilization"
             )
@@ -946,7 +932,6 @@ class SweepEngineStats:
                 shard_points=self.shard_points,
                 shm_bytes=self.shm_bytes,
                 worker_utilization=self.worker_utilization,
-                scheduler=self.scheduler,
                 tail_shard_points=self.tail_shard_points,
             )
         if self.spill_bytes:
@@ -1121,23 +1106,20 @@ class BatchExplorer:
         for dispatch to win (otherwise the sweep runs the columnar
         ``workers=0`` path — never slower than serial by construction).
         The calibration chunk's arrays are reused, so auto costs no
-        extra kernel work on the sweep it serves.
-    scheduler:
-        Shard scheduling for the parallel-columnar path. ``"steal"``
-        (the default) plans geometrically shrinking chunk-aligned
-        shards and submits one executor future each, so idle workers
-        pull the next shard off the shared call queue the moment they
-        finish one; ``"static"`` keeps the legacy fixed
-        shards-per-worker spans.
+        extra kernel work on the sweep it serves. A vector factory's
+        pool sweep plans geometrically shrinking
+        chunk-aligned shards and submits one executor future each, so
+        idle workers pull the next shard off the shared call queue the
+        moment they finish one (work stealing).
     spill_dir, spill_bytes:
-        Out-of-core policy. When ``spill_bytes`` is set, any shared
-        sweep segment (result block, resident grid columns) at or above
-        that many bytes is backed by a ``numpy.memmap``-style file
-        instead of shared memory; a bare ``spill_dir`` (threshold
-        unset) spills every segment. Files land under ``spill_dir``
-        (a temp dir when only the threshold is given) and are removed
-        when the sweep winds down. Results are byte-identical to the
-        in-RAM path.
+        Out-of-core policy. When ``spill_bytes`` is set, a parallel
+        sweep's result block at or above that many bytes is backed by
+        an mmapped file instead of shared memory; a bare ``spill_dir``
+        (threshold unset) always spills. Files land under
+        ``spill_dir`` (a temp dir when only the threshold is given) and
+        are removed when the sweep winds down. A host without usable
+        shared memory gets the file backing too. Results are
+        byte-identical to the in-RAM path.
     cache:
         A :class:`FactoryCache` to (re)use; by default a private one is
         created, so repeated sweeps — ``subgrid`` pins, tornado runs —
@@ -1158,7 +1140,6 @@ class BatchExplorer:
     workers: int | str = 0
     cache: FactoryCache = field(default=None)  # type: ignore[assignment]
     resilience: RetryPolicy | None = None
-    scheduler: str = "steal"
     spill_dir: str | os.PathLike | None = None
     spill_bytes: int | None = None
     #: Engine execution snapshot of the most recent sweep (set by
@@ -1196,11 +1177,6 @@ class BatchExplorer:
                 )
         elif self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
-        if self.scheduler not in ("steal", "static"):
-            raise ValidationError(
-                f"scheduler must be 'steal' or 'static', got "
-                f"{self.scheduler!r}"
-            )
         if self.spill_bytes is not None and self.spill_bytes < 0:
             raise ValidationError(
                 f"spill_bytes must be >= 0, got {self.spill_bytes}"
@@ -1385,7 +1361,7 @@ class BatchExplorer:
         which the columnar path cannot beat; ``len`` sees a pending
         record without expanding it). With workers the cold
         columnar sweep runs *parallel*-columnar — grid shards dispatch
-        to the pool as columns (:mod:`repro.dse.parallel`) — and the
+        to the pool as row spans (:mod:`repro.dse.parallel`) — and the
         non-columnar pool path is ``scalar-pool``. Decided once at
         sweep start.
         """
@@ -1456,13 +1432,13 @@ class BatchExplorer:
         parent_block: "_parallel.ColumnarBlock | None" = None,
         capture: bool = False,
         quarantine: "QuarantineSession | None" = None,
-        parent_grid: "_parallel.GridArena | None" = None,
+        parent_index: "_GridIndex | None" = None,
         scratch_dir: "str | None" = None,
     ) -> "ProcessPoolExecutor | SupervisedPool":
         """A worker pool whose *initializer* ships per-pool state once.
 
         The parent mirrors the worker state first (its own factory and
-        its own block/arena objects, never a second shm attachment), so
+        its own block and grid index, never a second attachment), so
         SupervisedPool in-process degradation — and thread-pool
         executors injected by tests — evaluate exactly what the worker
         processes would. With *capture* the parent's own event buffer
@@ -1471,7 +1447,7 @@ class BatchExplorer:
         events a worker would. *scratch_dir* (out-of-core sweeps) roots
         the heartbeat watchdog's files under the sweep's spill dir.
         """
-        _parallel.set_worker_state(self.factory, parent_block, parent_grid)
+        _parallel.set_worker_state(self.factory, parent_block, parent_index)
         _events.init_worker(capture, None)
         if self.resilience is not None:
             monitor = None
@@ -1502,9 +1478,9 @@ class BatchExplorer:
         qsession: "QuarantineSession | None" = None,
         blocked: "set[int] | None" = None,
     ) -> _ParallelPlan:
-        """Allocate the sweep's shared block, publish the input grid
-        columns, plan the shard spans over the still-pending chunks,
-        and spawn the pool.
+        """Allocate the sweep's shared block, plan the shard spans over
+        the still-pending chunks, and spawn the pool (which receives
+        the grid *index* once, so a shard job is ``(lo, hi, seq)``).
 
         The first *restored* chunks came from a checkpoint, and chunks
         whose *probe* found any stored rows are resolved in the parent
@@ -1524,8 +1500,9 @@ class BatchExplorer:
         """
         total = index.total
         size = self.chunk_size
-        spill_kw = dict(spill_dir=self.spill_dir, spill_bytes=self.spill_bytes)
-        block = _parallel.ColumnarBlock.allocate(total, **spill_kw)
+        block = _parallel.ColumnarBlock.allocate(
+            total, spill_dir=self.spill_dir, spill_bytes=self.spill_bytes
+        )
         pending: set[int] = set()
         for chunk in range(restored, -(-total // size)):
             if blocked and chunk in blocked:
@@ -1550,17 +1527,7 @@ class BatchExplorer:
                 runs[-1] = (runs[-1][0], hi)
             else:
                 runs.append((lo, hi))
-        planner = (
-            _parallel.plan_steal_runs
-            if self.scheduler == "steal"
-            else _parallel.plan_shard_runs
-        )
-        spans = planner(runs, self.chunk_size, self._pool_workers)
-        arena = None
-        if spans:
-            arena = _parallel.GridArena.publish(
-                index.columns(0, total), **spill_kw
-            )
+        spans = _parallel.plan_steal_runs(runs, size, self._pool_workers)
         pool = None
         capture = _events.get_log().enabled
         scratch = (
@@ -1570,30 +1537,17 @@ class BatchExplorer:
             _events.make_spill_dir(base=scratch) if capture and spans else None
         )
         if spans:
-            grid_descriptor = (
-                (arena.name, arena.layout, arena.total)
-                if arena is not None
-                else None
-            )
             pool = self._make_pool(
                 _parallel.init_columnar_worker,
-                (self.factory, block.name, total, capture, spill, grid_descriptor),
+                (self.factory, index, block.name, capture, spill),
                 parent_block=block,
                 capture=capture,
                 quarantine=qsession,
-                parent_grid=arena,
+                parent_index=index,
                 scratch_dir=scratch,
             )
         return _ParallelPlan(
-            index,
-            self.chunk_size,
-            block,
-            pool,
-            spans,
-            planned,
-            spill_dir=spill,
-            arena=arena,
-            scheduler=self.scheduler,
+            index, size, block, pool, spans, planned, spill_dir=spill
         )
 
     def _parallel_kernels(
@@ -1602,9 +1556,10 @@ class BatchExplorer:
         """The kernel phase: run ``batch_arrays`` over every pending
         shard span on the pool and land the result columns in the block.
 
-        One job per span — ``(start, stop, axis columns)`` out, compact
-        numeric arrays (or an already-written shm acknowledgement) back.
-        Shard writes are idempotent, so supervised retry/respawn/
+        One job per span — ``(lo, hi, seq)`` out (workers derive their
+        columns from the pool-shipped grid index and write their rows
+        into the block), a busy-seconds acknowledgement back. Shard
+        writes are idempotent, so supervised retry/respawn/
         degradation re-runs are safe. Busy seconds accumulate for the
         worker-utilization gauge and, per worker, into the
         ``focal_worker_busy_seconds`` histogram; worker events riding
@@ -1614,20 +1569,13 @@ class BatchExplorer:
             return
         registry = _metrics.get_registry()
         log = _events.get_log()
-        if plan.arena is not None:
-            # Resident grid: a job is three integers; workers slice
-            # their columns from the published arena locally.
-            jobs = [(lo, hi, seq) for seq, (lo, hi) in enumerate(plan.spans)]
-        else:
-            jobs = [(lo, hi, plan.index.columns(lo, hi)) for lo, hi in plan.spans]
+        jobs = [(lo, hi, seq) for seq, (lo, hi) in enumerate(plan.spans)]
         with tracer.span(
             "kernels",
             shards=len(jobs),
             shard_points=plan.shard_points,
             workers=self._pool_workers,
             shm_bytes=plan.shm_bytes,
-            scheduler=plan.scheduler,
-            grid_resident=plan.arena is not None,
             spill_bytes=plan.spill_nbytes,
         ):
             begin = time.perf_counter()
@@ -1637,7 +1585,7 @@ class BatchExplorer:
                     jobs,
                     splitter=_parallel.split_shard_job,
                     describe=_parallel.shard_job_point,
-                    schedule="queue" if plan.scheduler == "steal" else "batch",
+                    schedule="queue",
                 )
             else:
                 replies = plan.pool.map(_parallel.eval_shard, jobs)
@@ -1658,10 +1606,8 @@ class BatchExplorer:
                 subreplies = (
                     reply.replies if isinstance(reply, BisectOutcome) else (reply,)
                 )
-                for lo, hi, busy, pid, arrays, events in subreplies:
+                for _, _, busy, pid, events in subreplies:
                     plan.busy += busy
-                    if arrays is not None:
-                        plan.block.write(lo, hi, *arrays)
                     if events:
                         log.extend(events)
                     if registry.enabled:
@@ -2286,7 +2232,6 @@ class BatchExplorer:
                 worker_utilization=(
                     min(1.0, plan.busy / wall) if wall > 0 else 0.0
                 ),
-                scheduler=plan.scheduler,
                 tail_shard_points=plan.tail_shard_points,
             )
         if plan is not None and plan.spill_nbytes:
@@ -2389,28 +2334,27 @@ class BatchExplorer:
                 registry.gauge(
                     "focal_parallel_shm_bytes",
                     "shared-memory bytes backing the last parallel-columnar "
-                    "sweep (0 = pickle-array fallback)",
+                    "sweep (0 = file-backed block)",
                 ).set(engine.shm_bytes)
                 registry.gauge(
                     "focal_parallel_worker_utilization",
                     "worker busy seconds / (kernel wall x workers), "
                     "last parallel-columnar sweep",
                 ).set(engine.worker_utilization)
-                if engine.scheduler == "steal":
-                    registry.counter(
-                        "focal_steal_shards_total",
-                        "shards dispatched through the work-stealing "
-                        "queue scheduler",
-                    ).inc(engine.shards)
-                    registry.gauge(
-                        "focal_steal_tail_shard_points",
-                        "smallest (tail) shard of the last work-stealing "
-                        "sweep, in grid points",
-                    ).set(engine.tail_shard_points)
+                registry.counter(
+                    "focal_steal_shards_total",
+                    "shards dispatched through the work-stealing "
+                    "queue scheduler",
+                ).inc(engine.shards)
+                registry.gauge(
+                    "focal_steal_tail_shard_points",
+                    "smallest (tail) shard of the last work-stealing "
+                    "sweep, in grid points",
+                ).set(engine.tail_shard_points)
             registry.gauge(
                 "focal_spill_bytes",
-                "spill-file bytes backing the last sweep's shared "
-                "segments (0 = fully in-RAM)",
+                "file bytes backing the last sweep's result block "
+                "(0 = shared memory)",
             ).set(engine.spill_bytes)
             if engine.store_used:
                 registry.counter(

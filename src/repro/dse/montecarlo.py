@@ -196,35 +196,13 @@ def _point_fields(point: DesignPoint) -> dict:
     }
 
 
-#: Smallest sample span the guided scheduler will dispatch — keeps the
-#: shrinking tail from degenerating into single-sample futures.
+#: Smallest sample span the guided scheduler will dispatch — the
+#: planner's "chunk", so the shrinking tail never degenerates into
+#: single-sample futures. Any span geometry is safe for both samplers:
+#: verdict shards position their generators per span with ``advance``
+#: and noise shards receive parent-drawn noise slices, so the
+#: concatenated codes are byte-identical to the serial draw.
 _MC_MIN_SPAN = 64
-
-
-def _mc_spans(count: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` spans splitting *count* samples across a
-    pool with guided (geometric) sizing — the same policy the sweep
-    engine's work-stealing planner uses: early spans are big (low
-    dispatch overhead while every worker is busy), later spans shrink
-    so the tail rebalances across whichever workers free up first.
-
-    Safe for both samplers at any partition: verdict shards position
-    their generators per span with ``advance``, and noise shards
-    receive parent-drawn noise slices, so the concatenated codes are
-    byte-identical to the serial draw regardless of span geometry.
-    """
-    spans: list[tuple[int, int]] = []
-    lo = 0
-    while lo < count:
-        remaining = count - lo
-        take = max(
-            _MC_MIN_SPAN,
-            remaining // (max(1, workers) * _parallel.STEAL_FACTOR),
-        )
-        hi = min(count, lo + take)
-        spans.append((lo, hi))
-        lo = hi
-    return spans
 
 
 def _verdict_shard(job: tuple) -> np.ndarray:
@@ -535,7 +513,9 @@ def sample_verdicts(
                 jobs = [
                     (seed, start + span_lo, span_hi - span_lo,
                      lo, hi, area, energy, power)
-                    for span_lo, span_hi in _mc_spans(count, workers)
+                    for span_lo, span_hi in _parallel.plan_steal_runs(
+                        [(0, count)], _MC_MIN_SPAN, workers
+                    )
                 ]
                 parts = _mc_map(pool, _verdict_shard, jobs)
                 # Keep the parent's generator exactly where a serial
@@ -652,7 +632,9 @@ def sample_measurement_noise(
                 jobs = [
                     (noise[span_lo:span_hi], alpha,
                      area_ratio, energy_ratio, power_ratio)
-                    for span_lo, span_hi in _mc_spans(count, workers)
+                    for span_lo, span_hi in _parallel.plan_steal_runs(
+                        [(0, count)], _MC_MIN_SPAN, workers
+                    )
                 ]
                 return np.concatenate(_mc_map(pool, _noise_shard, jobs))
             area = area_ratio * noise[:, 0]

@@ -1,40 +1,34 @@
-"""Shared-memory shard dispatch for the parallel columnar sweep path.
+"""Shard dispatch for the parallel columnar sweep path.
 
-The two fast paths of :class:`~repro.dse.batch.BatchExplorer` used to
-cancel each other out: the columnar kernels engaged only with
-``workers == 0``, while the pool path shipped per-point pickled
-``(factory, params)`` jobs and pickled whole DesignPoint objects back.
-This module provides the plumbing that composes them:
+FOCAL's first-order model turns each design into four numbers, so a
+parallel sweep only has to move a span of grid rows into a kernel and
+three float columns plus a validity flag back. This module carries
+exactly that, one way:
 
 * :class:`ColumnarBlock` — one flat buffer holding the sweep's
   area/perf/power/valid columns for *every* grid point, backed by a
-  ``multiprocessing.shared_memory`` segment when the platform provides
-  one, by an mmapped spill file when the sweep opts into out-of-core
-  operation (``spill_dir=`` / spill threshold), and by private process
-  memory otherwise (the pickle-array fallback);
-* :class:`GridArena` — the sweep's *input* grid columns published once
-  into a read-only sibling segment, so a shard job shrinks to
-  ``(lo, hi, seq)`` and workers slice the resident columns locally
-  instead of unpickling their slice from every task message;
-* :func:`plan_shards` / :func:`plan_steal_runs` — contiguous,
-  chunk-aligned ``[lo, hi)`` spans of the grid: the former statically
-  sized (a few per worker), the latter geometrically shrinking toward
-  the tail so one future per shard on the executor's shared call queue
-  behaves like a work-stealing scheduler — idle workers pull the next
-  shard, and stragglers can at most hold one tail-sized shard;
-* worker-side state and entry points — the factory (and the shared
-  segments) ship **once per pool** through :func:`init_factory_worker`
-  / :func:`init_columnar_worker`; per-job payloads are parameter dicts
-  (scalar pool path), ``(lo, hi, seq)`` index triples (resident grid),
-  or axis columns (the no-shm fallback), and results come back as
-  writes into the shared block (or compact numeric arrays when shared
-  memory is unavailable). No ``DesignPoint`` ever crosses the process
-  boundary.
+  ``multiprocessing.shared_memory`` segment, or by an mmapped file when
+  the sweep opts into out-of-core operation (``spill_dir=`` /
+  ``spill_bytes=``) or the host has no usable shared memory;
+* :func:`plan_steal_runs` — contiguous, chunk-aligned ``[lo, hi)``
+  spans that shrink geometrically toward the tail, so one future per
+  shard on the executor's shared call queue behaves like a
+  work-stealing scheduler: idle workers pull the next shard, and a
+  straggler can at most hold one tail-sized shard;
+* worker-side state and entry points — the factory, the sweep's grid
+  index (axis values plus strides) and the block attachment ship
+  **once per pool** through :func:`init_columnar_worker`. A shard job
+  is ``(lo, hi, seq)``: the worker derives its columns with the same
+  stride arithmetic the serial path uses and writes its rows into the
+  block. (The scalar pool path ships the factory through
+  :func:`init_factory_worker` and parameter dicts per job.) No
+  ``DesignPoint`` ever crosses the process boundary.
 
-Everything here is byte-neutral: the kernels run unchanged, the parent
-re-reads the same float64/bool columns the single-process path would
-have produced, and invalid rows are still re-evaluated scalar in the
-parent to capture genuine ``DomainError`` objects.
+Everything here is byte-neutral: the kernels run unchanged on the same
+columns, the parent re-reads the same float64/bool columns the
+single-process path would have produced, and invalid rows are still
+re-evaluated scalar in the parent to capture genuine ``DomainError``
+objects.
 
 The parent process mirrors the worker initialization via
 :func:`set_worker_state` so :class:`~repro.resilience.supervisor.
@@ -54,13 +48,11 @@ import numpy as np
 
 from ..core.errors import ConfigurationError, DomainError
 from ..obs import events as _events
+from ..obs.log import get_logger, kv
 from ..resilience import containment as _containment
 
 __all__ = [
     "ColumnarBlock",
-    "GridArena",
-    "plan_shards",
-    "plan_shard_runs",
     "plan_steal_runs",
     "live_blocks",
     "set_worker_state",
@@ -76,11 +68,6 @@ __all__ = [
 #: Bytes per grid point in a :class:`ColumnarBlock`:
 #: three float64 result columns plus one bool validity flag.
 BYTES_PER_POINT = 3 * 8 + 1
-
-#: How many shards each worker is offered by the *static* planner: a few
-#: per worker, so a slow shard (or a respawned worker) rebalances
-#: instead of stalling the pool.
-SHARDS_PER_WORKER = 4
 
 #: Guided-scheduling divisor for :func:`plan_steal_runs`: each shard
 #: takes ``remaining_chunks // (workers * STEAL_FACTOR)`` chunks, so
@@ -113,20 +100,16 @@ class _FileMap:
     """An mmapped spill file with the same surface as ``SharedMemory``.
 
     Exposes ``name`` (a ``file:``-prefixed handle), ``size``, ``buf``,
-    ``close()`` and ``unlink()``, so :class:`ColumnarBlock` and
-    :class:`GridArena` treat the out-of-core backing exactly like a
-    shared-memory segment. Both sides map the file ``MAP_SHARED``, so
-    worker writes are visible to the parent through the page cache
-    without any explicit flush.
+    ``close()`` and ``unlink()``, so :class:`ColumnarBlock` treats the
+    file backing exactly like a shared-memory segment. Both sides map
+    the file ``MAP_SHARED``, so worker writes are visible to the parent
+    through the page cache without any explicit flush.
     """
 
-    def __init__(self, path: str, size: int, create: bool) -> None:
+    def __init__(self, path: str, size: int) -> None:
         self.path = path
         self.name = FILE_PREFIX + path
         self.size = size
-        if create:
-            with open(path, "wb") as handle:
-                handle.truncate(size)
         self._file = open(path, "r+b")
         try:
             self._mmap = mmap.mmap(self._file.fileno(), size)
@@ -134,6 +117,28 @@ class _FileMap:
             self._file.close()
             raise
         self.buf: memoryview | None = memoryview(self._mmap)
+
+    @classmethod
+    def create(cls, size: int, spill_dir: str | os.PathLike | None) -> "_FileMap":
+        """A new zero-filled file of *size* bytes under *spill_dir* (the
+        temp dir when ``None``). The handle is live from the moment the
+        file exists, and a file that cannot be sized or mapped is
+        unlinked again before the error propagates."""
+        if spill_dir is not None:
+            os.makedirs(spill_dir, exist_ok=True)
+        fd, path = tempfile.mkstemp(
+            prefix="focal-block-", suffix=".bin", dir=spill_dir
+        )
+        _LIVE_NAMES.add(FILE_PREFIX + path)
+        try:
+            os.ftruncate(fd, size)
+            return cls(path, size)
+        except BaseException:
+            os.unlink(path)
+            _LIVE_NAMES.discard(FILE_PREFIX + path)
+            raise
+        finally:
+            os.close(fd)
 
     def close(self) -> None:
         buf, self.buf = self.buf, None
@@ -151,14 +156,13 @@ class _FileMap:
             pass
 
 
-def _spill_path(spill_dir: str | os.PathLike | None, tag: str) -> str:
-    if spill_dir is not None:
-        os.makedirs(spill_dir, exist_ok=True)
-    fd, path = tempfile.mkstemp(
-        prefix=f"focal-{tag}-", suffix=".bin", dir=spill_dir
-    )
-    os.close(fd)
-    return path
+def _create_shm(size: int):
+    """A new shared-memory segment of *size* bytes, registered live."""
+    from multiprocessing import shared_memory
+
+    segment = shared_memory.SharedMemory(create=True, size=size)
+    _LIVE_NAMES.add(segment.name)
+    return segment
 
 
 def _should_spill(
@@ -179,26 +183,38 @@ def _should_spill(
 
 def _create_segment(
     nbytes: int,
-    tag: str,
     spill_dir: str | os.PathLike | None,
     spill_bytes: int | None,
 ):
-    """A new shared segment: spill file when configured, else shm.
+    """A new segment of *nbytes*: a spill file when the out-of-core
+    policy selects one, else shared memory — each the other's fallback.
 
-    Returns ``None`` when neither backing is available — callers fall
-    back to private memory (block) or per-job columns (grid).
+    A fallback is logged (``block.fallback``); when neither backing can
+    be created, :class:`~repro.core.errors.ConfigurationError` names
+    both causes.
     """
+    backings = [
+        ("shm", lambda: _create_shm(nbytes)),
+        ("file", lambda: _FileMap.create(nbytes, spill_dir)),
+    ]
     if _should_spill(nbytes, spill_dir, spill_bytes):
+        backings.reverse()
+    failures: list[str] = []
+    for backing, create in backings:
         try:
-            return _FileMap(_spill_path(spill_dir, tag), nbytes, create=True)
-        except Exception:
-            pass
-    try:
-        from multiprocessing import shared_memory
-
-        return shared_memory.SharedMemory(create=True, size=nbytes)
-    except Exception:
-        return None
+            segment = create()
+        except Exception as exc:
+            failures.append(f"{backing}: {type(exc).__name__}: {exc}")
+            continue
+        if failures:
+            get_logger().warning(
+                kv("block.fallback", backing=backing, cause=failures[0])
+            )
+        return segment
+    raise ConfigurationError(
+        f"cannot allocate a {nbytes}-byte sweep block "
+        f"({'; '.join(failures)})"
+    )
 
 
 def _attach_segment(handle: str, nbytes: int):
@@ -213,32 +229,27 @@ def _attach_segment(handle: str, nbytes: int):
     complain about an unknown name.
     """
     if handle.startswith(FILE_PREFIX):
-        return _FileMap(handle[len(FILE_PREFIX) :], nbytes, create=False)
+        return _FileMap(handle[len(FILE_PREFIX) :], nbytes)
     from multiprocessing import shared_memory
 
     return shared_memory.SharedMemory(name=handle)
 
 
 class ColumnarBlock:
-    """The sweep's result columns over one flat buffer.
+    """The sweep's result columns over one flat shared buffer.
 
     Layout over ``total`` points: ``area``/``perf``/``power`` as
-    consecutive float64 columns, then ``valid`` as a bool column. The
-    buffer is a shared-memory segment when available (workers write
-    their shard rows directly), an mmapped spill file when the sweep
-    opts into out-of-core operation, and private memory otherwise
-    (workers return arrays by pickle and the parent writes them).
+    consecutive float64 columns, then ``valid`` as a bool column.
+    Workers write their shard rows directly into the buffer — a
+    shared-memory segment, or an mmapped file when the sweep spills or
+    the host has no usable shared memory.
     """
 
     def __init__(self, total: int, shm, owner: bool) -> None:
         self.total = total
         self._shm = shm
         self._owner = owner
-        if shm is not None:
-            buf = shm.buf
-        else:
-            self._local = bytearray(max(1, total * BYTES_PER_POINT))
-            buf = memoryview(self._local)
+        buf = shm.buf
         self.area = np.frombuffer(buf, dtype=np.float64, count=total, offset=0)
         self.perf = np.frombuffer(
             buf, dtype=np.float64, count=total, offset=8 * total
@@ -259,20 +270,16 @@ class ColumnarBlock:
         spill_bytes: int | None = None,
     ) -> "ColumnarBlock":
         """A new block: spill file when the out-of-core policy selects
-        one, else shared memory when the platform allows.
-
-        Any failure to create a shared segment (no /dev/shm, size
-        limits, sandboxing) silently selects the private-memory
-        fallback — the sweep then pays pickling for result columns,
-        nothing else changes.
-        """
-        shm = _create_segment(
-            max(1, total * BYTES_PER_POINT), "block", spill_dir, spill_bytes
+        one, else shared memory; a host without usable shared memory
+        (no /dev/shm, size limits, sandboxing) gets a file in
+        *spill_dir* or the temp dir instead."""
+        return cls(
+            total,
+            _create_segment(
+                max(1, total * BYTES_PER_POINT), spill_dir, spill_bytes
+            ),
+            owner=True,
         )
-        if shm is None:
-            return cls(total, None, owner=True)
-        _LIVE_NAMES.add(shm.name)
-        return cls(total, shm, owner=True)
 
     @classmethod
     def attach(cls, name: str, total: int) -> "ColumnarBlock":
@@ -284,26 +291,24 @@ class ColumnarBlock:
         )
 
     @property
-    def name(self) -> str | None:
-        """Segment handle (``None`` for the private-memory fallback):
-        a raw shm name, or a ``file:``-prefixed spill path."""
-        return self._shm.name if self._shm is not None else None
+    def name(self) -> str:
+        """Segment handle: a raw shm name, or a ``file:``-prefixed
+        spill path."""
+        return self._shm.name
 
     @property
     def backing(self) -> str:
-        """``"shm"``, ``"file"`` or ``"local"``."""
-        if self._shm is None:
-            return "local"
+        """``"shm"`` or ``"file"``."""
         return "file" if isinstance(self._shm, _FileMap) else "shm"
 
     @property
     def nbytes(self) -> int:
-        """Shared-memory bytes backing the block (0 otherwise)."""
+        """Shared-memory bytes backing the block (0 when file-backed)."""
         return self._shm.size if self.backing == "shm" else 0
 
     @property
     def spill_nbytes(self) -> int:
-        """Spill-file bytes backing the block (0 unless out-of-core)."""
+        """File bytes backing the block (0 when in shared memory)."""
         return self._shm.size if self.backing == "file" else 0
 
     def write(
@@ -353,203 +358,25 @@ class ColumnarBlock:
             _LIVE_NAMES.discard(shm.name)
 
 
-#: Axis dtypes a :class:`GridArena` can host: bool, signed/unsigned
-#: integer, float. Anything else (strings, objects) keeps the legacy
-#: column-shipping job payloads.
-_ARENA_KINDS = "biuf"
-
-
-def _arena_layout(
-    columns: Mapping[str, np.ndarray],
-) -> tuple[list[tuple[str, str, int]], int] | None:
-    """Pack axis columns into ``(name, dtype, offset)`` triples plus the
-    total byte size, or ``None`` when a column cannot be hosted."""
-    layout: list[tuple[str, str, int]] = []
-    offset = 0
-    for name, col in columns.items():
-        arr = np.asarray(col)
-        if arr.ndim != 1 or arr.dtype.kind not in _ARENA_KINDS:
-            return None
-        offset = -(-offset // 16) * 16  # 16-byte align every column
-        layout.append((name, arr.dtype.str, offset))
-        offset += arr.nbytes
-    return layout, max(1, offset)
-
-
-class GridArena:
-    """The sweep's *input* grid columns, resident in one shared segment.
-
-    Published once per sweep by the parent; workers attach through the
-    pool initializer and slice ``[lo, hi)`` locally, so a shard job is
-    three integers instead of a pickled column dict. Views handed out
-    by :meth:`columns` are read-only — a factory scribbling on its
-    inputs would otherwise corrupt every other shard's rows.
-    """
-
-    def __init__(
-        self,
-        segment,
-        layout: list[tuple[str, str, int]],
-        total: int,
-        owner: bool,
-    ) -> None:
-        self._seg = segment
-        self._owner = owner
-        self.layout = layout
-        self.total = total
-        self._cols: dict[str, np.ndarray] = {}
-        for name, dtype, offset in layout:
-            view = np.frombuffer(
-                segment.buf, dtype=np.dtype(dtype), count=total, offset=offset
-            )
-            self._cols[name] = view
-
-    @classmethod
-    def publish(
-        cls,
-        columns: Mapping[str, np.ndarray],
-        *,
-        spill_dir: str | os.PathLike | None = None,
-        spill_bytes: int | None = None,
-    ) -> "GridArena | None":
-        """Copy *columns* into a new shared segment, or ``None`` when
-        the columns cannot be hosted (non-numeric axes) or no shared
-        backing is available — the sweep then ships columns per job."""
-        if not columns:
-            return None
-        packed = _arena_layout(columns)
-        if packed is None:
-            return None
-        layout, nbytes = packed
-        total = len(next(iter(columns.values()))) if columns else 0
-        segment = _create_segment(nbytes, "grid", spill_dir, spill_bytes)
-        if segment is None:
-            return None
-        _LIVE_NAMES.add(segment.name)
-        arena = cls(segment, layout, total, owner=True)
-        for name, col in columns.items():
-            arena._cols[name][:] = np.asarray(col)
-        return arena
-
-    @classmethod
-    def attach(
-        cls, handle: str, layout: list[tuple[str, str, int]], total: int
-    ) -> "GridArena":
-        """Attach to the parent's published grid (worker-side)."""
-        _, _, last_offset = layout[-1]
-        last_size = total * np.dtype(layout[-1][1]).itemsize
-        return cls(
-            _attach_segment(handle, max(1, last_offset + last_size)),
-            layout,
-            total,
-            owner=False,
-        )
-
-    @property
-    def name(self) -> str:
-        return self._seg.name
-
-    @property
-    def backing(self) -> str:
-        return "file" if isinstance(self._seg, _FileMap) else "shm"
-
-    @property
-    def nbytes(self) -> int:
-        """Shared-memory bytes backing the arena (0 when spilled)."""
-        return self._seg.size if self.backing == "shm" else 0
-
-    @property
-    def spill_nbytes(self) -> int:
-        """Spill-file bytes backing the arena (0 unless out-of-core)."""
-        return self._seg.size if self.backing == "file" else 0
-
-    def columns(self, lo: int, hi: int) -> dict[str, np.ndarray]:
-        """Read-only views of rows ``[lo, hi)`` of every axis column."""
-        out: dict[str, np.ndarray] = {}
-        for name, view in self._cols.items():
-            sliced = view[lo:hi]
-            sliced.flags.writeable = False
-            out[name] = sliced
-        return out
-
-    def release(self) -> None:
-        """Drop the views, close the mapping and (as the owner) unlink
-        the segment. Safe to call more than once."""
-        seg, self._seg = self._seg, None
-        self._cols = {}
-        if seg is None:
-            return
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - stray exported view
-            pass
-        if self._owner:
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            _LIVE_NAMES.discard(seg.name)
-
-
-def plan_shards(
-    total: int, start: int, chunk_size: int, workers: int
-) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` spans covering ``[start, total)``.
-
-    Spans are aligned to ``chunk_size`` boundaries (a checkpoint chunk
-    never straddles two shards) and sized to roughly
-    :data:`SHARDS_PER_WORKER` shards per worker, so one slow shard
-    rebalances across the pool instead of serializing it.
-    """
-    if start >= total:
-        return []
-    return plan_shard_runs([(start, total)], chunk_size, workers)
-
-
-def plan_shard_runs(
-    runs: list[tuple[int, int]], chunk_size: int, workers: int
-) -> list[tuple[int, int]]:
-    """Statically sized shard spans over arbitrary pending point *runs*.
-
-    Checkpoint resume skips a prefix, but a persistent result store can
-    satisfy *any* subset of chunks — what remains to evaluate is a list
-    of contiguous ``[lo, hi)`` point runs. Each run is split into
-    chunk-aligned spans exactly like :func:`plan_shards` would split
-    the whole grid, with the shard width budgeted over the total
-    pending work so the :data:`SHARDS_PER_WORKER` balance holds across
-    runs (a span never straddles two runs — the gap between them is
-    already-known work whose block rows must stay untouched).
-    """
-    pending_chunks = sum(-(-(hi - lo) // chunk_size) for lo, hi in runs if hi > lo)
-    if not pending_chunks:
-        return []
-    per_shard = max(
-        1, -(-pending_chunks // (max(1, workers) * SHARDS_PER_WORKER))
-    )
-    span = per_shard * chunk_size
-    return [
-        (lo, min(lo + span, hi))
-        for run_lo, hi in runs
-        if hi > run_lo
-        for lo in range(run_lo, hi, span)
-    ]
-
-
 def plan_steal_runs(
     runs: list[tuple[int, int]], chunk_size: int, workers: int
 ) -> list[tuple[int, int]]:
-    """Guided shard spans for the work-stealing scheduler.
+    """Guided shard spans over the pending point *runs*.
 
-    Same coverage contract as :func:`plan_shard_runs` (chunk-aligned,
-    never straddling a run), but sized geometrically: each successive
-    shard takes ``remaining_chunks // (workers * STEAL_FACTOR)`` chunks
-    (never less than one). Early shards are large — few task messages
-    while every worker is busy anyway — and tail shards shrink toward
-    single chunks, so when the queue drains, no worker can be left
-    holding more than one chunk of work while the others idle. One
-    executor future per span turns the pool's shared call queue into
-    the steal queue: whichever worker goes idle first pulls the next
-    span.
+    Checkpoint resume skips a prefix, and a persistent result store can
+    satisfy *any* subset of chunks, so what remains to evaluate is a
+    list of contiguous ``[lo, hi)`` point runs. Spans are chunk-aligned
+    (a checkpoint chunk never straddles two shards) and never straddle
+    two runs (the gap between them is already-known work whose block
+    rows must stay untouched). They are sized geometrically: each
+    successive shard takes ``remaining_chunks // (workers *
+    STEAL_FACTOR)`` chunks (never less than one). Early shards are
+    large — few task messages while every worker is busy anyway — and
+    tail shards shrink toward single chunks, so when the queue drains,
+    no worker can be left holding more than one chunk of work while
+    the others idle. One executor future per span turns the pool's
+    shared call queue into the steal queue: whichever worker goes idle
+    first pulls the next span.
     """
     pending: list[tuple[int, int, int]] = []
     remaining = 0
@@ -579,9 +406,11 @@ def plan_steal_runs(
 def set_worker_state(
     factory: Callable,
     block: ColumnarBlock | None,
-    grid: GridArena | None = None,
+    index=None,
 ) -> None:
-    """Install this process's sweep state (factory + shared segments).
+    """Install this process's sweep state: the factory plus, for the
+    columnar path, the result block and the grid index whose
+    ``columns(lo, hi)`` yields a shard's axis columns.
 
     Called by the pool initializers in each worker and by the parent
     before dispatch, so in-process degradation and thread-pool
@@ -589,7 +418,7 @@ def set_worker_state(
     """
     _STATE["factory"] = factory
     _STATE["block"] = block
-    _STATE["grid"] = grid
+    _STATE["index"] = index
 
 
 def clear_worker_state() -> None:
@@ -609,34 +438,30 @@ def init_factory_worker(
 
 def init_columnar_worker(
     factory: Callable,
-    shm_name: str | None,
-    total: int,
+    index,
+    block_name: str,
     capture: bool = False,
     spill_dir: str | None = None,
-    grid: tuple[str, list[tuple[str, str, int]], int] | None = None,
 ) -> None:
-    """Pool initializer for the columnar path: factory plus one
-    attachment each to the parent's result block and published grid
-    arena (when it has them). *grid* is a ``(handle, layout, total)``
-    descriptor — three small values, shipped once per worker.
+    """Pool initializer for the columnar path: the factory, the sweep's
+    grid index (axis value arrays and strides — small, shipped once per
+    worker) and one attachment to the parent's result block.
 
     With *capture* the worker's event buffer is armed first, so the
-    shared-memory attach itself lands on the timeline (``worker.init``).
+    block attach itself lands on the timeline (``worker.init``).
     """
     _events.init_worker(capture, spill_dir)
     buf = _events.get_buffer()
     t0 = buf.now()
-    block = ColumnarBlock.attach(shm_name, total) if shm_name else None
-    arena = GridArena.attach(*grid) if grid is not None else None
+    block = ColumnarBlock.attach(block_name, index.total)
     buf.add(
         "worker.init",
         start=t0,
         dur_s=buf.now() - t0,
         attach_s=buf.now() - t0,
-        shm=bool(shm_name),
-        grid=arena is not None,
+        backing=block.backing,
     )
-    set_worker_state(factory, block, arena)
+    set_worker_state(factory, block, index)
 
 
 def pool_evaluate(params: Mapping[str, object]):
@@ -649,36 +474,15 @@ def pool_evaluate(params: Mapping[str, object]):
         return exc
 
 
-def _shard_columns(job) -> tuple[int, int, Mapping[str, np.ndarray], int | None]:
-    """Resolve a shard job to its columns.
-
-    A job is ``(start, stop, payload)`` where the payload is either the
-    column dict itself (legacy / no-arena fallback) or the shard's
-    sequence number, in which case the columns are sliced from the
-    process-resident :class:`GridArena`.
-    """
-    start, stop, payload = job
-    if isinstance(payload, Mapping):
-        return start, stop, payload, None
-    arena = _STATE.get("grid")
-    if arena is None:
-        raise ConfigurationError(
-            "resident shard job dispatched to a worker without a grid arena"
-        )
-    return start, stop, arena.columns(start, stop), payload
-
-
 def eval_shard(job):
-    """Run the vector kernel over one shard's columns.
+    """Run the vector kernel over one shard and land it in the block.
 
-    ``job`` is ``(start, stop, seq)`` when the grid is resident in a
-    :class:`GridArena` (workers slice their columns locally) or
-    ``(start, stop, columns)`` in the fallback. The factory's
-    ``batch_arrays`` output lands in the shared block's rows
-    ``[start, stop)`` when a block is attached; otherwise the columns
-    are returned by value. Either way the reply is
-    ``(start, stop, busy_seconds, worker_pid, arrays-or-None,
-    events-or-None)`` — compact numbers, never DesignPoint objects.
+    ``job`` is ``(start, stop, seq)``: the worker derives the shard's
+    axis columns from the resident grid index, runs the factory's
+    ``batch_arrays`` and writes the result columns into the block's
+    rows ``[start, stop)``. The reply is ``(start, stop, busy_seconds,
+    worker_pid, events-or-None)`` — compact numbers, never DesignPoint
+    objects.
 
     When this worker's event buffer is armed (pool initializer with
     ``capture=True``) the shard leaves a ``heartbeat`` instant plus
@@ -686,47 +490,25 @@ def eval_shard(job):
     into the reply so the parent can merge them without extra IPC.
     """
     _containment.beat()
-    start, stop, columns, seq = _shard_columns(job)
-    factory = _STATE["factory"]
+    start, stop, seq = job
     buf = _events.get_buffer()
     capture = buf.enabled
     if capture:
         t0 = buf.now()
         buf.add("heartbeat", start=t0, lo=start, hi=stop)
+    columns = _STATE["index"].columns(start, stop)
     begin = time.perf_counter()
-    arrays = factory.batch_arrays(columns)
+    arrays = _STATE["factory"].batch_arrays(columns)
     busy = time.perf_counter() - begin
     if len(arrays) != stop - start:
         raise ConfigurationError(
             f"batch_arrays returned {len(arrays)} rows for a "
             f"{stop - start}-point shard"
         )
-    block = _STATE.get("block")
-    if block is None:
-        if capture:
-            end = buf.now()
-            buf.add("factory.compute", start=end - busy, dur_s=busy)
-            buf.add(
-                "shard",
-                start=t0,
-                dur_s=end - t0,
-                lo=start,
-                hi=stop,
-                seq=seq,
-                points=stop - start,
-                compute_s=busy,
-                shm_s=0.0,
-            )
-        return (
-            start,
-            stop,
-            busy,
-            os.getpid(),
-            (arrays.area, arrays.perf, arrays.power, arrays.valid),
-            buf.drain() if capture else None,
-        )
     shm_begin = time.perf_counter()
-    block.write(start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid)
+    _STATE["block"].write(
+        start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid
+    )
     shm_s = time.perf_counter() - shm_begin
     if capture:
         end = buf.now()
@@ -743,36 +525,30 @@ def eval_shard(job):
             compute_s=busy,
             shm_s=shm_s,
         )
-    return (start, stop, busy, os.getpid(), None, buf.drain() if capture else None)
+    return (start, stop, busy, os.getpid(), buf.drain() if capture else None)
 
 
 def split_shard_job(job):
     """Halve one shard job for quarantine bisection, or ``None``.
 
-    ``job`` is the tuple :func:`eval_shard` takes. Resident-grid jobs
-    split by index arithmetic alone; fallback jobs slice the same
-    column arrays, so bisection probes evaluate exactly the rows the
-    original shard would have. A single-row shard is atomic (returns
-    ``None``) — that row *is* the candidate poison point.
+    ``job`` is the ``(start, stop, seq)`` triple :func:`eval_shard`
+    takes; halves are index arithmetic alone, so bisection probes
+    evaluate exactly the rows the original shard would have. A
+    single-row shard is atomic (returns ``None``) — that row *is* the
+    candidate poison point.
     """
-    start, stop, payload = job
+    start, stop, seq = job
     if stop - start <= 1:
         return None
     mid = start + (stop - start) // 2
-    if not isinstance(payload, Mapping):
-        return ((start, mid, payload), (mid, stop, payload))
-    cut = mid - start
-    left = {name: np.asarray(col)[:cut] for name, col in payload.items()}
-    right = {name: np.asarray(col)[cut:] for name, col in payload.items()}
-    return ((start, mid, left), (mid, stop, right))
+    return ((start, mid, seq), (mid, stop, seq))
 
 
 def shard_job_point(job):
     """The grid-point parameters of a single-row shard job (for the
     quarantine ledger), or ``None`` for a multi-row shard."""
-    start, stop, payload = job
+    start, stop, _ = job
     if stop - start != 1:
         return None
-    if not isinstance(payload, Mapping):
-        payload = _STATE["grid"].columns(start, stop)
-    return {name: np.asarray(col)[0].item() for name, col in payload.items()}
+    columns = _STATE["index"].columns(start, stop)
+    return {name: col.tolist()[0] for name, col in columns.items()}

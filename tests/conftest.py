@@ -16,7 +16,7 @@ def _no_leaked_segments():
 
     ``_LIVE_NAMES`` tracks allocations (shm names and ``file:`` spill
     paths) process-wide; a non-empty set here points at the test — or
-    engine ``finally`` path — that dropped a block or arena without
+    engine ``finally`` path — that dropped a block without
     ``release()``.
     """
     yield

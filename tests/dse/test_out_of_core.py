@@ -6,7 +6,9 @@ afterwards — under clean runs and under crash + resume."""
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
+import types
 
 import numpy as np
 import pytest
@@ -89,10 +91,54 @@ class TestSpillPolicy:
             64, spill_dir=tmp_path, spill_bytes=10**12
         )
         try:
-            assert block.backing in ("shm", "local")
+            assert block.backing == "shm"
             assert not list(tmp_path.glob("focal-block-*.bin"))
         finally:
             block.release()
+
+
+class TestFailedSegment:
+    """A segment that cannot be created leaves nothing behind and never
+    falls back silently."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    def test_failed_spill_file_is_unlinked_then_shm_used(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # Only the spill file's mapping fails (shm keeps its own mmap).
+        monkeypatch.setattr(
+            parallel, "mmap", types.SimpleNamespace(mmap=self._refuse)
+        )
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            block = parallel.ColumnarBlock.allocate(
+                1000, spill_dir=tmp_path, spill_bytes=1
+            )
+        try:
+            assert block.backing == "shm"
+            assert not list(tmp_path.glob("focal-block-*.bin"))
+            assert "block.fallback" in caplog.text
+        finally:
+            block.release()
+        assert parallel.live_blocks() == frozenset()
+
+    def test_no_backing_raises_naming_both_causes(self, tmp_path, monkeypatch):
+        from multiprocessing import shared_memory
+
+        from repro.core.errors import ConfigurationError
+
+        monkeypatch.setattr(
+            parallel, "mmap", types.SimpleNamespace(mmap=self._refuse)
+        )
+        monkeypatch.setattr(shared_memory, "SharedMemory", self._refuse)
+        with pytest.raises(ConfigurationError, match=r"file: .*shm: "):
+            parallel.ColumnarBlock.allocate(
+                1000, spill_dir=tmp_path, spill_bytes=1
+            )
+        assert list(tmp_path.iterdir()) == []
+        assert parallel.live_blocks() == frozenset()
 
 
 class TestSpilledBlockContract:
@@ -127,37 +173,6 @@ class TestSpilledBlockContract:
         block.release()  # second call is a no-op, not an error
         assert parallel.live_blocks() == frozenset()
 
-    def test_arena_spills_and_serves_readonly_views(self, tmp_path):
-        columns = {
-            "cores": np.array([1, 2, 4, 8], dtype=np.int64),
-            "f": np.array([0.5, 0.9, 0.95, 0.99]),
-        }
-        arena = parallel.GridArena.publish(columns, spill_dir=tmp_path)
-        try:
-            assert arena is not None
-            assert arena.backing == "file"
-            assert arena.spill_nbytes > 0 and arena.nbytes == 0
-            attached = parallel.GridArena.attach(
-                arena.name, arena.layout, arena.total
-            )
-            try:
-                views = attached.columns(1, 3)
-                assert np.array_equal(views["cores"], [2, 4])
-                assert np.array_equal(views["f"], [0.9, 0.95])
-                with pytest.raises(ValueError):
-                    views["cores"][0] = 99
-            finally:
-                attached.release()
-        finally:
-            if arena is not None:
-                arena.release()
-
-    def test_non_numeric_axes_refuse_residency(self):
-        assert (
-            parallel.GridArena.publish({"name": np.array(["a", "b"])}) is None
-        )
-        assert parallel.GridArena.publish({}) is None
-
 
 class TestSpilledSweepParity:
     def test_spilled_sweep_is_byte_identical(self, tmp_path):
@@ -170,7 +185,7 @@ class TestSpilledSweepParity:
         assert "spilled" in stats.summary()
         assert stats.as_dict()["spill_bytes"] == stats.spill_bytes
         # Everything under the spill dir was cleaned on the way out:
-        # blocks, arena, worker event files, heartbeat dirs.
+        # the block, worker event files, heartbeat dirs.
         assert list(tmp_path.iterdir()) == []
 
     def test_spilled_matches_serial_too(self, tmp_path):

@@ -2,22 +2,30 @@
 byte-identical sweep output, identical cache contents and identical
 category counts versus both the single-process columnar path and the
 scalar path — at every grid/chunk geometry, with and without shared
-memory, and with nothing (workers, shm segments, module state) left
-behind afterwards."""
+memory, over numeric and string axes, and with nothing (workers, shm
+segments, spill files, module state) left behind afterwards."""
 
 from __future__ import annotations
+
+import dataclasses
+import os
+import tempfile
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.core.design import DesignPoint
 from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse import parallel
 from repro.dse.batch import (
     BatchExplorer,
+    DesignArrays,
     FactoryCache,
     params_key,
     params_keys,
 )
+from repro.dse.explorer import Explorer
 from repro.dse.factories import (
     AsymmetricMulticoreFactory,
     SymmetricMulticoreFactory,
@@ -27,6 +35,66 @@ from repro.dse.grid import ParameterGrid, linear_range
 GRID = ParameterGrid({"cores": [1, 2, 4, 8, 16], "f": linear_range(0.5, 0.99, 7)})
 #: n <= m corners raise DomainError scalar-side, are masked vector-side.
 ASYM_GRID = ParameterGrid({"n": [2, 3, 4, 8, 16], "m": [1, 4, 8]})
+
+#: Per-node area/power scale of :class:`NodeScaledFactory`.
+NODE_SCALE = {"7nm": 1.0, "5nm": 0.75, "3nm": 0.5}
+#: A grid with a ``str`` axis (36 points).
+STR_GRID = ParameterGrid(
+    {"node": list(NODE_SCALE), "cores": [1, 2, 4, 8], "f": [0.5, 0.9, 0.99]}
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class NodeScaledFactory:
+    """A vector factory with a ``str`` axis: symmetric multicore
+    designs whose area and power scale with the process ``node``."""
+
+    inner: SymmetricMulticoreFactory = SymmetricMulticoreFactory()
+
+    def __call__(self, params):
+        point = self.inner(params)
+        scale = NODE_SCALE[params["node"]]
+        return DesignPoint(
+            f"{point.name} {params['node']}",
+            area=point.area * scale,
+            perf=point.perf,
+            power=point.power * scale,
+        )
+
+    def batch_arrays(self, columns):
+        arrays = self.inner.batch_arrays(columns)
+        scale = np.array([NODE_SCALE[node] for node in columns["node"].tolist()])
+        return DesignArrays(
+            area=arrays.area * scale,
+            perf=arrays.perf,
+            power=arrays.power * scale,
+            valid=arrays.valid,
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class ScribblingFactory:
+    """Overwrites every writeable input column after reading it, then
+    fails once (flagged through *flag*), so the supervisor re-runs a
+    shard whose inputs were just damaged: a shard's columns must be its
+    own, or the retry (or the grid itself) would see the damage."""
+
+    inner: object
+    flag: str
+
+    def __call__(self, params):
+        return self.inner(params)
+
+    def batch_arrays(self, columns):
+        arrays = self.inner.batch_arrays(columns)
+        for column in columns.values():
+            if column.flags.writeable:
+                column[...] = column[::-1].copy()
+        try:
+            os.close(os.open(self.flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return arrays
+        raise RuntimeError("transient failure after writing the inputs")
 
 
 def _explorer(factory, baseline, **kwargs) -> BatchExplorer:
@@ -166,28 +234,29 @@ class TestEdgeGeometry:
         assert len(result.params) == 2  # m=1, m=2 survive; m=8, m=16 do not
 
 
+@pytest.fixture
+def no_shm(monkeypatch, tmp_path):
+    """A host without usable shared memory: segment creation fails, and
+    the temp dir the block falls back to is this test's own."""
+    real = shared_memory.SharedMemory
+
+    def refuse(*args, create=False, **kwargs):
+        if create:
+            raise OSError(28, "No space left on device (no /dev/shm)")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
 class TestSharedMemoryFallback:
-    def test_pickle_fallback_is_bit_exact(self, baseline, monkeypatch):
-        # Force the private-memory fallback (a host with no usable
-        # shared segments at all): block allocation "fails", the grid
-        # arena cannot publish, and the engine must ship grid columns
-        # out and result columns back by pickle instead.
-        real_allocate = parallel.ColumnarBlock.allocate.__func__
-
-        def no_shm(cls, total, **kwargs):
-            block = real_allocate(cls, total, **kwargs)
-            if block._shm is not None:
-                block.release()
-            return cls(total, None, owner=True)
-
-        monkeypatch.setattr(
-            parallel.ColumnarBlock, "allocate", classmethod(no_shm)
-        )
-        monkeypatch.setattr(
-            parallel.GridArena,
-            "publish",
-            classmethod(lambda cls, columns, **kwargs: None),
-        )
+    def test_no_shm_host_falls_back_to_file_block(self, baseline, no_shm):
+        # Shared-memory creation fails: the result block moves to a
+        # file in the temp dir, workers still write their rows into it,
+        # and the results are bit-exact.
         reference = _explorer(
             SymmetricMulticoreFactory(), baseline
         ).explore_arrays(GRID)
@@ -196,11 +265,143 @@ class TestSharedMemoryFallback:
         assert_same_sweep(result, reference)
         assert par.last_sweep.mode == "parallel-columnar"
         assert par.last_sweep.shm_bytes == 0  # fallback reported honestly
+        assert par.last_sweep.spill_bytes >= len(GRID) * parallel.BYTES_PER_POINT
+        assert list(no_shm.iterdir()) == []
+        assert parallel.live_blocks() == frozenset()
 
     def test_shm_bytes_reported_when_backed(self, baseline):
         par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
         par.explore_arrays(GRID)
         assert par.last_sweep.shm_bytes >= len(GRID) * parallel.BYTES_PER_POINT
+
+
+class TestNonNumericAxes:
+    """String axes take the same shard transport as numeric ones."""
+
+    def test_string_axis_serial_pool_and_scalar_agree(self, baseline):
+        scalar = Explorer(NodeScaledFactory(), baseline, EMBODIED_DOMINATED)
+        expected = scalar.explore(STR_GRID)
+        serial = _explorer(NodeScaledFactory(), baseline, chunk_size=5)
+        reference = serial.explore_arrays(STR_GRID)
+        par = _explorer(NodeScaledFactory(), baseline, chunk_size=5, workers=2)
+        result = par.explore_arrays(STR_GRID)
+        assert par.last_sweep.mode == "parallel-columnar"
+        assert_same_sweep(result, reference)
+        assert_same_entries(par.cache, serial.cache)
+        assert result.results() == expected
+        assert {type(params["node"]) for params in result.params} == {str}
+
+    @pytest.mark.parametrize(
+        "factory,grid",
+        [(SymmetricMulticoreFactory(), GRID), (NodeScaledFactory(), STR_GRID)],
+        ids=["numeric", "string"],
+    )
+    # One worker pins the retry to the process that damaged its inputs.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_factory_writing_its_inputs_stays_serial_identical(
+        self, baseline, tmp_path, factory, grid, workers
+    ):
+        from repro.resilience import RetryPolicy
+
+        axes = {name: list(values) for name, values in grid.axes.items()}
+        reference = _explorer(factory, baseline).explore_arrays(grid)
+        flag = tmp_path / "failed-once"
+        par = _explorer(
+            ScribblingFactory(factory, str(flag)),
+            baseline,
+            chunk_size=4,
+            workers=workers,
+            resilience=RetryPolicy(max_retries=2, backoff_base_s=0.001),
+        )
+        assert_same_sweep(par.explore_arrays(grid), reference)
+        assert par.last_supervision.retries > 0  # the damaged shard re-ran
+        serial = _explorer(
+            ScribblingFactory(factory, str(flag)), baseline, chunk_size=4
+        ).explore_arrays(grid)
+        assert_same_sweep(serial, reference)
+        assert {name: list(values) for name, values in grid.axes.items()} == axes
+
+    @pytest.mark.chaos
+    def test_poison_string_value_lands_in_ledger_as_string(
+        self, baseline, tmp_path
+    ):
+        from repro.resilience import QuarantineLedger, RetryPolicy
+        from repro.resilience.faults import FaultPlan, FaultSpec
+
+        poison = {"node": "5nm", "cores": 4, "f": 0.9}
+        plan = FaultPlan(
+            seed=0,
+            state_dir=str(tmp_path / "faults"),
+            specs=(FaultSpec("poison", tuple(sorted(poison.items()))),),
+        )
+        ledger_path = tmp_path / "poison.json"
+        explorer = _explorer(
+            plan.wrap_vector(NodeScaledFactory()),
+            baseline,
+            chunk_size=4,
+            workers=2,
+            resilience=RetryPolicy(
+                max_retries=1, backoff_base_s=0.001, chunk_timeout_s=15.0
+            ),
+        )
+        result = explorer.explore_arrays(
+            STR_GRID, quarantine=QuarantineLedger(ledger_path)
+        )
+        assert explorer.last_sweep.mode == "parallel-columnar"
+        assert [dict(params) for params in result.quarantined] == [poison]
+        entries = [
+            entry
+            for section in QuarantineLedger(ledger_path)._load().values()
+            for entry in section.values()
+        ]
+        assert [entry["params"] for entry in entries] == [poison]
+        assert type(entries[0]["params"]["node"]) is str
+
+
+class TestTransportParity:
+    """Every block backing gives the serial sweep's bytes: results,
+    cache entries and checkpoint files, on numeric and string grids."""
+
+    @staticmethod
+    def _sweeps(factory, baseline, grid, tmp_path, key, **kwargs):
+        explorer = _explorer(factory, baseline, chunk_size=8, **kwargs)
+        result = explorer.explore_arrays(grid)
+        ckpt = tmp_path / f"{key}.ckpt"
+        checkpointed = _explorer(
+            factory, baseline, chunk_size=8, **kwargs
+        ).explore_arrays(grid, checkpoint=ckpt)
+        return explorer, result, checkpointed, ckpt.read_bytes()
+
+    @pytest.mark.parametrize("transport", ["shm", "spilled", "no-shm"])
+    @pytest.mark.parametrize(
+        "factory,grid",
+        [
+            (AsymmetricMulticoreFactory(parallel_fraction=0.9), ASYM_GRID),
+            (NodeScaledFactory(), STR_GRID),
+        ],
+        ids=["numeric", "string"],
+    )
+    def test_matches_serial_bytes(
+        self, baseline, request, tmp_path, factory, grid, transport
+    ):
+        serial, reference, ref_ckpt, ref_bytes = self._sweeps(
+            factory, baseline, grid, tmp_path, "serial"
+        )
+        kwargs: dict = dict(workers=2)
+        if transport == "spilled":
+            kwargs.update(spill_dir=tmp_path / "spill", spill_bytes=1)
+        elif transport == "no-shm":
+            request.getfixturevalue("no_shm")
+        par, result, checkpointed, ckpt_bytes = self._sweeps(
+            factory, baseline, grid, tmp_path, transport, **kwargs
+        )
+        assert par.last_sweep.mode == "parallel-columnar"
+        assert (par.last_sweep.shm_bytes > 0) == (transport == "shm")
+        assert_same_sweep(result, reference)
+        assert_same_sweep(checkpointed, ref_ckpt)
+        assert_same_entries(par.cache, serial.cache)
+        assert ckpt_bytes == ref_bytes
+        assert parallel.live_blocks() == frozenset()
 
 
 class TestHygiene:
@@ -221,14 +422,3 @@ class TestHygiene:
 
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
-
-    def test_plan_shards_chunk_aligned(self):
-        spans = parallel.plan_shards(100, 0, 16, workers=3)
-        assert spans[0][0] == 0 and spans[-1][1] == 100
-        for (lo, hi), (nlo, _) in zip(spans, spans[1:]):
-            assert hi == nlo
-            assert lo % 16 == 0
-        # Restored prefixes are excluded and alignment is preserved.
-        resumed = parallel.plan_shards(100, 32, 16, workers=3)
-        assert resumed[0][0] == 32 and resumed[-1][1] == 100
-        assert parallel.plan_shards(100, 100, 16, workers=3) == []

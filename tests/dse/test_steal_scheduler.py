@@ -1,7 +1,7 @@
 """The work-stealing scheduler must be invisible in the results.
 
-Shard planning (static and guided) has to cover every pending run
-exactly once, chunk-aligned, at any worker count — and the order shards
+Shard planning has to cover every pending run exactly once,
+chunk-aligned, at any worker count — and the order shards
 actually execute in must never change a single result byte, because
 every shard owns disjoint rows of the shared block. ``workers="auto"``
 is a scheduling decision too: whatever it resolves to, the sweep output
@@ -18,7 +18,7 @@ import pytest
 from repro.core.errors import ValidationError
 from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse import parallel
-from repro.dse.batch import BatchExplorer
+from repro.dse.batch import BatchExplorer, _GridIndex
 from repro.dse.factories import SymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid, linear_range
 
@@ -59,34 +59,34 @@ def assert_partitions(spans, runs):
 
 
 class TestPlanShardRuns:
-    """Edge cases of the static planner."""
+    """Exact spans the planner gives for edge-case pending runs."""
 
     def test_empty_runs(self):
-        assert parallel.plan_shard_runs([], 16, 4) == []
+        assert parallel.plan_steal_runs([], 16, 4) == []
 
     def test_degenerate_runs_dropped(self):
-        assert parallel.plan_shard_runs([(5, 5), (9, 3)], 16, 4) == []
+        assert parallel.plan_steal_runs([(5, 5), (9, 3)], 16, 4) == []
 
     def test_chunk_bigger_than_total(self):
         # One run smaller than a single chunk: one span, clipped.
-        assert parallel.plan_shard_runs([(0, 7)], 64, 4) == [(0, 7)]
+        assert parallel.plan_steal_runs([(0, 7)], 64, 4) == [(0, 7)]
 
     def test_single_chunk_runs(self):
         runs = [(0, 16), (32, 48), (80, 96)]
-        spans = parallel.plan_shard_runs(runs, 16, 2)
+        spans = parallel.plan_steal_runs(runs, 16, 2)
         assert_partitions(spans, runs)
-        assert spans == runs  # 3 chunks over 8 shard slots: 1 chunk each
+        assert spans == runs  # 3 chunks under a 4-way divisor: 1 chunk each
 
     def test_maximal_workers_one_chunk_per_shard(self):
         # More shard slots than chunks: every span is exactly one chunk.
         runs = [(0, 160)]
-        spans = parallel.plan_shard_runs(runs, 16, workers=64)
+        spans = parallel.plan_steal_runs(runs, 16, workers=64)
         assert_partitions(spans, runs)
         assert _sizes_in_chunks(spans, 16) == [1] * 10
 
     def test_never_straddles_runs(self):
         runs = [(0, 64), (128, 144), (160, 256)]
-        spans = parallel.plan_shard_runs(runs, 16, 2)
+        spans = parallel.plan_steal_runs(runs, 16, 2)
         assert_partitions(spans, runs)
 
 
@@ -101,6 +101,7 @@ class TestPlanStealRuns:
         ([(0, 64), (128, 144), (160, 256)], 16, 2),  # store-gap runs
         ([(0, 1024)], 1, 3),  # chunk_size=1
         ([(0, 160)], 16, 64),  # workers >> chunks
+        ([(32, 100)], 16, 3),  # resumed prefix, ragged tail
     ]
 
     @pytest.mark.parametrize("runs,chunk_size,workers", CASES)
@@ -133,6 +134,7 @@ class TestPlanStealRuns:
     def test_empty(self):
         assert parallel.plan_steal_runs([], 16, 2) == []
         assert parallel.plan_steal_runs([(4, 4)], 16, 2) == []
+        assert parallel.plan_steal_runs([(9, 3)], 16, 2) == []
 
 
 class TestStolenOrderParity:
@@ -143,20 +145,15 @@ class TestStolenOrderParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shuffled_shard_order_is_byte_identical(self, seed):
         factory = SymmetricMulticoreFactory()
-        params = list(GRID)
-        columns = {
-            name: np.asarray([p[name] for p in params])
-            for name in ("cores", "f")
-        }
-        total = len(params)
+        index = _GridIndex(GRID)
+        total = index.total
         spans = parallel.plan_steal_runs([(0, total)], 4, 2)
         assert len(spans) > 2
 
         def run(order):
             block = parallel.ColumnarBlock.allocate(total)
-            arena = parallel.GridArena.publish(columns)
             try:
-                parallel.set_worker_state(factory, block, arena)
+                parallel.set_worker_state(factory, block, index)
                 for seq in order:
                     lo, hi = spans[seq]
                     parallel.eval_shard((lo, hi, seq))
@@ -166,8 +163,6 @@ class TestStolenOrderParity:
                 )
             finally:
                 parallel.clear_worker_state()
-                if arena is not None:
-                    arena.release()
                 block.release()
 
         sequential = run(range(len(spans)))
@@ -175,20 +170,15 @@ class TestStolenOrderParity:
         random.Random(seed).shuffle(order)
         assert run(order) == sequential
 
-    def test_static_and_steal_schedules_match_serial(self):
+    def test_steal_schedule_matches_serial(self):
         reference = _explorer().explore_arrays(GRID)
-        for scheduler in ("steal", "static"):
-            explorer = _explorer(workers=2, scheduler=scheduler)
-            result = explorer.explore_arrays(GRID)
-            assert result.params == reference.params
-            assert np.array_equal(result.ncf_fixed_work, reference.ncf_fixed_work)
-            assert np.array_equal(result.ncf_fixed_time, reference.ncf_fixed_time)
-            assert np.array_equal(result.codes, reference.codes)
-            assert explorer.last_sweep.scheduler == scheduler
-
-    def test_scheduler_validated(self):
-        with pytest.raises(ValidationError):
-            _explorer(scheduler="fifo")
+        explorer = _explorer(workers=2, chunk_size=4)
+        result = explorer.explore_arrays(GRID)
+        assert result.params == reference.params
+        assert np.array_equal(result.ncf_fixed_work, reference.ncf_fixed_work)
+        assert np.array_equal(result.ncf_fixed_time, reference.ncf_fixed_time)
+        assert np.array_equal(result.codes, reference.codes)
+        assert explorer.last_sweep.shards > 1
 
 
 class TestAutoWorkers:
