@@ -12,6 +12,9 @@ Times the paths the batch engine replaces —
   columnar path that never constructs per-point Python objects (the
   substrate-kernel benchmark, ``bench_substrate.py``, gates this one
   at >= 5x);
+* the same sweep after a ``subgrid`` warmed the cache: byte-identical
+  to the cold sweep, with no scalar factory call and only the cache
+  misses through the kernel (gated in CI);
 * 100k-sample Monte-Carlo verdict classification, scalar
   per-sample loop vs :func:`~repro.core.batch.classify_arrays`;
 * the parallel-columnar engine at its ``workers="auto"`` operating
@@ -55,6 +58,7 @@ from repro.dse.explorer import Explorer
 from repro.dse.factories import IterativeFixedPointFactory
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.dse.montecarlo import CategoryProbabilities, sample_verdicts
+from repro.resilience.faults import CountingFactory
 
 GRID = ParameterGrid(
     {
@@ -264,6 +268,60 @@ def test_grid_sweep_cold_batch(benchmark, emit):
     _record_mean("sweep_cold_batch_s", benchmark, run)
     assert counts == scalar_sweep()  # identical verdict histogram
     emit(f"cold batch sweep: {len(GRID)} points, empty cache, columnar factory")
+
+
+def test_warm_subgrid_sweep(benchmark, emit):
+    """A cache warmed by a subgrid changes what a sweep evaluates, never
+    how: the full sweep makes no scalar factory call, passes only the
+    cache misses to ``batch_arrays``, and matches a cold sweep byte for
+    byte."""
+    from repro.dse.factories import SymmetricMulticoreFactory
+
+    subgrid = GRID.subgrid(cores=4)
+    factory = CountingFactory()
+    explorer = BatchExplorer(
+        factory=factory,
+        baseline=BASELINE,
+        weight=EMBODIED_DOMINATED,
+        cache=FactoryCache(factory),
+    )
+    explorer.explore_arrays(subgrid)
+    factory.scalar_calls = factory.kernel_points = 0
+
+    def warm_run():
+        start = time.perf_counter()
+        sweep = explorer.explore_arrays(GRID)
+        return sweep, time.perf_counter() - start
+
+    warm, warm_s = benchmark.pedantic(warm_run, rounds=1, iterations=1)
+    engine = explorer.last_sweep
+    cold = BatchExplorer(
+        factory=SymmetricMulticoreFactory(),
+        baseline=BASELINE,
+        weight=EMBODIED_DOMINATED,
+    ).explore_arrays(GRID)
+    bytes_identical = (
+        _sweep_bytes(warm) == _sweep_bytes(cold) and warm.designs == cold.designs
+    )
+    _RESULTS.update(
+        {
+            "warm_subgrid_s": warm_s,
+            "warm_subgrid_mode": engine.mode,
+            "warm_subgrid_memo_points": engine.memo_points,
+            "warm_subgrid_kernel_points": factory.kernel_points,
+            "warm_subgrid_scalar_calls": factory.scalar_calls,
+            "warm_subgrid_bytes_identical": bytes_identical,
+        }
+    )
+    assert bytes_identical
+    assert factory.scalar_calls == 0
+    assert factory.kernel_points == len(GRID) - len(subgrid)
+    assert engine.memo_points == len(subgrid)
+    emit(
+        f"subgrid-warmed sweep: {len(GRID)} points in {warm_s:.3f} s, "
+        f"{engine.memo_points} cache hits, {factory.kernel_points} kernel "
+        f"rows, {factory.scalar_calls} scalar calls"
+    )
 
 
 # ----------------------------------------------------------------------

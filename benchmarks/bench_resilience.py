@@ -36,7 +36,13 @@ from repro.core.batch import classify_arrays
 from repro.core.design import DesignPoint
 from repro.core.errors import DomainError
 from repro.core.scenario import BALANCED
-from repro.dse.batch import BatchExplorer, BatchSweepResult, FactoryCache, _chunked
+from repro.dse.batch import (
+    BatchExplorer,
+    BatchSweepResult,
+    FactoryCache,
+    _chunked,
+    params_keys,
+)
 from repro.dse.factories import SymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.obs import trace as obs_trace
@@ -94,7 +100,6 @@ def unguarded_explore_arrays(
     classification kernels, no checkpoint plumbing, no supervision."""
     tracer = obs_trace.get_tracer()
     mode = explorer._resolve_mode()
-    use_vector = mode == "columnar"
     params_list = []
     designs = []
     with tracer.span(
@@ -107,10 +112,10 @@ def unguarded_explore_arrays(
         start_s = time.perf_counter()
         for index, chunk in enumerate(_chunked(iter(grid), explorer.chunk_size)):
             with tracer.span("chunk", index=index, mode=mode):
-                if use_vector:
-                    outcomes = explorer._vector_chunk(chunk)
-                else:
-                    outcomes = explorer._evaluate_chunk(chunk, None)
+                outcomes = explorer._evaluate_rows(chunk)
+                explorer.cache.store_many(
+                    params_keys(chunk), outcomes, misses=len(chunk)
+                )
                 for params, outcome in zip(chunk, outcomes):
                     if isinstance(outcome, DomainError):
                         continue

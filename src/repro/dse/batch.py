@@ -12,19 +12,18 @@ provides the production path for large sweeps:
 * :class:`FactoryCache` memoizes factory evaluations on parameter
   tuples, so ``subgrid`` and tornado re-sweeps never re-evaluate a
   design (invalid corners — ``DomainError`` — are memoized too);
-* :class:`VectorFactory` is the columnar protocol for the *cold* path:
-  a factory that additionally maps a whole grid chunk (one NumPy
-  column per axis) to :class:`DesignArrays` in a few vectorized
-  passes. A cold sweep of such a factory never evaluates the scalar
-  substrate point-by-point (see :mod:`repro.dse.factories` for the
-  stock implementations) and keeps its answer as columns: parameter
-  dicts, DesignPoints and cache entries are built only when read. A
-  re-sweep of the same grid adopts those columns; other warm sweeps
-  keep the scalar + cache path, which is already a dict probe per
-  point;
-* with ``workers > 0`` a cold vector-factory sweep runs
-  **parallel-columnar**: the grid is sharded into contiguous,
-  chunk-aligned spans, each span ships to a worker as a ``(lo, hi,
+* :class:`VectorFactory` is the columnar protocol: a factory that
+  additionally maps a whole grid chunk (one NumPy column per axis) to
+  :class:`DesignArrays` in a few vectorized passes. A sweep of such a
+  factory never evaluates the scalar substrate point-by-point (see
+  :mod:`repro.dse.factories` for the stock implementations): rows the
+  cache, a checkpoint or the store already know are adopted and only
+  the rest run the kernel. A cold sweep keeps its answer as columns —
+  parameter dicts, DesignPoints and cache entries are built only when
+  read — and a re-sweep of the same grid adopts those columns;
+* with ``workers > 0`` a vector-factory sweep runs
+  **parallel-columnar**: the chunks no source knows any row of are
+  sharded into contiguous, chunk-aligned spans, each span ships to a worker as a ``(lo, hi,
   seq)`` job (one per span, never per point), workers derive the
   span's axis columns, run ``batch_arrays`` over them and write the
   result columns into one shared block (see :mod:`repro.dse.parallel`).
@@ -75,7 +74,6 @@ from typing import (
 import numpy as np
 
 from ..core.batch import (
-    CATEGORIES,
     categories_from_codes,
     category_counts,
     classify_arrays,
@@ -382,14 +380,61 @@ class _StoreUse:
     disk_points: int = 0
 
 
+#: Known-row slot of a repeated point: its key is already being
+#: evaluated this sweep (an earlier row), so the row takes that
+#: outcome and counts as a cache hit.
+_REPEAT = object()
+
+
+@dataclass
+class _Known:
+    """The rows of one chunk that need no evaluation this sweep.
+
+    ``outcomes`` has one slot per chunk row: the checkpoint-restored,
+    quarantine-marker, store-served or cached outcome, :data:`_REPEAT`
+    for a repeat of a point an earlier row evaluates, or ``None`` for a
+    row still to evaluate. Only cache hits and repeats (``hits``) bump
+    a cache counter; the others count as neither hits nor misses.
+    ``probe`` is the store's answer when it was asked about the whole
+    chunk; ``stored`` counts the rows the store served, from memory and
+    from disk. ``restored`` holds the checkpoint's encoded rows of a
+    restored chunk, re-saved as they are.
+    """
+
+    keys: list[tuple]
+    outcomes: list
+    hits: int = 0
+    probe: "ChunkProbe | None" = None
+    stored: tuple[int, int] = (0, 0)
+    restored: "list | None" = None
+
+
+@dataclass
+class _SweepState:
+    """A point-level sweep's known-row sources and the sinks each
+    resolved chunk is recorded in. ``known`` is set when the known rows
+    of every chunk were gathered up front (parallel sweeps, so only the
+    rows no source knows reach the pool); ``seen`` then holds the keys
+    of every row left to evaluate."""
+
+    ckpt: "CheckpointStore | None" = None
+    fingerprint: "dict | None" = None
+    restored: list = field(default_factory=list)
+    saved: list = field(default_factory=list)
+    session: "SweepStoreSession | None" = None
+    use: "_StoreUse | None" = None
+    qsession: "QuarantineSession | None" = None
+    known: "dict[int, _Known] | None" = None
+    seen: "set[tuple] | None" = None
+
+
 class _ParallelPlan:
     """Execution state of one parallel-columnar sweep.
 
     Holds the grid's index, the shared result block, the worker pool
-    and the chunk-aligned shard spans still to evaluate (chunks restored
-    from a checkpoint — and chunks the persistent store holds any rows
-    of — are excluded: their rows of the block are never written or
-    read). The kernel-phase timing fields feed the ``focal_parallel_*``
+    and the shard spans still to evaluate (rows some source already
+    knows are left out: their block rows are never written or read).
+    The kernel-phase timing fields feed the ``focal_parallel_*``
     gauges.
     """
 
@@ -408,7 +453,7 @@ class _ParallelPlan:
         self.block = block
         self.pool = pool
         self.spans = spans
-        #: Chunk indices whose block rows the kernel phase fills —
+        #: Chunk indices whose unknown rows the kernel phase fills —
         #: only these may be read back via :meth:`chunk_arrays`.
         self.planned = planned
         #: Chunk indices covered by shards the supervisor salvaged as
@@ -435,12 +480,18 @@ class _ParallelPlan:
         """The smallest dispatched span, in grid points."""
         return min((hi - lo for lo, hi in self.spans), default=0)
 
-    def chunk_arrays(self, index: int) -> DesignArrays:
-        """Chunk *index*'s kernel columns, copied out of the block (so
-        the shared segment can be unlinked before results are dropped)."""
+    def chunk_arrays(
+        self, index: int, rows: "Sequence[int] | None" = None
+    ) -> DesignArrays:
+        """Chunk *index*'s kernel columns — only its *rows*, when given —
+        copied out of the block (so the shared segment can be unlinked
+        before results are dropped)."""
         lo = index * self.chunk_size
         hi = min(lo + self.chunk_size, self.index.total)
-        return DesignArrays(*self.block.rows(lo, hi))
+        columns = self.block.rows(lo, hi)
+        if rows is not None:
+            columns = tuple(column[rows] for column in columns)
+        return DesignArrays(*columns)
 
     def release(self) -> None:
         self.block.release()
@@ -807,17 +858,17 @@ AUTO_MAX_WORKERS = 8
 class SweepEngineStats:
     """How the engine executed the last sweep (one immutable snapshot).
 
-    ``mode`` names the execution path the engine resolved to:
-    ``"parallel-columnar"`` (cold vector factory, worker pool, shard
-    dispatch), ``"columnar"`` (cold vector factory, single process),
-    ``"scalar-pool"`` (per-point factory calls over a worker pool),
-    ``"scalar"`` (per-point calls in-process) or ``"memo"`` (a re-sweep
-    that adopted the cache's pending columns whole — no factory,
-    kernel or pool ran). ``fallback_points``
-    counts grid points that were evaluated through the scalar factory
-    *although* the factory is vector-capable (warm cache, or rows
-    needing point materialization) — the ``focal_vector_fallback_total``
-    metric mirrors it. The ``shards``/``shard_points``/``shm_bytes``/
+    ``mode`` names the execution path the engine resolved to, from the
+    factory and the worker count alone: ``"parallel-columnar"`` (vector
+    factory, worker pool, shard dispatch), ``"columnar"`` (vector
+    factory, single process), ``"scalar-pool"`` (any other factory,
+    per-point calls over a worker pool), ``"scalar"`` (per-point calls
+    in-process) or ``"memo"`` (a re-sweep that adopted the cache's
+    pending columns whole — no factory, kernel or pool ran).
+    ``vector_points`` counts the rows evaluated through
+    ``batch_arrays`` — the cache misses of a columnar sweep; rows the
+    cache, a checkpoint or the store already knew are not among them.
+    The ``shards``/``shard_points``/``shm_bytes``/
     ``worker_utilization`` fields are populated by parallel-columnar
     sweeps only and feed the ``focal_parallel_*`` gauges.
     """
@@ -826,7 +877,6 @@ class SweepEngineStats:
     grid_points: int
     valid_points: int
     vector_points: int
-    fallback_points: int
     seconds: float
     workers: int = 0
     shards: int = 0
@@ -893,8 +943,6 @@ class SweepEngineStats:
             )
         if self.spill_bytes:
             line += f", {self.spill_bytes / 1e6:.1f} MB spilled"
-        if self.fallback_points:
-            line += f", {self.fallback_points} scalar-fallback pts"
         if self.store_used:
             line += (
                 f", store reuse: {self.store_reuse_ratio * 100:.1f}% "
@@ -916,7 +964,6 @@ class SweepEngineStats:
             "grid_points": self.grid_points,
             "valid_points": self.valid_points,
             "vector_points": self.vector_points,
-            "fallback_points": self.fallback_points,
             "seconds": self.seconds,
             "evals_per_s": self.evals_per_s,
             "memo_points": self.memo_points,
@@ -1221,13 +1268,13 @@ class BatchExplorer:
         auto path is never slower than ``workers=0`` (when it declines,
         it *is* the ``workers=0`` path, and the calibration arrays are
         reused for the first chunk). A warm cache or a scalar-only
-        factory resolves to 0 — the memoized scalar path is already a
-        dict probe per point.
+        factory resolves to 0: calibration needs a first chunk nothing
+        is known of, and a scalar factory has no kernel to time.
         """
         cal = self._cal
         if cal is not None and cal[0] is grid:
             # Already calibrated for this sweep (count_categories hands
-            # a pooled sweep on to explore_arrays).
+            # the sweep on to explore_arrays).
             return self._pool_workers
         object.__setattr__(self, "_cal", None)
         if self.workers != "auto":
@@ -1265,12 +1312,10 @@ class BatchExplorer:
             )
 
     def _chunk_kernel(self, index: _GridIndex, start: int) -> DesignArrays:
-        """Kernel columns of the chunk starting at grid row *start*.
-
-        The one chunk source of both columnar sweeps (explore and
-        count): stride-built axis columns, the ``workers="auto"``
-        calibration arrays reused for the first chunk, and the row
-        count checked against the chunk.
+        """Kernel columns of the chunk starting at grid row *start*, for
+        a sweep that keeps its result as columns: stride-built axis
+        columns, the ``workers="auto"`` calibration arrays reused for
+        the first chunk, and the row count checked against the chunk.
         """
         stop = min(start + self.chunk_size, index.total)
         if start == 0:
@@ -1282,92 +1327,224 @@ class BatchExplorer:
         return arrays
 
     # ------------------------------------------------------------------
-    # Factory evaluation (cached, optionally parallel)
-    # ------------------------------------------------------------------
-    def _evaluate_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        pool: ProcessPoolExecutor | SupervisedPool | None,
-    ) -> list[DesignPoint | DomainError]:
-        cache = self.cache
-        if pool is None:
-            # Hot loop: keys come pre-built by params_keys (one name
-            # sort per chunk) and the per-point work is one dict probe.
-            # Counters are accumulated locally and flushed once through
-            # record().
-            entries = cache._entries
-            factory = self.factory
-            outcomes: list[DesignPoint | DomainError] = []
-            hits = 0
-            misses = 0
-            for key, params in zip(params_keys(chunk), chunk):
-                outcome = entries.get(key)
-                if outcome is None:
-                    misses += 1
-                    try:
-                        outcome = factory(params)
-                    except DomainError as exc:
-                        outcome = exc
-                    entries[key] = outcome
-                else:
-                    hits += 1
-                outcomes.append(outcome)
-            cache.record(hits=hits, misses=misses)
-            return outcomes
-        keys = params_keys(chunk)
-        outcomes: list[DesignPoint | DomainError | None] = []
-        pending: list[int] = []
-        for index, key in enumerate(keys):
-            outcome = cache.lookup(key)
-            if outcome is None:
-                pending.append(index)
-            outcomes.append(outcome)
-        cache.record(hits=len(chunk) - len(pending), misses=len(pending))
-        if pending:
-            # The factory itself shipped once, at pool creation, via the
-            # worker initializer — each job carries only its param dict.
-            jobs = [chunk[index] for index in pending]
-            if isinstance(pool, SupervisedPool):
-                evaluated: Iterable = pool.run(
-                    _parallel.pool_evaluate, jobs, describe=_scalar_job_params
-                )
-            else:
-                evaluated = pool.map(_parallel.pool_evaluate, jobs)
-            incomplete = 0
-            for index, outcome in zip(pending, evaluated):
-                if outcome is INCOMPLETE:
-                    # Salvaged slot: never cache a sentinel; the chunk
-                    # as a whole is unfinished and aborts the sweep.
-                    incomplete += 1
-                    continue
-                cache.store(keys[index], outcome)
-                outcomes[index] = outcome
-            if incomplete:
-                raise _SalvageAbort(
-                    f"worker pool never completed {incomplete} point(s) "
-                    "of this chunk"
-                )
-        return outcomes  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Columnar (VectorFactory) evaluation
+    # The chunk resolver: known rows, one evaluator, one record
     # ------------------------------------------------------------------
     def _resolve_mode(self) -> str:
-        """The execution mode this sweep will run under.
-
-        The columnar kernels engage only on a genuinely cold sweep: a
-        vector-capable factory and an empty cache (a warm cache means
-        the memoized scalar path is already a dict probe per point,
-        which the columnar path cannot beat; ``len`` sees a pending
-        record without expanding it). With workers the cold
-        columnar sweep runs *parallel*-columnar — grid shards dispatch
-        to the pool as row spans (:mod:`repro.dse.parallel`) — and the
-        non-columnar pool path is ``scalar-pool``. Decided once at
-        sweep start.
+        """The execution mode this sweep will run under, from the
+        factory and the worker count alone: a vector factory runs
+        ``columnar`` (``parallel-columnar`` with workers, grid shards
+        dispatched as row spans — :mod:`repro.dse.parallel`), any other
+        factory ``scalar`` (``scalar-pool`` with workers). Decided once
+        at sweep start.
         """
-        if len(self.cache) == 0 and is_vector_factory(self.factory):
+        if is_vector_factory(self.factory):
             return "parallel-columnar" if self._pool_workers else "columnar"
         return "scalar-pool" if self._pool_workers else "scalar"
+
+    def _known_rows(
+        self, index: int, chunk: Sequence[Mapping[str, object]], state: _SweepState
+    ) -> _Known:
+        """Every row of chunk *index* some source already knows.
+
+        A checkpoint-restored chunk is known whole. Otherwise the
+        sources fill the still-empty slots in order: quarantine markers
+        for ledger-known poison (re-running one would crash a worker,
+        or the sweep itself), then the store probe, then cache hits,
+        then repeats of a point an earlier row of the chunk — or, when
+        the sweep gathers every chunk up front, of the sweep — left to
+        evaluate (``state.seen``), so each point is evaluated once.
+        """
+        keys = params_keys(chunk)
+        if index < len(state.restored):
+            rows = state.restored[index]
+            if len(rows) != len(chunk):
+                raise CheckpointError(
+                    f"checkpoint {state.ckpt.path} records {len(rows)} "
+                    f"outcomes for a {len(chunk)}-point chunk; the file "
+                    "does not match this grid"
+                )
+            return _Known(keys, decode_outcomes(rows), restored=rows)
+        known = _Known(keys, [None] * len(chunk))
+        outcomes = known.outcomes
+        qsession = state.qsession
+        if qsession is not None and qsession.known_count:
+            outcomes[:] = [qsession.marker(params) for params in chunk]
+        if state.session is not None:
+            # The store is asked only for rows no marker claimed, so its
+            # tally counts exactly the rows it serves.
+            rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
+            if rows:
+                whole = len(rows) == len(chunk)
+                probe = state.session.probe(
+                    chunk if whole else [chunk[row] for row in rows]
+                )
+                for row, stored in zip(rows, probe.outcomes):
+                    outcomes[row] = stored
+                known.probe = probe if whole else None
+                known.stored = (probe.memory_points, probe.disk_points)
+        seen = state.seen
+        if seen is None and len(set(keys)) < len(keys):
+            seen = set()
+        if seen is not None or len(self.cache):
+            entries = self.cache._entries
+            for row, key in enumerate(keys):
+                if outcomes[row] is None:
+                    outcome = entries.get(key)
+                    if outcome is None and seen is not None:
+                        if key not in seen:
+                            seen.add(key)
+                            continue
+                        outcome = _REPEAT
+                    if outcome is not None:
+                        outcomes[row] = outcome
+                        known.hits += 1
+        return known
+
+    def _evaluate_rows(
+        self,
+        chunk: Sequence[Mapping[str, object]],
+        missing: "list[int] | None" = None,
+        index: int | None = None,
+        plan: "_ParallelPlan | None" = None,
+        pool: "ProcessPoolExecutor | SupervisedPool | None" = None,
+        qsession: "QuarantineSession | None" = None,
+    ) -> list[DesignPoint | DomainError]:
+        """Evaluate the *missing* rows of *chunk* (default: all of
+        them) — the one place that chooses how missing rows run.
+
+        A vector factory runs its columnar kernel. The kernel columns
+        come from the parallel plan's block when chunk *index* was
+        planned (the pool evaluated exactly its missing rows), or from
+        the ``workers="auto"`` calibration when they are all of chunk
+        0; otherwise ``batch_arrays`` runs over the rows' own columns,
+        which is bit-exact for any subset because the kernels are
+        elementwise. ``_design_slots`` then builds the named
+        DesignPoints and ``_fill_outcomes`` completes the rest: a
+        rejected corner takes one scalar call (its genuine
+        ``DomainError``), a row the supervisor bisected out of the
+        block takes its quarantine marker. Any other factory takes one
+        scalar call per point, or the scalar pool.
+        """
+        factory = self.factory
+        rows = chunk if missing is None else [chunk[row] for row in missing]
+        marker = qsession.marker if qsession is not None else None
+        if is_vector_factory(factory):
+            arrays = None
+            if plan is not None and index in plan.planned:
+                arrays = plan.chunk_arrays(index, missing)
+            elif index == 0 and missing is None:
+                arrays = self._take_cal_arrays(len(rows))
+            if arrays is None:
+                arrays = factory.batch_arrays(self._chunk_columns(rows))
+                self._check_rows(arrays, len(rows))
+            return _fill_outcomes(
+                factory, rows, _design_slots(factory, rows, arrays), marker
+            )
+        if pool is None:
+            return _fill_outcomes(factory, rows, [None] * len(rows))
+        # The factory itself shipped once, at pool creation, via the
+        # worker initializer — each job carries only its param dict.
+        if isinstance(pool, SupervisedPool):
+            evaluated: Iterable = pool.run(
+                _parallel.pool_evaluate, rows, describe=_scalar_job_params
+            )
+        else:
+            evaluated = pool.map(_parallel.pool_evaluate, rows)
+        outcomes = list(evaluated)
+        incomplete = sum(outcome is INCOMPLETE for outcome in outcomes)
+        if incomplete:
+            # Salvaged slots: never cache a sentinel; the chunk as a
+            # whole is unfinished and aborts the sweep.
+            raise _SalvageAbort(
+                f"worker pool never completed {incomplete} point(s) "
+                "of this chunk"
+            )
+        return outcomes
+
+    def _resolve_chunk(
+        self,
+        index: int,
+        chunk: Sequence[Mapping[str, object]],
+        state: _SweepState,
+        plan: "_ParallelPlan | None",
+        pool,
+    ) -> list[DesignPoint | DomainError]:
+        """Resolve one chunk of a point-level sweep.
+
+        Gathers the chunk's known rows (up front for a parallel sweep,
+        else now), evaluates the rest once through
+        :meth:`_evaluate_rows`, stitches, and records the chunk once:
+        in the cache (cache hits and repeats count as hits, every
+        evaluated row as a miss, other known rows as neither), in the
+        store (unless the store served the whole chunk) and in the
+        checkpoint (a restored chunk is re-saved as it was).
+        """
+        if state.known is not None:
+            known = state.known.pop(index)
+        else:
+            known = self._known_rows(index, chunk, state)
+        outcomes = known.outcomes
+        missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
+        if missing:
+            fresh = self._evaluate_rows(
+                chunk,
+                None if len(missing) == len(chunk) else missing,
+                index,
+                plan,
+                pool,
+                state.qsession,
+            )
+            for row, outcome in zip(missing, fresh):
+                outcomes[row] = outcome
+        if known.hits:
+            # A repeat takes its point's outcome: from this chunk's own
+            # evaluation, else from the earlier chunk that recorded it.
+            entries = self.cache._entries
+            evaluated = {known.keys[row]: outcomes[row] for row in missing}
+            for row, outcome in enumerate(outcomes):
+                if outcome is _REPEAT:
+                    key = known.keys[row]
+                    outcome = evaluated.get(key)
+                    outcomes[row] = entries[key] if outcome is None else outcome
+        self.cache.store_many(
+            known.keys, outcomes, hits=known.hits, misses=len(missing)
+        )
+        probe = known.probe
+        if any(known.stored):
+            use = state.use
+            if probe is not None and probe.complete:
+                use.full_chunks += 1
+            else:
+                use.delta_chunks += 1
+            use.memory_points += known.stored[0]
+            use.disk_points += known.stored[1]
+        if state.session is not None and not (probe is not None and probe.complete):
+            # Resumed work is stored too: the next process should not
+            # recompute it.
+            state.session.put(chunk, outcomes, probe)
+        if state.ckpt is not None:
+            if known.restored is not None:
+                state.saved.append(known.restored)
+            else:
+                state.saved.append(encode_outcomes(outcomes))
+                try:
+                    state.ckpt.save(
+                        kind="sweep",
+                        fingerprint=state.fingerprint,
+                        state={"chunks": state.saved},
+                    )
+                except CheckpointError as exc:
+                    # A dead checkpoint must not kill a live sweep:
+                    # continue without checkpointing.
+                    get_logger().warning(
+                        kv(
+                            "checkpoint.disabled",
+                            path=str(state.ckpt.path),
+                            error=str(exc),
+                        )
+                    )
+                    state.ckpt = None
+        return outcomes
 
     @staticmethod
     def _chunk_columns(
@@ -1378,49 +1555,6 @@ class BatchExplorer:
             name: np.asarray([params[name] for params in chunk])
             for name in chunk[0]
         }
-
-    def _vector_chunk(
-        self, chunk: Sequence[Mapping[str, object]]
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate a cold chunk through the factory's columnar path.
-
-        ``batch_arrays`` computes every row's area/perf/power in a few
-        vectorized passes; materialization and memoization are shared
-        with the parallel path (:meth:`_outcomes_from_arrays`).
-        """
-        arrays = self.factory.batch_arrays(self._chunk_columns(chunk))
-        self._check_rows(arrays, len(chunk))
-        return self._outcomes_from_arrays(chunk, arrays)
-
-    def _outcomes_from_arrays(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        arrays: DesignArrays,
-        qsession: "QuarantineSession | None" = None,
-    ) -> list[DesignPoint | DomainError]:
-        """Materialize one chunk's outcomes from its kernel columns.
-
-        ``design_points`` (when the factory provides it) builds the
-        named DesignPoints from the columns. Rows it leaves
-        unmaterialized — and every invalid row — fall back to one
-        scalar call, which for invalid corners captures the genuine
-        ``DomainError``. Outcomes are memoized exactly like the scalar
-        path, so a subsequent warm sweep is byte-identical either way.
-
-        Rows the quarantine session knows as poison (including rows the
-        supervisor just bisect-quarantined, whose block rows were never
-        written) get their :class:`QuarantinedPoint` marker instead of
-        the scalar fallback — re-running a poison point in the *parent*
-        process would crash the sweep itself.
-        """
-        outcomes = _fill_outcomes(
-            self.factory,
-            chunk,
-            _design_slots(self.factory, chunk, arrays),
-            qsession.marker if qsession is not None else None,
-        )
-        self.cache.store_many(params_keys(chunk), outcomes, misses=len(chunk))
-        return outcomes
 
     # ------------------------------------------------------------------
     # Parallel-columnar dispatch
@@ -1473,60 +1607,63 @@ class BatchExplorer:
     def _parallel_setup(
         self,
         index: _GridIndex,
-        restored: int = 0,
-        probes: "dict[int, ChunkProbe] | None" = None,
-        qsession: "QuarantineSession | None" = None,
-        blocked: "set[int] | None" = None,
+        known: "Mapping[int, _Known] | None" = None,
+        quarantine: "QuarantineSession | None" = None,
     ) -> _ParallelPlan:
         """Allocate the sweep's shared block, plan the shard spans over
-        the still-pending chunks, and spawn the pool (which receives
-        the grid *index* once, so a shard job is ``(lo, hi, seq)``).
+        the rows nothing is known of, and spawn the pool (which
+        receives the grid *index* once, so a shard job is ``(lo, hi,
+        seq)``).
 
-        The first *restored* chunks came from a checkpoint, and chunks
-        whose *probe* found any stored rows are resolved in the parent
-        (adopted whole or stitched) — neither is dispatched, and their
-        block rows are never written or read. Chunks in *blocked*
-        contain points the quarantine ledger already knows as poison;
-        they are excluded too (dispatching one would deterministically
-        crash a worker) and evaluate in the parent with their poison
-        rows pre-filtered. That keeps resume and store reuse bit-exact
-        and free of redundant kernel work. A sweep with no pending
-        chunk gets no pool at all.
+        *known* maps each chunk to its known rows (no map: nothing is
+        known). Only the rows no source knows are dispatched — a
+        chunk's restored, ledger-poison, stored, cached or repeated
+        rows never reach a worker and their block rows are never
+        written or read. That keeps resume, store and cache reuse
+        bit-exact and free of redundant kernel work, and a known poison
+        point never crashes a worker again; every fresh row still runs
+        on the pool, under its supervisor, which bisects fresh crashes
+        into *quarantine*. A sweep with nothing to evaluate gets no
+        pool at all.
 
-        When ``workers="auto"`` calibrated on the first chunk and that
-        chunk is still pending, its arrays are written into the block
-        up front and the chunk is dropped from the dispatch spans —
-        calibration cost no extra kernel work.
+        When ``workers="auto"`` calibrated on the first chunk and
+        nothing of that chunk is known, its arrays are written into the
+        block up front and the chunk is dropped from the dispatch
+        spans — calibration cost no extra kernel work.
         """
         total = index.total
         size = self.chunk_size
         block = _parallel.ColumnarBlock.allocate(
             total, spill_dir=self.spill_dir, spill_bytes=self.spill_bytes
         )
-        pending: set[int] = set()
-        for chunk in range(restored, -(-total // size)):
-            if blocked and chunk in blocked:
-                continue
-            probe = probes.get(chunk) if probes else None
-            if probe is None or not probe.hit_points:
-                pending.add(chunk)
-        planned = set(pending)
-        if 0 in pending:
-            first = min(size, total)
-            cal = self._take_cal_arrays(first)
-            if cal is not None:
-                # Prefill the calibration chunk: its rows read back via
-                # chunk_arrays like any dispatched chunk's would.
-                block.write(0, first, cal.area, cal.perf, cal.power, cal.valid)
-                pending.discard(0)
+        planned: set[int] = set()
         runs: list[tuple[int, int]] = []
-        for chunk in sorted(pending):
+        for chunk in range(-(-total // size)):
             lo = chunk * size
             hi = min(lo + size, total)
-            if runs and runs[-1][1] == lo:
-                runs[-1] = (runs[-1][0], hi)
+            outcomes = known[chunk].outcomes if known else ()
+            if all(outcome is None for outcome in outcomes):
+                cal = self._take_cal_arrays(hi) if chunk == 0 else None
+                if cal is not None:
+                    # Prefill the calibration chunk: its rows read back
+                    # via chunk_arrays like dispatched rows would.
+                    block.write(0, hi, cal.area, cal.perf, cal.power, cal.valid)
+                    planned.add(0)
+                    continue
+                fresh = [(lo, hi)]
             else:
-                runs.append((lo, hi))
+                fresh = [
+                    (lo + row, lo + row + 1)
+                    for row, outcome in enumerate(outcomes)
+                    if outcome is None
+                ]
+            if fresh:
+                planned.add(chunk)
+            for start, stop in fresh:
+                if runs and runs[-1][1] == start:
+                    runs[-1] = (runs[-1][0], stop)
+                else:
+                    runs.append((start, stop))
         spans = _parallel.plan_steal_runs(runs, size, self._pool_workers)
         pool = None
         capture = _events.get_log().enabled
@@ -1542,7 +1679,7 @@ class BatchExplorer:
                 (self.factory, index, block.name, capture, spill),
                 parent_block=block,
                 capture=capture,
-                quarantine=qsession,
+                quarantine=quarantine,
                 parent_index=index,
                 scratch_dir=scratch,
             )
@@ -1636,17 +1773,20 @@ class BatchExplorer:
         exactly like ``Explorer.explore``; an all-invalid sweep raises
         :class:`~repro.core.errors.ConfigurationError`.
 
-        A cold sweep of a :class:`VectorFactory` runs columnar: each
-        chunk's area/perf/power come from ``batch_arrays`` instead of
-        per-point factory calls. Without checkpoint, store or quarantine
-        (whose formats encode points) it keeps only the valid rows'
-        columns: the result builds ``params``/``designs`` on first
-        read, and the cache holds the columns as one pending record
-        (misses counted now, entries built on the first point-level
-        read). A later sweep of the same grid at the same chunk size
-        adopts that record (``mode="memo"``: n hits, nothing
-        evaluated). Output (ordering, skips, values, cache contents) is
-        byte-identical on every path.
+        Every chunk is resolved the same way: the rows a checkpoint,
+        the quarantine ledger, the store or the cache already know are
+        adopted, and only the rest are evaluated — for a
+        :class:`VectorFactory` through ``batch_arrays`` instead of
+        per-point factory calls, whatever the cache holds. A cold
+        columnar sweep without checkpoint, store or quarantine (whose
+        formats encode points) keeps only the valid rows' columns: the
+        result builds ``params``/``designs`` on first read, and the
+        cache holds the columns as one pending record (misses counted
+        now, entries built on the first point-level read). A later
+        sweep of the same grid at the same chunk size adopts that
+        record (``mode="memo"``: n hits, nothing evaluated). Output
+        (ordering, skips, values, cache contents) is byte-identical on
+        every path.
 
         With *checkpoint* set, every completed chunk is atomically
         persisted to that path; with *resume*, completed chunks found
@@ -1689,37 +1829,33 @@ class BatchExplorer:
         observing = tracer.enabled or registry.enabled
         workers = self._activate_workers(grid)
         mode = self._resolve_mode()
-        ckpt = CheckpointStore.coerce(checkpoint)
-        if resume and ckpt is None:
+        state = _SweepState(ckpt=CheckpointStore.coerce(checkpoint))
+        if resume and state.ckpt is None:
             raise ConfigurationError(
                 "resume=True requires a checkpoint path to resume from"
             )
         result_store = ResultStore.coerce(store)
-        session: SweepStoreSession | None = None
-        use: _StoreUse | None = None
         if result_store is not None:
-            session = result_store.sweep_session(self.factory)
-            use = _StoreUse()
+            state.session = result_store.sweep_session(self.factory)
+            state.use = _StoreUse()
         qledger = QuarantineLedger.coerce(quarantine)
-        qsession: QuarantineSession | None = None
         if qledger is not None:
-            qsession = qledger.session(describe_factory(self.factory))
+            state.qsession = qledger.session(describe_factory(self.factory))
         # The durable layers (checkpoint, store, quarantine) encode
-        # points; a sweep without them keeps its result as columns, and
-        # re-sweeping a grid the cache holds as columns adopts them.
+        # points; a sweep without them keeps its result as columns when
+        # the cache is cold, and re-sweeping a grid the cache holds as
+        # columns adopts them.
         record: _SweepColumns | None = None
         adopted = False
-        if ckpt is None and session is None and qsession is None:
+        if state.ckpt is None and state.session is None and state.qsession is None:
             record = self.cache.pending_for(grid, self.chunk_size)
             if record is not None:
                 adopted = True
                 mode = "memo"
-            elif mode in COLUMNAR_MODES:
+            elif mode in COLUMNAR_MODES and not len(self.cache):
                 record = _SweepColumns(self.factory, grid, self.chunk_size)
-        fingerprint: dict | None = None
-        restored_chunks: list = []
-        if ckpt is not None:
-            fingerprint = sweep_fingerprint(
+        if state.ckpt is not None:
+            state.fingerprint = sweep_fingerprint(
                 axes=grid.axes,
                 chunk_size=self.chunk_size,
                 baseline=self.baseline,
@@ -1727,17 +1863,15 @@ class BatchExplorer:
                 factory=self.factory,
             )
             if resume:
-                state = ckpt.load_or_restart(
-                    kind="sweep", fingerprint=fingerprint
+                loaded = state.ckpt.load_or_restart(
+                    kind="sweep", fingerprint=state.fingerprint
                 )
-                if state is not None:
-                    restored_chunks = list(state.get("chunks", []))
-        saved_chunks: list[list] = []
+                if loaded is not None:
+                    state.restored = list(loaded.get("chunks", []))
         params_list: list[Mapping[str, object]] = []
         designs: list[DesignPoint] = []
         pool: ProcessPoolExecutor | SupervisedPool | None = None
         plan: "_ParallelPlan | None" = None
-        probes: dict[int, ChunkProbe] = {}
         with tracer.span(
             "sweep",
             grid_points=len(grid),
@@ -1769,48 +1903,31 @@ class BatchExplorer:
                     chunk_stream = enumerate(
                         range(0, len(grid), self.chunk_size)
                     )
-                elif mode == "parallel-columnar":
-                    chunks = list(_chunked(iter(grid), self.chunk_size))
-                    if session is not None:
-                        # Probe up front: chunks the store can serve (in
-                        # full or in part) must never reach the pool.
-                        for index in range(len(restored_chunks), len(chunks)):
-                            probes[index] = session.probe(chunks[index])
-                    blocked: set[int] | None = None
-                    if qsession is not None and qsession.known_count:
-                        # Chunks holding known poison points must never
-                        # reach the pool either — dispatching one would
-                        # deterministically crash a worker again.
-                        blocked = {
-                            index
-                            for index, chunk in enumerate(chunks)
-                            if any(
-                                qsession.known(params) is not None
-                                for params in chunk
-                            )
-                        }
-                    plan = self._parallel_setup(
-                        _GridIndex(grid),
-                        len(restored_chunks),
-                        probes,
-                        qsession,
-                        blocked,
-                    )
-                    pool = plan.pool
-                    self._parallel_kernels(plan, tracer)
-                    chunk_stream = enumerate(chunks)
                 else:
-                    if workers:
+                    chunks: Iterable = _chunked(iter(grid), self.chunk_size)
+                    if mode == "parallel-columnar":
+                        # Known rows up front: only the rows no source
+                        # knows reach the pool.
+                        chunks = list(chunks)
+                        state.seen = set()
+                        state.known = {
+                            index: self._known_rows(index, chunk, state)
+                            for index, chunk in enumerate(chunks)
+                        }
+                        plan = self._parallel_setup(
+                            _GridIndex(grid), state.known, state.qsession
+                        )
+                        pool = plan.pool
+                        self._parallel_kernels(plan, tracer)
+                    elif workers:
                         pool = self._make_pool(
                             _parallel.init_factory_worker,
                             (self.factory,),
-                            quarantine=qsession,
+                            quarantine=state.qsession,
                         )
-                    chunk_stream = enumerate(
-                        _chunked(iter(grid), self.chunk_size)
-                    )
+                    chunk_stream = enumerate(chunks)
                 for index, chunk in chunk_stream:
-                    restored = index < len(restored_chunks)
+                    restored = index < len(state.restored)
                     if plan is not None and index in plan.failed:
                         raise _SalvageAbort(
                             f"the shard covering chunk {index} was never "
@@ -1833,37 +1950,9 @@ class BatchExplorer:
                             self.cache.record(misses=points)
                         else:
                             points = len(chunk)
-                            if restored:
-                                outcomes = self._restore_chunk(
-                                    chunk, restored_chunks[index], ckpt
-                                )
-                                saved_chunks.append(restored_chunks[index])
-                                if session is not None:
-                                    # Resumed work is stored too: the next
-                                    # process should not recompute it.
-                                    session.put(chunk, outcomes)
-                            else:
-                                outcomes = None
-                                if (
-                                    qsession is not None
-                                    and qsession.known_count
-                                    and not (plan is not None and index in plan.planned)
-                                    and any(
-                                        qsession.known(params) is not None
-                                        for params in chunk
-                                    )
-                                ):
-                                    outcomes = self._quarantined_chunk(
-                                        chunk, qsession, pool, mode
-                                    )
-                                if outcomes is None:
-                                    probe = probes.pop(index, None)
-                                    if probe is None and session is not None:
-                                        probe = session.probe(chunk)
-                                    outcomes = self._resolve_chunk(
-                                        chunk, index, probe, plan, pool, mode,
-                                        session, use, qsession,
-                                    )
+                            outcomes = self._resolve_chunk(
+                                index, chunk, state, plan, pool
+                            )
                             valid = 0
                             for params, outcome in zip(chunk, outcomes):
                                 if isinstance(outcome, QuarantinedPoint):
@@ -1874,25 +1963,6 @@ class BatchExplorer:
                                 params_list.append(params)
                                 designs.append(outcome)
                                 valid += 1
-                            if ckpt is not None and not restored:
-                                saved_chunks.append(encode_outcomes(outcomes))
-                                try:
-                                    ckpt.save(
-                                        kind="sweep",
-                                        fingerprint=fingerprint,
-                                        state={"chunks": saved_chunks},
-                                    )
-                                except CheckpointError as exc:
-                                    # A dead checkpoint must not kill a live
-                                    # sweep: continue without checkpointing.
-                                    get_logger().warning(
-                                        kv(
-                                            "checkpoint.disabled",
-                                            path=str(ckpt.path),
-                                            error=str(exc),
-                                        )
-                                    )
-                                    ckpt = None
                         chunks_done += 1
                         points_done += points
                         if observing:
@@ -1915,7 +1985,9 @@ class BatchExplorer:
                     total_chunks=-(-len(grid) // self.chunk_size),
                     completed_points=points_done,
                     pending_points=len(grid) - points_done,
-                    checkpoint=str(ckpt.path) if ckpt is not None else None,
+                    checkpoint=(
+                        str(state.ckpt.path) if state.ckpt is not None else None
+                    ),
                 )
                 _events.record("sweep.salvage", track="supervisor")
                 _metrics.get_registry().counter(
@@ -1926,8 +1998,8 @@ class BatchExplorer:
                     kv("sweep.salvage", **failure.as_dict())
                 )
             finally:
-                if session is not None:
-                    session.flush()
+                if state.session is not None:
+                    state.session.flush()
                 if pool is not None:
                     pool.shutdown(cancel_futures=True)
                 if plan is not None:
@@ -1966,7 +2038,7 @@ class BatchExplorer:
                 valid_points=valid_points,
                 seconds=time.perf_counter() - start_s,
                 plan=plan,
-                use=use,
+                use=state.use,
                 memo_points=cache_after.hits - cache_before.hits,
                 fresh_points=cache_after.misses - cache_before.misses,
                 quarantined_points=len(quarantined_params),
@@ -1988,140 +2060,6 @@ class BatchExplorer:
             quarantined=tuple(quarantined_params),
             failure=failure,
         )
-
-    def _restore_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        rows: Sequence[Sequence],
-        store: CheckpointStore,
-    ) -> list[DesignPoint | DomainError]:
-        """Replay one checkpointed chunk without touching the factory.
-
-        Decoded outcomes are written into the cache under the same keys
-        an evaluated chunk would use, so later duplicate points (and the
-        post-sweep cache contents) match an uninterrupted run bit for
-        bit. Counters are not bumped — restored points were neither
-        hits nor fresh evaluations of *this* run.
-        """
-        if len(rows) != len(chunk):
-            raise CheckpointError(
-                f"checkpoint {store.path} records {len(rows)} outcomes "
-                f"for a {len(chunk)}-point chunk; the file does not "
-                "match this grid"
-            )
-        outcomes = decode_outcomes(rows)
-        self.cache.store_many(params_keys(chunk), outcomes)
-        return outcomes
-
-    def _resolve_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        index: int,
-        probe: "ChunkProbe | None",
-        plan: "_ParallelPlan | None",
-        pool,
-        mode: str,
-        session: "SweepStoreSession | None",
-        use: "_StoreUse | None",
-        qsession: "QuarantineSession | None" = None,
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate one non-restored chunk, adopting stored rows.
-
-        A complete store hit replays the decoded outcomes into the
-        cache without bumping its counters — exactly like checkpoint
-        restore, so "fresh evaluations" stays measurable as the cache
-        miss delta. A partial hit evaluates only the missing rows
-        through the mode-appropriate path and stitches. A full miss
-        takes the unmodified fast paths. Every chunk that ran any
-        evaluation is written back to the store.
-        """
-        if probe is not None and probe.complete:
-            outcomes = probe.outcomes
-            self.cache.store_many(params_keys(chunk), outcomes)
-            use.full_chunks += 1
-            use.memory_points += probe.memory_points
-            use.disk_points += probe.disk_points
-            return outcomes
-        if probe is None or not probe.hit_points:
-            if plan is not None and index in plan.planned:
-                outcomes = self._outcomes_from_arrays(
-                    chunk, plan.chunk_arrays(index), qsession
-                )
-            elif mode in COLUMNAR_MODES:
-                cal = self._take_cal_arrays(len(chunk)) if index == 0 else None
-                if cal is not None:
-                    # workers="auto" declined the pool; the calibration
-                    # already ran this chunk's kernels — reuse, don't
-                    # recompute.
-                    outcomes = self._outcomes_from_arrays(chunk, cal)
-                else:
-                    outcomes = self._vector_chunk(chunk)
-            else:
-                outcomes = self._evaluate_chunk(chunk, pool)
-            if session is not None:
-                session.put(chunk, outcomes, probe)
-            return outcomes
-        # Delta stitch: only the rows no earlier sweep stored run fresh.
-        # The columnar kernels are elementwise, so evaluating the
-        # missing subset as its own (smaller) chunk is bit-exact.
-        sub = [chunk[row] for row in probe.missing]
-        if mode in COLUMNAR_MODES:
-            sub_outcomes = self._vector_chunk(sub)
-        else:
-            sub_outcomes = self._evaluate_chunk(sub, pool)
-        outcomes = probe.outcomes
-        for row, outcome in zip(probe.missing, sub_outcomes):
-            outcomes[row] = outcome
-        keys = params_keys(chunk)
-        missing = set(probe.missing)
-        self.cache.store_many(
-            [key for row, key in enumerate(keys) if row not in missing],
-            [out for row, out in enumerate(outcomes) if row not in missing],
-        )
-        use.delta_chunks += 1
-        use.memory_points += probe.memory_points
-        use.disk_points += probe.disk_points
-        session.put(chunk, outcomes, probe)
-        return outcomes
-
-    def _quarantined_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        qsession: QuarantineSession,
-        pool,
-        mode: str,
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate a chunk that contains ledger-known poison points.
-
-        Known-poison rows are replaced by their quarantine markers
-        without ever reaching a factory (re-dispatching one would crash
-        a worker deterministically); the clean remainder runs through
-        the mode-appropriate path as its own smaller chunk, which is
-        bit-exact because the columnar kernels are elementwise.
-        """
-        markers: dict[int, QuarantinedPoint] = {}
-        clean: list[Mapping[str, object]] = []
-        for row, params in enumerate(chunk):
-            marker = qsession.marker(params)
-            if marker is not None:
-                markers[row] = marker
-            else:
-                clean.append(params)
-        clean_outcomes: list = []
-        if clean:
-            if mode in COLUMNAR_MODES:
-                clean_outcomes = self._vector_chunk(clean)
-            else:
-                clean_outcomes = self._evaluate_chunk(clean, pool)
-        outcomes: list[DesignPoint | DomainError] = []
-        fresh = iter(clean_outcomes)
-        for row in range(len(chunk)):
-            outcomes.append(markers[row] if row in markers else next(fresh))
-        keys = params_keys(chunk)
-        self.cache.store_many(
-            [keys[row] for row in markers], list(markers.values())
-        )
-        return outcomes
 
     def _record_supervision(
         self, pool: "ProcessPoolExecutor | SupervisedPool | None", sweep_span
@@ -2212,12 +2150,6 @@ class BatchExplorer:
         """Snapshot how the sweep executed and publish it as
         :attr:`last_sweep` (recorded unconditionally — the CLI summary
         line must not require observability to be enabled)."""
-        vector = mode in COLUMNAR_MODES
-        fallback = (
-            grid_points
-            if mode in ("scalar", "scalar-pool") and is_vector_factory(self.factory)
-            else 0
-        )
         extras: dict[str, object] = {}
         if self.workers == "auto":
             extras["auto_workers"] = True
@@ -2248,8 +2180,7 @@ class BatchExplorer:
             mode=mode,
             grid_points=grid_points,
             valid_points=valid_points,
-            vector_points=grid_points if vector else 0,
-            fallback_points=fallback,
+            vector_points=fresh_points if mode in COLUMNAR_MODES else 0,
             seconds=seconds,
             memo_points=memo_points,
             fresh_points=fresh_points,
@@ -2315,12 +2246,6 @@ class BatchExplorer:
                     "focal_vector_evals_per_s",
                     "columnar grid points per second, last vector sweep",
                 ).set(engine.evals_per_s)
-            if engine.fallback_points:
-                registry.counter(
-                    "focal_vector_fallback_total",
-                    "points a vector-capable factory evaluated scalar "
-                    "(warm cache)",
-                ).inc(engine.fallback_points)
             if engine.shards:
                 registry.counter(
                     "focal_parallel_shards_total",
@@ -2423,58 +2348,47 @@ class BatchExplorer:
         ).results()
 
     def count_categories(self, grid: ParameterGrid) -> dict[Sustainability, int]:
-        """Sweep *grid* and histogram the verdicts in one lean pass.
+        """Sweep *grid* and histogram the verdicts.
 
-        The aggregate-only fast path: identical counts to
-        ``Explorer.count_categories(Explorer.explore(grid))``, but
-        per-point params/result objects are never materialized — cache
-        keys are built straight from the cartesian product, so a warm
-        re-sweep is a dict probe and a few vector ops per chunk.
-
-        On a cold sweep of a :class:`VectorFactory` this goes fully
-        columnar: chunks come from the same source as a columnar
-        :meth:`explore_arrays` (stride-built axis columns through
-        ``batch_arrays``, the ``workers="auto"`` calibration chunk
-        reused), and verdicts accumulate via ``np.bincount`` — no
-        per-point dicts, DesignPoints or cache writes at all (the cache
-        stays cold; use :meth:`explore_arrays` to warm it).
+        Identical counts to
+        ``Explorer.count_categories(Explorer.explore(grid))``. A cold,
+        pooled or adoptable count is :meth:`explore_arrays` plus
+        :meth:`BatchSweepResult.category_counts` — one pipeline, so a
+        cold vector-factory count leaves the cache holding the sweep's
+        columns as a pending record, which the next same-grid sweep
+        adopts. A warm count never materializes per-point params or
+        result objects: cache keys are built straight from the
+        cartesian product, so a hit is one dict probe, and the misses
+        run through the sweep evaluator (:meth:`_evaluate_rows`) in
+        ``chunk_size`` batches — columnar for a vector factory.
         """
-        if self._activate_workers(grid):
+        if (
+            self._activate_workers(grid)
+            or not len(self.cache)
+            or self.cache.pending_for(grid, self.chunk_size) is not None
+        ):
             return self.explore_arrays(grid).category_counts()
         tracer = _trace.get_tracer()
         registry = _metrics.get_registry()
         observing = tracer.enabled or registry.enabled
         mode = self._resolve_mode()
-        use_vector = mode == "columnar"
         with tracer.span(
             "sweep.count", grid_points=len(grid), mode=mode
         ) as sweep_span:
             start_s = time.perf_counter()
             cache_before = self.cache.stats()
-            if use_vector:
-                codes_hist, valid = self._count_columnar(grid, tracer)
-            else:
-                designs = self._designs_only(grid)
-                valid = len(designs)
-                codes_hist = np.zeros(len(CATEGORIES), dtype=np.int64)
-                if designs:
-                    _, ncf_fw, ncf_ft = self._ncf_arrays(designs)
-                    codes_hist = np.bincount(
-                        classify_arrays(ncf_fw, ncf_ft), minlength=len(CATEGORIES)
-                    )
-            if not valid:
+            designs = self._designs_only(grid)
+            if not designs:
                 raise ConfigurationError(
                     "exploration produced no valid design points"
                 )
-            counts = {
-                category: int(codes_hist[code])
-                for code, category in enumerate(CATEGORIES)
-            }
+            _, ncf_fw, ncf_ft = self._ncf_arrays(designs)
+            counts = category_counts(classify_arrays(ncf_fw, ncf_ft))
             cache_after = self.cache.stats()
             stats = self._engine_stats(
                 mode=mode,
                 grid_points=len(grid),
-                valid_points=valid,
+                valid_points=len(designs),
                 seconds=time.perf_counter() - start_s,
                 memo_points=cache_after.hits - cache_before.hits,
                 fresh_points=cache_after.misses - cache_before.misses,
@@ -2483,37 +2397,11 @@ class BatchExplorer:
                 self._observe_sweep(registry, sweep_span, stats)
         return {category: n for category, n in counts.items() if n}
 
-    def _count_columnar(
-        self, grid: ParameterGrid, tracer: _trace.Tracer
-    ) -> tuple[np.ndarray, int]:
-        """The pure columnar cold count: per-category histogram and
-        valid-point total, with no per-point Python objects — chunks
-        come from the same source as a columnar ``explore_arrays``
-        (:meth:`_chunk_kernel`)."""
-        index = _GridIndex(grid)
-        histogram = np.zeros(len(CATEGORIES), dtype=np.int64)
-        valid_total = 0
-        for number, start in enumerate(range(0, index.total, self.chunk_size)):
-            with tracer.span("chunk", index=number, mode="columnar") as chunk_span:
-                arrays = self._chunk_kernel(index, start)
-                mask = arrays.valid
-                area, perf, power = arrays.area, arrays.perf, arrays.power
-                if not mask.all():
-                    area, perf, power = area[mask], perf[mask], power[mask]
-                if chunk_span is not _trace.NULL_SPAN:
-                    chunk_span.set(points=len(arrays), valid=int(area.shape[0]))
-                if not area.shape[0]:
-                    continue
-                _, ncf_fw, ncf_ft = self._ncf_from_columns(area, perf, power)
-                histogram += np.bincount(
-                    classify_arrays(ncf_fw, ncf_ft), minlength=len(CATEGORIES)
-                )
-                valid_total += int(area.shape[0])
-        return histogram, valid_total
-
     def _designs_only(self, grid: ParameterGrid) -> list[DesignPoint]:
-        """Evaluate every grid point, skipping params materialization
-        for cached points (the dominant cost of a warm re-sweep).
+        """Every valid grid point's design for a warm count, skipping
+        params materialization for cached points (the dominant cost of
+        a warm re-sweep); misses are memoized a ``chunk_size`` batch at
+        a time through :meth:`_evaluate_rows`.
 
         Deliberately uninstrumented inside the loop — the caller
         observes at sweep granularity, so a disabled-observability run
@@ -2521,25 +2409,46 @@ class BatchExplorer:
         """
         cache = self.cache
         entries = cache._entries
-        factory = self.factory
         names = list(grid.axes)
         slots = sorted(range(len(names)), key=names.__getitem__)
         designs: list[DesignPoint] = []
         hits = 0
-        misses = 0
+        keys: list[tuple] = []
+        rows: list[dict[str, object]] = []
         for combo in product(*(grid.axes[name] for name in names)):
             key = tuple([(names[i], combo[i]) for i in slots])
             outcome = entries.get(key)
             if outcome is None:
-                misses += 1
-                try:
-                    outcome = factory(dict(zip(names, combo)))
-                except DomainError as exc:
-                    outcome = exc
-                entries[key] = outcome
-            else:
-                hits += 1
+                keys.append(key)
+                rows.append(dict(zip(names, combo)))
+                if len(rows) == self.chunk_size:
+                    self._memoize_rows(keys, rows, designs)
+                    keys, rows = [], []
+                continue
+            hits += 1
             if not isinstance(outcome, DomainError):
                 designs.append(outcome)
-        cache.record(hits=hits, misses=misses)
+        if rows:
+            self._memoize_rows(keys, rows, designs)
+        cache.record(hits=hits)
         return designs
+
+    def _memoize_rows(
+        self,
+        keys: list[tuple],
+        rows: list[dict[str, object]],
+        designs: list[DesignPoint],
+    ) -> None:
+        """Evaluate one batch of a warm count's misses — each distinct
+        point once (a repeat takes its outcome and counts as a hit) —
+        memoize it and collect its valid designs."""
+        first: dict[tuple, dict[str, object]] = {}
+        for key, row in zip(keys, rows):
+            first.setdefault(key, row)
+        entries = self.cache._entries
+        entries.update(zip(first, self._evaluate_rows(list(first.values()))))
+        self.cache.record(hits=len(keys) - len(first), misses=len(first))
+        for key in keys:
+            outcome = entries[key]
+            if not isinstance(outcome, DomainError):
+                designs.append(outcome)

@@ -88,19 +88,6 @@ class CategoryProbabilities:
         return best[1]
 
 
-def _classified_probabilities(
-    ncf_fw: np.ndarray, ncf_ft: np.ndarray, samples: int
-) -> CategoryProbabilities:
-    """Classify whole sample arrays at once and normalize the histogram.
-
-    One vectorized pass (:func:`~repro.core.batch.classify_arrays` +
-    ``np.bincount``) replaces the former per-sample Python loop; the
-    verdicts are identical because the kernel shares the scalar path's
-    boundary-tolerance arithmetic.
-    """
-    return _probabilities_from_codes(classify_arrays(ncf_fw, ncf_ft), samples)
-
-
 def _probabilities_from_codes(
     codes: np.ndarray, samples: int
 ) -> CategoryProbabilities:
@@ -140,21 +127,6 @@ def _running_mix(
             }
         )
     return rows
-
-
-def _observed_classify(
-    ncf_fw: np.ndarray,
-    ncf_ft: np.ndarray,
-    samples: int,
-    sampler: str,
-    start_s: float,
-    span_,
-    registry: _metrics.MetricsRegistry,
-) -> CategoryProbabilities:
-    """Classify and, when observing, record throughput + convergence."""
-    return _observed_from_codes(
-        classify_arrays(ncf_fw, ncf_ft), samples, sampler, start_s, span_, registry
-    )
 
 
 def _observed_from_codes(

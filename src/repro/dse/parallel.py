@@ -10,11 +10,11 @@ exactly that, one way:
   ``multiprocessing.shared_memory`` segment, or by an mmapped file when
   the sweep opts into out-of-core operation (``spill_dir=`` /
   ``spill_bytes=``) or the host has no usable shared memory;
-* :func:`plan_steal_runs` — contiguous, chunk-aligned ``[lo, hi)``
-  spans that shrink geometrically toward the tail, so one future per
-  shard on the executor's shared call queue behaves like a
-  work-stealing scheduler: idle workers pull the next shard, and a
-  straggler can at most hold one tail-sized shard;
+* :func:`plan_steal_runs` — contiguous ``[lo, hi)`` spans, whole
+  chunks from each run's start, that shrink geometrically toward the
+  tail, so one future per shard on the executor's shared call queue
+  behaves like a work-stealing scheduler: idle workers pull the next
+  shard, and a straggler can at most hold one tail-sized shard;
 * worker-side state and entry points — the factory, the sweep's grid
   index (axis values plus strides) and the block attachment ship
   **once per pool** through :func:`init_columnar_worker`. A shard job
@@ -363,12 +363,12 @@ def plan_steal_runs(
 ) -> list[tuple[int, int]]:
     """Guided shard spans over the pending point *runs*.
 
-    Checkpoint resume skips a prefix, and a persistent result store can
-    satisfy *any* subset of chunks, so what remains to evaluate is a
-    list of contiguous ``[lo, hi)`` point runs. Spans are chunk-aligned
-    (a checkpoint chunk never straddles two shards) and never straddle
-    two runs (the gap between them is already-known work whose block
-    rows must stay untouched). They are sized geometrically: each
+    Checkpoint resume skips a prefix, and a persistent result store or
+    the cache can know *any* subset of rows, so what remains to
+    evaluate is a list of contiguous ``[lo, hi)`` point runs. Spans
+    advance in whole chunks from a run's start (chunk-aligned when the
+    run is) and never straddle two runs (the gap between them is
+    already-known work whose block rows must stay untouched). They are sized geometrically: each
     successive shard takes ``remaining_chunks // (workers *
     STEAL_FACTOR)`` chunks (never less than one). Early shards are
     large — few task messages while every worker is busy anyway — and

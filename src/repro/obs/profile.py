@@ -132,7 +132,7 @@ def profile_report(report: dict) -> ProfileReport:
     if kernels is None or kernels.get("duration_s") is None or workers < 1:
         detail = (
             "this sweep has no kernel phase to attribute — the profiler "
-            "needs a parallel-columnar run (workers > 0, cold cache)"
+            "needs a parallel-columnar run (workers > 0, a vector factory)"
         )
         if reuse is not None and not reuse["fresh"]:
             detail += (

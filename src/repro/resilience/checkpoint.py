@@ -158,12 +158,6 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# Historical private names; every internal call site predates the
-# public aliases.
-_canonical = canonical_json
-_sha256 = sha256_hex
-
-
 class CheckpointStore:
     """One checkpoint file with atomic saves and checksum-verified loads."""
 
@@ -201,11 +195,11 @@ class CheckpointStore:
         continue without checkpointing rather than abort the run.
         """
         payload = {"kind": kind, "fingerprint": fingerprint, "state": state}
-        body = _canonical(payload)
+        body = canonical_json(payload)
         document = json.dumps(
             {
                 "format": CHECKPOINT_FORMAT,
-                "sha256": _sha256(body),
+                "sha256": sha256_hex(body),
                 "payload": payload,
             },
             default=str,
@@ -245,8 +239,8 @@ class CheckpointStore:
                 f"checkpoint {self.path} holds a {payload.get('kind')!r} "
                 f"run, expected {kind!r}"
             )
-        recorded = _canonical(payload.get("fingerprint"))
-        expected = _canonical(fingerprint)
+        recorded = canonical_json(payload.get("fingerprint"))
+        expected = canonical_json(fingerprint)
         if recorded != expected:
             raise CheckpointError(
                 f"checkpoint {self.path} was written by a different run "
@@ -314,7 +308,7 @@ class CheckpointStore:
         payload = document.get("payload")
         if not isinstance(payload, dict):
             raise _CorruptCheckpoint(f"checkpoint {self.path} has no payload")
-        if _sha256(_canonical(payload)) != document.get("sha256"):
+        if sha256_hex(canonical_json(payload)) != document.get("sha256"):
             raise _CorruptCheckpoint(
                 f"checkpoint {self.path} failed its content checksum "
                 "(corrupted on disk)"

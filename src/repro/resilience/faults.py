@@ -21,11 +21,15 @@ requires faults which are
 is itself picklable, so it drops into ``BatchExplorer(workers=N)``
 unchanged. Checkpoint damage (truncation, byte corruption) is injected
 by :func:`truncate_checkpoint` / :func:`corrupt_checkpoint`.
+:class:`CountingFactory` is the fault-free companion: it counts the
+points a sweep evaluates, so a test or benchmark can assert which rows
+an engine path ran.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +47,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjectingFactory",
     "VectorFaultInjectingFactory",
+    "CountingFactory",
     "truncate_checkpoint",
     "corrupt_checkpoint",
 ]
@@ -194,6 +199,40 @@ class VectorFaultInjectingFactory(FaultInjectingFactory):
         # raised AttributeError makes getattr(..., None) in the engine
         # treat this wrapper as materializer-free, like the original.
         return self.factory.design_points  # type: ignore[attr-defined]
+
+
+#: Guards CountingFactory's counters when pool workers are threads.
+_COUNT_LOCK = threading.Lock()
+
+
+class CountingFactory:
+    """A vector factory that counts the points it is asked to evaluate:
+    ``scalar_calls`` per-point calls and ``kernel_points`` rows through
+    ``batch_arrays``. Wraps *factory* (default: the stock symmetric
+    multicore factory); the counters are thread-safe, so thread-pool
+    workers count too."""
+
+    def __init__(self, factory: object | None = None) -> None:
+        if factory is None:
+            from ..dse.factories import SymmetricMulticoreFactory
+
+            factory = SymmetricMulticoreFactory()
+        self.inner = factory
+        self.kernel_points = 0
+        self.scalar_calls = 0
+
+    def __call__(self, params: Mapping[str, object]) -> DesignPoint:
+        with _COUNT_LOCK:
+            self.scalar_calls += 1
+        return self.inner(params)  # type: ignore[operator]
+
+    def batch_arrays(self, columns: Mapping[str, np.ndarray]):
+        with _COUNT_LOCK:
+            self.kernel_points += len(next(iter(columns.values())))
+        return self.inner.batch_arrays(columns)  # type: ignore[attr-defined]
+
+    def design_points(self, chunk, arrays):
+        return self.inner.design_points(chunk, arrays)  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)

@@ -480,10 +480,15 @@ class SupervisedPool:
         a failing single job is either split further via *splitter*
         (columnar shards down to single rows, wrapped in a
         :class:`BisectOutcome`) or quarantined as the isolated poison
-        point. Probe crashes replace the executor without consuming
+        point. An atomic job is quarantined only after a probe of its
+        own fails (a pool crash fails every job in flight with the
+        culprit). Probe crashes replace the executor without consuming
         the respawn budget — bisection deliberately crashes workers.
         """
-        if probe_first:
+        subjobs = (
+            splitter(jobs[0]) if splitter is not None and len(jobs) == 1 else None
+        )
+        if probe_first or (len(jobs) == 1 and not subjobs):
             status, payload = self._probe(fn, jobs)
             if status == "ok":
                 return payload
@@ -502,7 +507,6 @@ class SupervisedPool:
                 return _ABORT
             return left + right
         job = jobs[0]
-        subjobs = splitter(job) if splitter is not None else None
         if subjobs:
             inner = self._bisect_group(fn, list(subjobs), splitter, describe)
             if inner is _ABORT:

@@ -23,6 +23,7 @@ from repro.dse.factories import (
 )
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.obs import metrics, trace
+from repro.resilience.faults import CountingFactory
 
 from .test_parallel_columnar import assert_same_entries
 
@@ -66,27 +67,6 @@ def _columns_equal(result, reference) -> bool:
         getattr(result, name).tobytes() == getattr(reference, name).tobytes()
         for name in ("perf", "ncf_fixed_work", "ncf_fixed_time", "codes")
     )
-
-
-class CountingFactory:
-    """A symmetric-multicore vector factory that counts the points it
-    is asked to evaluate, columnar and scalar."""
-
-    def __init__(self) -> None:
-        self.inner = SymmetricMulticoreFactory()
-        self.kernel_points = 0
-        self.scalar_calls = 0
-
-    def __call__(self, params):
-        self.scalar_calls += 1
-        return self.inner(params)
-
-    def batch_arrays(self, columns):
-        self.kernel_points += len(next(iter(columns.values())))
-        return self.inner.batch_arrays(columns)
-
-    def design_points(self, chunk, arrays):
-        return self.inner.design_points(chunk, arrays)
 
 
 class BadKernelFactory:
@@ -236,7 +216,7 @@ class TestCacheContract:
         stats = explorer.last_sweep
         assert stats.mode == "memo"
         assert (stats.memo_points, stats.fresh_points) == (len(GRID), 0)
-        assert stats.fallback_points == stats.vector_points == 0
+        assert stats.vector_points == 0
         assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
         assert _columns_equal(warm, cold)
         assert warm.results() == cold.results()
@@ -252,16 +232,22 @@ class TestCacheContract:
 
     def test_other_chunk_size_takes_the_point_path(self, baseline):
         cache_owner = _explorer(SymmetricMulticoreFactory(), baseline)
-        cache_owner.explore_arrays(GRID)
+        cold = cache_owner.explore_arrays(GRID)
+        factory = CountingFactory()
         other = _explorer(
-            SymmetricMulticoreFactory(),
+            factory,
             baseline,
             chunk_size=5,
             cache=cache_owner.cache,
         )
-        other.explore_arrays(GRID)
-        assert other.last_sweep.mode == "scalar"
-        assert other.last_sweep.memo_points == len(GRID)
+        warm = other.explore_arrays(GRID)
+        stats = other.last_sweep
+        assert stats.mode == "columnar"
+        assert (stats.memo_points, stats.fresh_points) == (len(GRID), 0)
+        assert stats.vector_points == 0
+        assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
+        assert cache_owner.cache._pending is None
+        assert warm.results() == cold.results()
 
     def test_observing_does_not_expand_the_record(self, baseline):
         trace.enable()

@@ -28,6 +28,7 @@ from repro.dse.factories import (
 )
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.obs import metrics, trace
+from repro.resilience.faults import CountingFactory
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +54,8 @@ def asymmetric_scalar_factory(params):
 
 GRID = ParameterGrid({"cores": [1, 2, 4, 8, 16], "f": linear_range(0.5, 0.99, 7)})
 #: A different grid whose points a GRID sweep has all cached: a warm
-#: sweep of it takes the point-level path (a re-sweep of GRID itself
-#: adopts the cached columns instead).
+#: sweep of it takes the point-level path, adopting every row from the
+#: cache (a re-sweep of GRID itself adopts the cached columns instead).
 SUBGRID = GRID.subgrid(cores=4)
 #: n <= m corners raise DomainError scalar-side, are masked vector-side.
 ASYM_GRID = ParameterGrid({"n": [2, 3, 4, 8, 16], "m": [1, 4, 8]})
@@ -156,20 +157,39 @@ class TestCountCategories:
         plain = _explorer(asymmetric_scalar_factory, baseline)
         assert vector.count_categories(ASYM_GRID) == plain.count_categories(ASYM_GRID)
 
-    def test_columnar_count_leaves_cache_cold(self, baseline):
-        # The pure columnar histogram never materializes DesignPoints,
-        # so it must not (and cannot) populate the factory cache.
-        vector = _explorer(SymmetricMulticoreFactory(), baseline)
+    def test_columnar_count_leaves_a_pending_record(self, baseline):
+        # A cold count is a columnar explore: it records the sweep's
+        # columns as one pending record, which the next same-grid
+        # sweep adopts without running a kernel.
+        factory = CountingFactory()
+        vector = _explorer(factory, baseline)
         vector.count_categories(GRID)
-        assert len(vector.cache) == 0
-
-    def test_warm_cache_count_falls_back_to_scalar(self, baseline):
-        vector = _explorer(SymmetricMulticoreFactory(), baseline)
-        vector.explore(GRID)  # warms the cache
         assert vector.last_sweep.mode == "columnar"
+        assert vector.cache._pending is not None
+        assert len(vector.cache) == len(GRID)
+        assert factory.kernel_points == len(GRID)
+        factory.kernel_points = 0
+        vector.explore(GRID)
+        assert vector.last_sweep.mode == "memo"
+        assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
+
+    def test_warm_cache_count_stays_columnar(self, baseline):
+        expected = _explorer(multicore_factory, baseline).count_categories(GRID)
+        factory = CountingFactory()
+        vector = _explorer(factory, baseline)
+        vector.explore(SUBGRID)  # warms the cache with part of GRID
+        factory.kernel_points = 0
         counts = vector.count_categories(GRID)
-        assert vector.last_sweep.mode == "scalar"
-        assert counts == _explorer(multicore_factory, baseline).count_categories(GRID)
+        stats = vector.last_sweep
+        assert stats.mode == "columnar"
+        assert (stats.memo_points, stats.fresh_points) == (
+            len(SUBGRID),
+            len(GRID) - len(SUBGRID),
+        )
+        assert stats.vector_points == len(GRID) - len(SUBGRID)
+        assert factory.kernel_points == len(GRID) - len(SUBGRID)
+        assert factory.scalar_calls == 0
+        assert counts == expected
 
 
 class TestSweepEngineStats:
@@ -181,25 +201,37 @@ class TestSweepEngineStats:
         assert stats.mode == "columnar"
         assert stats.grid_points == len(GRID)
         assert stats.vector_points == len(GRID)
-        assert stats.fallback_points == 0
         assert stats.evals_per_s > 0
         assert "columnar path" in stats.summary()
         assert f"{len(GRID)} pts" in stats.summary()
 
     def test_fallback_accounting_on_warm_cache(self, baseline):
-        vector = _explorer(SymmetricMulticoreFactory(), baseline)
+        # A warm cache changes what is evaluated, never how: the cached
+        # rows are hits and nothing falls back to scalar calls.
+        factory = CountingFactory()
+        vector = _explorer(factory, baseline)
         vector.explore(GRID)
-        vector.explore(SUBGRID)  # warm: scalar path although vector-capable
+        factory.kernel_points = 0
+        vector.explore(SUBGRID)  # every SUBGRID point is cached
         stats = vector.last_sweep
-        assert stats.mode == "scalar"
-        assert stats.fallback_points == len(SUBGRID)
-        assert "scalar-fallback" in stats.summary()
+        assert stats.mode == "columnar"
+        assert (stats.memo_points, stats.fresh_points) == (len(SUBGRID), 0)
+        assert stats.vector_points == 0
+        assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
+        assert "columnar path" in stats.summary()
+        assert "vector_points" in stats.as_dict()
 
     def test_plain_factory_has_no_fallback(self, baseline):
         plain = _explorer(multicore_factory, baseline)
         plain.explore(GRID)
-        assert plain.last_sweep.mode == "scalar"
-        assert plain.last_sweep.fallback_points == 0
+        stats = plain.last_sweep
+        assert stats.mode == "scalar"
+        assert (stats.memo_points, stats.fresh_points) == (0, len(GRID))
+        assert stats.vector_points == 0
+        plain.explore(SUBGRID)
+        stats = plain.last_sweep
+        assert stats.mode == "scalar"
+        assert (stats.memo_points, stats.fresh_points) == (len(SUBGRID), 0)
 
     def test_workers_run_parallel_columnar(self, baseline):
         vector = _explorer(
@@ -220,16 +252,42 @@ class TestSweepEngineStats:
             _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)
         )
 
-    def test_warm_cache_pool_sweep_is_scalar_pool(self, baseline):
+    def test_warm_cache_pool_sweep_is_parallel_columnar(self, baseline):
         warm = _explorer(SymmetricMulticoreFactory(), baseline)
         warm.explore(GRID)
         pooled = _explorer(
             SymmetricMulticoreFactory(), baseline, workers=2, cache=warm.cache
         )
         results = pooled.explore(SUBGRID)
-        assert pooled.last_sweep.mode == "scalar-pool"
+        stats = pooled.last_sweep
+        # Every row is cached: nothing is dispatched, so no pool runs.
+        assert stats.mode == "parallel-columnar"
+        assert (stats.memo_points, stats.fresh_points) == (len(SUBGRID), 0)
+        assert stats.vector_points == stats.shards == 0
         assert list(results) == list(
             _explorer(SymmetricMulticoreFactory(), baseline).explore(SUBGRID)
+        )
+        # The other way round, only the chunks with no cached row ship.
+        part = _explorer(SymmetricMulticoreFactory(), baseline)
+        part.explore(SUBGRID)
+        pooled = _explorer(
+            SymmetricMulticoreFactory(),
+            baseline,
+            workers=2,
+            chunk_size=5,
+            cache=part.cache,
+        )
+        results = pooled.explore(GRID)
+        stats = pooled.last_sweep
+        assert stats.mode == "parallel-columnar"
+        assert (stats.memo_points, stats.fresh_points) == (
+            len(SUBGRID),
+            len(GRID) - len(SUBGRID),
+        )
+        assert stats.vector_points == len(GRID) - len(SUBGRID)
+        assert stats.shards > 0
+        assert list(results) == list(
+            _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)
         )
 
     def test_as_dict_round_trips(self, baseline):
@@ -256,13 +314,16 @@ class TestObservability:
         assert evals is not None and evals["value"] == len(GRID)
         assert rate is not None and rate["value"] > 0
 
-    def test_fallback_counter_emitted(self, baseline):
-        metrics.enable()
+    def test_vector_counter_counts_only_misses(self, baseline):
         explorer = _explorer(SymmetricMulticoreFactory(), baseline)
-        explorer.explore(GRID)
-        explorer.explore(SUBGRID)  # warm -> scalar fallback
-        fallback = self._metric("focal_vector_fallback_total")
-        assert fallback is not None and fallback["value"] == len(SUBGRID)
+        explorer.explore(SUBGRID)
+        metrics.enable()
+        explorer.explore(GRID)  # warm: SUBGRID's rows are hits
+        evals = self._metric("focal_vector_evaluations_total")
+        hits = self._metric("focal_cache_hits_total")
+        assert evals is not None
+        assert evals["value"] == len(GRID) - len(SUBGRID)
+        assert hits is not None and hits["value"] == len(SUBGRID)
 
     def test_metrics_do_not_change_results(self, baseline):
         plain_results = _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)

@@ -114,6 +114,41 @@ class TestPoisonQuarantine:
         assert stats is None or (stats.crashes == 0 and stats.quarantined == 0)
         assert_survivors_identical(result, reference, result.quarantined)
 
+    def test_warm_cache_keeps_fresh_rows_on_the_supervised_pool(
+        self, make_explorer, grid, factory, tmp_path, quarantine_policy,
+        reference,
+    ):
+        """A subgrid-warmed cache leaves every chunk partly cached; the
+        fresh rows — the poison point among them — still run on the
+        supervised pool, so the poison is quarantined, never evaluated
+        in the sweep's own process."""
+        plan = FaultPlan.plan(grid, seed=23, state_dir=tmp_path, poisons=1)
+        (poison,) = plan.poison_points
+        (other_f,) = [f for f in grid.axes["f"] if f != poison["f"]]
+        subgrid = grid.subgrid(f=other_f)
+        wrapped_factory = plan.wrap_vector(factory)
+        warm = make_explorer(factory=wrapped_factory)
+        warm.explore_arrays(subgrid)
+        explorer = make_explorer(
+            factory=wrapped_factory,
+            workers=2,
+            resilience=quarantine_policy,
+            cache=warm.cache,
+        )
+        hits = explorer.cache.hits
+        result = explorer.explore_arrays(
+            grid, quarantine=QuarantineLedger(tmp_path / "poison.json")
+        )
+
+        assert explorer.last_sweep.mode == "parallel-columnar"
+        assert explorer.last_sweep.shards > 0
+        assert [point_key(params) for params in result.quarantined] == [
+            point_key(poison)
+        ]
+        assert explorer.last_supervision.quarantined == 1
+        assert explorer.cache.hits - hits == len(subgrid)
+        assert_survivors_identical(result, reference, result.quarantined)
+
     def test_poison_without_ledger_fails_loudly(
         self, make_explorer, grid, factory, tmp_path
     ):
