@@ -31,7 +31,12 @@ Times the paths the batch engine replaces —
   the cold columnar run that populated it (>= 10x gate, enforced on
   every host — disk reads beat a compute-bound kernel everywhere),
   plus a delta sweep over a 50%-overlapping grid that must evaluate
-  exactly the new points and match a full cold sweep bit-for-bit.
+  exactly the new points and match a full cold sweep bit-for-bit;
+* checkpoint write volume: checkpointed sweeps of grids of N and 2N
+  chunks must write exactly the bytes their checkpoint files hold (each
+  chunk is appended, nothing rewritten) and grow at most 2.05x between
+  them (a rewrite-per-chunk checkpoint grows ~4x) — a byte count, not a
+  timing, so the gate holds on any host.
 
 Every batch test asserts numerical parity with its scalar twin
 (bit-identical NCFs, identical verdict counts) before timing means are
@@ -107,6 +112,16 @@ DELTA_FRACTIONS = STORE_FRACTIONS[50:] + linear_range(0.25, 0.49, 50)
 DELTA_GRID = ParameterGrid({"cores": STORE_CORES, "f": DELTA_FRACTIONS})
 STORE_ITERS = 60_000
 STORE_WARM_SPEEDUP_GATE = 10.0
+
+#: Checkpoint growth operating point: the same 64-point chunks over
+#: grids of N = 32 and 2N = 64 chunks.
+GROWTH_CHUNK = 64
+GROWTH_FRACTIONS = linear_range(0.50, 0.99, 64)
+GROWTH_GRIDS = {
+    "n": ParameterGrid({"cores": list(range(1, 33)), "f": GROWTH_FRACTIONS}),
+    "2n": ParameterGrid({"cores": list(range(1, 65)), "f": GROWTH_FRACTIONS}),
+}
+CKPT_GROWTH_GATE = 2.05
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
@@ -477,38 +492,43 @@ def test_parallel_columnar_sweep(benchmark, emit):
     )
 
 
-def test_parallel_schedule_byte_identity(emit, tmp_path):
+def test_parallel_schedule_byte_identity(benchmark, emit, tmp_path):
     """Serial, work-stealing shards over shared memory and
     work-stealing shards over a spilled block must be fully
     interchangeable: identical result bytes, identical cache contents,
     identical checkpoint bytes (the fingerprint deliberately excludes
     workers/spill, so a checkpoint written under any schedule resumes
     under any other)."""
-    runs = {}
-    for key, kwargs in (
-        ("serial", dict(workers=0)),
-        ("steal", dict(workers=2)),
-        (
-            "steal-spilled",
-            dict(workers=2, spill_dir=tmp_path / "spill", spill_bytes=1),
-        ),
-    ):
-        factory = IterativeFixedPointFactory(iters=SCHEDULE_ITERS)
-        explorer = BatchExplorer(
-            factory=factory,
-            baseline=BASELINE,
-            weight=EMBODIED_DOMINATED,
-            cache=FactoryCache(factory),
-            chunk_size=2048,
-            **kwargs,
-        )
-        ckpt = tmp_path / f"{key}.ckpt"
-        sweep = explorer.explore_arrays(SCHEDULE_GRID, checkpoint=ckpt)
-        runs[key] = {
-            "bytes": _sweep_bytes(sweep),
-            "cache": dict(explorer.cache._entries),
-            "ckpt": ckpt.read_bytes(),
-        }
+
+    def run_schedules() -> dict:
+        runs = {}
+        for key, kwargs in (
+            ("serial", dict(workers=0)),
+            ("steal", dict(workers=2)),
+            (
+                "steal-spilled",
+                dict(workers=2, spill_dir=tmp_path / "spill", spill_bytes=1),
+            ),
+        ):
+            factory = IterativeFixedPointFactory(iters=SCHEDULE_ITERS)
+            explorer = BatchExplorer(
+                factory=factory,
+                baseline=BASELINE,
+                weight=EMBODIED_DOMINATED,
+                cache=FactoryCache(factory),
+                chunk_size=2048,
+                **kwargs,
+            )
+            ckpt = tmp_path / f"{key}.ckpt"
+            sweep = explorer.explore_arrays(SCHEDULE_GRID, checkpoint=ckpt)
+            runs[key] = {
+                "bytes": _sweep_bytes(sweep),
+                "cache": dict(explorer.cache._entries),
+                "ckpt": ckpt.read_bytes(),
+            }
+        return runs
+
+    runs = benchmark.pedantic(run_schedules, rounds=1, iterations=1)
     reference = runs["serial"]
     bytes_equal = all(r["bytes"] == reference["bytes"] for r in runs.values())
     cache_equal = all(r["cache"] == reference["cache"] for r in runs.values())
@@ -648,7 +668,7 @@ def test_store_warm_resweep(benchmark, emit, populated_store):
     )
 
 
-def test_store_delta_sweep(emit, populated_store):
+def test_store_delta_sweep(benchmark, emit, populated_store):
     """A 50%-overlapping grid must evaluate exactly the new points —
     counted by the factory-cache miss delta, which store adoptions
     never touch — and match a full cold sweep of the same grid
@@ -657,11 +677,15 @@ def test_store_delta_sweep(emit, populated_store):
 
     expected_fresh = len(STORE_CORES) * (len(DELTA_FRACTIONS) - 50)
     delta_explorer = _store_explorer()
-    start = time.perf_counter()
-    delta = delta_explorer.explore_arrays(
-        DELTA_GRID, store=ResultStore(populated_store["dir"])
-    )
-    delta_s = time.perf_counter() - start
+
+    def delta_run():
+        start = time.perf_counter()
+        sweep = delta_explorer.explore_arrays(
+            DELTA_GRID, store=ResultStore(populated_store["dir"])
+        )
+        return sweep, time.perf_counter() - start
+
+    delta, delta_s = benchmark.pedantic(delta_run, rounds=1, iterations=1)
     engine = delta_explorer.last_sweep
 
     cold_explorer = _store_explorer()
@@ -696,4 +720,59 @@ def test_store_delta_sweep(emit, populated_store):
         f"{engine.fresh_points} evaluated fresh (expected {expected_fresh}), "
         f"{engine.store_points} adopted, {engine.delta_chunks} stitched "
         "delta chunks"
+    )
+
+
+# ----------------------------------------------------------------------
+# Checkpoint write volume: linear in the chunks committed
+# ----------------------------------------------------------------------
+def test_checkpoint_bytes_grow_linearly(benchmark, emit, tmp_path):
+    """Each committed chunk is one appended record: a checkpointed sweep
+    writes exactly the bytes its file ends up holding, and twice the
+    chunks write at most ~twice the bytes."""
+    from repro.dse.factories import SymmetricMulticoreFactory
+    from repro.obs import metrics
+
+    def checkpointed(label: str) -> tuple[int, int]:
+        path = tmp_path / f"{label}.ckpt"
+        metrics.reset()
+        metrics.enable()
+        try:
+            BatchExplorer(
+                factory=SymmetricMulticoreFactory(),
+                baseline=BASELINE,
+                weight=EMBODIED_DOMINATED,
+                chunk_size=GROWTH_CHUNK,
+            ).explore_arrays(GROWTH_GRIDS[label], checkpoint=path)
+            written = metrics.get_registry().counter(
+                "focal_durable_bytes_written_total"
+            ).value
+        finally:
+            metrics.reset()
+        return int(written), path.stat().st_size
+
+    written_n, file_n = checkpointed("n")
+    written_2n, file_2n = benchmark.pedantic(
+        checkpointed, args=("2n",), rounds=1, iterations=1
+    )
+    ratio = written_2n / written_n
+    _RESULTS.update(
+        {
+            "ckpt_chunks_n": len(GROWTH_GRIDS["n"]) // GROWTH_CHUNK,
+            "ckpt_chunks_2n": len(GROWTH_GRIDS["2n"]) // GROWTH_CHUNK,
+            "ckpt_bytes_written_n": written_n,
+            "ckpt_file_bytes_n": file_n,
+            "ckpt_bytes_written_2n": written_2n,
+            "ckpt_file_bytes_2n": file_2n,
+            "ckpt_growth_ratio": ratio,
+            "ckpt_growth_gate": CKPT_GROWTH_GATE,
+        }
+    )
+    assert written_n == file_n
+    assert written_2n == file_2n
+    assert ratio <= CKPT_GROWTH_GATE
+    emit(
+        f"checkpoint growth: {written_n} B for {len(GROWTH_GRIDS['n'])} points, "
+        f"{written_2n} B for twice the chunks ({ratio:.3f}x, gate <= "
+        f"{CKPT_GROWTH_GATE:g}x), bytes written == file bytes"
     )

@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="PATH",
         default=None,
-        help="persist completed chunks to this file (atomic, checksummed) "
+        help="append completed chunks to this log (checksummed records) "
         "so a killed sweep can be resumed",
     )
     sweep.add_argument(
@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_gc = store_sub.add_parser(
         "gc",
-        help="collect garbage: temp litter, orphaned objects, corrupt "
-        "entries; with --max-bytes also evict oldest fingerprints",
+        help="collect garbage: temp litter, orphaned files, damaged "
+        "records; with --max-bytes also evict oldest fingerprints",
     )
     for store_parser in (store_ls, store_stat, store_gc):
         store_parser.add_argument("dir", help="store directory")
@@ -829,7 +829,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         report = store.gc(max_bytes=args.max_bytes)
         print(
             f"gc {args.dir}: removed {report['removed_tmp']} temp files, "
-            f"{report['removed_orphans']} orphaned objects, "
+            f"{report['removed_orphans']} orphaned files, "
             f"{report['removed_corrupt']} corrupt entries"
         )
         if report["evicted_fingerprints"]:

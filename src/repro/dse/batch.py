@@ -47,10 +47,10 @@ numbers: handing the explorer a
 through a :class:`~repro.resilience.supervisor.SupervisedPool` (crash
 recovery, chunk timeouts, bounded retry, in-process degradation), and
 ``explore_arrays(..., checkpoint=..., resume=True)`` persists
-chunk-granular progress through an atomic, checksummed
-:class:`~repro.resilience.checkpoint.CheckpointStore` so a killed sweep
-resumes bit-exactly — same result arrays, same cache contents — from
-the last completed chunk.
+chunk-granular progress through an append-only, checksummed
+:class:`~repro.resilience.checkpoint.CheckpointStore` log so a killed
+sweep resumes bit-exactly — same result arrays, same cache contents —
+from the last completed chunk.
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ class _Known:
     a cache counter; the others count as neither hits nor misses.
     ``probe`` is the store's answer when it was asked about the whole
     chunk; ``stored`` counts the rows the store served, from memory and
-    from disk. ``restored`` holds the checkpoint's encoded rows of a
-    restored chunk, re-saved as they are.
+    from disk. ``restored`` marks a chunk restored from the checkpoint
+    (which already holds it).
     """
 
     keys: list[tuple]
@@ -406,7 +406,7 @@ class _Known:
     hits: int = 0
     probe: "ChunkProbe | None" = None
     stored: tuple[int, int] = (0, 0)
-    restored: "list | None" = None
+    restored: bool = False
 
 
 @dataclass
@@ -420,7 +420,6 @@ class _SweepState:
     ckpt: "CheckpointStore | None" = None
     fingerprint: "dict | None" = None
     restored: list = field(default_factory=list)
-    saved: list = field(default_factory=list)
     session: "SweepStoreSession | None" = None
     use: "_StoreUse | None" = None
     qsession: "QuarantineSession | None" = None
@@ -1356,14 +1355,14 @@ class BatchExplorer:
         """
         keys = params_keys(chunk)
         if index < len(state.restored):
-            rows = state.restored[index]
-            if len(rows) != len(chunk):
+            outcomes = decode_outcomes(state.restored[index])
+            if len(outcomes) != len(chunk):
                 raise CheckpointError(
-                    f"checkpoint {state.ckpt.path} records {len(rows)} "
+                    f"checkpoint {state.ckpt.path} records {len(outcomes)} "
                     f"outcomes for a {len(chunk)}-point chunk; the file "
                     "does not match this grid"
                 )
-            return _Known(keys, decode_outcomes(rows), restored=rows)
+            return _Known(keys, outcomes, restored=True)
         known = _Known(keys, [None] * len(chunk))
         outcomes = known.outcomes
         qsession = state.qsession
@@ -1477,7 +1476,7 @@ class BatchExplorer:
         in the cache (cache hits and repeats count as hits, every
         evaluated row as a miss, other known rows as neither), in the
         store (unless the store served the whole chunk) and in the
-        checkpoint (a restored chunk is re-saved as it was).
+        checkpoint (a restored chunk is already there).
         """
         if state.known is not None:
             known = state.known.pop(index)
@@ -1522,28 +1521,13 @@ class BatchExplorer:
             # Resumed work is stored too: the next process should not
             # recompute it.
             state.session.put(chunk, outcomes, probe)
-        if state.ckpt is not None:
-            if known.restored is not None:
-                state.saved.append(known.restored)
-            else:
-                state.saved.append(encode_outcomes(outcomes))
-                try:
-                    state.ckpt.save(
-                        kind="sweep",
-                        fingerprint=state.fingerprint,
-                        state={"chunks": state.saved},
-                    )
-                except CheckpointError as exc:
-                    # A dead checkpoint must not kill a live sweep:
-                    # continue without checkpointing.
-                    get_logger().warning(
-                        kv(
-                            "checkpoint.disabled",
-                            path=str(state.ckpt.path),
-                            error=str(exc),
-                        )
-                    )
-                    state.ckpt = None
+        if state.ckpt is not None and not known.restored:
+            if not state.ckpt.commit(
+                kind="sweep",
+                fingerprint=state.fingerprint,
+                record=encode_outcomes(outcomes),
+            ):
+                state.ckpt = None
         return outcomes
 
     @staticmethod
@@ -1788,15 +1772,15 @@ class BatchExplorer:
         (ordering, skips, values, cache contents) is byte-identical on
         every path.
 
-        With *checkpoint* set, every completed chunk is atomically
-        persisted to that path; with *resume*, completed chunks found
-        there are replayed into the cache without re-evaluating the
-        factory, and the sweep continues from the first unfinished
+        With *checkpoint* set, every completed chunk is appended to that
+        log as one checksummed record; with *resume*, completed chunks
+        found there are replayed into the cache without re-evaluating
+        the factory, and the sweep continues from the first unfinished
         chunk. Resume is bit-exact: result arrays and cache entries
         match an uninterrupted run. A checkpoint written by a different
         run configuration raises
-        :class:`~repro.core.errors.CheckpointError`; a corrupt or
-        truncated file is discarded and the sweep restarts cold.
+        :class:`~repro.core.errors.CheckpointError`; a torn or corrupt
+        record is dropped with every later one and recomputed.
 
         With *store* set (a :class:`~repro.dse.store.ResultStore` or a
         directory path), every evaluated chunk is persisted to the
@@ -1867,7 +1851,7 @@ class BatchExplorer:
                     kind="sweep", fingerprint=state.fingerprint
                 )
                 if loaded is not None:
-                    state.restored = list(loaded.get("chunks", []))
+                    state.restored = loaded["chunks"]
         params_list: list[Mapping[str, object]] = []
         designs: list[DesignPoint] = []
         pool: ProcessPoolExecutor | SupervisedPool | None = None

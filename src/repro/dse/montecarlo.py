@@ -6,9 +6,9 @@ of each sustainability category — a stochastic complement to the exact
 interval analysis in :mod:`repro.core.uncertainty`.
 
 Both samplers accept ``checkpoint``/``resume``: samples are then drawn
-in chunks of ``checkpoint_every``, each completed chunk persisting the
-classified codes plus the RNG state to an atomic
-:class:`~repro.resilience.checkpoint.CheckpointStore` file. Resume
+in chunks of ``checkpoint_every``, each completed chunk appending its
+classified int8 codes plus the RNG state as one record of a
+:class:`~repro.resilience.checkpoint.CheckpointStore` log. Resume
 restores the codes and the generator state and continues drawing —
 NumPy ``Generator`` streams are split-invariant, so the chunked,
 killed-and-resumed run produces byte-identical probabilities to an
@@ -45,12 +45,11 @@ from ..core.scenario import E2OWeight
 from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.policy import RetryPolicy
 from ..resilience.supervisor import SupervisedPool
 from . import parallel as _parallel
-from .store import ResultStore
+from .store import ResultStore, decode_segment, encode_segment
 
 __all__ = [
     "CategoryProbabilities",
@@ -363,17 +362,16 @@ def _checkpointed_codes(
     if ckpt is not None and resume:
         state = ckpt.load_or_restart(kind="montecarlo", fingerprint=fingerprint)
         if state is not None:
-            codes = state.get("codes")
-            rng_state = state.get("rng_state")
-            if not isinstance(codes, list) or len(codes) > samples:
-                raise CheckpointError(
-                    f"checkpoint {ckpt.path} records "
-                    f"{len(codes) if isinstance(codes, list) else '?'} codes "
-                    f"for a {samples}-sample run"
-                )
-            if codes:
-                done.append(np.asarray(codes, dtype=np.int8))
-                drawn = len(codes)
+            for record in state["chunks"]:
+                start, codes_arr, rng_state = decode_segment(record)
+                if start != drawn or drawn + len(codes_arr) > samples:
+                    raise CheckpointError(
+                        f"checkpoint {ckpt.path} records codes "
+                        f"[{start}, {start + len(codes_arr)}) after {drawn} "
+                        f"for a {samples}-sample run"
+                    )
+                done.append(codes_arr)
+                drawn += len(codes_arr)
                 rng.bit_generator.state = rng_state
     step = (
         samples if ckpt is None and result_store is None else checkpoint_every
@@ -396,29 +394,14 @@ def _checkpointed_codes(
                     segment_fp, drawn, count, codes_arr,
                     rng.bit_generator.state,
                 )
+        if ckpt is not None and not ckpt.commit(
+            kind="montecarlo",
+            fingerprint=fingerprint,
+            record=encode_segment(drawn, codes_arr, rng.bit_generator.state),
+        ):
+            ckpt = None
         done.append(codes_arr)
         drawn += count
-        if ckpt is not None:
-            try:
-                ckpt.save(
-                    kind="montecarlo",
-                    fingerprint=fingerprint,
-                    state={
-                        "codes": np.concatenate(done).tolist(),
-                        "rng_state": rng.bit_generator.state,
-                    },
-                )
-            except CheckpointError as exc:
-                # A dead checkpoint must not kill a live draw: keep
-                # sampling without persistence.
-                get_logger().warning(
-                    kv(
-                        "checkpoint.disabled",
-                        path=str(ckpt.path),
-                        error=str(exc),
-                    )
-                )
-                ckpt = None
     return (done[0] if len(done) == 1 else np.concatenate(done)), reused
 
 

@@ -20,42 +20,41 @@ store written at ``chunk_size=4096, workers=4`` serves a reader at
 ``chunk_size=100, workers=0`` bit-exactly (outcomes depend only on
 ``factory(params)``).
 
-Two tiers:
+Two tiers: an in-process LRU over decoded outcome chunks (bounded,
+stats-instrumented like :class:`~repro.dse.batch.CacheStats`), and an
+on-disk tier of append-only run files
+(:class:`~repro.resilience.chunklog.ChunkLog`), one per factory or
+sampler fingerprint::
 
-* an in-process LRU over decoded outcome chunks (bounded,
-  stats-instrumented like :class:`~repro.dse.batch.CacheStats`), so
-  repeated probes within one process never touch disk twice;
-* an atomic on-disk tier: every file is written
-  temp → ``fsync`` → ``os.replace`` and carries a SHA-256 checksum over
-  its canonical payload. Corruption is never an error and never a wrong
-  answer — a damaged file is discarded, counted in
-  ``focal_store_corrupt_total``, and the affected points recompute.
+    focal-store.json   # marker: {"format": "focal-store/2"}
+    sweeps/<fp>.log    # header {factory}; per stored chunk: point keys
+                       #   + encode_outcomes columns
+    mc/<fp>.log        # header {fingerprint}; per Monte-Carlo segment:
+                       #   int8 codes + post-segment rng state
 
-On-disk layout under the store root::
-
-    focal-store.json                    # marker: {"format": "focal-store/1"}
-    sweeps/<fp>/index.json              # point-key -> object row map
-    sweeps/<fp>/objects/<sha256>.json   # one stored chunk of outcomes
-    mc/<fp>/meta.json                   # the segment stream's fingerprint
-    mc/<fp>/<start>-<count>.json        # Monte-Carlo rng-stream segment
-
-``<fp>`` is a hash prefix of the factory description (sweeps) or the
-sampler fingerprint (Monte-Carlo). Objects are content-addressed by the
-SHA-256 of their canonical payload, so identical chunks written twice
-dedupe into one file. ``ResultStore.gc`` removes temp litter, orphaned
-objects and corrupt files, and with ``max_bytes`` evicts whole
-fingerprints oldest-first until the store fits the budget.
+Storing a chunk appends one checksummed record (one write, one
+``fsync``); opening a run file rebuilds its point-key index from the
+records. Damage is never an error and never a wrong answer: a torn or
+corrupt record is dropped with everything after it, counted in
+``focal_store_corrupt_total``, and its points recompute; the next
+append truncates the damage. ``ResultStore.gc`` removes temp litter,
+stray files, damaged tails and headerless run files, and with
+``max_bytes`` evicts whole fingerprints oldest-first. A
+``focal-store/1`` directory (JSON objects plus ``index.json``) is
+refused with an error naming that format.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
+import shutil
+import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,14 +63,16 @@ from ..core.errors import DomainError, QuarantinedPoint, ValidationError
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import (
-    TRANSIENT_DISK_ERRNOS,
     atomic_write_text,
     canonical_json,
     decode_outcomes,
     describe_factory,
     encode_outcomes,
+    pack_texts,
     sha256_hex,
+    unpack_texts,
 )
+from ..resilience.chunklog import CHUNK, HEADER, TRANSIENT_DISK_ERRNOS, ChunkLog
 
 __all__ = [
     "STORE_FORMAT",
@@ -83,16 +84,15 @@ __all__ = [
     "chunk_store_key",
 ]
 
-#: Format tag written into (and required from) every store document.
-STORE_FORMAT = "focal-store/1"
+#: Format tag of the store marker and of every run-file header.
+STORE_FORMAT = "focal-store/2"
+
+#: The JSON-object layout of earlier versions, refused by name.
+_OLD_FORMAT = "focal-store/1"
 
 #: Name of the marker file identifying a directory as a result store
 #: (``gc`` refuses to delete anything from a directory without it).
 MARKER_NAME = "focal-store.json"
-
-#: Sweep sessions persist their index after this many newly stored
-#: chunks (and once more at sweep end), bounding data loss on a crash.
-FLUSH_EVERY_CHUNKS = 16
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +134,28 @@ def _fingerprint_hash(payload: object) -> str:
 
 
 # ----------------------------------------------------------------------
+# Monte-Carlo segment records: start, post-segment rng state, codes
+# ----------------------------------------------------------------------
+_SEGMENT = struct.Struct("<QI")
+
+
+def encode_segment(start: int, codes: np.ndarray, rng_state: Mapping) -> bytes:
+    """One rng-stream segment as a record: its start sample, the
+    generator state after it (canonical JSON) and its int8 codes."""
+    state = canonical_json(dict(rng_state)).encode("utf-8")
+    codes = np.asarray(codes, dtype=np.int8).tobytes()
+    return _SEGMENT.pack(start, len(state)) + state + codes
+
+
+def decode_segment(record: bytes) -> tuple[int, np.ndarray, dict]:
+    """Invert :func:`encode_segment`: ``(start, codes, rng_state)``."""
+    start, size = _SEGMENT.unpack_from(record)
+    body = _SEGMENT.size + size
+    state = json.loads(record[_SEGMENT.size : body])
+    return start, np.frombuffer(record[body:], np.int8).copy(), state
+
+
+# ----------------------------------------------------------------------
 # Stats
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -154,7 +176,6 @@ class StoreStats:
     segments_written: int
     bytes_read: int
     bytes_written: int
-    recovered_objects: int = 0
     disk_fallback: bool = False
 
     @property
@@ -172,20 +193,13 @@ class StoreStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "hit_ratio": self.hit_ratio,
-            "corrupt": self.corrupt,
-            "memory_evictions": self.memory_evictions,
-            "objects_written": self.objects_written,
-            "segments_written": self.segments_written,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "recovered_objects": self.recovered_objects,
-            "disk_fallback": self.disk_fallback,
-        }
+        return {**asdict(self), "hit_ratio": self.hit_ratio}
+
+
+#: The per-process counters behind :class:`StoreStats`.
+_COUNTERS = [
+    name for name in StoreStats.__dataclass_fields__ if name != "disk_fallback"
+]
 
 
 @dataclass
@@ -214,6 +228,23 @@ class ChunkProbe:
         return not self.missing
 
 
+@dataclass
+class _SegmentRun:
+    """One sampler fingerprint's run file and its decoded segments,
+    keyed by ``(start, count)``."""
+
+    fp: str
+    log: ChunkLog
+    header: bytes
+    segments: dict[tuple[int, int], tuple[np.ndarray, dict]] = field(
+        default_factory=dict
+    )
+
+    def adopt(self, record: bytes) -> None:
+        start, codes, state = decode_segment(record)
+        self.segments.setdefault((start, len(codes)), (codes, state))
+
+
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -225,9 +256,10 @@ class ResultStore:
     root:
         Store directory (created on first write). Refuses a non-empty
         directory that is not a store — the marker file guards ``gc``
-        and plain writes alike from clobbering unrelated data.
+        and plain writes alike from clobbering unrelated data — and a
+        store in the older ``focal-store/1`` format.
     max_memory_entries:
-        LRU bound of the in-process tier, in decoded chunk objects /
+        LRU bound of the in-process tier, in decoded chunk records /
         Monte-Carlo segments (not points).
     """
 
@@ -241,25 +273,10 @@ class ResultStore:
         self.root = Path(root)
         self.max_memory_entries = max_memory_entries
         self._memory: OrderedDict[tuple, object] = OrderedDict()
-        self._memory_hits = 0
-        self._disk_hits = 0
-        self._misses = 0
-        self._corrupt = 0
-        self._memory_evictions = 0
-        self._objects_written = 0
-        self._segments_written = 0
-        self._bytes_read = 0
-        self._bytes_written = 0
-        self._recovered_objects = 0
+        self._runs: dict[str, _SegmentRun] = {}
+        self._counts = dict.fromkeys(_COUNTERS, 0)
         self._disk_disabled = False
-        if self.root.exists():
-            marker = self.root / MARKER_NAME
-            if not marker.exists() and any(self.root.iterdir()):
-                raise ValidationError(
-                    f"{self.root} exists, is not empty and has no "
-                    f"{MARKER_NAME} marker — refusing to treat it as a "
-                    "result store"
-                )
+        self._marked("open")
 
     @classmethod
     def coerce(
@@ -273,65 +290,40 @@ class ResultStore:
     # -- stats ---------------------------------------------------------
     def stats(self) -> StoreStats:
         """Snapshot of the per-process counters."""
-        return StoreStats(
-            memory_hits=self._memory_hits,
-            disk_hits=self._disk_hits,
-            misses=self._misses,
-            corrupt=self._corrupt,
-            memory_evictions=self._memory_evictions,
-            objects_written=self._objects_written,
-            segments_written=self._segments_written,
-            bytes_read=self._bytes_read,
-            bytes_written=self._bytes_written,
-            recovered_objects=self._recovered_objects,
-            disk_fallback=self._disk_disabled,
-        )
+        return StoreStats(**self._counts, disk_fallback=self._disk_disabled)
 
     def reset(self) -> None:
         """Zero the counters (keeps the memory tier)."""
-        self._memory_hits = self._disk_hits = self._misses = 0
-        self._corrupt = self._memory_evictions = 0
-        self._objects_written = self._segments_written = 0
-        self._bytes_read = self._bytes_written = 0
-        self._recovered_objects = 0
+        self._counts = dict.fromkeys(_COUNTERS, 0)
 
-    def _count_hits(self, tier: str, n: int) -> None:
-        if not n:
-            return
-        if tier == "memory":
-            self._memory_hits += n
-        else:
-            self._disk_hits += n
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "focal_store_hits_total",
-                "result-store entries served, by tier",
-                labels={"tier": tier},
-            ).inc(n)
-
-    def _count_misses(self, n: int) -> None:
-        if not n:
-            return
-        self._misses += n
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
+    def _count(self, memory: int = 0, disk: int = 0, misses: int = 0) -> None:
+        """Tally entries served from each tier and entries missed."""
+        for tier, n in (("memory", memory), ("disk", disk)):
+            if n:
+                self._counts[f"{tier}_hits"] += n
+                _metrics.count(
+                    "focal_store_hits_total",
+                    "result-store entries served, by tier",
+                    n,
+                    labels={"tier": tier},
+                )
+        if misses:
+            self._counts["misses"] += misses
+            _metrics.count(
                 "focal_store_misses_total",
                 "result-store entries that had to be computed",
-            ).inc(n)
+                misses,
+            )
 
     def _note_corrupt(self, path: Path, reason: str) -> None:
-        self._corrupt += 1
+        self._counts["corrupt"] += 1
         get_logger().warning(
             kv("store.corrupt", path=str(path), reason=reason)
         )
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "focal_store_corrupt_total",
-                "corrupt result-store files discarded (recomputed)",
-            ).inc()
+        _metrics.count(
+            "focal_store_corrupt_total",
+            "damaged result-store records discarded (recomputed)",
+        )
 
     # -- memory tier ---------------------------------------------------
     def _memory_get(self, key: tuple):
@@ -347,26 +339,74 @@ class ResultStore:
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
-            self._memory_evictions += 1
-            registry = _metrics.get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "focal_store_memory_evictions_total",
-                    "decoded entries evicted from the store's LRU tier",
-                ).inc()
+            self._counts["memory_evictions"] += 1
+            _metrics.count(
+                "focal_store_memory_evictions_total",
+                "decoded entries evicted from the store's LRU tier",
+            )
 
     # -- disk tier -----------------------------------------------------
-    def _ensure_root(self) -> None:
+    def _marked(self, verb: str) -> bool:
+        """Whether the root holds a store (``False`` for an absent or
+        empty directory); :class:`ValidationError` for a foreign
+        directory or an older store format."""
+        if not self.root.exists():
+            return False
         marker = self.root / MARKER_NAME
         if not marker.exists():
-            self._write_document(marker, {"marker": STORE_FORMAT})
+            if any(self.root.iterdir()):
+                raise ValidationError(
+                    f"refusing to {verb} {self.root}: it is not empty and "
+                    f"has no {MARKER_NAME} marker, so it is not a focal "
+                    "result store"
+                )
+            return False
+        try:
+            found = json.loads(marker.read_text(encoding="utf-8")).get("format")
+        except (OSError, ValueError, AttributeError):
+            found = None
+        if found != STORE_FORMAT:
+            raise ValidationError(
+                f"refusing to {verb} {self.root}: its {MARKER_NAME} names format "
+                f"{found!r}, not {STORE_FORMAT!r} (a {_OLD_FORMAT} store of JSON "
+                "objects and index.json is from an older version; its results "
+                "are recomputable: delete it or use a fresh directory)"
+            )
+        return True
 
-    def _write_document(self, path: Path, payload: object) -> bool:
-        """Atomic checksummed write (temp → fsync → rename), the same
-        durability contract checkpoint files carry.
+    def _open_log(self, path: Path, header: bytes) -> tuple[ChunkLog, list[bytes]]:
+        """A run file's log and its verified chunk records. Damage is
+        counted and dropped; a missing, damaged or foreign header drops
+        the whole file (the next write starts it over)."""
+        log = ChunkLog(path)
+        try:
+            records, damage = log.read()
+        except OSError as exc:
+            self._note_corrupt(path, f"unreadable: {exc}")
+            return log, []
+        self._counts["bytes_read"] += log.end
+        if damage is not None:
+            self._note_corrupt(path, damage)
+        if records[:1] != [(HEADER, header)]:
+            if damage is None and log.end:
+                self._note_corrupt(path, "missing or foreign run-file header")
+            records, log.end = [], 0
+        return log, [payload for kind, payload in records[1:] if kind == CHUNK]
+
+    def _append(
+        self,
+        log: ChunkLog,
+        header: bytes,
+        record: bytes,
+        adopt: Callable[[bytes], None],
+    ) -> bool:
+        """Commit one chunk *record* to *log*: one write + ``fsync``
+        (a missing or unusable run file starts over with *header*).
+        Records another writer committed meanwhile are handed to
+        *adopt* first, never overwritten.
 
         Transient disk faults (EIO/ENOSPC) are retried inside
-        :func:`~repro.resilience.checkpoint.atomic_write_text`; when the
+        :func:`~repro.resilience.chunklog.retry_disk_write`; when the
         retry budget is exhausted the store degrades to memory-only for
         the rest of the process instead of failing the sweep — reads
         keep working, writes become no-ops (returning ``False``), and
@@ -375,13 +415,24 @@ class ResultStore:
         """
         if self._disk_disabled:
             return False
-        body = canonical_json(payload)
-        document = canonical_json(
-            {"format": STORE_FORMAT, "sha256": sha256_hex(body), "payload": payload}
-        )
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, document)
+            marker = self.root / MARKER_NAME
+            if not marker.exists():
+                self.root.mkdir(parents=True, exist_ok=True)
+                atomic_write_text(marker, canonical_json({"format": STORE_FORMAT}))
+            if log.end:
+                fresh = log.tail()
+            else:  # another writer may have started the file since
+                fresh, _ = log.read()
+                if fresh[:1] != [(HEADER, header)]:
+                    fresh, log.end = [], 0
+            for kind, payload in fresh:
+                if kind == CHUNK:
+                    adopt(payload)
+            if log.end:
+                written = log.append([(CHUNK, record)])
+            else:
+                written = log.reset([(HEADER, header), (CHUNK, record)])
         except OSError as exc:
             if exc.errno not in TRANSIENT_DISK_ERRNOS:
                 raise
@@ -389,112 +440,61 @@ class ResultStore:
             get_logger().warning(
                 kv(
                     "store.disk_fallback",
-                    path=str(path),
+                    path=str(log.path),
                     error=str(exc),
                     action="store degraded to memory-only tier",
                 )
             )
-            registry = _metrics.get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "focal_store_disk_fallback_total",
-                    "result stores degraded to memory-only after disk faults",
-                ).inc()
+            _metrics.count(
+                "focal_store_disk_fallback_total",
+                "result stores degraded to memory-only after disk faults",
+            )
             return False
-        self._bytes_written += len(document)
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "focal_store_bytes_written_total",
-                "bytes written to result-store files",
-            ).inc(len(document))
+        self._counts["bytes_written"] += written
+        _metrics.count(
+            "focal_store_bytes_written_total",
+            "bytes written to result-store files",
+            written,
+        )
         return True
-
-    def _count_recovered(self, n: int) -> None:
-        if not n:
-            return
-        self._recovered_objects += n
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "focal_store_recovered_total",
-                "stored objects re-indexed after a lost/stale index",
-            ).inc(n)
-
-    def _read_document(self, path: Path) -> dict | None:
-        """The verified payload, or ``None`` (missing file is a plain
-        miss; damage is counted, logged and the file deleted so the
-        recomputed object can be rewritten cleanly)."""
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self._note_corrupt(path, f"unreadable: {exc}")
-            return None
-        self._bytes_read += len(text)
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._discard_corrupt(path, f"not valid JSON: {exc}")
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != STORE_FORMAT
-            or not isinstance(document.get("payload"), dict)
-        ):
-            self._discard_corrupt(path, "not a focal-store document")
-            return None
-        payload = document["payload"]
-        if sha256_hex(canonical_json(payload)) != document.get("sha256"):
-            self._discard_corrupt(path, "content checksum mismatch")
-            return None
-        return payload
-
-    def _discard_corrupt(self, path: Path, reason: str) -> None:
-        self._note_corrupt(path, reason)
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - already gone / readonly dir
-            pass
 
     # -- sweep tier ----------------------------------------------------
     def sweep_session(self, factory: object) -> "SweepStoreSession":
-        """Open (or create) the per-factory sweep index for one sweep."""
+        """Open (or create) the per-factory run file for one sweep."""
         return SweepStoreSession(self, describe_factory(factory))
 
     # -- Monte-Carlo rng-stream segments -------------------------------
-    def _segment_dir(self, fingerprint: Mapping) -> tuple[Path, str]:
+    def _segment_run(self, fingerprint: Mapping) -> _SegmentRun:
         fp = _fingerprint_hash(fingerprint)
-        return self.root / "mc" / fp, fp
+        run = self._runs.get(fp)
+        if run is None:
+            header = canonical_json(
+                {"format": STORE_FORMAT, "fingerprint": fingerprint}
+            ).encode("utf-8")
+            log, records = self._open_log(self.root / "mc" / f"{fp}.log", header)
+            run = self._runs[fp] = _SegmentRun(fp, log, header)
+            for record in records:
+                run.adopt(record)
+        return run
 
     def load_segment(
         self, fingerprint: Mapping, start: int, count: int
     ) -> tuple[np.ndarray, dict] | None:
         """One stored sampler segment: ``(codes, post-segment rng
         state)``, or ``None`` when the store has nothing usable."""
-        directory, fp = self._segment_dir(fingerprint)
-        memo_key = ("mc", fp, start, count)
-        cached = self._memory_get(memo_key)
-        if cached is not None:
-            self._count_hits("memory", count)
-            codes, state = cached
-            return np.array(codes), state
-        payload = self._read_document(directory / f"{start}-{count}.json")
-        if (
-            payload is None
-            or payload.get("start") != start
-            or payload.get("count") != count
-            or not isinstance(payload.get("codes"), list)
-            or len(payload["codes"]) != count
-            or not isinstance(payload.get("rng_state"), dict)
-        ):
-            self._count_misses(count)
-            return None
-        codes = np.asarray(payload["codes"], dtype=np.int8)
-        state = payload["rng_state"]
-        self._memory_put(memo_key, (codes, state))
-        self._count_hits("disk", count)
+        run = self._segment_run(fingerprint)
+        memo_key = ("mc", run.fp, start, count)
+        entry = self._memory_get(memo_key)
+        if entry is not None:
+            self._count(memory=count)
+        else:
+            entry = run.segments.get((start, count))
+            if entry is None:
+                self._count(misses=count)
+                return None
+            self._memory_put(memo_key, entry)
+            self._count(disk=count)
+        codes, state = entry
         return np.array(codes), state
 
     def save_segment(
@@ -508,81 +508,51 @@ class ResultStore:
         """Persist one sampler segment plus the rng state that follows
         it (required: the draw is data-dependent, so a later segment
         can only continue from a restored state, never by skip-ahead)."""
-        self._ensure_root()
-        directory, fp = self._segment_dir(fingerprint)
-        meta = directory / "meta.json"
-        if not meta.exists():
-            self._write_document(meta, {"fingerprint": dict(fingerprint)})
-        self._write_document(
-            directory / f"{start}-{count}.json",
-            {
-                "start": start,
-                "count": count,
-                "codes": [int(code) for code in codes],
-                "rng_state": dict(rng_state),
-            },
-        )
-        self._segments_written += 1
-        codes = np.asarray(codes, dtype=np.int8)
-        self._memory_put(("mc", fp, start, count), (codes, dict(rng_state)))
+        run = self._segment_run(fingerprint)
+        record = encode_segment(start, codes, rng_state)
+        self._append(run.log, run.header, record, run.adopt)
+        entry = (np.asarray(codes, dtype=np.int8), dict(rng_state))
+        run.segments[(start, count)] = entry
+        self._counts["segments_written"] += 1
+        self._memory_put(("mc", run.fp, start, count), entry)
 
     # -- maintenance ---------------------------------------------------
-    def _require_marker(self, verb: str) -> bool:
-        """Whether maintenance may proceed: an absent/empty root is a
-        no-op, a foreign directory is an error."""
-        if not self.root.exists():
-            return False
-        if (self.root / MARKER_NAME).exists():
-            return True
-        if any(self.root.iterdir()):
-            raise ValidationError(
-                f"refusing to {verb} {self.root}: no {MARKER_NAME} marker, "
-                "this is not a focal result store"
-            )
-        return False
+    def _run_files(self) -> list[tuple[str, Path]]:
+        return [
+            (parent, path)
+            for parent in ("sweeps", "mc")
+            for path in sorted((self.root / parent).glob("*"))
+        ]
 
     def ls(self) -> list[dict]:
-        """One row per stored fingerprint (sweep indexes and
-        Monte-Carlo segment streams), oldest first."""
-        if not self._require_marker("list"):
+        """One row per stored fingerprint (sweep and Monte-Carlo run
+        files), oldest first."""
+        if not self._marked("list"):
             return []
         rows: list[dict] = []
-        for directory in sorted((self.root / "sweeps").glob("*")):
-            if not directory.is_dir():
+        for parent, path in self._run_files():
+            if path.suffix != ".log" or not path.is_file():
                 continue
-            index = self._read_document(directory / "index.json") or {}
-            rows.append(
-                {
-                    "kind": "sweep",
-                    "fingerprint": directory.name,
-                    "what": index.get("factory", "?"),
-                    "entries": len(index.get("points", {})),
-                    "files": sum(
-                        1 for _ in directory.glob("objects/*.json")
-                    ),
-                    "bytes": _tree_bytes(directory),
-                    "last_used": _tree_mtime(directory),
+            header, records = _read_run(ChunkLog(path))
+            if parent == "sweeps":
+                keys = {
+                    key for record in records for key in unpack_texts(record)[0]
                 }
-            )
-        for directory in sorted((self.root / "mc").glob("*")):
-            if not directory.is_dir():
-                continue
-            meta = self._read_document(directory / "meta.json") or {}
-            fingerprint = meta.get("fingerprint", {})
-            segments = [
-                p for p in directory.glob("*.json") if p.name != "meta.json"
-            ]
+                what, entries = header.get("factory", "?"), len(keys)
+            else:
+                fingerprint = header.get("fingerprint") or {}
+                what = fingerprint.get("kind", fingerprint.get("factory", "?"))
+                entries = len(records)
+            stat = path.stat()
             rows.append(
                 {
-                    "kind": "mc",
-                    "fingerprint": directory.name,
-                    "what": str(
-                        fingerprint.get("kind", fingerprint.get("factory", "?"))
-                    ),
-                    "entries": len(segments),
-                    "files": len(segments),
-                    "bytes": _tree_bytes(directory),
-                    "last_used": _tree_mtime(directory),
+                    "kind": "sweep" if parent == "sweeps" else "mc",
+                    "fingerprint": path.stem,
+                    "what": str(what),
+                    "entries": entries,
+                    "files": 1,
+                    "bytes": stat.st_size,
+                    "last_used": stat.st_mtime,
                 }
             )
         rows.sort(key=lambda row: row["last_used"])
@@ -606,126 +576,69 @@ class ResultStore:
         """Collect garbage; with *max_bytes*, also evict whole
         fingerprints oldest-first until the store fits the budget.
 
-        Removes: temp-file litter from interrupted writes, objects no
-        index references, corrupt indexes/objects/segments (and, for a
-        corrupt index, the whole fingerprint — its objects would all be
-        orphans). Never touches files outside the store root, and
+        Removes: temp-file litter from interrupted marker writes, stray
+        files that are not run files (orphans), run files without a
+        readable header, and damaged record tails (both counted as
+        corrupt). Never touches files outside the store root, and
         refuses to run on a directory without the store marker.
         """
-        removed_tmp = removed_orphans = removed_corrupt = 0
-        evicted: list[str] = []
-        if not self._require_marker("gc"):
-            return {
-                "removed_tmp": 0,
-                "removed_orphans": 0,
-                "removed_corrupt": 0,
-                "recovered_objects": 0,
-                "evicted_fingerprints": [],
-                "freed_bytes": 0,
-                "bytes": 0,
-            }
-        recovered_before = self._recovered_objects
+        report: dict = {
+            "removed_tmp": 0,
+            "removed_orphans": 0,
+            "removed_corrupt": 0,
+            "evicted_fingerprints": [],
+            "freed_bytes": 0,
+            "bytes": 0,
+        }
+        if not self._marked("gc"):
+            return report
         before = _tree_bytes(self.root)
         for tmp in self.root.rglob("*.tmp.*"):
             tmp.unlink(missing_ok=True)
-            removed_tmp += 1
-        for directory in sorted((self.root / "sweeps").glob("*")):
-            if not directory.is_dir():
+            report["removed_tmp"] += 1
+        for _, path in self._run_files():
+            if path.is_dir() or path.suffix != ".log":
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
+                report["removed_orphans"] += 1
                 continue
-            corrupt_before = self._corrupt
-            index = self._read_document(directory / "index.json")
-            if index is None:
-                # No (valid) index — but objects are self-describing, so
-                # a lost index is rebuildable from the surviving valid
-                # objects; only a fingerprint with nothing valid left is
-                # actually unreachable and removed.
-                removed_corrupt += self._corrupt - corrupt_before
-                index = self._rebuild_index(directory)
-                if index is None:
-                    _remove_tree(directory)
-                    continue
-            referenced = {entry[0] for entry in index.get("points", {}).values()}
-            referenced.update(index.get("chunks", {}).values())
-            for obj in directory.glob("objects/*.json"):
-                if obj.stem not in referenced:
-                    obj.unlink(missing_ok=True)
-                    removed_orphans += 1
-        for directory in sorted((self.root / "mc").glob("*")):
-            if not directory.is_dir():
+            log = ChunkLog(path)
+            if not _read_run(log)[0]:
+                path.unlink()
+            elif path.stat().st_size > log.end:
+                log.append([])  # truncates the damaged tail
+            else:
                 continue
-            for segment in directory.glob("*.json"):
-                corrupt_before = self._corrupt
-                if self._read_document(segment) is None:
-                    removed_corrupt += self._corrupt - corrupt_before
+            report["removed_corrupt"] += 1
         if max_bytes is not None:
-            candidates = [
-                directory
-                for parent in ("sweeps", "mc")
-                for directory in (self.root / parent).glob("*")
-                if directory.is_dir()
-            ]
-            candidates.sort(key=_tree_mtime)
+            candidates = sorted(
+                (path for _, path in self._run_files() if path.is_file()),
+                key=lambda path: path.stat().st_mtime,
+            )
             while candidates and _tree_bytes(self.root) > max_bytes:
                 victim = candidates.pop(0)
-                evicted.append(f"{victim.parent.name}/{victim.name}")
-                _remove_tree(victim)
+                report["evicted_fingerprints"].append(
+                    f"{victim.parent.name}/{victim.stem}"
+                )
+                victim.unlink(missing_ok=True)
         after = _tree_bytes(self.root)
         self._memory.clear()
-        return {
-            "recovered_objects": self._recovered_objects - recovered_before,
-            "removed_tmp": removed_tmp,
-            "removed_orphans": removed_orphans,
-            "removed_corrupt": removed_corrupt,
-            "evicted_fingerprints": evicted,
-            "freed_bytes": max(0, before - after),
-            "bytes": after,
-        }
+        self._runs.clear()
+        report.update(freed_bytes=max(0, before - after), bytes=after)
+        return report
 
-    def _rebuild_index(self, directory: Path) -> dict | None:
-        """Rebuild a sweep index from its surviving object files.
 
-        Objects are self-describing (factory description, point keys,
-        outcomes), so a lost or corrupt index never strands committed
-        work — this is the same recovery
-        :class:`SweepStoreSession` performs on open, shared with ``gc``.
-        Returns ``None`` when no valid object survives.
-        """
-        points: dict[str, list] = {}
-        chunks: dict[str, str] = {}
-        factory = None
-        for path in sorted(directory.glob("objects/*.json")):
-            payload = self._read_document(path)
-            if payload is None:
-                continue
-            keys = payload.get("keys")
-            outcomes = payload.get("outcomes")
-            if (
-                not isinstance(keys, list)
-                or not isinstance(outcomes, list)
-                or len(keys) != len(outcomes)
-                or not isinstance(payload.get("factory"), str)
-            ):
-                continue
-            if factory is None:
-                factory = payload["factory"]
-            elif payload["factory"] != factory:
-                continue
-            chunks.setdefault(chunk_store_key(keys), path.stem)
-            for row, key in enumerate(keys):
-                points.setdefault(key, [path.stem, row])
-        if not chunks:
-            return None
-        index = {"factory": factory, "points": points, "chunks": chunks}
-        if self._write_document(directory / "index.json", index):
-            self._count_recovered(len(chunks))
-            get_logger().warning(
-                kv(
-                    "store.index_rebuilt",
-                    directory=str(directory),
-                    objects=len(chunks),
-                )
-            )
-        return index
+def _read_run(log: ChunkLog) -> tuple[dict, list[bytes]]:
+    """A run file's parsed header (``{}`` when unusable) and its
+    verified chunk records, for maintenance."""
+    records, _ = log.read()
+    try:
+        kind, head = records[0]
+        header = json.loads(head) if kind == HEADER else {}
+    except (IndexError, ValueError):
+        header = {}
+    if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
+        return {}, []
+    return header, [payload for kind, payload in records[1:] if kind == CHUNK]
 
 
 def _tree_bytes(root: Path) -> int:
@@ -734,105 +647,50 @@ def _tree_bytes(root: Path) -> int:
     )
 
 
-def _tree_mtime(root: Path) -> float:
-    """Last-use time of a fingerprint directory: newest file mtime
-    (sessions touch their index on read-only use)."""
-    times = [path.stat().st_mtime for path in root.rglob("*") if path.is_file()]
-    return max(times, default=0.0)
-
-
-def _remove_tree(root: Path) -> None:
-    for path in sorted(root.rglob("*"), reverse=True):
-        if path.is_file():
-            path.unlink(missing_ok=True)
-        else:
-            try:
-                path.rmdir()
-            except OSError:  # pragma: no cover - non-empty race
-                pass
-    try:
-        root.rmdir()
-    except OSError:  # pragma: no cover
-        pass
-
-
 # ----------------------------------------------------------------------
 # Sweep sessions
 # ----------------------------------------------------------------------
 class SweepStoreSession:
     """One sweep's view of the store, bound to one factory identity.
 
-    The session loads the factory's point index once, answers chunk
-    probes from it (memory tier first, then content-addressed object
-    files), collects newly evaluated chunks, and persists the merged
-    index atomically — every :data:`FLUSH_EVERY_CHUNKS` stored chunks
-    and once at :meth:`flush` from the sweep's ``finally``.
+    Opening the session scans the factory's run file once and rebuilds
+    its point-key index from the records; probes are answered from it
+    (memory tier first, then the records read at open), and :meth:`put`
+    commits each newly evaluated chunk as one appended record.
     """
 
     def __init__(self, store: ResultStore, factory_desc: str) -> None:
         self.store = store
         self.factory = factory_desc
-        fp = _fingerprint_hash({"factory": factory_desc})
-        self.directory = store.root / "sweeps" / fp
-        index = store._read_document(self.directory / "index.json") or {}
-        points = index.get("points", {})
-        chunks = index.get("chunks", {})
-        self._points: dict[str, list] = points if isinstance(points, dict) else {}
-        self._chunks: dict[str, str] = chunks if isinstance(chunks, dict) else {}
-        self._bad_objects: set[str] = set()
-        self._dirty = 0
+        self.fp = _fingerprint_hash({"factory": factory_desc})
+        self.path = store.root / "sweeps" / f"{self.fp}.log"
+        self._header = canonical_json(
+            {"format": STORE_FORMAT, "factory": factory_desc}
+        ).encode("utf-8")
+        # Per record: its payload, the offset of its outcome columns and
+        # its chunk hash; then chunk hash -> record, point key ->
+        # (record, row).
+        self._records: list[tuple[bytes, int, str]] = []
+        self._chunks: dict[str, int] = {}
+        self._points: dict[str, tuple[int, int]] = {}
         self._probed = False
-        self._recover_unindexed()
+        self._log, records = store._open_log(self.path, self._header)
+        for record in records:
+            self._adopt(record)
 
-    def _recover_unindexed(self) -> None:
-        """Re-index committed objects the index does not reference.
+    def _adopt(self, record: bytes) -> None:
+        keys, offset = unpack_texts(record)
+        self._index(keys, record, offset, chunk_store_key(keys))
 
-        The index is flushed only every :data:`FLUSH_EVERY_CHUNKS`
-        stored chunks, so a crash between flushes (or a corrupt index)
-        leaves valid, fully written object files behind that the loaded
-        index has never heard of. Objects are self-describing, so they
-        are folded back in here — a resumed sweep re-reads them instead
-        of recomputing. The rebuilt entries flush with the next index
-        write.
-        """
-        objects_dir = self.directory / "objects"
-        if not objects_dir.is_dir():
-            return
-        referenced = {
-            entry[0]
-            for entry in self._points.values()
-            if isinstance(entry, (list, tuple)) and entry
-        }
-        referenced.update(self._chunks.values())
-        recovered = 0
-        for path in sorted(objects_dir.glob("*.json")):
-            if path.stem in referenced:
-                continue
-            payload = self.store._read_document(path)
-            if payload is None or payload.get("factory") != self.factory:
-                continue
-            keys = payload.get("keys")
-            outcomes = payload.get("outcomes")
-            if (
-                not isinstance(keys, list)
-                or not isinstance(outcomes, list)
-                or len(keys) != len(outcomes)
-            ):
-                continue
-            self._chunks.setdefault(chunk_store_key(keys), path.stem)
-            for row, key in enumerate(keys):
-                self._points.setdefault(key, [path.stem, row])
-            recovered += 1
-        if recovered:
-            self._dirty += 1
-            self.store._count_recovered(recovered)
-            get_logger().info(
-                kv(
-                    "store.recovered",
-                    factory=self.factory,
-                    objects=recovered,
-                )
-            )
+    def _index(
+        self, keys: list[str], record: bytes, offset: int, chunk_hash: str
+    ) -> None:
+        index = len(self._records)
+        self._records.append((record, offset, chunk_hash))
+        self._chunks.setdefault(chunk_hash, index)
+        # A point stored twice has the same outcome in both records, so
+        # the later one may win.
+        self._points.update(zip(keys, zip(repeat(index), range(len(keys)))))
 
     # -- reading -------------------------------------------------------
     def probe(self, chunk: Sequence[Mapping[str, object]]) -> ChunkProbe:
@@ -841,46 +699,30 @@ class SweepStoreSession:
         self._probed = True
         keys = [point_store_key(params) for params in chunk]
         chunk_hash = chunk_store_key(keys)
-        object_id = self._chunks.get(chunk_hash)
-        if object_id is not None:
-            outcomes, tier = self._load_object(object_id)
-            if outcomes is not None and len(outcomes) == len(chunk):
-                self.store._count_hits(tier, len(chunk))
-                return ChunkProbe(
-                    keys=keys,
-                    chunk_hash=chunk_hash,
-                    outcomes=list(outcomes),
-                    missing=[],
-                    memory_points=len(chunk) if tier == "memory" else 0,
-                    disk_points=len(chunk) if tier != "memory" else 0,
-                )
-            self._chunks.pop(chunk_hash, None)
-        outcomes: list = [None] * len(chunk)
-        wanted: dict[str, list[tuple[int, int]]] = {}
-        for row, key in enumerate(keys):
-            entry = self._points.get(key)
-            if (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and entry[0] not in self._bad_objects
-            ):
-                wanted.setdefault(entry[0], []).append((row, int(entry[1])))
-        memory = disk = 0
-        for object_id, rows in wanted.items():
-            data, tier = self._load_object(object_id)
-            if data is None:
-                continue
-            for row, source in rows:
-                if 0 <= source < len(data):
+        index = self._chunks.get(chunk_hash)
+        if index is not None:
+            # The fast path a warm re-sweep with unchanged chunking hits.
+            data, tier = self._load(index)
+            outcomes = list(data)
+            memory, disk = (len(chunk), 0) if tier == "memory" else (0, len(chunk))
+        else:
+            outcomes = [None] * len(chunk)
+            wanted: dict[int, list[tuple[int, int]]] = {}
+            for row, key in enumerate(keys):
+                entry = self._points.get(key)
+                if entry is not None:
+                    wanted.setdefault(entry[0], []).append((row, entry[1]))
+            memory = disk = 0
+            for index, rows in wanted.items():
+                data, tier = self._load(index)
+                for row, source in rows:
                     outcomes[row] = data[source]
-                    if tier == "memory":
-                        memory += 1
-                    else:
-                        disk += 1
+                if tier == "memory":
+                    memory += len(rows)
+                else:
+                    disk += len(rows)
         missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
-        self.store._count_hits("memory", memory)
-        self.store._count_hits("disk", disk)
-        self.store._count_misses(len(missing))
+        self.store._count(memory, disk, len(missing))
         return ChunkProbe(
             keys=keys,
             chunk_hash=chunk_hash,
@@ -890,27 +732,14 @@ class SweepStoreSession:
             disk_points=disk,
         )
 
-    def _load_object(self, object_id: str):
-        """Decoded outcomes of one stored chunk, LRU'd per process."""
-        memo_key = ("sweep", object_id)
+    def _load(self, index: int):
+        """Decoded outcomes of one stored record, LRU'd per process."""
+        record, offset, chunk_hash = self._records[index]
+        memo_key = ("sweep", self.fp, chunk_hash)
         cached = self.store._memory_get(memo_key)
         if cached is not None:
             return cached, "memory"
-        payload = self.store._read_document(
-            self.directory / "objects" / f"{object_id}.json"
-        )
-        if payload is None or not isinstance(payload.get("outcomes"), list):
-            self._bad_objects.add(object_id)
-            return None, "disk"
-        try:
-            outcomes = decode_outcomes(payload["outcomes"])
-        except Exception as exc:
-            self.store._note_corrupt(
-                self.directory / "objects" / f"{object_id}.json",
-                f"undecodable outcomes: {exc}",
-            )
-            self._bad_objects.add(object_id)
-            return None, "disk"
+        outcomes = decode_outcomes(record[offset:])
         self.store._memory_put(memo_key, outcomes)
         return outcomes, "disk"
 
@@ -921,8 +750,9 @@ class SweepStoreSession:
         outcomes: Sequence[DesignPoint | DomainError],
         probe: ChunkProbe | None = None,
     ) -> None:
-        """Store one fully evaluated chunk (idempotent: a chunk the
-        index already covers in full is not rewritten).
+        """Store one fully evaluated chunk as one appended record
+        (idempotent: a chunk the run file already holds is not
+        appended again).
 
         Chunks holding quarantined points are not stored: a
         :class:`~repro.core.errors.QuarantinedPoint` is containment
@@ -936,49 +766,21 @@ class SweepStoreSession:
         else:
             keys = [point_store_key(params) for params in chunk]
             chunk_hash = chunk_store_key(keys)
-        if self._chunks.get(chunk_hash) is not None:
+        if chunk_hash in self._chunks:
             return
-        payload = {
-            "factory": self.factory,
-            "keys": keys,
-            "outcomes": encode_outcomes(outcomes),
-        }
-        object_id = sha256_hex(canonical_json(payload))
-        self.store._ensure_root()
-        path = self.directory / "objects" / f"{object_id}.json"
-        if not path.exists() and self.store._write_document(path, payload):
-            self.store._objects_written += 1
-        for row, key in enumerate(keys):
-            self._points[key] = [object_id, row]
-        self._chunks[chunk_hash] = object_id
-        self._bad_objects.discard(object_id)
-        self.store._memory_put(("sweep", object_id), list(outcomes))
-        self._dirty += 1
-        if self._dirty >= FLUSH_EVERY_CHUNKS:
-            self.flush()
+        head = pack_texts(keys)
+        record = head + encode_outcomes(outcomes)
+        if self.store._append(self._log, self._header, record, self._adopt):
+            self.store._counts["objects_written"] += 1
+        self._index(keys, record, len(head), chunk_hash)
+        self.store._memory_put(("sweep", self.fp, chunk_hash), list(outcomes))
 
     def flush(self) -> None:
-        """Persist the index (merged over any concurrent writer's), or
-        just freshen its mtime after a read-only sweep so ``gc``
-        eviction ordering sees the use."""
-        index_path = self.directory / "index.json"
-        if not self._dirty:
-            if self._probed and index_path.exists():
-                os.utime(index_path, (time.time(), time.time()))
-            return
-        on_disk = self.store._read_document(index_path) or {}
-        points = on_disk.get("points", {})
-        chunks = on_disk.get("chunks", {})
-        if not isinstance(points, dict):
-            points = {}
-        if not isinstance(chunks, dict):
-            chunks = {}
-        points.update(self._points)
-        chunks.update(self._chunks)
-        self.store._ensure_root()
-        self.store._write_document(
-            index_path,
-            {"factory": self.factory, "points": points, "chunks": chunks},
-        )
-        self._points, self._chunks = points, chunks
-        self._dirty = 0
+        """Nothing is pending — every :meth:`put` is committed when it
+        returns. After a sweep that probed the store, freshen the run
+        file's mtime so ``gc`` eviction ordering sees the use."""
+        if self._probed:
+            try:
+                os.utime(self.path)
+            except FileNotFoundError:
+                pass

@@ -36,6 +36,7 @@ __all__ = [
     "enable",
     "disable",
     "reset",
+    "count",
 ]
 
 #: Default histogram bucket upper bounds (seconds-flavored); a final
@@ -257,3 +258,12 @@ def reset() -> None:
     """Disable the global registry and drop every instrument."""
     _REGISTRY.disable()
     _REGISTRY.clear()
+
+
+def count(
+    name: str, help: str, n: float = 1, labels: dict[str, str] | None = None
+) -> None:
+    """Add *n* to a global counter — a no-op while the registry is
+    disabled."""
+    if _REGISTRY.enabled:
+        _REGISTRY.counter(name, help, labels).inc(n)

@@ -14,10 +14,12 @@ process pools; this package keeps them alive and honest:
   persisted poison-point :class:`QuarantineLedger`, the parent-side
   :class:`HeartbeatMonitor` watchdog, and the :class:`FailureReport`
   of a salvaged partial run;
-* :mod:`repro.resilience.checkpoint` — atomic, checksummed
-  :class:`CheckpointStore` files enabling bit-exact ``--resume`` of
-  killed sweeps and samplers, with bounded retry on transient disk
-  faults (:func:`atomic_write_text`);
+* :mod:`repro.resilience.checkpoint` — append-only, checksummed
+  :class:`CheckpointStore` logs enabling bit-exact ``--resume`` of
+  killed sweeps and samplers;
+* :mod:`repro.resilience.chunklog` — the one durable file format those
+  logs and the result store's run files share, with bounded retry on
+  transient disk faults;
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness (:class:`FaultPlan`) behind the chaos test suite.
 

@@ -1,34 +1,38 @@
-"""Crash-safe checkpoint files: atomic, checksummed, resumable.
+"""Crash-safe checkpoints: one append-only, checksummed log per run.
 
-A checkpoint is one JSON document holding three things:
+A checkpoint is a :class:`~repro.resilience.chunklog.ChunkLog` file
+(format :data:`CHECKPOINT_FORMAT`) holding:
 
-* a **kind** (``"sweep"``, ``"montecarlo"``) naming the producer;
-* a **fingerprint** — everything the run's identity depends on (grid
-  axes, chunk size, baseline, weight, factory, sampler arguments).
-  Resume refuses a checkpoint whose fingerprint does not match the run
-  being resumed, so a stale file can never silently contaminate results;
-* the **state** — chunk-granular progress (encoded outcomes, RNG
-  states) that lets the producer continue bit-exactly from the last
-  completed chunk.
+* one **header** record — canonical JSON naming the **kind**
+  (``"sweep"``, ``"montecarlo"``) and the run's **fingerprint**:
+  everything its results depend on (grid axes, chunk size, baseline,
+  weight, factory, sampler arguments). Resume refuses a checkpoint whose
+  fingerprint does not match the run being resumed, so a stale file can
+  never silently contaminate results;
+* one **chunk** record per committed chunk — a sweep chunk's outcomes
+  as raw float64 columns plus names and error messages
+  (:func:`encode_outcomes`), or a Monte-Carlo segment's int8 codes plus
+  its post-segment RNG state.
 
-Durability contract: every save rewrites the file via
-write-temp → ``fsync`` → atomic ``os.replace``, with a SHA-256 content
-checksum over the canonical payload serialization. A reader therefore
-sees either the previous complete checkpoint or the new one — never a
-torn write — and detects any truncation or corruption by checksum.
-Corrupt files are *not* fatal on resume: :meth:`CheckpointStore.
-load_or_restart` logs, counts ``focal_checkpoint_corrupt_total``, and
-restarts cold, which keeps the final output byte-identical to a
-fault-free run.
+Durability contract: committing a chunk appends its record with one
+write and one ``fsync``; nothing is ever rewritten, so a run's
+checkpoint bytes grow linearly with its chunks. Every record carries a
+CRC-32, so a reader sees whole verified records only. Damage is not
+fatal on resume: :meth:`CheckpointStore.load_or_restart` logs and
+counts ``focal_checkpoint_corrupt_total``, resumes from the whole
+records before a torn or corrupt one (or cold, when the header itself
+is damaged), and the next commit truncates the damaged tail — the final
+output stays byte-identical to a fault-free run.
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
+import struct
 import time
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +40,14 @@ from ..core.design import DesignPoint
 from ..core.errors import CheckpointError, DomainError, QuarantinedPoint
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
+from .chunklog import (
+    CHUNK,
+    HEADER,
+    TRANSIENT_DISK_ERRNOS,
+    ChunkLog,
+    retry_disk_write,
+    set_disk_fault_hook,
+)
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -51,85 +63,35 @@ __all__ = [
     "TRANSIENT_DISK_ERRNOS",
 ]
 
-#: Format tag written into (and required from) every checkpoint file.
-CHECKPOINT_FORMAT = "focal-checkpoint/1"
+#: Format tag written into (and required from) every checkpoint header.
+CHECKPOINT_FORMAT = "focal-checkpoint/2"
 
-#: ``OSError`` errnos treated as transient disk faults: a wedged I/O
-#: path (EIO) or a momentarily full volume (ENOSPC) often clears within
-#: milliseconds; anything else (EACCES, EROFS, ...) is configuration
-#: and propagates immediately.
-TRANSIENT_DISK_ERRNOS = (errno.EIO, errno.ENOSPC)
-
-#: Bounded retry budget for transient disk faults, and the backoff base
-#: between attempts (doubled each retry).
-DISK_RETRIES = 3
-DISK_BACKOFF_S = 0.01
-
-# Chaos hook: when set (FaultPlan.disk_hook), every durable write calls
-# it first so the fault suite can inject OSError deterministically.
-_disk_fault_hook: Callable[[Path], None] | None = None
-
-
-def set_disk_fault_hook(hook: Callable[[Path], None] | None) -> None:
-    """Install (or clear, with ``None``) the durable-write fault hook.
-
-    Test-only seam used by :class:`repro.resilience.faults.FaultPlan`
-    to fire deterministic ``OSError`` faults inside
-    :func:`atomic_write_text` without mocking the filesystem.
-    """
-    global _disk_fault_hook
-    _disk_fault_hook = hook
+#: The JSON-document format of earlier versions, refused by name.
+_OLD_FORMAT = "focal-checkpoint/1"
 
 
 def atomic_write_text(
     path: Path, text: str, *, sleep: Callable[[float], None] = time.sleep
 ) -> None:
-    """Durably write *text* to *path*: write-temp, fsync, atomic rename.
-
-    Transient disk faults (:data:`TRANSIENT_DISK_ERRNOS`) are retried
-    up to :data:`DISK_RETRIES` times with doubling backoff, counting
-    ``focal_disk_retry_total`` per retry; a persistent fault — or any
-    non-transient ``OSError`` — propagates to the caller, which decides
-    whether the write is essential (checkpoints raise
-    :class:`CheckpointError`) or shed-able (the result store falls back
-    to its memory tier).
-    """
+    """Durably write *text* to *path*: write-temp, fsync, atomic rename,
+    with transient disk faults retried by
+    :func:`~repro.resilience.chunklog.retry_disk_write` (the quarantine
+    ledger and the result-store marker are written this way)."""
     path = Path(path)
     temp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    for attempt in range(DISK_RETRIES + 1):
+
+    def write() -> None:
         try:
-            if _disk_fault_hook is not None:
-                _disk_fault_hook(path)
             with open(temp, "w", encoding="utf-8") as handle:
                 handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp, path)
-            return
-        except OSError as exc:
-            try:
-                temp.unlink()
-            except OSError:
-                pass
-            transient = exc.errno in TRANSIENT_DISK_ERRNOS
-            if not transient or attempt >= DISK_RETRIES:
-                raise
-            get_logger().warning(
-                kv(
-                    "disk.retry",
-                    path=str(path),
-                    errno=exc.errno,
-                    attempt=attempt + 1,
-                    error=str(exc),
-                )
-            )
-            registry = _metrics.get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "focal_disk_retry_total",
-                    "transient OSError retries on durable writes",
-                ).inc()
-            sleep(DISK_BACKOFF_S * (2.0**attempt))
+        except OSError:
+            temp.unlink(missing_ok=True)
+            raise
+
+    retry_disk_write(path, write, sleep=sleep)
 
 
 class _CorruptCheckpoint(CheckpointError):
@@ -142,12 +104,9 @@ class _CorruptCheckpoint(CheckpointError):
 
 
 def canonical_json(payload: object) -> str:
-    """The canonical serialization checksums are computed over.
-
-    Shared with :mod:`repro.dse.store` so every durable FOCAL file —
-    checkpoints and persistent result-store documents alike — hashes
-    the same byte stream for the same payload.
-    """
+    """The canonical serialization fingerprints are compared and hashed
+    over (checkpoint headers, result-store run files, quarantine
+    ledgers)."""
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=str
     )
@@ -159,10 +118,15 @@ def sha256_hex(text: str) -> str:
 
 
 class CheckpointStore:
-    """One checkpoint file with atomic saves and checksum-verified loads."""
+    """One checkpoint log with append-only commits and verified loads."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
+        self._log = ChunkLog(self.path)
+        # The run the log holds once this store wrote or loaded it — its
+        # (kind, fingerprint object) — and that run's chunk records.
+        self._run: tuple | None = None
+        self._chunks: list[bytes] = []
 
     @classmethod
     def coerce(
@@ -178,151 +142,203 @@ class CheckpointStore:
 
     def remove(self) -> None:
         """Delete the checkpoint file if present."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
+        self._run = None
 
     # ------------------------------------------------------------------
     # Saving
     # ------------------------------------------------------------------
-    def save(self, *, kind: str, fingerprint: Mapping, state: Mapping) -> None:
-        """Atomically replace the file with a checksummed checkpoint.
+    def _committed(self, kind: str, fingerprint: Mapping) -> list[bytes]:
+        """The chunk records the log holds for the run with this very
+        *fingerprint* object (an identity check, so no per-chunk
+        re-serialization); ``[]`` for any other run."""
+        run = self._run
+        if run is not None and run[0] == kind and run[1] is fingerprint:
+            return self._chunks
+        return []
 
-        Transient disk faults (EIO/ENOSPC) are retried with bounded
-        backoff inside :func:`atomic_write_text`; a write that still
-        fails raises :class:`CheckpointError` so callers can decide to
-        continue without checkpointing rather than abort the run.
+    def save(self, *, kind: str, fingerprint: Mapping, state: Mapping) -> None:
+        """Commit *state* — ``{"chunks": [record bytes, ...]}``.
+
+        A state extending this run's committed records by whole records
+        (how runs grow it, see :meth:`commit`) costs one append and one
+        ``fsync`` of the new ones; any other state starts the file
+        over. Transient disk faults (EIO/ENOSPC) are retried with
+        bounded backoff; a write that still fails raises
+        :class:`CheckpointError`.
         """
-        payload = {"kind": kind, "fingerprint": fingerprint, "state": state}
-        body = canonical_json(payload)
-        document = json.dumps(
-            {
-                "format": CHECKPOINT_FORMAT,
-                "sha256": sha256_hex(body),
-                "payload": payload,
-            },
-            default=str,
-        )
+        if list(state) != ["chunks"]:
+            raise CheckpointError(
+                "checkpoint state must be {'chunks': [record bytes, ...]}, "
+                f"got keys {sorted(state)}"
+            )
+        chunks = state["chunks"]
+        done = self._committed(kind, fingerprint)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(self.path, document)
+            if done and chunks[: len(done)] == done:
+                self._log.append([(CHUNK, chunk) for chunk in chunks[len(done) :]])
+            else:
+                header = canonical_json(
+                    {
+                        "format": CHECKPOINT_FORMAT,
+                        "kind": kind,
+                        "fingerprint": fingerprint,
+                    }
+                )
+                self._log.reset(
+                    [(HEADER, header.encode("utf-8"))]
+                    + [(CHUNK, chunk) for chunk in chunks]
+                )
         except OSError as exc:
+            self._run = None
             raise CheckpointError(
                 f"checkpoint {self.path} could not be written: {exc}"
             ) from exc
-        self._fsync_dir()
+        self._run, self._chunks = (kind, fingerprint), list(chunks)
 
-    def _fsync_dir(self) -> None:
-        """Durability of the rename itself (best-effort; not all
-        filesystems allow opening a directory)."""
+    def commit(self, *, kind: str, fingerprint: Mapping, record: bytes) -> bool:
+        """Save this run's committed records plus one chunk *record* —
+        one append — or start a new run's log with it.
+
+        Returns ``False`` (logged) when the checkpoint cannot be
+        written: a dead checkpoint must not kill a live run, which
+        continues without checkpointing.
+        """
+        chunks = [*self._committed(kind, fingerprint), record]
         try:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
+            self.save(kind=kind, fingerprint=fingerprint, state={"chunks": chunks})
+        except CheckpointError as exc:
+            get_logger().warning(
+                kv("checkpoint.disabled", path=str(self.path), error=str(exc))
+            )
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def load(self, *, kind: str, fingerprint: Mapping) -> dict:
         """The verified state, or :class:`CheckpointError` on any problem
-        (missing file, corruption, wrong kind, fingerprint mismatch)."""
-        payload = self._read_payload()
-        if payload.get("kind") != kind:
+        (missing file, damage anywhere, an older format, wrong kind,
+        fingerprint mismatch)."""
+        chunks, damage = self._read(kind, fingerprint)
+        if damage is not None:
+            raise _CorruptCheckpoint(f"checkpoint {self.path}: {damage}")
+        return {"chunks": chunks}
+
+    def load_or_restart(self, *, kind: str, fingerprint: Mapping) -> dict | None:
+        """Resume-friendly load: ``None`` means "start cold".
+
+        A missing file, or a damaged header, starts cold. A torn or
+        corrupt record is dropped with everything after it and the whole
+        records before it are returned; the next save truncates the
+        damage. Damage is logged and counted in
+        ``focal_checkpoint_corrupt_total``. A *fingerprint mismatch* or
+        an older-format file still raises: that is a configuration error
+        the user must resolve, not damage.
+        """
+        if not self.path.exists():
+            return None
+        try:
+            chunks, damage = self._read(kind, fingerprint)
+        except _CorruptCheckpoint as exc:
+            self._note_corrupt(str(exc))
+            return None
+        if damage is not None:
+            self._note_corrupt(
+                f"{damage}; resuming after {len(chunks)} whole chunk records"
+            )
+        return {"chunks": chunks}
+
+    def _note_corrupt(self, reason: str) -> None:
+        get_logger().warning(
+            kv("checkpoint.corrupt", path=str(self.path), reason=reason)
+        )
+        _metrics.count(
+            "focal_checkpoint_corrupt_total",
+            "damaged checkpoint records discarded on resume",
+        )
+
+    def _read(self, kind: str, fingerprint: Mapping) -> tuple[list[bytes], str | None]:
+        """The verified chunk records and the damage after them."""
+        try:
+            records, damage = self._log.read()
+        except OSError as exc:
+            raise CheckpointError(f"checkpoint {self.path} unreadable: {exc}")
+        if not records:
+            if not self.path.exists():
+                raise CheckpointError(f"checkpoint {self.path} does not exist")
+            with open(self.path, "rb") as handle:
+                if _OLD_FORMAT.encode() in handle.read(64):
+                    raise CheckpointError(
+                        f"checkpoint {self.path} is a {_OLD_FORMAT} JSON file "
+                        "from an older version; this version reads "
+                        f"{CHECKPOINT_FORMAT} logs only — delete it or point "
+                        "--checkpoint at a fresh path"
+                    )
+            raise _CorruptCheckpoint(
+                f"checkpoint {self.path} has no readable header "
+                f"({damage or 'empty log'})"
+            )
+        (head_kind, head), *rest = records
+        try:
+            header = json.loads(head) if head_kind == HEADER else {}
+        except ValueError:
+            header = {}
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise _CorruptCheckpoint(
+                f"checkpoint {self.path} has no {CHECKPOINT_FORMAT} header"
+            )
+        if header.get("kind") != kind:
             raise CheckpointError(
-                f"checkpoint {self.path} holds a {payload.get('kind')!r} "
+                f"checkpoint {self.path} holds a {header.get('kind')!r} "
                 f"run, expected {kind!r}"
             )
-        recorded = canonical_json(payload.get("fingerprint"))
-        expected = canonical_json(fingerprint)
-        if recorded != expected:
+        if canonical_json(header.get("fingerprint")) != canonical_json(fingerprint):
             raise CheckpointError(
                 f"checkpoint {self.path} was written by a different run "
                 "configuration (grid/chunk-size/baseline/weight/factory "
                 "fingerprint mismatch); delete it or point --checkpoint "
                 "at a fresh path"
             )
-        state = payload.get("state")
-        if not isinstance(state, dict):
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} has no usable state"
-            )
-        return state
-
-    def load_or_restart(self, *, kind: str, fingerprint: Mapping) -> dict | None:
-        """Resume-friendly load: ``None`` means "start cold".
-
-        A missing file and a corrupt/truncated file both return ``None``
-        (the latter with a warning log and a bump of
-        ``focal_checkpoint_corrupt_total``) — recovery from a damaged
-        checkpoint is a cold start, which reproduces the fault-free
-        output exactly. A *fingerprint mismatch* still raises: that is a
-        configuration error the user must resolve, not damage.
-        """
-        if not self.path.exists():
-            return None
-        try:
-            return self.load(kind=kind, fingerprint=fingerprint)
-        except _CorruptCheckpoint as exc:
-            self._note_corrupt(str(exc))
-            return None
-
-    def _note_corrupt(self, reason: str) -> None:
-        get_logger().warning(
-            kv("checkpoint.corrupt", path=str(self.path), reason=reason)
-        )
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "focal_checkpoint_corrupt_total",
-                "corrupt/truncated checkpoint files discarded on resume",
-            ).inc()
-
-    def _read_payload(self) -> dict:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise CheckpointError(f"checkpoint {self.path} does not exist")
-        except OSError as exc:
-            raise CheckpointError(f"checkpoint {self.path} unreadable: {exc}")
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} is not valid JSON "
-                f"(truncated write?): {exc}"
-            )
-        if not isinstance(document, dict):
-            raise _CorruptCheckpoint(f"checkpoint {self.path} is not an object")
-        if document.get("format") != CHECKPOINT_FORMAT:
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} has format "
-                f"{document.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            raise _CorruptCheckpoint(f"checkpoint {self.path} has no payload")
-        if sha256_hex(canonical_json(payload)) != document.get("sha256"):
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} failed its content checksum "
-                "(corrupted on disk)"
-            )
-        return payload
+        chunks = [payload for _, payload in rest]
+        self._run, self._chunks = (kind, fingerprint), list(chunks)
+        return chunks, damage
 
 
 # ----------------------------------------------------------------------
 # Sweep-specific encoding
 #
-# Design points are serialized with float hex so a resumed sweep rebuilds
-# arrays and cache entries bit-for-bit; DomainError outcomes keep their
-# message (the one observable the engine relies on).
+# One chunk of outcomes is one record of raw little-endian columns, so a
+# resumed sweep rebuilds arrays and cache entries bit-for-bit:
+#
+#   texts   name of each design, message of each DomainError
+#   tags    u8 per row: 0 design, 1 DomainError, 2 QuarantinedPoint
+#   values  f64 area, perf, power per row (zeros for errors)
 # ----------------------------------------------------------------------
+_DESIGN, _ERROR, _QUARANTINED = 0, 1, 2
+
+
+def pack_texts(texts: Sequence[str]) -> bytes:
+    """Strings as one record field: count, byte size, per-string
+    code-point lengths, then one UTF-8 blob (lone surrogates pass)."""
+    blob = "".join(texts).encode("utf-8", "surrogatepass")
+    n = len(texts)
+    return struct.pack(f"<II{n}I", n, len(blob), *map(len, texts)) + blob
+
+
+def unpack_texts(data: bytes, offset: int = 0) -> tuple[list[str], int]:
+    """Invert :func:`pack_texts`: the strings and the offset past them."""
+    n, size = struct.unpack_from("<II", data, offset)
+    offset += 8
+    ends = list(accumulate(struct.unpack_from(f"<{n}I", data, offset)))
+    offset += 4 * n
+    text = data[offset : offset + size].decode("utf-8", "surrogatepass")
+    if (ends[-1] if ends else 0) != len(text):
+        raise ValueError("text lengths do not match the blob")
+    return [text[a:b] for a, b in zip([0, *ends], ends)], offset + size
+
+
 def describe_factory(factory: object) -> str:
     """A run-stable identity string for a design factory.
 
@@ -372,58 +388,52 @@ def sweep_fingerprint(
     }
 
 
-def encode_outcomes(
-    outcomes: Sequence[DesignPoint | DomainError],
-) -> list[list]:
-    """One JSON row per outcome: designs as float hex, errors by message.
-
-    Quarantined points get their own tag (``"q"``) so a resumed sweep
-    restores them as :class:`QuarantinedPoint` — still an excluded
-    outcome, but one the engine keeps reporting as quarantined.
+def encode_outcomes(outcomes: Sequence[DesignPoint | DomainError]) -> bytes:
+    """One chunk record: designs as raw float64 columns plus names,
+    errors by message. Quarantined points keep their own tag so a
+    resumed sweep restores them as :class:`QuarantinedPoint` — still an
+    excluded outcome, but one the engine keeps reporting as quarantined.
     """
-    rows: list[list] = []
+    texts: list[str] = []
+    tags = bytearray()
+    values: list[float] = []
     for outcome in outcomes:
-        if isinstance(outcome, QuarantinedPoint):
-            rows.append(["q", str(outcome)])
-        elif isinstance(outcome, DomainError):
-            rows.append(["e", str(outcome)])
+        if isinstance(outcome, DomainError):
+            quarantined = isinstance(outcome, QuarantinedPoint)
+            tags.append(_QUARANTINED if quarantined else _ERROR)
+            texts.append(str(outcome))
+            values += (0.0, 0.0, 0.0)
         else:
-            rows.append(
-                [
-                    "d",
-                    outcome.name,
-                    outcome.area.hex(),
-                    outcome.perf.hex(),
-                    outcome.power.hex(),
-                ]
-            )
-    return rows
+            tags.append(_DESIGN)
+            texts.append(outcome.name)
+            values += (outcome.area, outcome.perf, outcome.power)
+    return pack_texts(texts) + tags + struct.pack(f"<{len(values)}d", *values)
 
 
-def decode_outcomes(rows: Sequence[Sequence]) -> list[DesignPoint | DomainError]:
+def decode_outcomes(record: bytes) -> list[DesignPoint | DomainError]:
     """Invert :func:`encode_outcomes` (bit-exact design fields)."""
-    outcomes: list[DesignPoint | DomainError] = []
-    for row in rows:
-        try:
-            tag = row[0]
-            if tag == "d":
-                _, name, area, perf, power = row
+    try:
+        texts, offset = unpack_texts(record)
+        n = len(texts)
+        if len(record) != offset + 25 * n:
+            raise ValueError(f"{len(record)} bytes do not hold {n} rows")
+        tags = record[offset : offset + n]
+        values = struct.unpack_from(f"<{3 * n}d", record, offset + n)
+        outcomes: list[DesignPoint | DomainError] = []
+        for row, (tag, text) in enumerate(zip(tags, texts)):
+            if tag == _DESIGN:
+                area, perf, power = values[3 * row : 3 * row + 3]
                 outcomes.append(
-                    DesignPoint(
-                        name=name,
-                        area=float.fromhex(area),
-                        perf=float.fromhex(perf),
-                        power=float.fromhex(power),
-                    )
+                    DesignPoint(name=text, area=area, perf=perf, power=power)
                 )
-            elif tag == "e":
-                outcomes.append(DomainError(row[1]))
-            elif tag == "q":
-                outcomes.append(QuarantinedPoint(row[1]))
+            elif tag == _ERROR:
+                outcomes.append(DomainError(text))
+            elif tag == _QUARANTINED:
+                outcomes.append(QuarantinedPoint(text))
             else:
-                raise ValueError(f"unknown outcome tag {tag!r}")
-        except (ValueError, TypeError, IndexError) as exc:
-            raise CheckpointError(
-                f"checkpoint outcome row {row!r} is undecodable: {exc}"
-            ) from exc
+                raise ValueError(f"unknown outcome tag {tag}")
+    except (ValueError, struct.error) as exc:
+        raise CheckpointError(
+            f"checkpoint outcome record is undecodable: {exc}"
+        ) from exc
     return outcomes

@@ -1,0 +1,217 @@
+"""The one durable file format: an append-only log of checksummed records.
+
+Checkpoints and the result store's run files are :class:`ChunkLog`
+files: ``MAGIC record*``, each record ``length:u32le kind:u8
+crc32:u32le payload``, the CRC-32 covering length, kind and payload.
+The first record is a :data:`HEADER` (canonical JSON naming the format
+and the run's fingerprint), each later one a :data:`CHUNK` of raw
+little-endian column bytes. A chunk commit is one ``write`` plus one
+``fsync``; nothing is rewritten, so a run writes exactly the bytes its
+file holds. :meth:`ChunkLog.read` returns the longest prefix of whole,
+verified records and names the damage that ended it (torn tail, flipped
+bit, foreign file); nothing past it is ever returned, and the next
+append truncates it.
+
+Every durable write goes through :func:`retry_disk_write`, which retries
+transient disk faults and fires the chaos suite's
+:func:`set_disk_fault_hook`.
+"""
+
+from __future__ import annotations
+
+import errno
+import os
+import struct
+import time
+import zlib
+from pathlib import Path
+from typing import Callable, Sequence
+
+from ..obs import metrics as _metrics
+from ..obs.log import get_logger, kv
+
+__all__ = [
+    "MAGIC",
+    "HEADER",
+    "CHUNK",
+    "ChunkLog",
+    "retry_disk_write",
+    "set_disk_fault_hook",
+    "TRANSIENT_DISK_ERRNOS",
+]
+
+#: First bytes of every log file.
+MAGIC = b"focal-log/1\n"
+
+#: Record kinds: the run's identity, then one record per committed chunk.
+HEADER, CHUNK = 0, 1
+
+_FRAME = struct.Struct("<IBI")
+
+#: ``OSError`` errnos treated as transient disk faults: a wedged I/O
+#: path (EIO) or a momentarily full volume (ENOSPC) often clears within
+#: milliseconds; anything else (EACCES, EROFS, ...) is configuration
+#: and propagates immediately.
+TRANSIENT_DISK_ERRNOS = (errno.EIO, errno.ENOSPC)
+
+#: Bounded retry budget for transient disk faults, and the backoff base
+#: between attempts (doubled each retry).
+DISK_RETRIES = 3
+DISK_BACKOFF_S = 0.01
+
+# Chaos hook: when set (FaultPlan.disk_hook), every durable write calls
+# it first so the fault suite can inject OSError deterministically.
+_disk_fault_hook: Callable[[Path], None] | None = None
+
+
+def set_disk_fault_hook(hook: Callable[[Path], None] | None) -> None:
+    """Install (or clear, with ``None``) the durable-write fault hook —
+    the test-only seam :class:`repro.resilience.faults.FaultPlan` fires
+    deterministic ``OSError`` faults through."""
+    global _disk_fault_hook
+    _disk_fault_hook = hook
+
+
+def retry_disk_write(
+    path: Path,
+    write: Callable[[], None],
+    *,
+    sleep: Callable[[float], None] = time.sleep,
+) -> None:
+    """Run *write* (safe to repeat), retrying transient disk faults up
+    to :data:`DISK_RETRIES` times with doubling backoff, counting
+    ``focal_disk_retry_total``. A persistent or non-transient
+    ``OSError`` propagates: checkpoints then raise
+    :class:`~repro.core.errors.CheckpointError`, the result store falls
+    back to its memory tier."""
+    for attempt in range(DISK_RETRIES + 1):
+        try:
+            if _disk_fault_hook is not None:
+                _disk_fault_hook(path)
+            write()
+            return
+        except OSError as exc:
+            if exc.errno not in TRANSIENT_DISK_ERRNOS or attempt >= DISK_RETRIES:
+                raise
+            get_logger().warning(
+                kv("disk.retry", path=str(path), errno=exc.errno,
+                   attempt=attempt + 1, error=str(exc))
+            )
+            _metrics.count(
+                "focal_disk_retry_total", "transient OSError retries on durable writes"
+            )
+            sleep(DISK_BACKOFF_S * (2.0**attempt))
+
+
+def _frame(kind: int, payload: bytes) -> bytes:
+    head = struct.pack("<IB", len(payload), kind)
+    return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
+
+
+def _scan(data: bytes) -> tuple[list[tuple[int, bytes]], int, str | None]:
+    """The verified records at the start of *data*, the offset after
+    the last of them, and the damage that stopped the scan (``None`` at
+    a clean end)."""
+    records: list[tuple[int, bytes]] = []
+    offset = 0
+    while offset < len(data):
+        if len(data) - offset < _FRAME.size:
+            return records, offset, "torn record header"
+        length, kind, crc = _FRAME.unpack_from(data, offset)
+        body = offset + _FRAME.size
+        if body + length > len(data):
+            return records, offset, "torn record"
+        payload = data[body : body + length]
+        if zlib.crc32(payload, zlib.crc32(data[offset : offset + 5])) != crc:
+            return records, offset, "record checksum mismatch"
+        records.append((kind, payload))
+        offset = body + length
+    return records, offset, None
+
+
+class ChunkLog:
+    """One append-only record file. ``end`` is the offset just past the
+    last record verified or written; ``0`` means there is no usable log
+    yet, so the next write must be a :meth:`reset`."""
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
+        self.end = 0
+
+    def read(self) -> tuple[list[tuple[int, bytes]], str | None]:
+        """Every verified ``(kind, payload)`` record and the damage that
+        ended the scan (``None`` for a clean or missing file)."""
+        self.end = 0
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return [], None
+        if not data.startswith(MAGIC):
+            return [], "missing log header (torn, foreign or older file)"
+        records, used, damage = _scan(data[len(MAGIC) :])
+        self.end = len(MAGIC) + used
+        return records, damage
+
+    def tail(self) -> list[tuple[int, bytes]]:
+        """Verified records another writer appended past :attr:`end`,
+        which advances over them. A vanished file, or one cut shorter
+        (started over), resets :attr:`end` to ``0``."""
+        try:
+            with open(self.path, "rb") as handle:
+                if handle.seek(0, os.SEEK_END) < self.end:
+                    self.end = 0
+                    return []
+                handle.seek(self.end)
+                records, used, _ = _scan(handle.read())
+        except FileNotFoundError:
+            self.end = 0
+            return []
+        self.end += used
+        return records
+
+    def reset(self, records: Sequence[tuple[int, bytes]]) -> int:
+        """Start the file over with *records* (one write, an ``fsync``
+        of the file and of its directory); returns bytes written."""
+        blob = MAGIC + b"".join(_frame(kind, payload) for kind, payload in records)
+
+        def write() -> None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "wb") as handle:
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
+
+        retry_disk_write(self.path, write)
+        try:
+            fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError:  # pragma: no cover - not every platform allows it
+            pass
+        self.end = len(blob)
+        return self._count(len(blob))
+
+    def append(self, records: Sequence[tuple[int, bytes]]) -> int:
+        """Truncate anything past :attr:`end` (a torn or corrupt tail),
+        then commit *records* with one write and one ``fsync``; returns
+        bytes written."""
+        blob = b"".join(_frame(kind, payload) for kind, payload in records)
+
+        def write() -> None:
+            with open(self.path, "r+b") as handle:
+                handle.seek(self.end)
+                handle.truncate()
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
+
+        retry_disk_write(self.path, write)
+        self.end += len(blob)
+        return self._count(len(blob))
+
+    @staticmethod
+    def _count(n: int) -> int:
+        _metrics.count("focal_durable_bytes_written_total", "bytes written to logs", n)
+        return n

@@ -369,12 +369,8 @@ class FaultPlan:
 # Checkpoint damage
 # ----------------------------------------------------------------------
 def truncate_checkpoint(path: str | os.PathLike, keep_fraction: float = 0.5) -> None:
-    """Truncate a checkpoint file, simulating a torn write.
-
-    (The real writer cannot produce this state — saves go through
-    write-temp/fsync/rename — so this simulates external damage:
-    a filesystem crash mid-replace, a partial copy, a bad download.)
-    """
+    """Truncate a checkpoint file, simulating a torn write: a crash
+    mid-append, a partial copy, a bad download."""
     if not 0.0 <= keep_fraction < 1.0:
         raise ValidationError(
             f"keep_fraction must lie in [0, 1), got {keep_fraction}"
@@ -385,11 +381,9 @@ def truncate_checkpoint(path: str | os.PathLike, keep_fraction: float = 0.5) -> 
 
 
 def corrupt_checkpoint(path: str | os.PathLike, *, seed: int = 0) -> None:
-    """Flip one byte of the checkpoint body, deterministically by seed.
-
-    The flip lands in the payload region (past the header), so the
-    document stays parseable-looking but fails its content checksum.
-    """
+    """Flip one byte in the second half of a checkpoint file,
+    deterministically by seed: the record holding it fails its
+    checksum."""
     path = Path(path)
     data = bytearray(path.read_bytes())
     if not data:

@@ -16,6 +16,7 @@ from repro.dse.store import (
     chunk_store_key,
     point_store_key,
 )
+from repro.resilience.chunklog import MAGIC, ChunkLog
 
 
 def _chunk(n: int, offset: int = 0) -> list[dict]:
@@ -151,10 +152,12 @@ class TestSweepSession:
         first.put(chunk, outcomes)
         first.flush()
         second = _session(store)
-        second.put(chunk, outcomes)  # index knows the hash: no rewrite
+        second.put(chunk, outcomes)  # the run file holds it: no append
         second.flush()
-        objects = list(tmp_path.glob("sweeps/*/objects/*.json"))
-        assert len(objects) == 1
+        (run,) = tmp_path.glob("sweeps/*.log")
+        records, damage = ChunkLog(run).read()
+        assert damage is None
+        assert len(records) == 2  # the header and one chunk record
         assert store.stats().objects_written == 1
 
     def test_error_outcomes_roundtrip(self, tmp_path):
@@ -197,45 +200,95 @@ class TestCorruption:
 
     def test_truncated_object_recomputes_not_errors(self, tmp_path):
         chunk = self._populated(tmp_path)
-        (obj,) = tmp_path.glob("sweeps/*/objects/*.json")
-        obj.write_text(obj.read_text()[: obj.stat().st_size // 2])
+        (run,) = tmp_path.glob("sweeps/*.log")
+        run.write_bytes(run.read_bytes()[: run.stat().st_size // 2])
         store = ResultStore(tmp_path)
-        probe = _session(store).probe(chunk)
+        session = _session(store)
+        probe = session.probe(chunk)
         assert probe.missing == [0, 1, 2, 3]  # recompute, never a wrong answer
         assert store.stats().corrupt == 1
-        assert not obj.exists()  # discarded so the rewrite is clean
+        # The rewrite drops the torn tail: the file is whole again.
+        session.put(chunk, _outcomes(chunk))
+        records, damage = ChunkLog(run).read()
+        assert damage is None and len(records) == 2
+        assert _session(ResultStore(tmp_path)).probe(chunk).complete
 
     def test_checksum_mismatch_detected(self, tmp_path):
         chunk = self._populated(tmp_path)
-        (obj,) = tmp_path.glob("sweeps/*/objects/*.json")
-        document = json.loads(obj.read_text())
-        document["payload"]["outcomes"][0][2] = (0.25).hex()  # flip a value
-        obj.write_text(json.dumps(document))
+        (run,) = tmp_path.glob("sweeps/*.log")
+        data = bytearray(run.read_bytes())
+        data[-3] ^= 0x10  # inside the last row's power column
+        run.write_bytes(bytes(data))
         store = ResultStore(tmp_path)
         probe = _session(store).probe(chunk)
         assert probe.missing == [0, 1, 2, 3]
         assert store.stats().corrupt == 1
 
     def test_corrupt_index_recovers_committed_objects(self, tmp_path):
-        # The index is a cache of the object directory, not the source
-        # of truth: losing it must not strand the committed objects.
+        # The point-key index is rebuilt from the record headers, so a
+        # damaged tail after them must not strand the committed chunk.
         chunk = self._populated(tmp_path)
-        (index,) = tmp_path.glob("sweeps/*/index.json")
-        index.write_text("ni!")
+        (run,) = tmp_path.glob("sweeps/*.log")
+        run.write_bytes(run.read_bytes() + b"ni!")
         store = ResultStore(tmp_path)
         probe = _session(store).probe(chunk)
         assert probe.complete
+        assert probe.disk_points == 4  # the one 4-point chunk record
         assert store.stats().corrupt == 1
-        assert store.stats().recovered_objects == 1  # one 4-point chunk object
 
     def test_missing_index_recovers_committed_objects(self, tmp_path):
+        # No index survives the process: a fresh store rebuilds it by
+        # scanning the run file's records.
         chunk = self._populated(tmp_path)
-        (index,) = tmp_path.glob("sweeps/*/index.json")
-        index.unlink()
         store = ResultStore(tmp_path)
         probe = _session(store).probe(chunk)
         assert probe.complete
-        assert store.stats().recovered_objects == 1  # one 4-point chunk object
+        assert probe.disk_points == 4  # the one 4-point chunk record
+        assert store.stats().corrupt == 0
+
+    def test_damaged_header_drops_the_run_file(self, tmp_path):
+        chunk = self._populated(tmp_path)
+        (run,) = tmp_path.glob("sweeps/*.log")
+        data = bytearray(run.read_bytes())
+        data[len(MAGIC) + 12] ^= 0x01  # inside the header record
+        run.write_bytes(bytes(data))
+        store = ResultStore(tmp_path)
+        session = _session(store)
+        assert session.probe(chunk).missing == [0, 1, 2, 3]
+        assert store.stats().corrupt == 1
+        session.put(chunk, _outcomes(chunk))  # starts the file over
+        assert _session(ResultStore(tmp_path)).probe(chunk).complete
+
+    def test_records_another_writer_appended_are_adopted(self, tmp_path):
+        """Two sessions appending to one run file never clobber each
+        other: the later append adopts the earlier one's record."""
+        first, second, third = (_chunk(3, offset=k) for k in (0, 10, 20))
+        a = _session(ResultStore(tmp_path))
+        b = _session(ResultStore(tmp_path))
+        a.put(first, _outcomes(first))  # creates the run file b never saw
+        b.put(second, _outcomes(second))
+        a.put(third, _outcomes(third))
+        assert b.probe(first).complete and a.probe(second).complete
+        reader = _session(ResultStore(tmp_path))
+        for chunk in (first, second, third):
+            assert reader.probe(chunk).complete
+
+
+class TestOldFormat:
+    def test_old_store_raises_naming_it(self, tmp_path):
+        (tmp_path / MARKER_NAME).write_text(
+            json.dumps(
+                {
+                    "format": "focal-store/1",
+                    "payload": {"marker": "focal-store/1"},
+                    "sha256": "0" * 64,
+                }
+            )
+        )
+        (tmp_path / "sweeps" / "0123456789abcdef").mkdir(parents=True)
+        (tmp_path / "sweeps" / "0123456789abcdef" / "index.json").write_text("{}")
+        with pytest.raises(ValidationError, match="focal-store/1"):
+            ResultStore(tmp_path)
 
 
 class TestMemoryTier:
@@ -294,8 +347,10 @@ class TestSegments:
     def test_corrupt_segment_misses(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save_segment(self.FP, 0, 4, np.zeros(4, dtype=np.int8), {"s": 1})
-        (segment,) = tmp_path.glob("mc/*/0-4.json")
-        segment.write_text("}{")
+        (run,) = tmp_path.glob("mc/*.log")
+        data = bytearray(run.read_bytes())
+        data[-2] ^= 0x01  # inside the segment's codes
+        run.write_bytes(bytes(data))
         fresh = ResultStore(tmp_path)
         assert fresh.load_segment(self.FP, 0, 4) is None
         assert fresh.stats().corrupt == 1
@@ -328,14 +383,29 @@ class TestMaintenance:
 
     def test_gc_removes_tmp_litter_and_orphans(self, tmp_path):
         store = self._populate(tmp_path)
-        (sweep_dir,) = (tmp_path / "sweeps").glob("*")
-        (sweep_dir / "objects" / "index.json.tmp.999").write_text("litter")
-        orphan = sweep_dir / "objects" / ("0" * 64 + ".json")
-        orphan.write_text("{}")
+        (run,) = (tmp_path / "sweeps").glob("*.log")
+        (tmp_path / f"{MARKER_NAME}.tmp.999").write_text("litter")
+        stray = tmp_path / "sweeps" / "notes.txt"
+        stray.write_text("{}")
+        (tmp_path / "mc" / "objects").mkdir()  # a stray directory
         report = store.gc()
         assert report["removed_tmp"] == 1
-        assert report["removed_orphans"] == 1
-        assert not orphan.exists()
+        assert report["removed_orphans"] == 2
+        assert not stray.exists() and not (tmp_path / "mc" / "objects").exists()
+        assert run.exists()
+
+    def test_gc_truncates_damaged_tails_and_drops_headless_files(self, tmp_path):
+        store = self._populate(tmp_path)
+        (run,) = (tmp_path / "sweeps").glob("*.log")
+        (segments,) = (tmp_path / "mc").glob("*.log")
+        whole = run.read_bytes()
+        run.write_bytes(whole + b"\x05torn")
+        segments.write_bytes(b"not a log")
+        report = store.gc()
+        assert report["removed_corrupt"] == 2
+        assert run.read_bytes() == whole
+        assert not segments.exists()
+        assert _session(ResultStore(tmp_path)).probe(_chunk(4)).complete
 
     def test_gc_refuses_foreign_directory(self, tmp_path):
         foreign = tmp_path / "foreign"
@@ -352,16 +422,15 @@ class TestMaintenance:
         import time as time_module
 
         store = self._populate(tmp_path)
-        (sweep_dir,) = (tmp_path / "sweeps").glob("*")
-        (mc_dir,) = (tmp_path / "mc").glob("*")
+        (sweep_run,) = (tmp_path / "sweeps").glob("*.log")
+        (mc_run,) = (tmp_path / "mc").glob("*.log")
         # Make the sweep fingerprint the older of the two.
         past = time_module.time() - 3600
-        for path in [sweep_dir, *sweep_dir.rglob("*")]:
-            os.utime(path, (past, past))
+        os.utime(sweep_run, (past, past))
         report = store.gc(max_bytes=1)
         assert report["evicted_fingerprints"][0].startswith("sweeps/")
-        assert not sweep_dir.exists()
-        assert not mc_dir.exists()
+        assert not sweep_run.exists()
+        assert not mc_run.exists()
         assert report["freed_bytes"] > 0
         # Hygiene: only the marker survives, and the store still works.
         leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]

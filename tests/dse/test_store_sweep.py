@@ -183,8 +183,10 @@ class TestComposition:
 
     def test_corrupt_object_recomputes_bit_exact(self, tmp_path):
         cold = _explorer().explore_arrays(GRID, store=ResultStore(tmp_path))
-        victim = sorted(tmp_path.glob("sweeps/*/objects/*.json"))[0]
-        victim.write_text("garbage")
+        (run,) = tmp_path.glob("sweeps/*.log")
+        data = bytearray(run.read_bytes())
+        data[len(data) // 2] ^= 0xFF  # inside a middle chunk record
+        run.write_bytes(bytes(data))
         store = ResultStore(tmp_path)
         warm_explorer = _explorer()
         warm = warm_explorer.explore_arrays(GRID, store=store)

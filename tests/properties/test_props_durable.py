@@ -1,0 +1,123 @@
+"""Property-based damage: whatever byte a checkpoint or store run file
+is truncated at, and whatever bit of it flips, the resumed or
+store-backed sweep ends byte-identical to a cold sweep — result columns
+and cache entries — and recomputes exactly the rows whose record did
+not survive whole. Damage is never returned, only recomputed."""
+
+from __future__ import annotations
+
+import struct
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.design import DesignPoint
+from repro.core.scenario import EMBODIED_DOMINATED
+from repro.dse.batch import BatchExplorer
+from repro.dse.factories import AsymmetricMulticoreFactory
+from repro.dse.grid import ParameterGrid
+from repro.dse.store import ResultStore
+from repro.obs import metrics
+from repro.resilience.chunklog import MAGIC
+
+from ..dse.test_parallel_columnar import assert_same_entries
+
+BASELINE = DesignPoint.baseline("1-BCE single core")
+FACTORY = AsymmetricMulticoreFactory()  # m >= n corners are DomainErrors
+
+
+def _explorer(chunk_size: int) -> BatchExplorer:
+    return BatchExplorer(
+        factory=FACTORY,
+        baseline=BASELINE,
+        weight=EMBODIED_DOMINATED,
+        chunk_size=chunk_size,
+    )
+
+
+def _record_ends(data: bytes) -> list[int]:
+    """End offset of every record of an undamaged log (header first)."""
+    ends = [len(MAGIC)]
+    while ends[-1] < len(data):
+        (length,) = struct.unpack_from("<I", data, ends[-1])
+        ends.append(ends[-1] + 9 + length)
+    return ends[1:]
+
+
+def _surviving_chunks(ends: list[int], offset: int) -> int:
+    """Chunk records a reader may still trust when the log is cut at
+    *offset*, or a bit of byte *offset* flips: those ending at or before
+    it — none when the magic or the header record is hit."""
+    return max(sum(1 for end in ends if end <= offset) - 1, 0)
+
+
+@st.composite
+def damaged_runs(draw):
+    n = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True))
+    # m = 1 keeps a valid row in every grid (n >= 2).
+    m = [1, *draw(st.lists(st.integers(2, 8), max_size=2, unique=True))]
+    f = draw(st.lists(st.sampled_from([0.5, 0.75, 0.9, 0.99]), min_size=1, unique=True))
+    grid = ParameterGrid({"n": n, "m": m, "f": f})
+    return {
+        "grid": grid,
+        "chunk_size": draw(st.integers(1, 10)),
+        "target": draw(st.sampled_from(["checkpoint", "store"])),
+        "kind": draw(st.sampled_from(["truncate", "flip"])),
+        "where": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "bit": draw(st.integers(0, 7)),
+    }
+
+
+def _damage(path: Path, run: dict) -> int:
+    """Damage *path* as *run* says; returns the damaged byte offset."""
+    data = bytearray(path.read_bytes())
+    offset = int(run["where"] * len(data))
+    if run["kind"] == "truncate":
+        del data[offset:]
+    else:
+        data[offset] ^= 1 << run["bit"]
+    path.write_bytes(bytes(data))
+    return offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=damaged_runs())
+def test_damage_is_recomputed_never_returned(run):
+    grid, chunk_size = run["grid"], run["chunk_size"]
+    cold_explorer = _explorer(chunk_size)
+    cold = cold_explorer.explore_arrays(grid)
+    with tempfile.TemporaryDirectory() as root:
+        if run["target"] == "checkpoint":
+            path = Path(root) / "sweep.ckpt"
+            _explorer(chunk_size).explore_arrays(grid, checkpoint=path)
+            durable = dict(checkpoint=path, resume=True)
+            counter = "focal_checkpoint_corrupt_total"
+        else:
+            _explorer(chunk_size).explore_arrays(grid, store=ResultStore(root))
+            (path,) = Path(root).glob("sweeps/*.log")
+            durable = dict(store=ResultStore(root))
+            counter = "focal_store_corrupt_total"
+        ends = _record_ends(path.read_bytes())
+        offset = _damage(path, run)
+        survivors = _surviving_chunks(ends, offset)
+        metrics.reset()
+        metrics.enable()
+        try:
+            explorer = _explorer(chunk_size)
+            resumed = explorer.explore_arrays(grid, **durable)
+            corrupt = metrics.get_registry().counter(counter).value
+        finally:
+            metrics.reset()
+    assert resumed.designs == cold.designs
+    assert resumed.perf.tobytes() == cold.perf.tobytes()
+    assert resumed.ncf_fixed_work.tobytes() == cold.ncf_fixed_work.tobytes()
+    assert resumed.ncf_fixed_time.tobytes() == cold.ncf_fixed_time.tobytes()
+    assert_same_entries(explorer.cache, cold_explorer.cache)
+    # Every row outside the surviving records is recomputed, and only
+    # those: a cut at a record boundary keeps every whole record.
+    kept = min(survivors * chunk_size, len(grid))
+    assert explorer.last_sweep.fresh_points == len(grid) - kept
+    cut_at_boundary = run["kind"] == "truncate" and offset in ends
+    assert (corrupt == 0) == cut_at_boundary

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.resilience import CheckpointStore
+from repro.resilience.chunklog import ChunkLog
 
 
 def _settled_children(timeout_s: float = 10.0) -> list:
@@ -72,11 +72,12 @@ class TestKeyboardInterrupt:
             make_explorer().explore_arrays(
                 InterruptingGrid(grid, after=40), checkpoint=ckpt
             )
-        # Two full chunks completed before the interrupt: the file holds
-        # them, verifies, and carries no torn temp siblings.
-        store = CheckpointStore(ckpt)
-        payload = store._read_payload()
-        assert len(payload["state"]["chunks"]) == 2
+        # Two full chunks completed before the interrupt: the log holds
+        # its header and them, every record verifies, and no temp
+        # siblings were left behind.
+        records, damage = ChunkLog(ckpt).read()
+        assert damage is None
+        assert len(records) == 3
         assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_interrupted_then_resumed_is_identical(

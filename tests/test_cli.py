@@ -232,6 +232,20 @@ class TestSweepStore:
         assert main(self._sweep(tmp_path)) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_old_format_store_exits_2_naming_it(self, tmp_path, capsys):
+        (tmp_path / "focal-store.json").write_text(
+            '{"format":"focal-store/1","payload":{"marker":"focal-store/1"}}'
+        )
+        assert main(self._sweep(tmp_path)) == 2
+        assert "focal-store/1" in capsys.readouterr().err
+
+    def test_old_format_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        old = tmp_path / "sweep.ckpt"
+        old.write_text('{"format": "focal-checkpoint/1", "payload": {}}')
+        argv = ["sweep", "--max-cores", "8", "--checkpoint", str(old), "--resume"]
+        assert main(argv) == 2
+        assert "focal-checkpoint/1" in capsys.readouterr().err
+
 
 class TestStoreCommand:
     def _populate(self, tmp_path):
