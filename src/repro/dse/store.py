@@ -69,6 +69,7 @@ from ..resilience.checkpoint import (
     describe_factory,
     encode_outcomes,
     pack_texts,
+    point_key as point_store_key,
     sha256_hex,
     unpack_texts,
 )
@@ -96,33 +97,9 @@ MARKER_NAME = "focal-store.json"
 
 
 # ----------------------------------------------------------------------
-# Point/chunk keys
-#
-# A point key must be equal exactly when the factory would compute the
-# identical outcome: floats go through float.hex (bit-exact, like the
-# checkpoint fingerprints), other JSON scalars keep their type tag so
-# int 2 and float 2.0 never alias (a conservative miss, never a wrong
-# answer).
+# Chunk keys (point keys are repro.resilience.checkpoint.point_key,
+# shared with the quarantine ledger)
 # ----------------------------------------------------------------------
-def _encode_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "b1" if value else "b0"
-    if isinstance(value, (int, np.integer)):
-        return f"i{int(value)}"
-    if isinstance(value, str):
-        return f"s{value}"
-    if value is None:
-        return "n"
-    return "f" + float(value).hex()
-
-
-def point_store_key(params: Mapping[str, object]) -> str:
-    """The canonical store key of one grid point (axis-order free)."""
-    return "\x1e".join(
-        f"{name}={_encode_value(params[name])}" for name in sorted(params)
-    )
-
-
 def chunk_store_key(keys: Sequence[str]) -> str:
     """One hash for a whole chunk of point keys — the fast path a warm
     re-sweep with unchanged chunking hits (one probe, not N)."""
@@ -380,18 +357,13 @@ class ResultStore:
         the whole file (the next write starts it over)."""
         log = ChunkLog(path)
         try:
-            records, damage = log.read()
+            records, damage = log.open(header)
         except OSError as exc:
-            self._note_corrupt(path, f"unreadable: {exc}")
-            return log, []
+            records, damage = [], f"unreadable: {exc}"
         self._counts["bytes_read"] += log.end
         if damage is not None:
             self._note_corrupt(path, damage)
-        if records[:1] != [(HEADER, header)]:
-            if damage is None and log.end:
-                self._note_corrupt(path, "missing or foreign run-file header")
-            records, log.end = [], 0
-        return log, [payload for kind, payload in records[1:] if kind == CHUNK]
+        return log, records
 
     def _append(
         self,
@@ -400,10 +372,10 @@ class ResultStore:
         record: bytes,
         adopt: Callable[[bytes], None],
     ) -> bool:
-        """Commit one chunk *record* to *log*: one write + ``fsync``
-        (a missing or unusable run file starts over with *header*).
-        Records another writer committed meanwhile are handed to
-        *adopt* first, never overwritten.
+        """Commit one chunk *record* to *log* through
+        :meth:`~repro.resilience.chunklog.ChunkLog.commit` (one write +
+        ``fsync``; records another writer committed meanwhile go to
+        *adopt* first), creating the store marker on first use.
 
         Transient disk faults (EIO/ENOSPC) are retried inside
         :func:`~repro.resilience.chunklog.retry_disk_write`; when the
@@ -420,19 +392,7 @@ class ResultStore:
             if not marker.exists():
                 self.root.mkdir(parents=True, exist_ok=True)
                 atomic_write_text(marker, canonical_json({"format": STORE_FORMAT}))
-            if log.end:
-                fresh = log.tail()
-            else:  # another writer may have started the file since
-                fresh, _ = log.read()
-                if fresh[:1] != [(HEADER, header)]:
-                    fresh, log.end = [], 0
-            for kind, payload in fresh:
-                if kind == CHUNK:
-                    adopt(payload)
-            if log.end:
-                written = log.append([(CHUNK, record)])
-            else:
-                written = log.reset([(HEADER, header), (CHUNK, record)])
+            written = log.commit(header, record, adopt)
         except OSError as exc:
             if exc.errno not in TRANSIENT_DISK_ERRNOS:
                 raise

@@ -18,8 +18,8 @@ process pools; this package keeps them alive and honest:
   :class:`CheckpointStore` logs enabling bit-exact ``--resume`` of
   killed sweeps and samplers;
 * :mod:`repro.resilience.chunklog` — the one durable file format those
-  logs and the result store's run files share, with bounded retry on
-  transient disk faults;
+  logs, the quarantine ledger and the result store's run files share,
+  with bounded retry on transient disk faults;
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness (:class:`FaultPlan`) behind the chaos test suite.
 

@@ -36,6 +36,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from ..core.design import DesignPoint
 from ..core.errors import CheckpointError, DomainError, QuarantinedPoint
 from ..obs import metrics as _metrics
@@ -57,6 +59,7 @@ __all__ = [
     "decode_outcomes",
     "describe_factory",
     "canonical_json",
+    "point_key",
     "sha256_hex",
     "atomic_write_text",
     "set_disk_fault_hook",
@@ -75,8 +78,9 @@ def atomic_write_text(
 ) -> None:
     """Durably write *text* to *path*: write-temp, fsync, atomic rename,
     with transient disk faults retried by
-    :func:`~repro.resilience.chunklog.retry_disk_write` (the quarantine
-    ledger and the result-store marker are written this way)."""
+    :func:`~repro.resilience.chunklog.retry_disk_write`. Only the
+    result-store marker is written this way; every other durable file is
+    a :class:`~repro.resilience.chunklog.ChunkLog`."""
     path = Path(path)
     temp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
 
@@ -109,6 +113,30 @@ def canonical_json(payload: object) -> str:
     ledgers)."""
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=str
+    )
+
+
+# A point key is equal exactly when a factory would compute the identical
+# outcome: floats go through float.hex (bit-exact, like the fingerprints),
+# other JSON scalars keep their type tag so int 2 and float 2.0 never
+# alias (a conservative miss, never a wrong answer).
+def _encode_value(value: object) -> str:
+    if isinstance(value, bool):
+        return "b1" if value else "b0"
+    if isinstance(value, (int, np.integer)):
+        return f"i{int(value)}"
+    if isinstance(value, str):
+        return f"s{value}"
+    if value is None:
+        return "n"
+    return "f" + float(value).hex()
+
+
+def point_key(params: Mapping[str, object]) -> str:
+    """The canonical key of one grid point (axis-order free), shared by
+    the result store and the quarantine ledger."""
+    return "\x1e".join(
+        f"{name}={_encode_value(params[name])}" for name in sorted(params)
     )
 
 
@@ -268,14 +296,13 @@ class CheckpointStore:
         if not records:
             if not self.path.exists():
                 raise CheckpointError(f"checkpoint {self.path} does not exist")
-            with open(self.path, "rb") as handle:
-                if _OLD_FORMAT.encode() in handle.read(64):
-                    raise CheckpointError(
-                        f"checkpoint {self.path} is a {_OLD_FORMAT} JSON file "
-                        "from an older version; this version reads "
-                        f"{CHECKPOINT_FORMAT} logs only — delete it or point "
-                        "--checkpoint at a fresh path"
-                    )
+            if self._log.legacy(_OLD_FORMAT):
+                raise CheckpointError(
+                    f"checkpoint {self.path} is a {_OLD_FORMAT} JSON file "
+                    "from an older version; this version reads "
+                    f"{CHECKPOINT_FORMAT} logs only — delete it or point "
+                    "--checkpoint at a fresh path"
+                )
             raise _CorruptCheckpoint(
                 f"checkpoint {self.path} has no readable header "
                 f"({damage or 'empty log'})"
@@ -353,16 +380,13 @@ def describe_factory(factory: object) -> str:
     return repr(factory)
 
 
-def _jsonable_axis(values: Sequence[object]) -> list:
-    out = []
-    for value in values:
-        if isinstance(value, (bool, int, str)) or value is None:
-            out.append(value)
-        else:
-            # numpy scalars and plain floats: shortest-repr JSON floats
-            # roundtrip bit-exactly, so float() is identity-preserving.
-            out.append(float(value))
-    return out
+def json_scalar(value: object) -> object:
+    """*value* as a JSON scalar: bools, ints, strings and ``None`` as
+    they are, anything else (numpy scalars, plain floats) as a float —
+    shortest-repr JSON floats roundtrip bit-exactly."""
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    return float(value)
 
 
 def sweep_fingerprint(
@@ -375,7 +399,7 @@ def sweep_fingerprint(
 ) -> dict:
     """Everything a sweep's results depend on, as a JSON-able mapping."""
     return {
-        "axes": {name: _jsonable_axis(values) for name, values in axes.items()},
+        "axes": {name: list(map(json_scalar, values)) for name, values in axes.items()},
         "chunk_size": chunk_size,
         "baseline": {
             "name": baseline.name,

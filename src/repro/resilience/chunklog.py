@@ -1,16 +1,18 @@
 """The one durable file format: an append-only log of checksummed records.
 
-Checkpoints and the result store's run files are :class:`ChunkLog`
-files: ``MAGIC record*``, each record ``length:u32le kind:u8
-crc32:u32le payload``, the CRC-32 covering length, kind and payload.
-The first record is a :data:`HEADER` (canonical JSON naming the format
-and the run's fingerprint), each later one a :data:`CHUNK` of raw
-little-endian column bytes. A chunk commit is one ``write`` plus one
-``fsync``; nothing is rewritten, so a run writes exactly the bytes its
-file holds. :meth:`ChunkLog.read` returns the longest prefix of whole,
-verified records and names the damage that ended it (torn tail, flipped
-bit, foreign file); nothing past it is ever returned, and the next
-append truncates it.
+Checkpoints, the result store's run files and the quarantine ledger are
+:class:`ChunkLog` files: ``MAGIC record*``, each record ``length:u32le
+kind:u8 crc32:u32le payload``, the CRC-32 covering length, kind and
+payload. The first record is a :data:`HEADER` (canonical JSON naming the
+format and the run's fingerprint), each later one a :data:`CHUNK` (raw
+little-endian column bytes, or one quarantined point). A chunk commit is
+one ``write`` plus one ``fsync``; nothing is rewritten, so a run writes
+exactly the bytes its file holds. :meth:`ChunkLog.read` returns the
+longest prefix of whole, verified records and names the damage that
+ended it (torn tail, flipped bit, foreign file); nothing past it is ever
+returned, and the next append truncates it. :meth:`ChunkLog.open` and
+:meth:`ChunkLog.commit` add the header check and the adoption of records
+another writer appended, for files several handles share.
 
 Every durable write goes through :func:`retry_disk_write`, which retries
 transient disk faults and fires the chaos suite's
@@ -151,6 +153,48 @@ class ChunkLog:
         records, used, damage = _scan(data[len(MAGIC) :])
         self.end = len(MAGIC) + used
         return records, damage
+
+    def open(self, header: bytes) -> tuple[list[bytes], str | None]:
+        """The chunk payloads of a log whose first record is *header*,
+        and the damage that ended the scan (``None`` for a clean or
+        missing file). A missing, damaged or foreign header yields no
+        payloads and leaves :attr:`end` ``0``, so the next
+        :meth:`commit` starts the file over."""
+        records, damage = self.read()
+        if records[:1] == [(HEADER, header)]:
+            return [payload for kind, payload in records[1:] if kind == CHUNK], damage
+        if damage is None and self.end:
+            damage = "missing or foreign header"
+        self.end = 0
+        return [], damage
+
+    def legacy(self, tag: str) -> bool:
+        """Whether the file is a JSON document of the pre-log format
+        *tag* (named in its first bytes) rather than a log."""
+        try:
+            with open(self.path, "rb") as handle:
+                head = handle.read(64)
+        except OSError:
+            return False
+        return not head.startswith(MAGIC) and tag.encode() in head
+
+    def commit(
+        self, header: bytes, payload: bytes, adopt: Callable[[bytes], None]
+    ) -> int:
+        """Append one chunk *payload* with one write and one ``fsync``
+        — or, when the log has no usable header, start the file over
+        with *header* and it. Chunk records another writer committed
+        since this handle last read are handed to *adopt* first, never
+        overwritten. Returns bytes written."""
+        if self.end:
+            fresh = [body for kind, body in self.tail() if kind == CHUNK]
+        else:  # another writer may have started the file since
+            fresh, _ = self.open(header)
+        for record in fresh:
+            adopt(record)
+        if self.end:
+            return self.append([(CHUNK, payload)])
+        return self.reset([(HEADER, header), (CHUNK, payload)])
 
     def tail(self) -> list[tuple[int, bytes]]:
         """Verified records another writer appended past :attr:`end`,

@@ -5,11 +5,11 @@ Three mechanisms that keep a long sweep alive when the retry ladder in
 
 * **poison-point quarantine** — a chunk that exhausts its retry budget
   is bisected down to the minimal crashing point set; those points are
-  recorded in a persisted, fingerprint-keyed :class:`QuarantineLedger`
-  (same atomic write-temp/fsync/rename + SHA-256 discipline as
-  :class:`~repro.resilience.checkpoint.CheckpointStore`) and the sweep
-  continues without them. Re-runs consult the ledger first and skip
-  known poison points without re-crashing a worker.
+  recorded in a persisted, factory-keyed :class:`QuarantineLedger` (a
+  :class:`~repro.resilience.chunklog.ChunkLog`, one CRC-checked record
+  appended per point, like checkpoints and the result store) and the
+  sweep continues without them. Re-runs consult the ledger first and
+  skip known poison points without re-crashing a worker.
 * **heartbeat watchdog** — workers touch per-process heartbeat files
   while evaluating (:func:`beat`, armed via :func:`arm_heartbeat`);
   the parent-side :class:`HeartbeatMonitor` distinguishes
@@ -40,12 +40,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-import numpy as np
-
-from ..core.errors import QuarantinedPoint
+from ..core.errors import QuarantinedPoint, ValidationError
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
-from .checkpoint import atomic_write_text, canonical_json, sha256_hex
+from .checkpoint import canonical_json, json_scalar, point_key
+from .chunklog import ChunkLog
 
 __all__ = [
     "QUARANTINE_FORMAT",
@@ -61,8 +60,13 @@ __all__ = [
     "point_key",
 ]
 
-#: Format tag written into (and required from) every quarantine ledger.
-QUARANTINE_FORMAT = "focal-quarantine/1"
+#: Format tag of the header record every quarantine ledger starts with.
+QUARANTINE_FORMAT = "focal-quarantine/2"
+
+#: The JSON-document format of earlier versions, refused by name.
+_OLD_FORMAT = "focal-quarantine/1"
+
+_HEADER = canonical_json({"format": QUARANTINE_FORMAT}).encode("utf-8")
 
 
 class _Incomplete:
@@ -98,34 +102,6 @@ class BisectOutcome:
     """
 
     replies: tuple
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    return float(value)
-
-
-def _encode_value(value: object) -> str:
-    # The same type-tagged encoding repro.dse.store uses for its point
-    # keys (kept local: importing dse.store here would cycle through
-    # dse.batch back into this package during init).
-    if isinstance(value, bool):
-        return "b1" if value else "b0"
-    if isinstance(value, (int, np.integer)):
-        return f"i{int(value)}"
-    if isinstance(value, str):
-        return f"s{value}"
-    if value is None:
-        return "n"
-    return "f" + float(value).hex()
-
-
-def point_key(params: Mapping[str, object]) -> str:
-    """The canonical ledger key of one grid point (axis-order free)."""
-    return "\x1e".join(
-        f"{name}={_encode_value(params[name])}" for name in sorted(params)
-    )
 
 
 @dataclass(frozen=True)
@@ -174,18 +150,24 @@ class FailureReport:
 class QuarantineLedger:
     """A persisted registry of poison points, keyed by factory identity.
 
-    One JSON document (schema ``focal-quarantine/1``) holding, per
-    factory description (:func:`~repro.resilience.checkpoint.
-    describe_factory`), the quarantined points with their parameters,
-    fault kind and reason. Writes follow the checkpoint durability
-    contract: write-temp, fsync, atomic rename, SHA-256 content
-    checksum. A damaged ledger is discarded with a warning — losing the
-    quarantine history costs re-discovering the poison points, never
-    correctness.
+    A :class:`~repro.resilience.chunklog.ChunkLog` whose header record
+    names ``focal-quarantine/2``, then one CRC-checked record per
+    quarantined point: its factory description (:func:`~repro.
+    resilience.checkpoint.describe_factory`), point key, parameters,
+    fault kind and reason. :meth:`record` adopts the records other
+    handles on the same file appended, then commits its own with one
+    append and one ``fsync``. Damage is never an error: a load keeps the
+    whole records before a torn or corrupt one (none when the header is
+    hit), logs ``quarantine.corrupt``, and the next append truncates the
+    damage — losing quarantine history costs re-discovering the poison
+    points, never correctness. A ``focal-quarantine/1`` JSON ledger is
+    refused with a :class:`~repro.core.errors.ValidationError` naming
+    that format.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
+        self._log = ChunkLog(self.path)
         self._sections: dict[str, dict[str, dict]] | None = None
 
     @classmethod
@@ -197,63 +179,34 @@ class QuarantineLedger:
             return value
         return cls(value)
 
-    # -- loading -------------------------------------------------------
     def _load(self) -> dict[str, dict[str, dict]]:
         if self._sections is not None:
             return self._sections
-        self._sections = self._read() or {}
+        try:
+            records, damage = self._log.open(_HEADER)
+        except OSError as exc:
+            records, damage = [], f"unreadable: {exc}"
+        if not records and self._log.legacy(_OLD_FORMAT):
+            raise ValidationError(
+                f"quarantine ledger {self.path} is a {_OLD_FORMAT} JSON file "
+                f"from an older version; this version reads {QUARANTINE_FORMAT} "
+                "logs only — delete it (its poison points are re-discovered) "
+                "or point --quarantine at a fresh path"
+            )
+        if damage is not None:
+            get_logger().warning(
+                kv("quarantine.corrupt", path=str(self.path), reason=damage)
+            )
+        self._sections = {}
+        for record in records:
+            self._adopt(record)
         return self._sections
 
-    def _read(self) -> dict[str, dict[str, dict]] | None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self._note_corrupt(f"unreadable: {exc}")
-            return None
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._note_corrupt(f"not valid JSON (truncated write?): {exc}")
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != QUARANTINE_FORMAT
-        ):
-            found = document.get("format") if isinstance(document, dict) else None
-            self._note_corrupt(f"format {found!r} != {QUARANTINE_FORMAT!r}")
-            return None
-        payload = document.get("payload")
-        if not isinstance(payload, dict) or sha256_hex(
-            canonical_json(payload)
-        ) != document.get("sha256"):
-            self._note_corrupt("failed its content checksum")
-            return None
-        sections = payload.get("sections")
-        return sections if isinstance(sections, dict) else {}
+    def _adopt(self, record: bytes) -> None:
+        entry = json.loads(record)
+        section = self._sections.setdefault(entry.pop("factory"), {})
+        section[entry.pop("key")] = entry
 
-    def _note_corrupt(self, reason: str) -> None:
-        get_logger().warning(
-            kv("quarantine.corrupt", path=str(self.path), reason=reason)
-        )
-
-    # -- writing -------------------------------------------------------
-    def save(self) -> None:
-        """Atomically persist the ledger (checkpoint durability rules)."""
-        payload = {"sections": self._load()}
-        document = json.dumps(
-            {
-                "format": QUARANTINE_FORMAT,
-                "sha256": sha256_hex(canonical_json(payload)),
-                "payload": payload,
-            },
-            default=str,
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self.path, document)
-
-    # -- recording / querying ------------------------------------------
     def record(
         self, factory: str, params: Mapping[str, object], *, kind: str, reason: str
     ) -> None:
@@ -262,13 +215,19 @@ class QuarantineLedger:
         Persisting per point (not per run) means a sweep killed right
         after isolating a poison point still skips it on the next run.
         """
-        section = self._load().setdefault(factory, {})
-        section[point_key(params)] = {
-            "params": {name: _jsonable(value) for name, value in params.items()},
-            "kind": kind,
-            "reason": reason,
-        }
-        self.save()
+        record = json.dumps(
+            {
+                "factory": factory,
+                "key": point_key(params),
+                "params": {name: json_scalar(value) for name, value in params.items()},
+                "kind": kind,
+                "reason": reason,
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
+        self._load()
+        self._log.commit(_HEADER, record, self._adopt)
+        self._adopt(record)
         get_logger().warning(
             kv("quarantine.point", factory=factory, kind=kind, reason=reason)
         )

@@ -2,7 +2,9 @@
 is truncated at, and whatever bit of it flips, the resumed or
 store-backed sweep ends byte-identical to a cold sweep — result columns
 and cache entries — and recomputes exactly the rows whose record did
-not survive whole. Damage is never returned, only recomputed."""
+not survive whole. Damage is never returned, only recomputed. The
+quarantine ledger keeps exactly its whole records the same way, and a
+sweep killed at any point resumes to the cold sweep's bytes."""
 
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +24,11 @@ from repro.dse.factories import AsymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid
 from repro.dse.store import ResultStore
 from repro.obs import metrics
-from repro.resilience.chunklog import MAGIC
+from repro.resilience import QuarantineLedger
+from repro.resilience.chunklog import MAGIC, ChunkLog
 
 from ..dse.test_parallel_columnar import assert_same_entries
+from ..resilience.test_interrupts import InterruptingGrid
 
 BASELINE = DesignPoint.baseline("1-BCE single core")
 FACTORY = AsymmetricMulticoreFactory()  # m >= n corners are DomainErrors
@@ -53,15 +59,26 @@ def _surviving_chunks(ends: list[int], offset: int) -> int:
     return max(sum(1 for end in ends if end <= offset) - 1, 0)
 
 
+def _grids(min_n: int = 1):
+    n = st.lists(st.integers(2, 12), min_size=min_n, max_size=4, unique=True)
+    # m = 1 keeps a valid row in every grid (n >= 2).
+    m = st.lists(st.integers(2, 8), max_size=2, unique=True).map(lambda m: [1, *m])
+    f = st.lists(st.sampled_from([0.5, 0.75, 0.9, 0.99]), min_size=1, unique=True)
+    return st.builds(lambda n, m, f: ParameterGrid({"n": n, "m": m, "f": f}), n, m, f)
+
+
+def _assert_same_sweep(result, explorer, cold, cold_explorer) -> None:
+    assert result.designs == cold.designs
+    assert result.perf.tobytes() == cold.perf.tobytes()
+    assert result.ncf_fixed_work.tobytes() == cold.ncf_fixed_work.tobytes()
+    assert result.ncf_fixed_time.tobytes() == cold.ncf_fixed_time.tobytes()
+    assert_same_entries(explorer.cache, cold_explorer.cache)
+
+
 @st.composite
 def damaged_runs(draw):
-    n = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True))
-    # m = 1 keeps a valid row in every grid (n >= 2).
-    m = [1, *draw(st.lists(st.integers(2, 8), max_size=2, unique=True))]
-    f = draw(st.lists(st.sampled_from([0.5, 0.75, 0.9, 0.99]), min_size=1, unique=True))
-    grid = ParameterGrid({"n": n, "m": m, "f": f})
     return {
-        "grid": grid,
+        "grid": draw(_grids()),
         "chunk_size": draw(st.integers(1, 10)),
         "target": draw(st.sampled_from(["checkpoint", "store"])),
         "kind": draw(st.sampled_from(["truncate", "flip"])),
@@ -110,14 +127,102 @@ def test_damage_is_recomputed_never_returned(run):
             corrupt = metrics.get_registry().counter(counter).value
         finally:
             metrics.reset()
-    assert resumed.designs == cold.designs
-    assert resumed.perf.tobytes() == cold.perf.tobytes()
-    assert resumed.ncf_fixed_work.tobytes() == cold.ncf_fixed_work.tobytes()
-    assert resumed.ncf_fixed_time.tobytes() == cold.ncf_fixed_time.tobytes()
-    assert_same_entries(explorer.cache, cold_explorer.cache)
+    _assert_same_sweep(resumed, explorer, cold, cold_explorer)
     # Every row outside the surviving records is recomputed, and only
     # those: a cut at a record boundary keeps every whole record.
     kept = min(survivors * chunk_size, len(grid))
     assert explorer.last_sweep.fresh_points == len(grid) - kept
     cut_at_boundary = run["kind"] == "truncate" and offset in ends
     assert (corrupt == 0) == cut_at_boundary
+
+
+_FLOATS = st.floats(allow_nan=False)  # NaN never equals its reloaded self
+_PARAMS = st.dictionaries(
+    st.sampled_from(["n", "m", "f", "node"]),
+    st.one_of(
+        st.integers(-(2**40), 2**40),
+        _FLOATS,
+        st.text(max_size=3),
+        st.booleans(),
+        st.none(),
+        st.integers(-100, 100).map(np.int64),
+        _FLOATS.map(np.float64),
+        st.booleans().map(np.bool_),
+    ),
+    min_size=1,
+)
+
+
+@st.composite
+def damaged_ledgers(draw):
+    return {
+        "points": draw(
+            st.lists(
+                st.tuples(st.sampled_from(["fac-a", "fac-b"]), _PARAMS),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        "kind": draw(st.sampled_from(["truncate", "flip"])),
+        "where": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "bit": draw(st.integers(0, 7)),
+    }
+
+
+def _ledger_view(path: Path) -> dict:
+    ledger = QuarantineLedger(path)
+    return {factory: ledger.entries(factory) for factory in ("fac-a", "fac-b", "new")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=damaged_ledgers())
+def test_ledger_damage_keeps_exactly_the_whole_records(run):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "quarantine.log"
+        ledger = QuarantineLedger(path)
+        views = [_ledger_view(path)]
+        for factory, params in run["points"]:
+            ledger.record(factory, params, kind="poison", reason=f"r{len(views)}")
+            views.append(_ledger_view(path))
+        ends = _record_ends(path.read_bytes())
+        survivors = _surviving_chunks(ends, _damage(path, run))
+
+        reopened = QuarantineLedger(path)
+        assert _ledger_view(path) == views[survivors]
+        assert len(reopened) == sum(map(len, views[survivors].values()))
+
+        reopened.record("new", {"z": 0}, kind="crash", reason="after damage")
+        records, damage = ChunkLog(path).read()
+        assert damage is None
+        assert len(records) == 1 + survivors + 1
+        expected = dict(views[survivors])
+        expected["new"] = {
+            "z=i0": {"params": {"z": 0}, "kind": "crash", "reason": "after damage"}
+        }
+        assert _ledger_view(path) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_resume_after_kill_matches_a_cold_sweep(data):
+    """Kill a durable sweep at any point, resume it: the result and cache
+    equal a cold sweep's, and only the chunks the kill cut short (or
+    never reached) are recomputed."""
+    grid = data.draw(_grids(min_n=3))
+    chunk_size = data.draw(st.integers(1, 6))
+    target = data.draw(st.sampled_from(["checkpoint", "store"]))
+    k = data.draw(st.integers(0, len(grid) - 1))
+    cold_explorer = _explorer(chunk_size)
+    cold = cold_explorer.explore_arrays(grid)
+    with tempfile.TemporaryDirectory() as root:
+        if target == "checkpoint":
+            path = Path(root) / "sweep.ckpt"
+            first, durable = dict(checkpoint=path), dict(checkpoint=path, resume=True)
+        else:
+            first, durable = dict(store=ResultStore(root)), dict(store=ResultStore(root))
+        with pytest.raises(KeyboardInterrupt):
+            _explorer(chunk_size).explore_arrays(InterruptingGrid(grid, k), **first)
+        explorer = _explorer(chunk_size)
+        resumed = explorer.explore_arrays(grid, **durable)
+    _assert_same_sweep(resumed, explorer, cold, cold_explorer)
+    assert explorer.last_sweep.fresh_points == len(grid) - (k // chunk_size) * chunk_size

@@ -12,9 +12,10 @@ import errno
 import json
 import time
 
+import numpy as np
 import pytest
 
-from repro.core.errors import DomainError, QuarantinedPoint
+from repro.core.errors import DomainError, QuarantinedPoint, ValidationError
 from repro.core.design import DesignPoint
 from repro.obs import metrics as _metrics
 from repro.resilience import (
@@ -29,6 +30,7 @@ from repro.resilience import (
     encode_outcomes,
     set_disk_fault_hook,
 )
+from repro.resilience.chunklog import CHUNK, HEADER, MAGIC, ChunkLog
 from repro.resilience.containment import (
     _Incomplete,
     arm_heartbeat,
@@ -72,6 +74,13 @@ class TestPointKey:
 # ----------------------------------------------------------------------
 # QuarantineLedger / QuarantineSession
 # ----------------------------------------------------------------------
+def _flip_header_bit(path):
+    """Flip one bit inside the ledger's header record."""
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC) + 12] ^= 0x04
+    path.write_bytes(bytes(data))
+
+
 class TestQuarantineLedger:
     def test_roundtrip_across_instances(self, tmp_path):
         path = tmp_path / "poison.json"
@@ -101,34 +110,118 @@ class TestQuarantineLedger:
         assert path.exists()
         assert len(QuarantineLedger(path)) == 1
 
-    def test_document_is_checksummed(self, tmp_path):
+    def test_ledger_is_a_chunk_log(self, tmp_path):
         path = tmp_path / "poison.json"
         ledger = QuarantineLedger(path)
         ledger.record("fac", {"cores": 1}, kind="poison", reason="r")
-        document = json.loads(path.read_text())
-        assert document["format"] == QUARANTINE_FORMAT
-        assert "sha256" in document and "payload" in document
+        ledger.record("fac", {"cores": 2}, kind="crash", reason="s")
+        records, damage = ChunkLog(path).read()
+        assert damage is None
+        assert [kind for kind, _ in records] == [HEADER, CHUNK, CHUNK]
+        assert json.loads(records[0][1]) == {"format": QUARANTINE_FORMAT}
+        assert json.loads(records[2][1])["params"] == {"cores": 2}
+
+    def test_params_roundtrip_as_json_scalars(self, tmp_path):
+        """numpy scalars are stored as the JSON scalars they equal (numpy
+        integers and bools as floats), while the point key keeps the
+        type the sweep saw."""
+        path = tmp_path / "poison.json"
+        params = {
+            "i": np.int64(3),
+            "f": np.float64(0.1 + 0.2),
+            "b": np.True_,
+            "s": np.str_("5nm"),
+            "n": None,
+            "t": True,
+            "x": 7,
+        }
+        QuarantineLedger(path).record("fac", params, kind="poison", reason="r")
+        (entry,) = QuarantineLedger(path).entries("fac").values()
+        assert entry["params"] == {
+            "i": 3.0, "f": 0.1 + 0.2, "b": 1.0, "s": "5nm", "n": None,
+            "t": True, "x": 7,
+        }
+        assert [type(v) for v in entry["params"].values()] == [
+            float, float, float, str, type(None), bool, int
+        ]
+        assert QuarantineLedger(path).session("fac").known(params) == entry
+
+    def test_two_handles_keep_both_points(self, tmp_path):
+        """A handle adopts what another handle appended before it
+        commits, so neither overwrites the other's points."""
+        path = tmp_path / "poison.json"
+        first, second = QuarantineLedger(path), QuarantineLedger(path)
+        assert len(first) == len(second) == 0
+        first.record("fac", {"x": 1}, kind="poison", reason="r")
+        second.record("fac", {"x": 2}, kind="poison", reason="r")
+        assert set(QuarantineLedger(path).entries("fac")) == {
+            point_key({"x": 1}),
+            point_key({"x": 2}),
+        }
+        assert len(second) == 2
+
+    def test_bytes_written_equal_file_size(self, tmp_path):
+        """Each point is one appended record: recording N points writes
+        exactly the bytes the ledger ends up holding."""
+        from repro.obs import metrics
+
+        path = tmp_path / "poison.json"
+        metrics.reset()
+        metrics.enable()
+        try:
+            ledger = QuarantineLedger(path)
+            for i in range(50):
+                ledger.record("fac", {"x": i, "f": i / 7}, kind="poison", reason="r")
+            written = metrics.get_registry().counter(
+                "focal_durable_bytes_written_total"
+            ).value
+        finally:
+            metrics.reset()
+        assert written == path.stat().st_size
+        assert len(QuarantineLedger(path)) == 50
+
+    def test_old_format_ledger_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "poison.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "focal-quarantine/1",
+                    "sha256": "0" * 64,
+                    "payload": {"sections": {}},
+                }
+            )
+        )
+        with pytest.raises(ValidationError, match="focal-quarantine/1"):
+            len(QuarantineLedger(path))
+
+    def test_damaged_tail_is_dropped_then_truncated(self, tmp_path, caplog):
+        path = tmp_path / "poison.json"
+        ledger = QuarantineLedger(path)
+        for i in range(3):
+            ledger.record("fac", {"x": i}, kind="poison", reason="r")
+        data = path.read_bytes()
+        path.write_bytes(data[:-1])  # tear the third record
+        reopened = QuarantineLedger(path)
+        assert len(reopened) == 2
+        assert "quarantine.corrupt" in caplog.text
+        reopened.record("fac", {"x": 9}, kind="poison", reason="r")
+        records, damage = ChunkLog(path).read()
+        assert damage is None and len(records) == 4
+        assert len(QuarantineLedger(path)) == 3
 
     @pytest.mark.parametrize(
         "damage",
         [
             lambda p: p.write_text("{not json"),
             lambda p: p.write_text(json.dumps({"format": "other/9"})),
-            lambda p: p.write_text(
-                json.dumps(
-                    {
-                        "format": QUARANTINE_FORMAT,
-                        "sha256": "0" * 64,
-                        "payload": {"sections": {"fac": {}}},
-                    }
-                )
-            ),
+            lambda p: _flip_header_bit(p),
         ],
         ids=["truncated", "wrong-format", "bad-checksum"],
     )
     def test_damaged_ledger_is_an_empty_ledger(self, tmp_path, damage):
         """Losing the ledger costs re-discovery, never correctness."""
         path = tmp_path / "poison.json"
+        QuarantineLedger(path).record("fac", {"x": 1}, kind="poison", reason="r")
         damage(path)
         assert len(QuarantineLedger(path)) == 0
 

@@ -246,6 +246,15 @@ class TestSweepStore:
         assert main(argv) == 2
         assert "focal-checkpoint/1" in capsys.readouterr().err
 
+    def test_old_format_quarantine_exits_2_naming_it(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(
+            '{"format": "focal-quarantine/1", "sha256": "", "payload": {}}'
+        )
+        argv = ["sweep", "--max-cores", "8", "--quarantine", str(old)]
+        assert main(argv) == 2
+        assert "focal-quarantine/1" in capsys.readouterr().err
+
 
 class TestStoreCommand:
     def _populate(self, tmp_path):
