@@ -31,6 +31,10 @@ provides the production path for large sweeps:
   initializer; no DesignPoint ever crosses the process boundary. The parent copies the valid rows'
   columns out of the block and defers everything point-level exactly
   like ``workers=0`` does — byte-identical results and cache contents;
+* with ``workers > 0`` any other factory runs **scalar-pool**: each
+  chunk's missing rows go out as the same ``(lo, hi, seq)`` shard jobs
+  over the same pool-resident grid index, and workers reply with the
+  rows' outcomes instead of writing a block;
 * :class:`BatchSweepResult` holds the sweep as arrays and converts back
   to the scalar :class:`~repro.dse.explorer.ExplorationResult` objects
   on demand; its ``params``/``designs`` are built on first read when
@@ -105,12 +109,10 @@ from ..resilience.containment import (
     INCOMPLETE,
     BisectOutcome,
     FailureReport,
-    HeartbeatMonitor,
     QuarantineLedger,
     QuarantineSession,
 )
 from ..resilience.policy import RetryPolicy, SupervisionStats
-from ..resilience.supervisor import SupervisedPool
 from . import parallel as _parallel
 from .explorer import DesignFactory, ExplorationResult
 from .grid import ParameterGrid
@@ -346,12 +348,6 @@ class _SalvageAbort(Exception):
     the chunk loop, keep the completed prefix, report the failure."""
 
 
-def _scalar_job_params(job: Mapping[str, object]) -> Mapping[str, object]:
-    """Quarantine ``describe`` hook for the scalar pool path, where a
-    job *is* its grid-point parameter dict."""
-    return job
-
-
 def _chunked(
     points: Iterable[Mapping[str, object]], size: int
 ) -> Iterator[list[Mapping[str, object]]]:
@@ -363,6 +359,15 @@ def _chunked(
             chunk = []
     if chunk:
         yield chunk
+
+
+def _extend_runs(runs: list[tuple[int, int]], start: int, stop: int) -> None:
+    """Append rows ``[start, stop)`` to the contiguous *runs*, merging
+    with the last run when they touch."""
+    if runs and runs[-1][1] == start:
+        runs[-1] = (runs[-1][0], stop)
+    else:
+        runs.append((start, stop))
 
 
 @dataclass
@@ -442,10 +447,9 @@ class _ParallelPlan:
         index: _GridIndex,
         chunk_size: int,
         block: "_parallel.ColumnarBlock",
-        pool,
+        pool: "_parallel.WorkerPool | None",
         spans: list[tuple[int, int]],
         planned: set[int],
-        spill_dir: str | None = None,
     ) -> None:
         self.index = index
         self.chunk_size = chunk_size
@@ -459,9 +463,6 @@ class _ParallelPlan:
         #: INCOMPLETE — their block rows were never written and the
         #: chunk loop must stop (salvage) when it reaches them.
         self.failed: set[int] = set()
-        #: Crash-spill directory for worker events (None when telemetry
-        #: is off) — collected and removed when the sweep winds down.
-        self.spill_dir = spill_dir
         #: Captured at setup — the block is released before stats are
         #: cut.
         self.shm_bytes = block.nbytes
@@ -540,19 +541,26 @@ class _GridIndex:
     ``axis[(i // stride) % len(axis)]`` where an axis's stride is the
     product of the later axes' sizes. That yields a chunk's kernel
     columns, or any rows' parameter dicts, without iterating the grid.
+    The index keeps the grid's own axis values, so it is all a pool
+    worker needs to describe any rows; the NumPy columns are built on
+    first use (an axis of tuples, which no column can hold, is fine
+    for a scalar factory that never asks for them).
     """
 
     def __init__(self, grid: ParameterGrid) -> None:
         self.names = list(grid.axes)
-        self.sizes = [len(grid.axes[name]) for name in self.names]
+        self.values = [list(grid.axes[name]) for name in self.names]
+        self.sizes = [len(values) for values in self.values]
         self.strides = [1] * len(self.names)
         for axis in range(len(self.names) - 2, -1, -1):
             self.strides[axis] = self.strides[axis + 1] * self.sizes[axis + 1]
         self.total = len(grid)
-        self._arrays = [np.asarray(grid.axes[name]) for name in self.names]
+        self._arrays: list[np.ndarray] | None = None
 
     def columns(self, start: int, stop: int) -> dict[str, np.ndarray]:
         """One NumPy column per axis for grid rows ``[start, stop)``."""
+        if self._arrays is None:
+            self._arrays = [np.asarray(values) for values in self.values]
         rows = np.arange(start, stop)
         return {
             name: values[(rows // stride) % size]
@@ -561,19 +569,16 @@ class _GridIndex:
             )
         }
 
-    def params(
-        self, grid: ParameterGrid, rows: np.ndarray
-    ) -> list[dict[str, object]]:
+    def params(self, rows: np.ndarray) -> list[dict[str, object]]:
         """The grid-point dicts of *rows*, holding the grid's own value
         objects (exactly what iterating the grid yields)."""
         values = []
-        for name, stride, size in zip(self.names, self.strides, self.sizes):
-            axis = grid.axes[name]
+        for axis, stride, size in zip(self.values, self.strides, self.sizes):
             values.append([axis[i] for i in ((rows // stride) % size).tolist()])
         names = self.names
         return [dict(zip(names, combo)) for combo in zip(*values)]
 
-    def distinct(self, grid: ParameterGrid, stop: int) -> int:
+    def distinct(self, stop: int) -> int:
         """Distinct cache keys among grid rows ``[0, stop)``.
 
         Keys compare by value (``1 == 1.0``), so each axis value maps to
@@ -582,11 +587,9 @@ class _GridIndex:
         """
         classes = []
         counts = []
-        for name in self.names:
+        for values in self.values:
             first: dict[object, int] = {}
-            classes.append(
-                [first.setdefault(value, len(first)) for value in grid.axes[name]]
-            )
+            classes.append([first.setdefault(value, len(first)) for value in values])
             counts.append(len(first))
         if stop == self.total:
             return math.prod(counts)
@@ -735,7 +738,7 @@ class _SweepColumns:
     def distinct_points(self) -> int:
         """Cache entries this record expands to."""
         if self._distinct is None:
-            self._distinct = self.index.distinct(self.grid, self.covered)
+            self._distinct = self.index.distinct(self.covered)
         return self._distinct
 
     def params(
@@ -744,9 +747,9 @@ class _SweepColumns:
         """The valid rows' parameter dicts, from *grid*'s own values
         (default: the swept grid, memoized)."""
         if grid is not None and grid is not self.grid:
-            return tuple(self.index.params(grid, self.rows))
+            return tuple(_GridIndex(grid).params(self.rows))
         if self._params is None:
-            self._params = tuple(self.index.params(self.grid, self.rows))
+            self._params = tuple(self.index.params(self.rows))
         return self._params
 
     def _chunk_bounds(self) -> Iterator[tuple[int, int, int, int]]:
@@ -790,7 +793,7 @@ class _SweepColumns:
         genuine ``DomainError``)."""
         designs = self.designs()
         for lo, hi, first, last in self._chunk_bounds():
-            chunk = self.index.params(self.grid, np.arange(lo, hi))
+            chunk = self.index.params(np.arange(lo, hi))
             slots: list = [None] * len(chunk)
             for row, design in zip(
                 (self.rows[first:last] - lo).tolist(), designs[first:last]
@@ -861,7 +864,7 @@ class SweepEngineStats:
     factory and the worker count alone: ``"parallel-columnar"`` (vector
     factory, worker pool, shard dispatch), ``"columnar"`` (vector
     factory, single process), ``"scalar-pool"`` (any other factory,
-    per-point calls over a worker pool), ``"scalar"`` (per-point calls
+    per-point calls in row-span shards over a worker pool), ``"scalar"`` (per-point calls
     in-process) or ``"memo"`` (a re-sweep that adopted the cache's
     pending columns whole — no factory, kernel or pool ran).
     ``vector_points`` counts the rows evaluated through
@@ -1156,7 +1159,9 @@ class BatchExplorer:
         pool sweep plans geometrically shrinking
         chunk-aligned shards and submits one executor future each, so
         idle workers pull the next shard off the shared call queue the
-        moment they finish one (work stealing).
+        moment they finish one (work stealing). A scalar factory's pool
+        sweep ships each chunk's missing rows as about one shard per
+        worker, on the same queue.
     spill_dir, spill_bytes:
         Out-of-core policy. When ``spill_bytes`` is set, a parallel
         sweep's result block at or above that many bytes is backed by
@@ -1405,7 +1410,7 @@ class BatchExplorer:
         missing: "list[int] | None" = None,
         index: int | None = None,
         plan: "_ParallelPlan | None" = None,
-        pool: "ProcessPoolExecutor | SupervisedPool | None" = None,
+        pool: "_parallel.WorkerPool | None" = None,
         qsession: "QuarantineSession | None" = None,
     ) -> list[DesignPoint | DomainError]:
         """Evaluate the *missing* rows of *chunk* (default: all of
@@ -1422,7 +1427,10 @@ class BatchExplorer:
         rejected corner takes one scalar call (its genuine
         ``DomainError``), a row the supervisor bisected out of the
         block takes its quarantine marker. Any other factory takes one
-        scalar call per point, or the scalar pool.
+        scalar call per point, or, on a pool, the rows go out as ``(lo,
+        hi, seq)`` shards (roughly one per worker) whose workers reply
+        with the outcomes; a row the supervisor quarantined takes its
+        marker the same way.
         """
         factory = self.factory
         rows = chunk if missing is None else [chunk[row] for row in missing]
@@ -1441,24 +1449,30 @@ class BatchExplorer:
             )
         if pool is None:
             return _fill_outcomes(factory, rows, [None] * len(rows))
-        # The factory itself shipped once, at pool creation, via the
-        # worker initializer — each job carries only its param dict.
-        if isinstance(pool, SupervisedPool):
-            evaluated: Iterable = pool.run(
-                _parallel.pool_evaluate, rows, describe=_scalar_job_params
-            )
-        else:
-            evaluated = pool.map(_parallel.pool_evaluate, rows)
-        outcomes = list(evaluated)
-        incomplete = sum(outcome is INCOMPLETE for outcome in outcomes)
-        if incomplete:
-            # Salvaged slots: never cache a sentinel; the chunk as a
-            # whole is unfinished and aborts the sweep.
-            raise _SalvageAbort(
-                f"worker pool never completed {incomplete} point(s) "
-                "of this chunk"
-            )
-        return outcomes
+        lo = index * self.chunk_size
+        grid_rows = [
+            lo + row for row in (range(len(chunk)) if missing is None else missing)
+        ]
+        runs: list[tuple[int, int]] = []
+        for row in grid_rows:
+            _extend_runs(runs, row, row + 1)
+        workers = self._pool_workers
+        spans = _parallel.plan_steal_runs(runs, -(-len(rows) // workers), workers)
+        jobs = [(start, stop, seq) for seq, (start, stop) in enumerate(spans)]
+        slot_of = {row: slot for slot, row in enumerate(grid_rows)}
+        slots: list = [None] * len(rows)
+        with _trace.get_tracer().span("kernels", shards=len(jobs), workers=workers):
+            for replies in self._run_shards(pool, jobs):
+                if replies is None:
+                    # Salvaged: never cache a sentinel; the chunk as a
+                    # whole is unfinished and aborts the sweep.
+                    raise _SalvageAbort(
+                        "the worker pool never completed a shard of this chunk"
+                    )
+                for start, _, _, _, outcomes, _ in replies:
+                    for row, outcome in enumerate(outcomes, start):
+                        slots[slot_of[row]] = outcome
+        return _fill_outcomes(factory, rows, slots, marker)
 
     def _resolve_chunk(
         self,
@@ -1543,49 +1557,34 @@ class BatchExplorer:
     # ------------------------------------------------------------------
     # Parallel-columnar dispatch
     # ------------------------------------------------------------------
-    def _make_pool(
+    def _open_pool(
         self,
-        initializer: Callable,
-        initargs: tuple,
-        parent_block: "_parallel.ColumnarBlock | None" = None,
-        capture: bool = False,
+        index: _GridIndex,
+        block: "_parallel.ColumnarBlock | None" = None,
         quarantine: "QuarantineSession | None" = None,
-        parent_index: "_GridIndex | None" = None,
-        scratch_dir: "str | None" = None,
-    ) -> "ProcessPoolExecutor | SupervisedPool":
-        """A worker pool whose *initializer* ships per-pool state once.
+    ) -> "_parallel.WorkerPool":
+        """The sweep's worker pool: the factory, the grid *index* and
+        (vector factories) the result *block* ship once per worker.
 
-        The parent mirrors the worker state first (its own factory and
-        its own block and grid index, never a second attachment), so
-        SupervisedPool in-process degradation — and thread-pool
-        executors injected by tests — evaluate exactly what the worker
-        processes would. With *capture* the parent's own event buffer
-        is armed too (no spill — the parent cannot crash out from under
-        itself), so degraded in-process shards leave the same timeline
-        events a worker would. *scratch_dir* (out-of-core sweeps) roots
-        the heartbeat watchdog's files under the sweep's spill dir.
+        This process mirrors the worker state first (its own factory,
+        block and index, never a second attachment), so supervised
+        in-process degradation — and thread-pool executors injected by
+        tests — evaluate exactly what the worker processes would. An
+        out-of-core sweep roots the event spill and heartbeat files
+        under its spill dir.
         """
-        _parallel.set_worker_state(self.factory, parent_block, parent_index)
-        _events.init_worker(capture, None)
-        if self.resilience is not None:
-            monitor = None
-            if (
-                scratch_dir is not None
-                and self.resilience.heartbeat_timeout_s is not None
-            ):
-                monitor = HeartbeatMonitor(base_dir=scratch_dir)
-            return SupervisedPool(
-                self._pool_workers,
-                self.resilience,
-                initializer=initializer,
-                initargs=initargs,
-                quarantine=quarantine,
-                monitor=monitor,
-            )
-        return ProcessPoolExecutor(
-            max_workers=self._pool_workers,
-            initializer=initializer,
-            initargs=initargs,
+        _parallel.set_worker_state(self.factory, block, index)
+        return _parallel.WorkerPool(
+            self._pool_workers,
+            _parallel.init_columnar_worker,
+            (self.factory, index, block.name if block is not None else None),
+            resilience=self.resilience,
+            quarantine=quarantine,
+            scratch_dir=(
+                os.fspath(self.spill_dir) if self.spill_dir is not None else None
+            ),
+            # Resolved in this module, so a test can swap in threads.
+            executor_factory=ProcessPoolExecutor,
         )
 
     def _parallel_setup(
@@ -1644,32 +1643,10 @@ class BatchExplorer:
             if fresh:
                 planned.add(chunk)
             for start, stop in fresh:
-                if runs and runs[-1][1] == start:
-                    runs[-1] = (runs[-1][0], stop)
-                else:
-                    runs.append((start, stop))
+                _extend_runs(runs, start, stop)
         spans = _parallel.plan_steal_runs(runs, size, self._pool_workers)
-        pool = None
-        capture = _events.get_log().enabled
-        scratch = (
-            os.fspath(self.spill_dir) if self.spill_dir is not None else None
-        )
-        spill = (
-            _events.make_spill_dir(base=scratch) if capture and spans else None
-        )
-        if spans:
-            pool = self._make_pool(
-                _parallel.init_columnar_worker,
-                (self.factory, index, block.name, capture, spill),
-                parent_block=block,
-                capture=capture,
-                quarantine=quarantine,
-                parent_index=index,
-                scratch_dir=scratch,
-            )
-        return _ParallelPlan(
-            index, size, block, pool, spans, planned, spill_dir=spill
-        )
+        pool = self._open_pool(index, block, quarantine) if spans else None
+        return _ParallelPlan(index, size, block, pool, spans, planned)
 
     def _parallel_kernels(
         self, plan: _ParallelPlan, tracer: _trace.Tracer
@@ -1688,8 +1665,6 @@ class BatchExplorer:
         """
         if not plan.spans:
             return
-        registry = _metrics.get_registry()
-        log = _events.get_log()
         jobs = [(lo, hi, seq) for seq, (lo, hi) in enumerate(plan.spans)]
         with tracer.span(
             "kernels",
@@ -1700,44 +1675,55 @@ class BatchExplorer:
             spill_bytes=plan.spill_nbytes,
         ):
             begin = time.perf_counter()
-            if isinstance(plan.pool, SupervisedPool):
-                replies: Iterable = plan.pool.run(
-                    _parallel.eval_shard,
-                    jobs,
-                    splitter=_parallel.split_shard_job,
-                    describe=_parallel.shard_job_point,
-                    schedule="queue",
-                )
-            else:
-                replies = plan.pool.map(_parallel.eval_shard, jobs)
-            for job, reply in zip(jobs, replies):
-                if reply is INCOMPLETE or reply is None:
+            for job, replies in zip(jobs, self._run_shards(plan.pool, jobs)):
+                if replies is None:
                     # Salvaged shard: its block rows were never written;
                     # the chunk loop stops when it reaches them.
                     first = job[0] // self.chunk_size
                     last = -(-job[1] // self.chunk_size)
                     plan.failed.update(range(first, last))
                     continue
-                if isinstance(reply, QuarantinedPoint):
-                    # A single-row shard isolated as poison: its block
-                    # row stays unwritten (valid=False) and the marker
-                    # is re-derived from the quarantine session during
-                    # materialization.
-                    continue
-                subreplies = (
-                    reply.replies if isinstance(reply, BisectOutcome) else (reply,)
-                )
-                for _, _, busy, pid, events in subreplies:
-                    plan.busy += busy
-                    if events:
-                        log.extend(events)
-                    if registry.enabled:
-                        registry.histogram(
-                            "focal_worker_busy_seconds",
-                            "kernel busy seconds per shard, by worker process",
-                            labels={"worker": str(pid)},
-                        ).observe(busy)
+                plan.busy += sum(reply[2] for reply in replies)
             plan.kernel_wall = time.perf_counter() - begin
+
+    @staticmethod
+    def _run_shards(
+        pool: "_parallel.WorkerPool", jobs: list[tuple[int, int, int]]
+    ) -> list[tuple | None]:
+        """Shard *jobs* through :func:`~repro.dse.parallel.eval_shard`
+        on *pool*; per job, its ``eval_shard`` replies — several for a
+        bisected shard, none for a quarantined single row (whose slot
+        then takes the quarantine session's marker) — or ``None`` for a
+        salvaged one. Worker events merge into the event log and busy
+        seconds feed the ``focal_worker_busy_seconds`` histogram.
+        """
+        registry = _metrics.get_registry()
+        log = _events.get_log()
+        unpacked: list[tuple | None] = []
+        for reply in pool.run(
+            _parallel.eval_shard,
+            jobs,
+            splitter=_parallel.split_shard_job,
+            describe=_parallel.shard_job_point,
+        ):
+            if reply is INCOMPLETE:
+                unpacked.append(None)
+                continue
+            if isinstance(reply, QuarantinedPoint):
+                unpacked.append(())
+                continue
+            replies = reply.replies if isinstance(reply, BisectOutcome) else (reply,)
+            for _, _, busy, pid, _, events in replies:
+                if events:
+                    log.extend(events)
+                if registry.enabled:
+                    registry.histogram(
+                        "focal_worker_busy_seconds",
+                        "kernel busy seconds per shard, by worker process",
+                        labels={"worker": str(pid)},
+                    ).observe(busy)
+            unpacked.append(replies)
+        return unpacked
 
     # ------------------------------------------------------------------
     # Sweeps
@@ -1854,7 +1840,7 @@ class BatchExplorer:
                     state.restored = loaded["chunks"]
         params_list: list[Mapping[str, object]] = []
         designs: list[DesignPoint] = []
-        pool: ProcessPoolExecutor | SupervisedPool | None = None
+        pool: "_parallel.WorkerPool | None" = None
         plan: "_ParallelPlan | None" = None
         with tracer.span(
             "sweep",
@@ -1904,10 +1890,8 @@ class BatchExplorer:
                         pool = plan.pool
                         self._parallel_kernels(plan, tracer)
                     elif workers:
-                        pool = self._make_pool(
-                            _parallel.init_factory_worker,
-                            (self.factory,),
-                            quarantine=state.qsession,
+                        pool = self._open_pool(
+                            _GridIndex(grid), quarantine=state.qsession
                         )
                     chunk_stream = enumerate(chunks)
                 for index, chunk in chunk_stream:
@@ -1985,16 +1969,9 @@ class BatchExplorer:
                 if state.session is not None:
                     state.session.flush()
                 if pool is not None:
-                    pool.shutdown(cancel_futures=True)
+                    pool.close()
                 if plan is not None:
                     plan.release()
-                    if plan.spill_dir is not None:
-                        # The crash transport: anything a dead worker
-                        # flushed but never got to reply with.
-                        _events.get_log().collect_spill(plan.spill_dir)
-                        _events.cleanup_spill_dir(plan.spill_dir)
-                if workers:
-                    _parallel.clear_worker_state()
                 object.__setattr__(self, "_cal", None)
                 if record is not None and not adopted and record.covered:
                     # Even an aborted sweep leaves its completed chunks
@@ -2046,14 +2023,14 @@ class BatchExplorer:
         )
 
     def _record_supervision(
-        self, pool: "ProcessPoolExecutor | SupervisedPool | None", sweep_span
+        self, pool: "_parallel.WorkerPool | None", sweep_span
     ) -> None:
         """Publish the sweep's supervision counters (supervised runs
         only): :attr:`last_supervision` always, span attributes when a
         recovery action actually happened."""
-        if not isinstance(pool, SupervisedPool):
+        stats = pool.stats if pool is not None else None
+        if stats is None:
             return
-        stats = pool.stats
         object.__setattr__(self, "last_supervision", stats)
         acted = (
             stats.faults

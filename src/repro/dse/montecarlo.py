@@ -5,6 +5,12 @@ uncertain ratio) from simple distributions and reports the probability
 of each sustainability category — a stochastic complement to the exact
 interval analysis in :mod:`repro.core.uncertainty`.
 
+With ``workers > 0`` both samplers run their shards on a
+:class:`~repro.dse.parallel.WorkerPool`, the pool lifecycle sweeps use
+too. Worker ``mc.shard`` events travel only through the pool's spill
+files, so a reply stays a bare codes array and checkpoint streams are
+bit-exact at any worker count.
+
 Both samplers accept ``checkpoint``/``resume``: samples are then drawn
 in chunks of ``checkpoint_every``, each completed chunk appending its
 classified int8 codes plus the RNG state as one record of a
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +52,6 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.policy import RetryPolicy
-from ..resilience.supervisor import SupervisedPool
 from . import parallel as _parallel
 from .store import ResultStore, decode_segment, encode_segment
 
@@ -243,69 +247,6 @@ def _noise_shard(job: tuple) -> np.ndarray:
     return codes
 
 
-def _mc_pool(
-    workers: int, resilience: RetryPolicy | None = None
-) -> tuple["ProcessPoolExecutor | SupervisedPool | None", str | None]:
-    """A sampler worker pool plus its event spill directory.
-
-    ``(None, None)`` for serial runs. When the global event log is
-    collecting, workers are armed through the pool initializer and
-    their ``mc.shard`` events travel exclusively via the spill files —
-    the reply arrays are untouched, keeping checkpoint streams
-    bit-exact at any worker count.
-
-    With a *resilience* policy the pool is a
-    :class:`~repro.resilience.supervisor.SupervisedPool`: crashed or
-    hung shard draws walk the same retry/respawn/degrade ladder sweeps
-    use, and because shard jobs carry their own stream positions the
-    recovered codes are byte-identical to the unfaulted run.
-    """
-    if not workers:
-        return None, None
-    capture = _events.get_log().enabled
-    spill = _events.make_spill_dir() if capture else None
-    if resilience is not None:
-        return (
-            SupervisedPool(
-                workers,
-                resilience,
-                initializer=_events.init_worker,
-                initargs=(capture, spill),
-            ),
-            spill,
-        )
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_events.init_worker,
-        initargs=(capture, spill),
-    )
-    return pool, spill
-
-
-def _mc_map(pool, fn: Callable, jobs: list) -> list:
-    """Shard fan-out on either pool flavour, preserving job order.
-
-    Supervised pools dispatch one shard per future (``schedule="queue"``)
-    so the executor's shared call queue doubles as the steal queue: an
-    idle worker picks up the next pending shard the moment it finishes
-    its own, matching the sweep engine's work-stealing scheduler.
-    """
-    if isinstance(pool, SupervisedPool):
-        return pool.run(fn, jobs, schedule="queue")
-    return list(pool.map(fn, jobs))
-
-
-def _mc_wind_down(
-    pool: "ProcessPoolExecutor | SupervisedPool | None", spill: str | None
-) -> None:
-    """Reap the sampler pool, then harvest and remove its spill files."""
-    if pool is not None:
-        pool.shutdown(cancel_futures=True)
-    if spill is not None:
-        _events.get_log().collect_spill(spill)
-        _events.cleanup_spill_dir(spill)
-
-
 def _checkpointed_codes(
     draw: Callable[[np.random.Generator, int, int], np.ndarray],
     *,
@@ -461,7 +402,11 @@ def sample_verdicts(
         area = design.area_ratio(baseline)
         energy = design.energy_ratio(baseline)
         power = design.power_ratio(baseline)
-        pool, spill = _mc_pool(workers, resilience)
+        pool = (
+            _parallel.WorkerPool(workers, _events.init_worker, resilience=resilience)
+            if workers
+            else None
+        )
 
         def draw(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
             if pool is not None and count > 1:
@@ -472,7 +417,7 @@ def sample_verdicts(
                         [(0, count)], _MC_MIN_SPAN, workers
                     )
                 ]
-                parts = _mc_map(pool, _verdict_shard, jobs)
+                parts = pool.run(_verdict_shard, jobs)
                 # Keep the parent's generator exactly where a serial
                 # draw would have left it (checkpoint states match).
                 if hi > lo:
@@ -506,7 +451,8 @@ def sample_verdicts(
                 store=store,
             )
         finally:
-            _mc_wind_down(pool, spill)
+            if pool is not None:
+                pool.close()
         if store is not None and sp is not _trace.NULL_SPAN:
             sp.set(store_samples=store_samples)
         return _observed_from_codes(
@@ -579,7 +525,11 @@ def sample_measurement_noise(
         area_ratio = design.area_ratio(baseline)
         energy_ratio = design.energy_ratio(baseline)
         power_ratio = design.power_ratio(baseline)
-        pool, spill = _mc_pool(workers, resilience)
+        pool = (
+            _parallel.WorkerPool(workers, _events.init_worker, resilience=resilience)
+            if workers
+            else None
+        )
 
         def draw(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
             noise = rng.lognormal(mean=0.0, sigma=sigma_log, size=(count, 3))
@@ -591,7 +541,7 @@ def sample_measurement_noise(
                         [(0, count)], _MC_MIN_SPAN, workers
                     )
                 ]
-                return np.concatenate(_mc_map(pool, _noise_shard, jobs))
+                return np.concatenate(pool.run(_noise_shard, jobs))
             area = area_ratio * noise[:, 0]
             energy = energy_ratio * noise[:, 1]
             power = power_ratio * noise[:, 2]
@@ -619,7 +569,8 @@ def sample_measurement_noise(
                 store=store,
             )
         finally:
-            _mc_wind_down(pool, spill)
+            if pool is not None:
+                pool.close()
         if store is not None and sp is not _trace.NULL_SPAN:
             sp.set(store_samples=store_samples)
         return _observed_from_codes(

@@ -1,4 +1,4 @@
-"""Shard dispatch for the parallel columnar sweep path.
+"""Shard dispatch and the worker-pool lifecycle for parallel sweeps.
 
 FOCAL's first-order model turns each design into four numbers, so a
 parallel sweep only has to move a span of grid rows into a kernel and
@@ -16,13 +16,17 @@ exactly that, one way:
   behaves like a work-stealing scheduler: idle workers pull the next
   shard, and a straggler can at most hold one tail-sized shard;
 * worker-side state and entry points — the factory, the sweep's grid
-  index (axis values plus strides) and the block attachment ship
-  **once per pool** through :func:`init_columnar_worker`. A shard job
-  is ``(lo, hi, seq)``: the worker derives its columns with the same
-  stride arithmetic the serial path uses and writes its rows into the
-  block. (The scalar pool path ships the factory through
-  :func:`init_factory_worker` and parameter dicts per job.) No
-  ``DesignPoint`` ever crosses the process boundary.
+  index (the grid's own axis values plus strides) and, for a vector
+  factory, the block attachment ship **once per pool** through
+  :func:`init_columnar_worker`. A shard job is ``(lo, hi, seq)`` on
+  every pool path: for a vector factory the worker derives the rows'
+  columns with the same stride arithmetic the serial path uses and
+  writes them into the block (no ``DesignPoint`` crosses the process
+  boundary); a scalar factory's worker builds the rows' parameter
+  dicts from the grid's own values and replies with the outcomes;
+* :class:`WorkerPool` — the one pool lifecycle sweeps and the
+  Monte-Carlo samplers share: open (supervised or bare, worker event
+  capture and its spill directory armed), dispatch, wind down.
 
 Everything here is byte-neutral: the kernels run unchanged on the same
 columns, the parent re-reads the same float64/bool columns the
@@ -42,7 +46,8 @@ import mmap
 import os
 import tempfile
 import time
-from typing import Callable, Mapping
+from concurrent.futures import Executor, ProcessPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +55,8 @@ from ..core.errors import ConfigurationError, DomainError
 from ..obs import events as _events
 from ..obs.log import get_logger, kv
 from ..resilience import containment as _containment
+from ..resilience.policy import RetryPolicy, SupervisionStats
+from ..resilience.supervisor import SupervisedPool
 
 __all__ = [
     "ColumnarBlock",
@@ -57,12 +64,11 @@ __all__ = [
     "live_blocks",
     "set_worker_state",
     "clear_worker_state",
-    "init_factory_worker",
     "init_columnar_worker",
-    "pool_evaluate",
     "eval_shard",
     "split_shard_job",
     "shard_job_point",
+    "WorkerPool",
 ]
 
 #: Bytes per grid point in a :class:`ColumnarBlock`:
@@ -408,9 +414,10 @@ def set_worker_state(
     block: ColumnarBlock | None,
     index=None,
 ) -> None:
-    """Install this process's sweep state: the factory plus, for the
-    columnar path, the result block and the grid index whose
-    ``columns(lo, hi)`` yields a shard's axis columns.
+    """Install this process's sweep state: the factory, the grid index
+    whose ``columns(lo, hi)`` and ``params(rows)`` describe a shard's
+    rows, and the result block (``None`` for a scalar factory, whose
+    shards reply with their outcomes instead).
 
     Called by the pool initializers in each worker and by the parent
     before dispatch, so in-process degradation and thread-pool
@@ -427,67 +434,54 @@ def clear_worker_state() -> None:
     _events.get_buffer().disable()
 
 
-def init_factory_worker(
-    factory: Callable, capture: bool = False, spill_dir: str | None = None
-) -> None:
-    """Pool initializer for the scalar path: the factory ships once per
-    worker process, not once per job."""
-    _events.init_worker(capture, spill_dir)
-    set_worker_state(factory, None)
-
-
 def init_columnar_worker(
     factory: Callable,
     index,
-    block_name: str,
+    block_name: str | None,
     capture: bool = False,
     spill_dir: str | None = None,
 ) -> None:
-    """Pool initializer for the columnar path: the factory, the sweep's
-    grid index (axis value arrays and strides — small, shipped once per
-    worker) and one attachment to the parent's result block.
+    """Pool initializer: the factory, the sweep's grid index (axis
+    values and strides — small, shipped once per worker) and, for a
+    vector factory, one attachment to the parent's result block
+    (*block_name* ``None``: a scalar factory, no block).
 
     With *capture* the worker's event buffer is armed first, so the
     block attach itself lands on the timeline (``worker.init``).
     """
     _events.init_worker(capture, spill_dir)
-    buf = _events.get_buffer()
-    t0 = buf.now()
-    block = ColumnarBlock.attach(block_name, index.total)
-    buf.add(
-        "worker.init",
-        start=t0,
-        dur_s=buf.now() - t0,
-        attach_s=buf.now() - t0,
-        backing=block.backing,
-    )
+    block = None
+    if block_name is not None:
+        buf = _events.get_buffer()
+        t0 = buf.now()
+        block = ColumnarBlock.attach(block_name, index.total)
+        buf.add(
+            "worker.init",
+            start=t0,
+            dur_s=buf.now() - t0,
+            attach_s=buf.now() - t0,
+            backing=block.backing,
+        )
     set_worker_state(factory, block, index)
 
 
-def pool_evaluate(params: Mapping[str, object]):
-    """Worker-side scalar factory call on the pool-shipped factory;
-    ``DomainError`` travels back as a value, like the cache stores it."""
-    _containment.beat()
-    try:
-        return _STATE["factory"](params)
-    except DomainError as exc:
-        return exc
-
-
 def eval_shard(job):
-    """Run the vector kernel over one shard and land it in the block.
+    """Evaluate grid rows ``[start, stop)`` of ``job = (start, stop,
+    seq)`` on the pool-resident factory.
 
-    ``job`` is ``(start, stop, seq)``: the worker derives the shard's
-    axis columns from the resident grid index, runs the factory's
-    ``batch_arrays`` and writes the result columns into the block's
-    rows ``[start, stop)``. The reply is ``(start, stop, busy_seconds,
-    worker_pid, events-or-None)`` — compact numbers, never DesignPoint
-    objects.
+    With a result block (a vector factory) the worker runs
+    ``batch_arrays`` over the rows' axis columns from the resident grid
+    index and writes the result columns into the block; without one (a
+    scalar factory) it calls the factory on each row's parameter dict,
+    built from the grid's own values, a ``DomainError`` travelling back
+    as a value. The reply is ``(start, stop, busy_seconds, worker_pid,
+    outcomes, events)``: ``outcomes`` is ``None`` for a block shard.
 
     When this worker's event buffer is armed (pool initializer with
     ``capture=True``) the shard leaves a ``heartbeat`` instant plus
-    ``shard``/``factory.compute``/``shm.write`` duration events, drained
-    into the reply so the parent can merge them without extra IPC.
+    ``shard``/``factory.compute`` (block shards: ``shm.write``)
+    duration events, drained into the reply's ``events`` so the parent
+    can merge them without extra IPC (else ``events`` is ``None``).
     """
     _containment.beat()
     start, stop, seq = job
@@ -496,24 +490,41 @@ def eval_shard(job):
     if capture:
         t0 = buf.now()
         buf.add("heartbeat", start=t0, lo=start, hi=stop)
-    columns = _STATE["index"].columns(start, stop)
-    begin = time.perf_counter()
-    arrays = _STATE["factory"].batch_arrays(columns)
-    busy = time.perf_counter() - begin
-    if len(arrays) != stop - start:
-        raise ConfigurationError(
-            f"batch_arrays returned {len(arrays)} rows for a "
-            f"{stop - start}-point shard"
+    factory = _STATE["factory"]
+    block = _STATE["block"]
+    shm_s = 0.0
+    outcomes = None
+    if block is None:
+        rows = _STATE["index"].params(np.arange(start, stop))
+        begin = time.perf_counter()
+        outcomes = []
+        for params in rows:
+            _containment.beat()
+            try:
+                outcomes.append(factory(params))
+            except DomainError as exc:
+                outcomes.append(exc)
+        busy = time.perf_counter() - begin
+    else:
+        columns = _STATE["index"].columns(start, stop)
+        begin = time.perf_counter()
+        arrays = factory.batch_arrays(columns)
+        busy = time.perf_counter() - begin
+        if len(arrays) != stop - start:
+            raise ConfigurationError(
+                f"batch_arrays returned {len(arrays)} rows for a "
+                f"{stop - start}-point shard"
+            )
+        shm_begin = time.perf_counter()
+        block.write(
+            start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid
         )
-    shm_begin = time.perf_counter()
-    _STATE["block"].write(
-        start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid
-    )
-    shm_s = time.perf_counter() - shm_begin
+        shm_s = time.perf_counter() - shm_begin
     if capture:
         end = buf.now()
         buf.add("factory.compute", start=end - shm_s - busy, dur_s=busy)
-        buf.add("shm.write", start=end - shm_s, dur_s=shm_s)
+        if block is not None:
+            buf.add("shm.write", start=end - shm_s, dur_s=shm_s)
         buf.add(
             "shard",
             start=t0,
@@ -525,7 +536,8 @@ def eval_shard(job):
             compute_s=busy,
             shm_s=shm_s,
         )
-    return (start, stop, busy, os.getpid(), buf.drain() if capture else None)
+    events = buf.drain() if capture else None
+    return (start, stop, busy, os.getpid(), outcomes, events)
 
 
 def split_shard_job(job):
@@ -546,9 +558,89 @@ def split_shard_job(job):
 
 def shard_job_point(job):
     """The grid-point parameters of a single-row shard job (for the
-    quarantine ledger), or ``None`` for a multi-row shard."""
+    quarantine ledger), or ``None`` for a multi-row shard.
+
+    Built from the grid's own values, not its NumPy columns: on a mixed
+    ``[1, 2.5, 3]`` axis the column holds ``3.0``, whose point key
+    differs from the grid's ``3`` — the ledger would then never match
+    the point it quarantined.
+    """
     start, stop, _ = job
     if stop - start != 1:
         return None
-    columns = _STATE["index"].columns(start, stop)
-    return {name: col.tolist()[0] for name, col in columns.items()}
+    return _STATE["index"].params(np.arange(start, stop))[0]
+
+
+# ----------------------------------------------------------------------
+# The pool lifecycle
+# ----------------------------------------------------------------------
+class WorkerPool:
+    """One worker pool from spawn to teardown, for sweeps and samplers.
+
+    When the global event log collects, each worker runs
+    ``initializer(*initargs, True, spill_dir)`` — event capture armed,
+    with a fresh spill directory (under *scratch_dir*) for the events a
+    dead worker never replied with — and this process's buffer is armed
+    too, so jobs re-run here leave the same events. With a *resilience*
+    policy the pool is a :class:`~repro.resilience.supervisor.
+    SupervisedPool` (and :attr:`stats` its counters), else the bare
+    executor; tests inject thread pools through *executor_factory*.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        initializer: Callable,
+        initargs: tuple = (),
+        *,
+        resilience: RetryPolicy | None = None,
+        quarantine: "_containment.QuarantineSession | None" = None,
+        scratch_dir: str | None = None,
+        executor_factory: Callable[..., Executor] = ProcessPoolExecutor,
+    ) -> None:
+        capture = _events.get_log().enabled
+        self.spill_dir = _events.make_spill_dir(base=scratch_dir) if capture else None
+        _events.init_worker(capture, None)
+        initargs = (*initargs, capture, self.spill_dir)
+        self.stats: SupervisionStats | None = None
+        if resilience is None:
+            self._pool: SupervisedPool | Executor = executor_factory(
+                max_workers=workers, initializer=initializer, initargs=initargs
+            )
+            return
+        monitor = None
+        if scratch_dir is not None and resilience.heartbeat_timeout_s is not None:
+            monitor = _containment.HeartbeatMonitor(base_dir=scratch_dir)
+        self._pool = SupervisedPool(
+            workers,
+            resilience,
+            executor_factory,
+            initializer=initializer,
+            initargs=initargs,
+            quarantine=quarantine,
+            monitor=monitor,
+        )
+        self.stats = self._pool.stats
+
+    def run(
+        self,
+        fn: Callable,
+        jobs: list,
+        *,
+        splitter: Callable | None = None,
+        describe: Callable | None = None,
+    ) -> list:
+        """One reply per job, in job order; *splitter*/*describe* feed a
+        supervised pool's quarantine bisection."""
+        if isinstance(self._pool, SupervisedPool):
+            return self._pool.run(fn, jobs, splitter=splitter, describe=describe)
+        return list(self._pool.map(fn, jobs))
+
+    def close(self) -> None:
+        """Reap the workers, harvest and remove the spill directory and
+        clear this process's worker state."""
+        self._pool.shutdown(cancel_futures=True)
+        if self.spill_dir is not None:
+            _events.get_log().collect_spill(self.spill_dir)
+            _events.cleanup_spill_dir(self.spill_dir)
+        clear_worker_state()

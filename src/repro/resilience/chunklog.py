@@ -12,7 +12,9 @@ longest prefix of whole, verified records and names the damage that
 ended it (torn tail, flipped bit, foreign file); nothing past it is ever
 returned, and the next append truncates it. :meth:`ChunkLog.open` and
 :meth:`ChunkLog.commit` add the header check and the adoption of records
-another writer appended, for files several handles share.
+another writer appended, for files several handles — in one process or
+several — share: a commit holds an exclusive ``flock`` on the file from
+adopting to appending, so concurrent writers never overwrite each other.
 
 Every durable write goes through :func:`retry_disk_write`, which retries
 transient disk faults and fires the chaos suite's
@@ -22,6 +24,7 @@ transient disk faults and fires the chaos suite's
 from __future__ import annotations
 
 import errno
+import fcntl
 import os
 import struct
 import time
@@ -185,16 +188,22 @@ class ChunkLog:
         — or, when the log has no usable header, start the file over
         with *header* and it. Chunk records another writer committed
         since this handle last read are handed to *adopt* first, never
-        overwritten. Returns bytes written."""
-        if self.end:
-            fresh = [body for kind, body in self.tail() if kind == CHUNK]
-        else:  # another writer may have started the file since
-            fresh, _ = self.open(header)
-        for record in fresh:
-            adopt(record)
-        if self.end:
-            return self.append([(CHUNK, payload)])
-        return self.reset([(HEADER, header), (CHUNK, payload)])
+        overwritten: the whole commit holds an exclusive ``flock`` on
+        the file, so no other handle, in this process or another, can
+        append between the adoption and this append. Returns bytes
+        written."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            records = self.tail() if self.end else ()
+            fresh = [body for kind, body in records if kind == CHUNK]
+            if not self.end:  # another writer may have started the file
+                fresh, _ = self.open(header)
+            for record in fresh:
+                adopt(record)
+            if self.end:
+                return self.append([(CHUNK, payload)])
+            return self.reset([(HEADER, header), (CHUNK, payload)])
 
     def tail(self) -> list[tuple[int, bytes]]:
         """Verified records another writer appended past :attr:`end`,

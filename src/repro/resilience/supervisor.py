@@ -3,10 +3,13 @@ workers.
 
 A plain ``ProcessPoolExecutor`` turns one OOM-killed or segfaulted
 worker into a ``BrokenProcessPool`` that aborts the entire sweep, and a
-hung worker into an unbounded stall. :class:`SupervisedPool` wraps the
-executor with the recovery ladder long design-space sweeps need:
+hung worker into an unbounded stall. :class:`SupervisedPool` submits
+every job as its own future on the executor's shared call queue (idle
+workers pull the next job, so the queue doubles as a work-stealing
+scheduler) and wraps the executor with the recovery ladder long
+design-space sweeps need:
 
-1. **bounded retry with exponential backoff** — a chunk whose dispatch
+1. **bounded retry with exponential backoff** — a job whose dispatch
    fails (worker crash, transient factory exception, timeout) is
    re-dispatched up to :attr:`~repro.resilience.policy.RetryPolicy.
    max_retries` times; with ``heartbeat_timeout_s`` set, a parent-side
@@ -14,12 +17,13 @@ executor with the recovery ladder long design-space sweeps need:
    instead of waiting out the blunt ``chunk_timeout_s``;
 2. **pool respawn** — a ``BrokenProcessPool``, a chunk timeout or a
    watchdog reap kills and recreates the executor (terminating any
-   hung worker processes), re-dispatching only the failed work, never
-   the chunks that already completed;
+   hung worker processes), re-dispatching only the failed jobs, never
+   the ones that already completed;
 3. **poison-point quarantine** — when the retry budget is exhausted
    and a :class:`~repro.resilience.containment.QuarantineSession` is
-   attached, the failing batch is bisected to isolate the minimal
-   crashing point set; those points are recorded in the quarantine
+   attached, each failing job is bisected — its splitter halves it, so
+   the probes needed grow with the log of its size — to isolate the
+   minimal crashing point set; those points are recorded in the quarantine
    ledger and their slots filled with :class:`~repro.core.errors.
    QuarantinedPoint` markers so the sweep continues without them;
 4. **graceful degradation** — when the pool is irrecoverable (respawn
@@ -71,17 +75,14 @@ __all__ = ["SupervisedPool"]
 _ABORT = object()
 
 
-def _run_batch(fn: Callable, jobs: Sequence) -> list:
-    """Worker-side batch evaluation (module-level, hence picklable).
+def _run_job(fn: Callable, job: object) -> object:
+    """Worker-side job evaluation (module-level, hence picklable).
 
-    Beats the heartbeat between jobs so the parent watchdog sees a
-    pool that is slow-but-alive as alive (no-op without a monitor).
+    Beats the heartbeat first so the parent watchdog sees a pool that
+    is slow-but-alive as alive (no-op without a monitor).
     """
-    results = []
-    for job in jobs:
-        _containment.beat()
-        results.append(fn(job))
-    return results
+    _containment.beat()
+    return fn(job)
 
 
 def _init_with_heartbeat(
@@ -175,54 +176,42 @@ class SupervisedPool:
         *,
         splitter: Callable | None = None,
         describe: Callable[[object], Mapping | None] | None = None,
-        schedule: str = "batch",
     ) -> list:
         """Evaluate ``fn`` over *jobs* on the pool, in job order.
 
-        With ``schedule="batch"`` (the default) the jobs of one call
-        are split into up to ``workers`` contiguous batches dispatched
-        concurrently — static assignment, one future per batch. With
-        ``schedule="queue"`` every job becomes its own future on the
-        executor's shared call queue, so idle workers pull the next job
-        the moment they finish one (work stealing); the recovery ladder
-        then operates at per-job granularity. Either way a failed
-        batch walks the recovery ladder described in the module docs.
-        Exceptions that survive every recovery path propagate
-        unchanged.
+        Every job is its own future on the executor's shared call
+        queue, so idle workers pull the next job the moment they finish
+        one (work stealing), and a failed job walks the recovery ladder
+        described in the module docs on its own. Exceptions that
+        survive every recovery path propagate unchanged.
 
         *splitter* and *describe* feed the quarantine-bisection rung:
         ``splitter(job)`` returns a pair of half-sized sub-jobs (or
         ``None`` for an atomic, single-point job) and ``describe(job)``
         returns an atomic job's grid-point parameters for the ledger.
-        Without a quarantine session both are ignored. The returned
-        list holds one reply per job; a bisected multi-point job's slot
-        is a :class:`~repro.resilience.containment.BisectOutcome`
-        wrapping its recovered sub-replies, a quarantined point's slot
-        a :class:`~repro.core.errors.QuarantinedPoint`, and a salvaged
+        Halving keeps bisection logarithmic in a job's size. Without a
+        quarantine session both are ignored. The returned list holds
+        one reply per job; a bisected multi-point job's slot is a
+        :class:`~repro.resilience.containment.BisectOutcome` wrapping
+        its recovered sub-replies, a quarantined point's slot a
+        :class:`~repro.core.errors.QuarantinedPoint`, and a salvaged
         (never completed) job's slot :data:`~repro.resilience.
         containment.INCOMPLETE`.
         """
-        if schedule not in ("batch", "queue"):
-            raise ValidationError(
-                f"schedule must be 'batch' or 'queue', got {schedule!r}"
-            )
         jobs = list(jobs)
         if not jobs:
             return []
-        batches = (
-            [[job] for job in jobs] if schedule == "queue" else self._split(jobs)
-        )
-        results: list[list | None] = [None] * len(batches)
-        pending = list(range(len(batches)))
+        results: list = [None] * len(jobs)
+        pending = list(range(len(jobs)))
         attempt = 0
         while pending:
             if self._degraded or self._ensure_executor() is None:
-                # attempt > 0 means the pending batches already failed
+                # attempt > 0 means the pending jobs already failed
                 # this run; on a fresh call they are merely unevaluated
                 # and bisection must probe before splitting them.
                 self._last_resort(
                     fn,
-                    batches,
+                    jobs,
                     results,
                     pending,
                     splitter,
@@ -233,14 +222,14 @@ class SupervisedPool:
             # submit() raises BrokenProcessPool *synchronously* when a
             # worker dies between two submits of the same round (a
             # poison job grabbed off the queue can kill the pool before
-            # the loop finishes) — the unsubmitted batches walk the
+            # the loop finishes) — the unsubmitted jobs walk the
             # ladder as crashes like everything else.
             futures: dict[int, object] = {}
             dispatch_broken = False
             for index in pending:
                 try:
                     futures[index] = self._executor.submit(
-                        _run_batch, fn, batches[index]
+                        _run_job, fn, jobs[index]
                     )
                 except BrokenProcessPool:
                     dispatch_broken = True
@@ -278,15 +267,15 @@ class SupervisedPool:
                 # replace it before re-dispatching anything.
                 self._respawn()
             if attempt >= self.policy.max_retries:
-                self._last_resort(fn, batches, results, failed, splitter, describe)
+                self._last_resort(fn, jobs, results, failed, splitter, describe)
                 break
             self.stats.retries += len(failed)
-            self._event("pool.retry", batches=len(failed), attempt=attempt)
-            self._inc("focal_retry_total", "re-dispatched work batches", len(failed))
+            self._event("pool.retry", jobs=len(failed), attempt=attempt)
+            self._inc("focal_retry_total", "re-dispatched jobs", len(failed))
             self.policy.sleep(self.policy.backoff_s(attempt))
             attempt += 1
             pending = failed
-        return [item for batch in results for item in batch]  # type: ignore[union-attr]
+        return results
 
     def shutdown(self, *, cancel_futures: bool = True) -> None:
         """Tear the pool down, reaping every worker process.
@@ -348,18 +337,6 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     # Recovery ladder internals
     # ------------------------------------------------------------------
-    def _split(self, jobs: list) -> list[list]:
-        """Up to ``workers`` contiguous, nearly equal batches."""
-        count = min(self.workers, len(jobs))
-        size, extra = divmod(len(jobs), count)
-        batches: list[list] = []
-        start = 0
-        for index in range(count):
-            stop = start + size + (1 if index < extra else 0)
-            batches.append(jobs[start:stop])
-            start = stop
-        return batches
-
     def _ensure_executor(self) -> Executor | None:
         """The live executor, spawning lazily; ``None`` degrades."""
         if self._executor is None:
@@ -409,8 +386,8 @@ class SupervisedPool:
     def _last_resort(
         self,
         fn: Callable,
-        batches: list[list],
-        results: list[list | None],
+        jobs: list,
+        results: list,
         indices: Sequence[int],
         splitter: Callable | None,
         describe: Callable | None,
@@ -429,20 +406,20 @@ class SupervisedPool:
         if self._quarantine is not None and describe is not None:
             remaining: list[int] = []
             for index in indices:
-                replies = self._bisect_group(
+                reply = self._bisect(
                     fn,
-                    batches[index],
+                    jobs[index],
                     splitter,
                     describe,
                     probe_first=not known_failing,
                 )
-                if replies is _ABORT:
+                if reply is _ABORT:
                     remaining.append(index)
                 else:
-                    results[index] = replies
+                    results[index] = reply
             indices = remaining
             if not indices:
-                # Every failing batch is explained by quarantined
+                # Every failing job is explained by quarantined
                 # points, so the respawns their crashes burned no
                 # longer indict the pool — refund the budget and
                 # retract any degradation verdict those crashes caused.
@@ -452,66 +429,62 @@ class SupervisedPool:
                     self.stats.pool_degraded = False
                 return
         if self.policy.degrade_in_process:
-            self._run_in_process(fn, batches, results, indices)
+            self._run_in_process(fn, jobs, results, indices)
             return
         if self.policy.salvage:
-            self._salvage(batches, results, indices)
+            self._salvage(results, indices)
             return
         raise WorkerPoolError(
-            f"worker pool failed {len(indices)} batch(es) after "
+            f"worker pool failed {len(indices)} job(s) after "
             f"{self.policy.max_retries} retries and in-process "
             "degradation is disabled by policy"
         )
 
     # -- poison-point bisection ----------------------------------------
-    def _bisect_group(
+    def _bisect(
         self,
         fn: Callable,
-        jobs: list,
+        job: object,
         splitter: Callable | None,
         describe: Callable,
         *,
         probe_first: bool = True,
-    ) -> list | object:
-        """Per-job replies for a failing job group, or :data:`_ABORT`.
+    ) -> object:
+        """The reply for a failing *job*, or :data:`_ABORT`.
 
-        Classic halving: a group that probes clean returns its results
-        wholesale; a failing group of more than one job splits in two;
-        a failing single job is either split further via *splitter*
-        (columnar shards down to single rows, wrapped in a
-        :class:`BisectOutcome`) or quarantined as the isolated poison
-        point. An atomic job is quarantined only after a probe of its
-        own fails (a pool crash fails every job in flight with the
-        culprit). Probe crashes replace the executor without consuming
-        the respawn budget — bisection deliberately crashes workers.
+        Classic halving: a job that probes clean returns its reply; a
+        failing job that *splitter* can halve (a shard of rows) is
+        bisected half by half and its recovered sub-replies wrapped in
+        a :class:`BisectOutcome`, so a single poison row in an n-row
+        shard costs about 2·log2(n) probes; a failing atomic job is
+        quarantined as the isolated poison point. An atomic job is
+        quarantined only after a probe of its own fails (a pool crash
+        fails every job in flight with the culprit). Probe crashes
+        replace the executor without consuming the respawn budget —
+        bisection deliberately crashes workers.
         """
-        subjobs = (
-            splitter(jobs[0]) if splitter is not None and len(jobs) == 1 else None
-        )
-        if probe_first or (len(jobs) == 1 and not subjobs):
-            status, payload = self._probe(fn, jobs)
+        subjobs = splitter(job) if splitter is not None else None
+        if probe_first or not subjobs:
+            status, payload = self._probe(fn, job)
             if status == "ok":
                 return payload
             if status == "abort":
                 return _ABORT
             kind = payload
-        else:
-            kind = "crash"
-        if len(jobs) > 1:
-            mid = len(jobs) // 2
-            left = self._bisect_group(fn, jobs[:mid], splitter, describe)
-            if left is _ABORT:
-                return _ABORT
-            right = self._bisect_group(fn, jobs[mid:], splitter, describe)
-            if right is _ABORT:
-                return _ABORT
-            return left + right
-        job = jobs[0]
         if subjobs:
-            inner = self._bisect_group(fn, list(subjobs), splitter, describe)
-            if inner is _ABORT:
-                return _ABORT
-            return [BisectOutcome(tuple(self._flatten_replies(inner)))]
+            # Sub-replies inline (a nested outcome is already flat);
+            # quarantine markers drop out — the quarantined rows are in
+            # the ledger, and the engine re-derives them from the session.
+            replies: list = []
+            for subjob in subjobs:
+                reply = self._bisect(fn, subjob, splitter, describe)
+                if reply is _ABORT:
+                    return _ABORT
+                if isinstance(reply, BisectOutcome):
+                    replies.extend(reply.replies)
+                elif not isinstance(reply, Exception):
+                    replies.append(reply)
+            return BisectOutcome(tuple(replies))
         if self.stats.quarantined >= self.policy.max_quarantine:
             self._event("pool.quarantine_budget", budget=self.policy.max_quarantine)
             return _ABORT
@@ -525,29 +498,16 @@ class SupervisedPool:
         )
         self.stats.quarantined += 1
         self._event("pool.quarantine", kind=kind)
-        return [marker]
+        return marker
 
-    @staticmethod
-    def _flatten_replies(replies: list) -> list:
-        """Inline nested :class:`BisectOutcome` layers, drop quarantine
-        markers (the quarantined rows are already in the ledger; the
-        engine re-derives their identity from the session)."""
-        flat: list = []
-        for reply in replies:
-            if isinstance(reply, BisectOutcome):
-                flat.extend(SupervisedPool._flatten_replies(list(reply.replies)))
-            elif not isinstance(reply, Exception):
-                flat.append(reply)
-        return flat
-
-    def _probe(self, fn: Callable, jobs: list) -> tuple[str, object]:
-        """One bisection probe: ``("ok", results)``, ``("fail", kind)``
+    def _probe(self, fn: Callable, job: object) -> tuple[str, object]:
+        """One bisection probe: ``("ok", reply)``, ``("fail", kind)``
         or ``("abort", None)`` when no executor can be spawned."""
         executor = self._ensure_executor()
         if executor is None:
             return "abort", None
         self.stats.bisect_probes += 1
-        future = executor.submit(_run_batch, fn, jobs)
+        future = executor.submit(_run_job, fn, job)
         timeout = self.policy.chunk_timeout_s
         if timeout is None and self.policy.heartbeat_timeout_s is not None:
             timeout = self.policy.heartbeat_timeout_s * 4.0
@@ -583,30 +543,25 @@ class SupervisedPool:
     def _run_in_process(
         self,
         fn: Callable,
-        batches: list[list],
-        results: list[list | None],
+        jobs: list,
+        results: list,
         indices: Sequence[int],
     ) -> None:
         """The degradation rung: evaluate *indices* in this process."""
         for index in indices:
-            results[index] = [fn(job) for job in batches[index]]
+            results[index] = fn(jobs[index])
             self.stats.degraded_batches += 1
             self._inc(
                 "focal_degraded_batches_total",
-                "work batches evaluated in-process after pool failure",
+                "jobs evaluated in-process after pool failure",
             )
 
-    def _salvage(
-        self,
-        batches: list[list],
-        results: list[list | None],
-        indices: Sequence[int],
-    ) -> None:
+    def _salvage(self, results: list, indices: Sequence[int]) -> None:
         """Fill never-completed slots with :data:`INCOMPLETE` sentinels."""
         for index in indices:
-            results[index] = [INCOMPLETE] * len(batches[index])
+            results[index] = INCOMPLETE
             self.stats.salvaged += 1
-        self._event("pool.salvage", batches=len(indices))
+        self._event("pool.salvage", jobs=len(indices))
         self._inc(
             "focal_salvage_runs_total",
             "irrecoverable runs salvaged as partial results",

@@ -8,6 +8,8 @@ memoized cache, process-pool workers).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.amdahl.asymmetric import AsymmetricMulticore
@@ -26,6 +28,12 @@ def multicore_factory(params):
     return SymmetricMulticore(
         cores=params["cores"], parallel_fraction=params["f"]
     ).design_point()
+
+
+def shape_factory(params):
+    """Reads ``(cores, f, ...)`` tuples: an axis no NumPy column holds."""
+    cores, f = params["shape"][:2]
+    return SymmetricMulticore(cores=cores, parallel_fraction=f).design_point()
 
 
 def asymmetric_factory(params):
@@ -217,6 +225,33 @@ class TestWorkers:
             workers=2,
         )
         assert [r.params["n"] for r in explorer.explore(grid)] == [8, 16]
+
+    def test_pool_handles_an_axis_numpy_cannot_hold(self, baseline):
+        grid = ParameterGrid(
+            {"shape": [(1, 0.5), (4, 0.9, "big"), (2, 0.95)], "g": [0, 1]}
+        )
+        kwargs = dict(
+            factory=shape_factory, baseline=baseline, weight=OPERATIONAL_DOMINATED
+        )
+        pooled = BatchExplorer(workers=2, chunk_size=4, **kwargs).explore(grid)
+        assert pooled == Explorer(**kwargs).explore(grid)
+
+    def test_traced_pool_records_kernels_and_worker_shards(self, baseline, grid):
+        from repro import obs
+        from repro.obs import events, trace
+
+        obs.reset()
+        obs.enable()
+        try:
+            batch_explorer(baseline, workers=2, chunk_size=8).explore_arrays(grid)
+            spans = [path for _, path, _ in trace.get_tracer().walk()]
+            shards = [e for e in events.get_log().events() if e["name"] == "shard"]
+        finally:
+            obs.reset()
+        assert "sweep/chunk/kernels" in spans
+        assert {e["attrs"]["points"] for e in shards} >= {4}
+        assert sum(e["attrs"]["points"] for e in shards) == len(grid)
+        assert os.getpid() not in {e["worker"] for e in shards}
 
     def test_pool_fills_cache_for_serial_resweep(self, baseline, grid):
         explorer = batch_explorer(baseline, workers=2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def _outcomes(chunk: list[dict]) -> list:
 
 def _session(store: ResultStore):
     return store.sweep_session(lambda params: None)
+
+
+def _put_points(root, offset: int, barrier) -> None:
+    """One of two concurrent store writers: 200 one-point chunks each."""
+    session = _session(ResultStore(root))
+    barrier.wait()
+    for i in range(200):
+        chunk = _chunk(1, offset + i)
+        session.put(chunk, _outcomes(chunk))
 
 
 class TestPointKeys:
@@ -120,6 +130,23 @@ class TestSweepSession:
         assert probe.disk_points == 5
         assert probe.outcomes == outcomes
         assert store.stats().disk_hits == 5
+
+    def test_two_processes_keep_every_chunk(self, tmp_path):
+        """Two processes committing 200 chunks each to one run file at
+        the same time keep all 400 (a commit locks the file)."""
+        ctx = multiprocessing.get_context()
+        barrier = ctx.Barrier(2)
+        writers = [
+            ctx.Process(target=_put_points, args=(tmp_path, offset, barrier))
+            for offset in (0, 200)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        probe = _session(ResultStore(tmp_path)).probe(_chunk(400))
+        assert probe.missing == []
 
     def test_cross_chunking_per_point_lookup(self, tmp_path):
         """Points stored at one chunking are found at any other."""

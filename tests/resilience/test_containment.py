@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import time
 
 import numpy as np
@@ -51,6 +52,14 @@ def _clean_hooks():
 # ----------------------------------------------------------------------
 # point_key
 # ----------------------------------------------------------------------
+
+def _record_points(path, tag: str, barrier) -> None:
+    """One of two concurrent ledger writers: 200 points each."""
+    ledger = QuarantineLedger(path)
+    barrier.wait()
+    for i in range(200):
+        ledger.record("fac", {"writer": tag, "i": i}, kind="poison", reason="r")
+
 class TestPointKey:
     def test_axis_order_free(self):
         assert point_key({"a": 1, "b": 0.5}) == point_key({"b": 0.5, "a": 1})
@@ -159,6 +168,24 @@ class TestQuarantineLedger:
             point_key({"x": 2}),
         }
         assert len(second) == 2
+
+    def test_two_processes_keep_every_point(self, tmp_path):
+        """Two processes recording 200 points each into one ledger at
+        the same time keep all 400: a commit holds the file locked from
+        adopting the other writer's records to appending its own."""
+        path = tmp_path / "poison.log"
+        ctx = multiprocessing.get_context()
+        barrier = ctx.Barrier(2)
+        writers = [
+            ctx.Process(target=_record_points, args=(path, tag, barrier))
+            for tag in "ab"
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        assert len(QuarantineLedger(path).entries("fac")) == 400
 
     def test_bytes_written_equal_file_size(self, tmp_path):
         """Each point is one appended record: recording N points writes

@@ -10,11 +10,18 @@ every excluded point is reported, never silently dropped.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.resilience import FaultPlan, QuarantineLedger, RetryPolicy
 from repro.resilience.containment import point_key
 
@@ -174,6 +181,92 @@ class TestPoisonQuarantine:
         )
         with pytest.raises(WorkerPoolError):
             explorer.explore_arrays(grid)
+
+
+#: A poisoned sweep over a mixed int/float axis (``4.0`` among ints),
+#: swept twice against one ledger; prints the first run's quarantined
+#: keys, the planned poison keys and the rerun's crash count as JSON.
+#: It runs in a subprocess because an uncontained poison point kills
+#: the process that evaluates it.
+MIXED_AXIS_SWEEP = """
+import json, sys
+from pathlib import Path
+from repro.core.design import DesignPoint
+from repro.core.scenario import BALANCED
+from repro.dse.batch import BatchExplorer, FactoryCache
+from repro.dse.factories import SymmetricMulticoreFactory
+from repro.dse.grid import ParameterGrid
+from repro.resilience import FaultPlan, QuarantineLedger, RetryPolicy
+from repro.resilience.containment import point_key
+
+wrap, tmp = sys.argv[1], Path(sys.argv[2])
+factory = SymmetricMulticoreFactory()
+grid = ParameterGrid({"cores": [1, 2, 3, 4.0, 5, 6, 7, 8], "f": [0.5, 0.9]})
+plan = FaultPlan.plan(grid, seed=3, state_dir=tmp / "state", poisons=1)
+
+def sweep():
+    wrapped = getattr(plan, wrap)(factory)
+    explorer = BatchExplorer(
+        factory=wrapped, cache=FactoryCache(wrapped),
+        baseline=DesignPoint.baseline("1-BCE single core"), weight=BALANCED,
+        chunk_size=4, workers=2,
+        resilience=RetryPolicy(
+            max_retries=0, backoff_base_s=0.001, chunk_timeout_s=60.0
+        ),
+    )
+    result = explorer.explore_arrays(
+        grid, quarantine=QuarantineLedger(tmp / "ledger.log")
+    )
+    return result, explorer.last_supervision
+
+first, _ = sweep()
+_, stats = sweep()
+(tmp / "report.json").write_text(json.dumps({
+    "quarantined": sorted(point_key(p) for p in first.quarantined),
+    "poison": sorted(point_key(p) for p in plan.poison_points),
+    "rerun_crashes": 0 if stats is None else stats.crashes,
+}))
+"""
+
+
+class TestMixedAxisQuarantine:
+    """A bisected row is recorded with the grid's own values: on a
+    ``[1, 2, 3, 4.0, ...]`` axis the NumPy column holds ``7.0`` for the
+    grid's ``7``, a different point key, and a ledger entry under that
+    key would never match the point again (the sweep then evaluates the
+    poison point in its own process)."""
+
+    @pytest.mark.parametrize("wrap", ["wrap", "wrap_vector"])
+    def test_poison_is_quarantined_by_the_grid_value(self, tmp_path, wrap):
+        script = tmp_path / "sweep.py"
+        script.write_text(MIXED_AXIS_SWEEP)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        with open(tmp_path / "stderr.txt", "wb") as stderr:
+            # Its own session, so the pool workers an uncontained crash
+            # orphans can be reaped with the group.
+            proc = subprocess.Popen(
+                [sys.executable, str(script), wrap, str(tmp_path)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+                start_new_session=True,
+            )
+            try:
+                code = proc.wait(timeout=120)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert code == 0, (tmp_path / "stderr.txt").read_text()[-2000:]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["quarantined"] == report["poison"]
+        assert len(report["poison"]) == 1
+        assert report["rerun_crashes"] == 0
 
 
 class TestHeartbeatWatchdog:

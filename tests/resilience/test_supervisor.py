@@ -134,7 +134,7 @@ class TestDegradedPool:
             assert pool.run(double, [1, 2, 3]) == [2, 4, 6]
             assert pool.degraded
             assert pool.stats.pool_degraded
-            assert pool.stats.degraded_batches == 2  # split over 2 batches
+            assert pool.stats.degraded_batches == 3  # one per job
 
     def test_respawn_budget_exhaustion_degrades(self):
         policy = RetryPolicy(max_retries=10, max_respawns=1, **NO_SLEEP)
@@ -165,3 +165,46 @@ class TestShutdown:
         with SupervisedPool(2, RetryPolicy(**NO_SLEEP), ThreadPoolExecutor) as pool:
             pool.run(double, [1])
         assert pool._executor is None
+
+
+def _poisoned_span(job):
+    """A span job ``(lo, hi, seq)`` whose row 700 always raises."""
+    lo, hi, seq = job
+    if lo <= 700 < hi:
+        raise RuntimeError("poison row")
+    return (lo, hi, seq)
+
+
+class TestBisection:
+    def test_one_poison_row_in_a_1024_row_span_stays_logarithmic(self, tmp_path):
+        """One future per job: the failing span is halved by its
+        splitter, never probed row by row, while the jobs around it
+        come back untouched and in order."""
+        from repro.core.errors import QuarantinedPoint
+        from repro.dse.parallel import split_shard_job
+        from repro.resilience import BisectOutcome, QuarantineLedger
+
+        session = QuarantineLedger(tmp_path / "q.log").session("fac")
+        policy = RetryPolicy(max_retries=0, **NO_SLEEP)
+        jobs = [(-8, 0, 0), (0, 1024, 1), (1024, 1032, 2)]
+        with SupervisedPool(
+            2, policy, ThreadPoolExecutor, quarantine=session
+        ) as pool:
+            replies = pool.run(
+                _poisoned_span,
+                jobs,
+                splitter=split_shard_job,
+                describe=lambda job: (
+                    {"row": job[0]} if job[1] - job[0] == 1 else None
+                ),
+            )
+        assert replies[0] == jobs[0] and replies[2] == jobs[2]
+        assert isinstance(replies[1], BisectOutcome)
+        rows = [row for lo, hi, _ in replies[1].replies for row in range(lo, hi)]
+        assert rows == [row for row in range(1024) if row != 700]
+        assert pool.stats.quarantined == 1
+        assert [entry["params"] for entry in session.new_points] == [{"row": 700}]
+        assert not any(isinstance(r, QuarantinedPoint) for r in replies)
+        # At most 3 probes per halving of the 1024-row span, ~3 *
+        # log2(1024); probing it row by row would take ~1024.
+        assert pool.stats.bisect_probes <= 30
