@@ -76,6 +76,16 @@ BASELINE = DesignPoint.baseline("1-BCE single core")
 #: NCF crosses 1 inside the alpha band -> verdicts actually vary.
 EDGE_DESIGN = DesignPoint("edge", area=1.1, perf=1.0, power=0.6)
 
+#: The 100k-point stock grid: the subgrid-warmed sweep's operating point.
+STOCK_GRID = ParameterGrid(
+    {
+        "cores": list(range(1, 401)),
+        "f": linear_range(0.50, 0.99, 250),
+    }
+)
+#: Best-of rounds for the warm and cold stock sweeps.
+WARM_ROUNDS = 5
+
 #: 100,000 points for the parallel-columnar operating point.
 PARALLEL_GRID = ParameterGrid(
     {
@@ -289,53 +299,79 @@ def test_warm_subgrid_sweep(benchmark, emit):
     """A cache warmed by a subgrid changes what a sweep evaluates, never
     how: the full sweep makes no scalar factory call, passes only the
     cache misses to ``batch_arrays``, and matches a cold sweep byte for
-    byte."""
+    byte — at the cold sweep's speed, since the known rows are gathered
+    from the cache's column record. Timed on the 100k stock grid, best
+    of :data:`WARM_ROUNDS`, for a ``cores`` pin and an ``f`` pin."""
     from repro.dse.factories import SymmetricMulticoreFactory
 
-    subgrid = GRID.subgrid(cores=4)
-    factory = CountingFactory()
-    explorer = BatchExplorer(
-        factory=factory,
-        baseline=BASELINE,
-        weight=EMBODIED_DOMINATED,
-        cache=FactoryCache(factory),
-    )
-    explorer.explore_arrays(subgrid)
-    factory.scalar_calls = factory.kernel_points = 0
+    def explorer(factory) -> BatchExplorer:
+        return BatchExplorer(
+            factory=factory,
+            baseline=BASELINE,
+            weight=EMBODIED_DOMINATED,
+            cache=FactoryCache(factory),
+        )
 
-    def warm_run():
+    def timed(sweep):
         start = time.perf_counter()
-        sweep = explorer.explore_arrays(GRID)
-        return sweep, time.perf_counter() - start
+        result = sweep()
+        return result, time.perf_counter() - start
 
-    warm, warm_s = benchmark.pedantic(warm_run, rounds=1, iterations=1)
-    engine = explorer.last_sweep
-    cold = BatchExplorer(
-        factory=SymmetricMulticoreFactory(),
-        baseline=BASELINE,
-        weight=EMBODIED_DOMINATED,
-    ).explore_arrays(GRID)
-    bytes_identical = (
+    subgrids = {
+        "cores": STOCK_GRID.subgrid(cores=4),
+        "f": STOCK_GRID.subgrid(f=STOCK_GRID.axes["f"][17]),
+    }
+
+    def measure():
+        stock = SymmetricMulticoreFactory()
+        cold_s = float("inf")
+        for _ in range(WARM_ROUNDS):
+            cold, seconds = timed(lambda: explorer(stock).explore_arrays(STOCK_GRID))
+            cold_s = min(cold_s, seconds)
+        runs = {}
+        for pin, subgrid in subgrids.items():
+            best = float("inf")
+            for _ in range(WARM_ROUNDS):
+                factory = CountingFactory()
+                warmed = explorer(factory)
+                warmed.explore_arrays(subgrid)
+                factory.scalar_calls = factory.kernel_points = 0
+                warm, seconds = timed(lambda: warmed.explore_arrays(STOCK_GRID))
+                best = min(best, seconds)
+            runs[pin] = (subgrid, warm, best, warmed.last_sweep, factory)
+        return cold, cold_s, runs
+
+    cold, cold_s, runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    bytes_identical = all(
         _sweep_bytes(warm) == _sweep_bytes(cold) and warm.designs == cold.designs
+        for _, warm, _, _, _ in runs.values()
     )
+    warm_s = max(best for _, _, best, _, _ in runs.values())
+    _, _, _, engine, factory = runs["cores"]
     _RESULTS.update(
         {
             "warm_subgrid_s": warm_s,
+            "warm_subgrid_cold_s": cold_s,
+            "warm_subgrid_cold_ratio": warm_s / cold_s,
             "warm_subgrid_mode": engine.mode,
             "warm_subgrid_memo_points": engine.memo_points,
             "warm_subgrid_kernel_points": factory.kernel_points,
-            "warm_subgrid_scalar_calls": factory.scalar_calls,
+            "warm_subgrid_scalar_calls": sum(
+                run[4].scalar_calls for run in runs.values()
+            ),
             "warm_subgrid_bytes_identical": bytes_identical,
         }
     )
     assert bytes_identical
-    assert factory.scalar_calls == 0
-    assert factory.kernel_points == len(GRID) - len(subgrid)
-    assert engine.memo_points == len(subgrid)
+    for subgrid, _, _, sweep, counted in runs.values():
+        assert counted.scalar_calls == 0
+        assert counted.kernel_points == len(STOCK_GRID) - len(subgrid)
+        assert sweep.memo_points == len(subgrid)
     emit(
-        f"subgrid-warmed sweep: {len(GRID)} points in {warm_s:.3f} s, "
+        f"subgrid-warmed sweep: {len(STOCK_GRID)} points in {warm_s:.3f} s "
+        f"(cold {cold_s:.3f} s, {warm_s / cold_s:.2f}x), "
         f"{engine.memo_points} cache hits, {factory.kernel_points} kernel "
-        f"rows, {factory.scalar_calls} scalar calls"
+        f"rows, 0 scalar calls"
     )
 
 

@@ -123,7 +123,10 @@ def uninstrumented_count_categories(explorer: BatchExplorer, grid: ParameterGrid
         if not isinstance(outcome, DomainError):
             designs.append(outcome)
     cache.record(hits=hits, misses=misses)
-    _, ncf_fw, ncf_ft = explorer._ncf_arrays(designs)
+    area = np.array([design.area for design in designs], dtype=np.float64)
+    perf = np.array([design.perf for design in designs], dtype=np.float64)
+    power = np.array([design.power for design in designs], dtype=np.float64)
+    _, ncf_fw, ncf_ft = explorer._ncf_from_columns(area, perf, power)
     counts = category_counts(classify_arrays(ncf_fw, ncf_ft))
     return {category: n for category, n in counts.items() if n}
 

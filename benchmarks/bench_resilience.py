@@ -41,6 +41,8 @@ from repro.dse.batch import (
     BatchSweepResult,
     FactoryCache,
     _chunked,
+    _GridIndex,
+    _SweepState,
     params_keys,
 )
 from repro.dse.factories import SymmetricMulticoreFactory
@@ -100,6 +102,7 @@ def unguarded_explore_arrays(
     classification kernels, no checkpoint plumbing, no supervision."""
     tracer = obs_trace.get_tracer()
     mode = explorer._resolve_mode()
+    state = _SweepState(_GridIndex(grid))
     params_list = []
     designs = []
     with tracer.span(
@@ -112,7 +115,9 @@ def unguarded_explore_arrays(
         start_s = time.perf_counter()
         for index, chunk in enumerate(_chunked(iter(grid), explorer.chunk_size)):
             with tracer.span("chunk", index=index, mode=mode):
-                outcomes = explorer._evaluate_rows(chunk)
+                outcomes = explorer._evaluate_rows(
+                    chunk, None, index, state, None, None
+                )
                 explorer.cache.store_many(
                     params_keys(chunk), outcomes, misses=len(chunk)
                 )
@@ -122,7 +127,12 @@ def unguarded_explore_arrays(
                     params_list.append(params)
                     designs.append(outcome)
         with tracer.span("classify", points=len(designs)):
-            perf, ncf_fw, ncf_ft = explorer._ncf_arrays(designs)
+            perf, ncf_fw, ncf_ft = explorer._ncf_from_columns(
+                *(
+                    np.array([getattr(design, name) for design in designs])
+                    for name in ("area", "perf", "power")
+                )
+            )
             codes = classify_arrays(ncf_fw, ncf_ft)
         explorer._engine_stats(
             mode=mode,

@@ -134,15 +134,17 @@ def ncf_band(
     """NCF with error bars across the weight's alpha band.
 
     Because NCF is affine in alpha the band is computed exactly from
-    the two edge alphas; no sampling is needed.
+    the two edge alphas; no sampling is needed. The nominal value takes
+    part in both extrema: for a band narrower than the rounding error,
+    the edge values can land one ulp on the same side of it.
     """
     nominal = ncf(design, baseline, scenario, weight.alpha)
     at_low = ncf(design, baseline, scenario, weight.low)
     at_high = ncf(design, baseline, scenario, weight.high)
     return NCFBand(
         nominal=nominal,
-        low=min(at_low, at_high),
-        high=max(at_low, at_high),
+        low=min(nominal, at_low, at_high),
+        high=max(nominal, at_low, at_high),
     )
 
 

@@ -18,9 +18,10 @@ provides the production path for large sweeps:
   factory never evaluates the scalar substrate point-by-point (see
   :mod:`repro.dse.factories` for the stock implementations): rows the
   cache, a checkpoint or the store already know are adopted and only
-  the rest run the kernel. A cold sweep keeps its answer as columns —
+  the rest run the kernel. Every sweep keeps its answer as columns —
   parameter dicts, DesignPoints and cache entries are built only when
-  read — and a re-sweep of the same grid adopts those columns;
+  read — and the cache keeps those columns, so a later sweep gathers
+  the rows it knows from them;
 * with ``workers > 0`` a vector-factory sweep runs
   **parallel-columnar**: the chunks no source knows any row of are
   sharded into contiguous, chunk-aligned spans, each span ships to a worker as a ``(lo, hi,
@@ -59,12 +60,10 @@ from the last completed chunk.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 from typing import (
     Callable,
     Iterable,
@@ -196,64 +195,45 @@ class FactoryCache:
     ratio, size); every path that bumps the counters goes through the
     single :meth:`record` choke point.
 
-    A cold columnar sweep does not fill the cache point by point: it
-    hands over its result columns as one *pending record*
-    (:meth:`defer`) and counts its misses. The counters, ``len`` and
-    :meth:`stats` are exact without touching the record; the first
-    point-level read — ``_entries``, :meth:`lookup`, :meth:`evaluate`,
-    :meth:`store`/:meth:`store_many` or a call — expands it into
-    entries through the same materialization an eager sweep runs, so
-    the memoized contents never depend on when they were read.
+    Entries live in one of two forms, every key in exactly one place: a
+    point dict, and the sealed column records of columnar sweeps
+    (:meth:`defer`). A record holds only the rows of the keys no other
+    record held when it was sealed, so the cache grows with its
+    distinct keys, not with the sweeps it served. A columnar
+    sweep reads the records as columns; ``len`` and :meth:`stats` count
+    them without building a point. The first point-level read —
+    ``_entries``, :meth:`lookup`, :meth:`evaluate`,
+    :meth:`store`/:meth:`store_many` or a call — expands every record
+    into the dict through the same materialization an eager sweep runs,
+    so the memoized contents never depend on when they were read.
     """
 
     def __init__(self, factory: DesignFactory) -> None:
         self.factory = factory
         self._memo: dict[tuple, DesignPoint | DomainError] = {}
-        self._pending: _SweepColumns | None = None
+        self._records: list[_SweepColumns] = []
         self._hits = 0
         self._misses = 0
 
     def __len__(self) -> int:
-        if self._pending is not None:
-            return len(self._memo) + self._pending.distinct_points()
-        return len(self._memo)
+        return len(self._memo) + sum(
+            record.owned_points() for record in self._records
+        )
 
     @property
     def _entries(self) -> dict[tuple, DesignPoint | DomainError]:
-        """The memo dict, with any pending record expanded into it."""
-        self._expand()
-        return self._memo
-
-    def _expand(self) -> None:
-        record, self._pending = self._pending, None
-        if record is not None:
-            memo = self._memo
+        """The memo dict, with every record expanded into it."""
+        records, self._records = self._records, []
+        memo = self._memo
+        for record in records:
             for keys, outcomes in record.chunk_outcomes():
-                for key, outcome in zip(keys, outcomes):
-                    memo[key] = outcome
+                memo.update(zip(keys, outcomes))
+        return memo
 
     def defer(self, record: "_SweepColumns") -> None:
-        """Hold a columnar sweep's columns as the pending record.
-
-        Counters are the sweep's business (it records its misses as it
-        goes). A record only stays pending in an otherwise empty cache;
-        anywhere else it expands at once, keeping insertion order.
-        """
-        empty = not len(self)
-        self._expand()
-        self._pending = record
-        if not empty:
-            self._expand()
-
-    def pending_for(
-        self, grid: ParameterGrid, chunk_size: int
-    ) -> "_SweepColumns | None":
-        """The pending record, when it covers exactly *grid* swept at
-        *chunk_size* — a re-sweep may then adopt its columns whole."""
-        record = self._pending
-        if record is not None and record.covers(grid, chunk_size):
-            return record
-        return None
+        """Keep a sealed columnar sweep's record. Counters are the
+        sweep's business (it records its hits and misses as it goes)."""
+        self._records.append(record)
 
     @property
     def hits(self) -> int:
@@ -283,7 +263,7 @@ class FactoryCache:
     def clear(self) -> None:
         """Drop all memoized evaluations (keeps hit/miss counters)."""
         self._memo.clear()
-        self._pending = None
+        self._records = []
 
     def lookup(self, key: tuple) -> DesignPoint | DomainError | None:
         """The memoized outcome for *key*, or ``None`` when unseen."""
@@ -361,13 +341,10 @@ def _chunked(
         yield chunk
 
 
-def _extend_runs(runs: list[tuple[int, int]], start: int, stop: int) -> None:
-    """Append rows ``[start, stop)`` to the contiguous *runs*, merging
-    with the last run when they touch."""
-    if runs and runs[-1][1] == start:
-        runs[-1] = (runs[-1][0], stop)
-    else:
-        runs.append((start, stop))
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The contiguous ``[start, stop)`` runs of *mask*'s true rows."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 @dataclass
@@ -403,12 +380,14 @@ class _Known:
     ``probe`` is the store's answer when it was asked about the whole
     chunk; ``stored`` counts the rows the store served, from memory and
     from disk. ``restored`` marks a chunk restored from the checkpoint
-    (which already holds it).
+    (which already holds it). ``params`` holds the chunk's parameter
+    dicts once a source or an evaluation needed them.
     """
 
     keys: list[tuple]
     outcomes: list
     hits: int = 0
+    params: "list[dict[str, object]] | None" = None
     probe: "ChunkProbe | None" = None
     stored: tuple[int, int] = (0, 0)
     restored: bool = False
@@ -416,12 +395,17 @@ class _Known:
 
 @dataclass
 class _SweepState:
-    """A point-level sweep's known-row sources and the sinks each
-    resolved chunk is recorded in. ``known`` is set when the known rows
-    of every chunk were gathered up front (parallel sweeps, so only the
-    rows no source knows reach the pool); ``seen`` then holds the keys
-    of every row left to evaluate."""
+    """A point-level sweep's grid index, known-row sources and the sinks
+    each resolved chunk is recorded in. A sweep with any of them reads
+    its chunks' parameter dicts from the grid's point stream
+    (``stream``); one without builds only keys, and dicts for the rows
+    it evaluates. ``known`` is set when the known rows of every chunk
+    were gathered up front (parallel sweeps, so only the rows no source
+    knows reach the pool); ``seen`` then holds the keys of every row
+    left to evaluate."""
 
+    index: "_GridIndex"
+    stream: "Iterator[list[Mapping[str, object]]] | None" = None
     ckpt: "CheckpointStore | None" = None
     fingerprint: "dict | None" = None
     restored: list = field(default_factory=list)
@@ -556,12 +540,16 @@ class _GridIndex:
             self.strides[axis] = self.strides[axis + 1] * self.sizes[axis + 1]
         self.total = len(grid)
         self._arrays: list[np.ndarray] | None = None
+        self._pairs: list[tuple] | None = None
 
     def columns(self, start: int, stop: int) -> dict[str, np.ndarray]:
         """One NumPy column per axis for grid rows ``[start, stop)``."""
+        return self.columns_at(np.arange(start, stop))
+
+    def columns_at(self, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """One NumPy column per axis for the grid rows *rows*."""
         if self._arrays is None:
             self._arrays = [np.asarray(values) for values in self.values]
-        rows = np.arange(start, stop)
         return {
             name: values[(rows // stride) % size]
             for name, values, stride, size in zip(
@@ -578,26 +566,70 @@ class _GridIndex:
         names = self.names
         return [dict(zip(names, combo)) for combo in zip(*values)]
 
-    def distinct(self, stop: int) -> int:
-        """Distinct cache keys among grid rows ``[0, stop)``.
+    def keys(self, rows: np.ndarray) -> list[tuple]:
+        """The cache keys of *rows* (:func:`params_keys` of their
+        :meth:`params`) with no dict per row: each axis's ``(name,
+        value)`` pairs are made once and zipped in name order."""
+        if self._pairs is None:
+            axes = zip(self.names, self.values, self.strides, self.sizes)
+            self._pairs = sorted(
+                (name, [(name, value) for value in values], stride, size)
+                for name, values, stride, size in axes
+            )
+        columns = [
+            list(map(pairs.__getitem__, ((rows // stride) % size).tolist()))
+            for _, pairs, stride, size in self._pairs
+        ]
+        return list(zip(*columns))
 
-        Keys compare by value (``1 == 1.0``), so each axis value maps to
-        the class of the first equal value; a full grid then has the
-        product of the class counts, a prefix is counted row by row.
+    def same_grid(self, other: "_GridIndex") -> bool:
+        """Whether *other* indexes this very grid: equal axes in order,
+        so equal cache keys row for row."""
+        return self.names == other.names and self.values == other.values
+
+    def repeats(self) -> bool:
+        """Whether two rows share a cache key (an axis repeats a value)."""
+        return any(
+            len(first) < size for first, size in zip(self._first(), self.sizes)
+        )
+
+    def lookup(self, other: "_GridIndex") -> np.ndarray | None:
+        """For every row of *other*'s grid, the first row of this grid
+        with the same cache key, or -1 where there is none; ``None``
+        when the axis names differ, so that no key can match.
+
+        Keys compare by value (``2 == 2.0``), so each of *other*'s axis
+        values maps to the position of the first equal value on this
+        grid's axis; strides then turn positions into rows, with no
+        per-row key built.
         """
-        classes = []
-        counts = []
+        if sorted(self.names) != sorted(other.names):
+            return None
+        firsts = dict(zip(self.names, self._first()))
+        strides = dict(zip(self.names, self.strides))
+        positions = []
+        for name, values in zip(other.names, other.values):
+            first = firsts[name]
+            positions.append(
+                np.array([first.get(value, -1) for value in values], dtype=np.int64)
+            )
+        rows = np.zeros(other.sizes, dtype=np.int64)
+        found = np.ones(other.sizes, dtype=bool)
+        for name, position in zip(other.names, np.ix_(*positions)):
+            rows += position * strides[name]
+            found &= position >= 0
+        rows[~found] = -1
+        return rows.ravel()
+
+    def _first(self) -> list[dict[object, int]]:
+        """Per axis, each distinct value's first position."""
+        firsts = []
         for values in self.values:
             first: dict[object, int] = {}
-            classes.append([first.setdefault(value, len(first)) for value in values])
-            counts.append(len(first))
-        if stop == self.total:
-            return math.prod(counts)
-        rows = np.arange(stop)
-        code = np.zeros(stop, dtype=np.int64)
-        for ids, stride, size in zip(classes, self.strides, self.sizes):
-            code = code * size + np.asarray(ids)[(rows // stride) % size]
-        return int(np.unique(code).size)
+            for position, value in enumerate(values):
+                first.setdefault(value, position)
+            firsts.append(first)
+        return firsts
 
 
 def _check_design_columns(
@@ -670,31 +702,48 @@ def _fill_outcomes(
     return slots
 
 
+def _positions(
+    sorted_rows: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which of *rows* appear in *sorted_rows* (a mask), and where."""
+    at = np.searchsorted(sorted_rows, rows)
+    hit = at < len(sorted_rows)
+    hit[hit] = sorted_rows[at[hit]] == rows[hit]
+    return hit, at
+
+
 class _SweepColumns:
-    """A columnar sweep's result, kept as columns.
+    """A sweep's result, kept as columns.
 
     Holds each valid row's area/perf/power and its flat grid row index
     for grid rows ``[0, covered)``, plus what it takes to build point
     objects from them on demand: the parameter dicts, the named
     DesignPoints (memoized, so a :class:`BatchSweepResult` and the
     :class:`FactoryCache` expanding this record share the objects) and
-    the per-chunk cache outcomes an eager sweep would have stored.
+    the per-chunk cache outcomes an eager sweep would have stored. A
+    chunk resolved point by point keeps the designs it already holds.
+
+    In a cache, the record owns the keys of its ``owned`` grid rows
+    (sorted; all covered rows when ``None``): the first row of every
+    key no other record held when it was sealed. A record kept in a
+    cache holds only those rows (:meth:`kept`).
     """
 
-    def __init__(
-        self, factory: DesignFactory, grid: ParameterGrid, chunk_size: int
-    ) -> None:
+    def __init__(self, factory: DesignFactory, grid: ParameterGrid) -> None:
         self.factory = factory
         self.grid = grid
-        self.chunk_size = chunk_size
         self.index = _GridIndex(grid)
         self.covered = 0
-        self._parts: list[tuple[np.ndarray, ...]] = []
+        self.owned: np.ndarray | None = None
+        self._parts: list[tuple] = []
+        #: ``(lo, hi, first, last, designs)`` per chunk once sealed: grid
+        #: rows ``[lo, hi)`` hold valid rows ``[first, last)`` of the
+        #: columns, and *designs* their DesignPoints when already built.
+        self._chunks: list[tuple] = []
         self.rows = np.zeros(0, dtype=np.int64)
         self.area = self.perf = self.power = np.zeros(0)
         self._params: tuple[dict[str, object], ...] | None = None
         self._designs: tuple[DesignPoint, ...] | None = None
-        self._distinct: int | None = None
 
     def add(self, start: int, arrays: DesignArrays) -> int:
         """Keep chunk ``[start, start + len(arrays))``'s valid rows;
@@ -710,36 +759,75 @@ class _SweepColumns:
                 arrays.area[keep], arrays.perf[keep], arrays.power[keep]
             )
         _check_design_columns(area, perf, power)
-        self._parts.append((rows, area, perf, power))
+        self._parts.append((start, len(arrays), rows, area, perf, power, None))
         self.covered = start + len(arrays)
         return int(rows.shape[0])
 
-    def seal(self) -> None:
-        """Concatenate the collected chunks into the final columns."""
-        if self._parts:
-            self.rows, self.area, self.perf, self.power = (
-                np.concatenate(part) for part in zip(*self._parts)
-            )
-            self._parts = []
-
-    def covers(self, grid: ParameterGrid, chunk_size: int) -> bool:
-        """Whether this is a complete sweep of *grid* (equal axes, in
-        order, so equal cache keys row for row) at *chunk_size*."""
-        return (
-            chunk_size == self.chunk_size
-            and self.covered == self.index.total
-            and list(grid.axes) == self.index.names
-            and all(
-                list(grid.axes[name]) == list(self.grid.axes[name])
-                for name in self.index.names
+    def add_outcomes(
+        self, start: int, outcomes: Sequence[DesignPoint | DomainError]
+    ) -> int:
+        """Keep a resolved chunk's designs (a ``DomainError`` row, a
+        quarantined one included, is no valid row); returns how many
+        there were."""
+        keep = [
+            row
+            for row, outcome in enumerate(outcomes)
+            if not isinstance(outcome, DomainError)
+        ]
+        designs = tuple(outcomes[row] for row in keep)
+        self._parts.append(
+            (
+                start,
+                len(outcomes),
+                np.array(keep, dtype=np.int64) + start,
+                np.array([design.area for design in designs], dtype=np.float64),
+                np.array([design.perf for design in designs], dtype=np.float64),
+                np.array([design.power for design in designs], dtype=np.float64),
+                designs,
             )
         )
+        self.covered = start + len(outcomes)
+        return len(designs)
 
-    def distinct_points(self) -> int:
+    def seal(self) -> None:
+        """Concatenate the collected chunks into the final columns."""
+        if not self._parts:
+            return
+        first = 0
+        for lo, size, rows, _, _, _, designs in self._parts:
+            self._chunks.append((lo, lo + size, first, first + len(rows), designs))
+            first += len(rows)
+        columns = list(zip(*self._parts))[2:6]
+        self.rows, self.area, self.perf, self.power = map(np.concatenate, columns)
+        self._parts = []
+
+    def owned_points(self) -> int:
         """Cache entries this record expands to."""
-        if self._distinct is None:
-            self._distinct = self.index.distinct(self.covered)
-        return self._distinct
+        return self.covered if self.owned is None else len(self.owned)
+
+    def kept(self, owned: np.ndarray) -> "_SweepColumns":
+        """What a cache keeps of this sealed record, given the mask of
+        the grid rows whose keys it *owned*: the record itself when it
+        owns every row it covers, else a copy cut down to the owned
+        rows, so a cache grows with the keys it holds rather than with
+        the sweeps it saw. (A columnar record holds no designs yet.)"""
+        mine = owned[self.rows]
+        owned = np.flatnonzero(owned[: self.covered])
+        if len(owned) == self.covered:
+            return self
+        kept = _SweepColumns(self.factory, self.grid)
+        kept.index, kept.covered, kept.owned = self.index, self.covered, owned
+        kept.rows, kept.area, kept.perf, kept.power = (
+            column[mine] for column in (self.rows, self.area, self.perf, self.power)
+        )
+        bounds = np.searchsorted(
+            kept.rows, [lo for lo, *_ in self._chunks] + [self.covered]
+        ).tolist()
+        kept._chunks = [
+            (lo, hi, first, last, None)
+            for (lo, hi, *_), first, last in zip(self._chunks, bounds, bounds[1:])
+        ]
+        return kept
 
     def params(
         self, grid: ParameterGrid | None = None
@@ -752,54 +840,117 @@ class _SweepColumns:
             self._params = tuple(self.index.params(self.rows))
         return self._params
 
-    def _chunk_bounds(self) -> Iterator[tuple[int, int, int, int]]:
-        """``(lo, hi, first, last)`` per swept chunk: grid rows
-        ``[lo, hi)`` hold valid rows ``[first, last)`` of the columns."""
-        edges = np.arange(0, self.covered, self.chunk_size)
-        cuts = np.searchsorted(self.rows, edges).tolist() + [len(self.rows)]
-        for k, lo in enumerate(edges.tolist()):
-            yield lo, min(lo + self.chunk_size, self.covered), cuts[k], cuts[k + 1]
-
     def designs(self) -> tuple[DesignPoint, ...]:
-        """The valid rows' DesignPoints: the factory's ``design_points``
+        """The valid rows' DesignPoints: a chunk's own when it was
+        resolved point by point, else the factory's ``design_points``
         per chunk, one scalar call for any row it leaves ``None`` (or
         for every row, when the factory has no materializer)."""
         if self._designs is not None:
             return self._designs
-        params = self.params()
         designs: list[DesignPoint] = []
-        for _, _, first, last in self._chunk_bounds():
-            chunk = list(params[first:last])
-            if not chunk:
-                continue
-            arrays = DesignArrays(
-                area=self.area[first:last],
-                perf=self.perf[first:last],
-                power=self.power[first:last],
-                valid=np.ones(len(chunk), dtype=bool),
-            )
-            designs += _fill_outcomes(
-                self.factory, chunk, _design_slots(self.factory, chunk, arrays)
-            )
+        for _, _, first, last, built in self._chunks:
+            if built is None and last > first:
+                chunk = list(self.params()[first:last])
+                arrays = DesignArrays(
+                    area=self.area[first:last],
+                    perf=self.perf[first:last],
+                    power=self.power[first:last],
+                    valid=np.ones(len(chunk), dtype=bool),
+                )
+                built = _fill_outcomes(
+                    self.factory, chunk, _design_slots(self.factory, chunk, arrays)
+                )
+            designs += built or ()
         self._designs = tuple(designs)
         return self._designs
 
     def chunk_outcomes(
         self,
     ) -> Iterator[tuple[list[tuple], list[DesignPoint | DomainError]]]:
-        """``(keys, outcomes)`` per swept chunk in grid order: exactly
-        what an eager sweep memoizes — the designs for valid rows and,
-        for each invalid corner, the outcome of one scalar call (the
-        genuine ``DomainError``)."""
+        """``(keys, outcomes)`` of the owned rows, per swept chunk in
+        grid order: exactly what an eager sweep memoizes — the designs
+        for valid rows and, for each invalid corner, the outcome of one
+        scalar call (the genuine ``DomainError``)."""
         designs = self.designs()
-        for lo, hi, first, last in self._chunk_bounds():
-            chunk = self.index.params(np.arange(lo, hi))
+        for lo, hi, first, last, _ in self._chunks:
+            if self.owned is None:
+                rows = np.arange(lo, hi)
+            else:
+                rows = self.owned[np.searchsorted(self.owned, lo) :]
+                rows = rows[: np.searchsorted(rows, hi)]
+            if not rows.size:
+                continue
+            chunk = self.index.params(rows)
             slots: list = [None] * len(chunk)
-            for row, design in zip(
-                (self.rows[first:last] - lo).tolist(), designs[first:last]
-            ):
-                slots[row] = design
+            mine, at = _positions(rows, self.rows[first:last])
+            for slot, row in zip(at[mine].tolist(), np.flatnonzero(mine).tolist()):
+                slots[slot] = designs[first + row]
             yield params_keys(chunk), _fill_outcomes(self.factory, chunk, slots)
+
+
+class _CachedRows:
+    """The rows of a columnar sweep that need no kernel.
+
+    A row whose cache key a cache record holds takes the record's
+    columns (found through :meth:`_GridIndex.lookup`, no per-row key).
+    Records are read in the order they were kept, so a key reaches the
+    record that owns it first — the only one still holding its row;
+    a repeat of an earlier row's key takes that row's values once they
+    are known. ``fresh`` marks the rest — the first row of every key no
+    record holds — and the full-length columns collect every row's
+    values as the sweep fills them in.
+    """
+
+    def __init__(self, index: _GridIndex, records: Sequence[_SweepColumns]):
+        total = index.total
+        self.fresh = np.ones(total, dtype=bool)
+        self.area = np.zeros(total)
+        self.perf = np.zeros(total)
+        self.power = np.zeros(total)
+        self.valid = np.zeros(total, dtype=bool)
+        for record in records:
+            if not self.fresh.any():
+                break
+            found = record.index.lookup(index)
+            if found is None:
+                continue
+            take = np.flatnonzero(
+                self.fresh & (found >= 0) & (found < record.covered)
+            )
+            self.fresh[take] = False
+            hit, at = _positions(record.rows, found[take])
+            rows, at = take[hit], at[hit]
+            self.area[rows] = record.area[at]
+            self.perf[rows] = record.perf[at]
+            self.power[rows] = record.power[at]
+            self.valid[rows] = True
+        self.first: np.ndarray | None = None
+        if index.repeats():
+            self.first = index.lookup(index)
+            self.fresh &= self.first == np.arange(total)
+
+    def chunk(
+        self, lo: int, hi: int, rows: np.ndarray, arrays: "DesignArrays | None"
+    ) -> DesignArrays:
+        """Grid rows ``[lo, hi)`` with the kernel *arrays* of their fresh
+        *rows* (chunk-relative) filled in, repeats copied from their
+        first row."""
+        if arrays is not None:
+            rows = rows + lo
+            self.area[rows] = arrays.area
+            self.perf[rows] = arrays.perf
+            self.power[rows] = arrays.power
+            self.valid[rows] = arrays.valid
+        if self.first is not None:
+            first = self.first[lo:hi]
+            repeat = np.flatnonzero(first != np.arange(lo, hi))
+            source = first[repeat]
+            repeat += lo
+            for column in (self.area, self.perf, self.power, self.valid):
+                column[repeat] = column[source]
+        return DesignArrays(
+            self.area[lo:hi], self.perf[lo:hi], self.power[lo:hi], self.valid[lo:hi]
+        )
 
 
 @runtime_checkable
@@ -864,12 +1015,11 @@ class SweepEngineStats:
     factory and the worker count alone: ``"parallel-columnar"`` (vector
     factory, worker pool, shard dispatch), ``"columnar"`` (vector
     factory, single process), ``"scalar-pool"`` (any other factory,
-    per-point calls in row-span shards over a worker pool), ``"scalar"`` (per-point calls
-    in-process) or ``"memo"`` (a re-sweep that adopted the cache's
-    pending columns whole — no factory, kernel or pool ran).
-    ``vector_points`` counts the rows evaluated through
-    ``batch_arrays`` — the cache misses of a columnar sweep; rows the
-    cache, a checkpoint or the store already knew are not among them.
+    per-point calls in row-span shards over a worker pool) or
+    ``"scalar"`` (per-point calls in-process). ``vector_points`` counts
+    the rows evaluated through ``batch_arrays`` — the cache misses of a
+    columnar sweep; rows the cache, a checkpoint or the store already
+    knew are not among them.
     The ``shards``/``shard_points``/``shm_bytes``/
     ``worker_utilization`` fields are populated by parallel-columnar
     sweeps only and feed the ``focal_parallel_*`` gauges.
@@ -1036,10 +1186,10 @@ class BatchSweepResult:
     """A whole sweep held as arrays (valid points only, grid order).
 
     ``perf``, ``ncf_fixed_work``, ``ncf_fixed_time`` and ``codes`` are
-    the result. A sweep that kept its result as columns builds
+    the result. A sweep keeps its points as columns and builds
     ``params`` (the grid's own value objects) and ``designs`` on first
-    read and memoizes them; either way they equal what an eager sweep
-    holds. ``quarantined`` lists the grid points failure containment
+    read, then memoizes them; they equal what an eager sweep holds.
+    ``quarantined`` lists the grid points failure containment
     excluded (always reported, never silent), and ``failure`` is the
     :class:`~repro.resilience.containment.FailureReport` of a salvaged
     partial run (``None`` for a run that completed).
@@ -1073,6 +1223,7 @@ class BatchSweepResult:
         ncf_fixed_work: np.ndarray,
         ncf_fixed_time: np.ndarray,
         codes: np.ndarray,
+        quarantined: tuple[Mapping[str, object], ...] = (),
         failure: "FailureReport | None" = None,
     ) -> "BatchSweepResult":
         """A result whose points are built from *columns* on demand
@@ -1084,6 +1235,7 @@ class BatchSweepResult:
             ncf_fixed_work,
             ncf_fixed_time,
             codes,
+            quarantined=quarantined,
             failure=failure,
         )
         object.__setattr__(result, "_columns", columns)
@@ -1208,10 +1360,9 @@ class BatchExplorer:
     _active_workers: int | None = field(
         default=None, init=False, compare=False, repr=False
     )
-    #: Calibration leftovers of an auto sweep: ``(grid, points,
-    #: arrays)`` of the first chunk, reused so calibration costs no
-    #: extra kernels.
-    _cal: "tuple[ParameterGrid, int, DesignArrays] | None" = field(
+    #: Calibration leftovers of an auto sweep: ``(points, arrays)`` of
+    #: the first chunk, reused so calibration costs no extra kernels.
+    _cal: "tuple[int, DesignArrays] | None" = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -1275,11 +1426,6 @@ class BatchExplorer:
         factory resolves to 0: calibration needs a first chunk nothing
         is known of, and a scalar factory has no kernel to time.
         """
-        cal = self._cal
-        if cal is not None and cal[0] is grid:
-            # Already calibrated for this sweep (count_categories hands
-            # the sweep on to explore_arrays).
-            return self._pool_workers
         object.__setattr__(self, "_cal", None)
         if self.workers != "auto":
             object.__setattr__(self, "_active_workers", self.workers)
@@ -1294,7 +1440,7 @@ class BatchExplorer:
             self._check_rows(arrays, first)
             serial_est = elapsed / first * len(grid)
             resolved = self._auto_decision(serial_est, self._cpu_count())
-            object.__setattr__(self, "_cal", (grid, first, arrays))
+            object.__setattr__(self, "_cal", (first, arrays))
         object.__setattr__(self, "_active_workers", resolved)
         return resolved
 
@@ -1303,8 +1449,8 @@ class BatchExplorer:
         first chunk (consumed — reuse is single-shot)."""
         cal = self._cal
         object.__setattr__(self, "_cal", None)
-        if cal is not None and cal[1] == chunk_len:
-            return cal[2]
+        if cal is not None and cal[0] == chunk_len:
+            return cal[1]
         return None
 
     @staticmethod
@@ -1315,19 +1461,33 @@ class BatchExplorer:
                 f"{points}-point chunk"
             )
 
-    def _chunk_kernel(self, index: _GridIndex, start: int) -> DesignArrays:
-        """Kernel columns of the chunk starting at grid row *start*, for
-        a sweep that keeps its result as columns: stride-built axis
-        columns, the ``workers="auto"`` calibration arrays reused for
-        the first chunk, and the row count checked against the chunk.
-        """
-        stop = min(start + self.chunk_size, index.total)
-        if start == 0:
-            cal = self._take_cal_arrays(stop)
-            if cal is not None:
-                return cal
-        arrays = self.factory.batch_arrays(index.columns(start, stop))
-        self._check_rows(arrays, stop - start)
+    def _kernel_rows(
+        self,
+        index: _GridIndex,
+        chunk: int,
+        rows: "np.ndarray | None" = None,
+        plan: "_ParallelPlan | None" = None,
+    ) -> DesignArrays:
+        """Kernel columns of chunk *chunk*'s *rows* (chunk-relative; the
+        whole chunk when ``None``): read back from the parallel plan's
+        block when the pool evaluated them, taken from the
+        ``workers="auto"`` calibration for the first chunk, else
+        ``batch_arrays`` over stride-built axis columns — bit-exact for
+        any subset of rows, because the kernels are elementwise."""
+        if plan is not None and chunk in plan.planned:
+            return plan.chunk_arrays(chunk, rows)
+        lo = chunk * self.chunk_size
+        hi = min(lo + self.chunk_size, index.total)
+        arrays = self._take_cal_arrays(hi) if chunk == 0 else None
+        if arrays is None:
+            grid_rows = np.arange(lo, hi) if rows is None else rows + lo
+            arrays = self.factory.batch_arrays(index.columns_at(grid_rows))
+            self._check_rows(arrays, len(grid_rows))
+        elif rows is not None:
+            arrays = DesignArrays(
+                arrays.area[rows], arrays.perf[rows], arrays.power[rows],
+                arrays.valid[rows],
+            )
         return arrays
 
     # ------------------------------------------------------------------
@@ -1345,9 +1505,7 @@ class BatchExplorer:
             return "parallel-columnar" if self._pool_workers else "columnar"
         return "scalar-pool" if self._pool_workers else "scalar"
 
-    def _known_rows(
-        self, index: int, chunk: Sequence[Mapping[str, object]], state: _SweepState
-    ) -> _Known:
+    def _known_rows(self, index: int, state: _SweepState) -> _Known:
         """Every row of chunk *index* some source already knows.
 
         A checkpoint-restored chunk is known whole. Otherwise the
@@ -1357,18 +1515,23 @@ class BatchExplorer:
         then repeats of a point an earlier row of the chunk — or, when
         the sweep gathers every chunk up front, of the sweep — left to
         evaluate (``state.seen``), so each point is evaluated once.
+        Keys come straight from the grid index.
         """
-        keys = params_keys(chunk)
+        lo = index * self.chunk_size
+        keys = state.index.keys(
+            np.arange(lo, min(lo + self.chunk_size, state.index.total))
+        )
+        chunk = next(state.stream) if state.stream is not None else None
         if index < len(state.restored):
             outcomes = decode_outcomes(state.restored[index])
-            if len(outcomes) != len(chunk):
+            if len(outcomes) != len(keys):
                 raise CheckpointError(
                     f"checkpoint {state.ckpt.path} records {len(outcomes)} "
-                    f"outcomes for a {len(chunk)}-point chunk; the file "
+                    f"outcomes for a {len(keys)}-point chunk; the file "
                     "does not match this grid"
                 )
-            return _Known(keys, outcomes, restored=True)
-        known = _Known(keys, [None] * len(chunk))
+            return _Known(keys, outcomes, params=chunk, restored=True)
+        known = _Known(keys, [None] * len(keys), params=chunk)
         outcomes = known.outcomes
         qsession = state.qsession
         if qsession is not None and qsession.known_count:
@@ -1389,7 +1552,11 @@ class BatchExplorer:
         seen = state.seen
         if seen is None and len(set(keys)) < len(keys):
             seen = set()
-        if seen is not None or len(self.cache):
+        if seen is None and chunk is None and len(self.cache):
+            # The cache is the only source: one probe per key.
+            outcomes[:] = map(self.cache._entries.get, keys)
+            known.hits = sum(outcome is not None for outcome in outcomes)
+        elif seen is not None or len(self.cache):
             entries = self.cache._entries
             for row, key in enumerate(keys):
                 if outcomes[row] is None:
@@ -1407,22 +1574,17 @@ class BatchExplorer:
     def _evaluate_rows(
         self,
         chunk: Sequence[Mapping[str, object]],
-        missing: "list[int] | None" = None,
-        index: int | None = None,
-        plan: "_ParallelPlan | None" = None,
-        pool: "_parallel.WorkerPool | None" = None,
-        qsession: "QuarantineSession | None" = None,
+        missing: "list[int] | None",
+        index: int,
+        state: _SweepState,
+        plan: "_ParallelPlan | None",
+        pool: "_parallel.WorkerPool | None",
     ) -> list[DesignPoint | DomainError]:
-        """Evaluate the *missing* rows of *chunk* (default: all of
+        """Evaluate the *missing* rows of chunk *index* (default: all of
         them) — the one place that chooses how missing rows run.
 
-        A vector factory runs its columnar kernel. The kernel columns
-        come from the parallel plan's block when chunk *index* was
-        planned (the pool evaluated exactly its missing rows), or from
-        the ``workers="auto"`` calibration when they are all of chunk
-        0; otherwise ``batch_arrays`` runs over the rows' own columns,
-        which is bit-exact for any subset because the kernels are
-        elementwise. ``_design_slots`` then builds the named
+        A vector factory runs its columnar kernel over the rows
+        (:meth:`_kernel_rows`). ``_design_slots`` then builds the named
         DesignPoints and ``_fill_outcomes`` completes the rest: a
         rejected corner takes one scalar call (its genuine
         ``DomainError``), a row the supervisor bisected out of the
@@ -1434,28 +1596,24 @@ class BatchExplorer:
         """
         factory = self.factory
         rows = chunk if missing is None else [chunk[row] for row in missing]
-        marker = qsession.marker if qsession is not None else None
+        marker = state.qsession.marker if state.qsession is not None else None
         if is_vector_factory(factory):
-            arrays = None
-            if plan is not None and index in plan.planned:
-                arrays = plan.chunk_arrays(index, missing)
-            elif index == 0 and missing is None:
-                arrays = self._take_cal_arrays(len(rows))
-            if arrays is None:
-                arrays = factory.batch_arrays(self._chunk_columns(rows))
-                self._check_rows(arrays, len(rows))
+            arrays = self._kernel_rows(
+                state.index,
+                index,
+                None if missing is None else np.array(missing, dtype=np.int64),
+                plan,
+            )
             return _fill_outcomes(
                 factory, rows, _design_slots(factory, rows, arrays), marker
             )
         if pool is None:
             return _fill_outcomes(factory, rows, [None] * len(rows))
         lo = index * self.chunk_size
-        grid_rows = [
-            lo + row for row in (range(len(chunk)) if missing is None else missing)
-        ]
-        runs: list[tuple[int, int]] = []
-        for row in grid_rows:
-            _extend_runs(runs, row, row + 1)
+        wanted = np.zeros(len(chunk), dtype=bool)
+        wanted[slice(None) if missing is None else missing] = True
+        grid_rows = (np.flatnonzero(wanted) + lo).tolist()
+        runs = [(lo + start, lo + stop) for start, stop in _runs(wanted)]
         workers = self._pool_workers
         spans = _parallel.plan_steal_runs(runs, -(-len(rows) // workers), workers)
         jobs = [(start, stop, seq) for seq, (start, stop) in enumerate(spans)]
@@ -1477,7 +1635,6 @@ class BatchExplorer:
     def _resolve_chunk(
         self,
         index: int,
-        chunk: Sequence[Mapping[str, object]],
         state: _SweepState,
         plan: "_ParallelPlan | None",
         pool,
@@ -1490,22 +1647,33 @@ class BatchExplorer:
         in the cache (cache hits and repeats count as hits, every
         evaluated row as a miss, other known rows as neither), in the
         store (unless the store served the whole chunk) and in the
-        checkpoint (a restored chunk is already there).
+        checkpoint (a restored chunk is already there). A chunk the
+        cache served whole in a sweep with no durable layer is only
+        counted.
         """
         if state.known is not None:
             known = state.known.pop(index)
         else:
-            known = self._known_rows(index, chunk, state)
+            known = self._known_rows(index, state)
         outcomes = known.outcomes
+        if known.hits == len(outcomes) and known.params is None and state.seen is None:
+            self.cache.record(hits=known.hits)
+            return outcomes
         missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
+        chunk = known.params
+        if chunk is None and missing:
+            lo = index * self.chunk_size
+            chunk = state.index.params(
+                np.arange(lo, min(lo + self.chunk_size, state.index.total))
+            )
         if missing:
             fresh = self._evaluate_rows(
                 chunk,
                 None if len(missing) == len(chunk) else missing,
                 index,
+                state,
                 plan,
                 pool,
-                state.qsession,
             )
             for row, outcome in zip(missing, fresh):
                 outcomes[row] = outcome
@@ -1544,16 +1712,6 @@ class BatchExplorer:
                 state.ckpt = None
         return outcomes
 
-    @staticmethod
-    def _chunk_columns(
-        chunk: Sequence[Mapping[str, object]],
-    ) -> dict[str, np.ndarray]:
-        """One NumPy column per axis for a chunk of grid-point dicts."""
-        return {
-            name: np.asarray([params[name] for params in chunk])
-            for name in chunk[0]
-        }
-
     # ------------------------------------------------------------------
     # Parallel-columnar dispatch
     # ------------------------------------------------------------------
@@ -1590,61 +1748,45 @@ class BatchExplorer:
     def _parallel_setup(
         self,
         index: _GridIndex,
-        known: "Mapping[int, _Known] | None" = None,
+        fresh: "np.ndarray | None" = None,
         quarantine: "QuarantineSession | None" = None,
     ) -> _ParallelPlan:
         """Allocate the sweep's shared block, plan the shard spans over
-        the rows nothing is known of, and spawn the pool (which
-        receives the grid *index* once, so a shard job is ``(lo, hi,
-        seq)``).
+        the *fresh* rows (a mask over the grid; all rows when ``None``)
+        and spawn the pool (which receives the grid *index* once, so a
+        shard job is ``(lo, hi, seq)``).
 
-        *known* maps each chunk to its known rows (no map: nothing is
-        known). Only the rows no source knows are dispatched — a
-        chunk's restored, ledger-poison, stored, cached or repeated
-        rows never reach a worker and their block rows are never
-        written or read. That keeps resume, store and cache reuse
-        bit-exact and free of redundant kernel work, and a known poison
-        point never crashes a worker again; every fresh row still runs
-        on the pool, under its supervisor, which bisects fresh crashes
-        into *quarantine*. A sweep with nothing to evaluate gets no
-        pool at all.
+        Only the rows no source knows are dispatched — restored,
+        ledger-poison, stored, cached or repeated rows never reach a
+        worker and their block rows are never written or read. That
+        keeps resume, store and cache reuse bit-exact and free of
+        redundant kernel work, and a known poison point never crashes a
+        worker again; every fresh row still runs on the pool, under its
+        supervisor, which bisects fresh crashes into *quarantine*. A
+        sweep with nothing to evaluate gets no pool at all.
 
-        When ``workers="auto"`` calibrated on the first chunk and
-        nothing of that chunk is known, its arrays are written into the
-        block up front and the chunk is dropped from the dispatch
-        spans — calibration cost no extra kernel work.
+        When ``workers="auto"`` calibrated on the first chunk and all of
+        that chunk is fresh, its arrays are written into the block up
+        front and the chunk is dropped from the dispatch spans —
+        calibration cost no extra kernel work.
         """
         total = index.total
         size = self.chunk_size
         block = _parallel.ColumnarBlock.allocate(
             total, spill_dir=self.spill_dir, spill_bytes=self.spill_bytes
         )
-        planned: set[int] = set()
-        runs: list[tuple[int, int]] = []
-        for chunk in range(-(-total // size)):
-            lo = chunk * size
-            hi = min(lo + size, total)
-            outcomes = known[chunk].outcomes if known else ()
-            if all(outcome is None for outcome in outcomes):
-                cal = self._take_cal_arrays(hi) if chunk == 0 else None
-                if cal is not None:
-                    # Prefill the calibration chunk: its rows read back
-                    # via chunk_arrays like dispatched rows would.
-                    block.write(0, hi, cal.area, cal.perf, cal.power, cal.valid)
-                    planned.add(0)
-                    continue
-                fresh = [(lo, hi)]
-            else:
-                fresh = [
-                    (lo + row, lo + row + 1)
-                    for row, outcome in enumerate(outcomes)
-                    if outcome is None
-                ]
-            if fresh:
-                planned.add(chunk)
-            for start, stop in fresh:
-                _extend_runs(runs, start, stop)
-        spans = _parallel.plan_steal_runs(runs, size, self._pool_workers)
+        fresh = np.ones(total, dtype=bool) if fresh is None else fresh.copy()
+        starts = np.arange(0, total, size)
+        planned = set(np.flatnonzero(np.logical_or.reduceat(fresh, starts)).tolist())
+        first = min(size, total)
+        if fresh[:first].all():
+            cal = self._take_cal_arrays(first)
+            if cal is not None:
+                # Prefill the calibration chunk: its rows read back via
+                # chunk_arrays like dispatched rows would.
+                block.write(0, first, cal.area, cal.perf, cal.power, cal.valid)
+                fresh[:first] = False
+        spans = _parallel.plan_steal_runs(_runs(fresh), size, self._pool_workers)
         pool = self._open_pool(index, block, quarantine) if spans else None
         return _ParallelPlan(index, size, block, pool, spans, planned)
 
@@ -1747,16 +1889,16 @@ class BatchExplorer:
         the quarantine ledger, the store or the cache already know are
         adopted, and only the rest are evaluated — for a
         :class:`VectorFactory` through ``batch_arrays`` instead of
-        per-point factory calls, whatever the cache holds. A cold
-        columnar sweep without checkpoint, store or quarantine (whose
-        formats encode points) keeps only the valid rows' columns: the
-        result builds ``params``/``designs`` on first read, and the
-        cache holds the columns as one pending record (misses counted
-        now, entries built on the first point-level read). A later
-        sweep of the same grid at the same chunk size adopts that
-        record (``mode="memo"``: n hits, nothing evaluated). Output
-        (ordering, skips, values, cache contents) is byte-identical on
-        every path.
+        per-point factory calls, whatever the cache holds. The result
+        keeps its valid rows as columns and builds ``params``/
+        ``designs`` on first read. A :class:`VectorFactory` sweep
+        without checkpoint, store or quarantine (whose formats encode
+        points), on a cache holding no point entries, reads the known
+        rows straight from the cache's column records and leaves its
+        own record there (entries built on the first point-level read);
+        a record of this very grid is adopted whole (n hits, nothing
+        evaluated). Output (ordering, skips, values, cache contents) is
+        byte-identical on every path.
 
         With *checkpoint* set, every completed chunk is appended to that
         log as one checksummed record; with *resume*, completed chunks
@@ -1799,7 +1941,8 @@ class BatchExplorer:
         observing = tracer.enabled or registry.enabled
         workers = self._activate_workers(grid)
         mode = self._resolve_mode()
-        state = _SweepState(ckpt=CheckpointStore.coerce(checkpoint))
+        index = _GridIndex(grid)
+        state = _SweepState(index, ckpt=CheckpointStore.coerce(checkpoint))
         if resume and state.ckpt is None:
             raise ConfigurationError(
                 "resume=True requires a checkpoint path to resume from"
@@ -1812,18 +1955,29 @@ class BatchExplorer:
         if qledger is not None:
             state.qsession = qledger.session(describe_factory(self.factory))
         # The durable layers (checkpoint, store, quarantine) encode
-        # points; a sweep without them keeps its result as columns when
-        # the cache is cold, and re-sweeping a grid the cache holds as
-        # columns adopts them.
-        record: _SweepColumns | None = None
+        # points, and so do a cache's point entries; without them a
+        # vector-factory sweep reads known rows from the cache's column
+        # records, and a record of this very grid is the whole answer.
+        layers = (state.ckpt, state.session, state.qsession)
+        durable = any(layer is not None for layer in layers)
+        if durable:
+            state.stream = _chunked(iter(grid), self.chunk_size)
+        columnar = mode in COLUMNAR_MODES and not durable and not self.cache._memo
+        record = _SweepColumns(self.factory, grid)
         adopted = False
-        if state.ckpt is None and state.session is None and state.qsession is None:
-            record = self.cache.pending_for(grid, self.chunk_size)
-            if record is not None:
-                adopted = True
-                mode = "memo"
-            elif mode in COLUMNAR_MODES and not len(self.cache):
-                record = _SweepColumns(self.factory, grid, self.chunk_size)
+        cached: _CachedRows | None = None
+        if columnar:
+            for kept in self.cache._records:
+                if (
+                    kept.owned is None
+                    and kept.covered == index.total
+                    and kept.index.same_grid(index)
+                ):
+                    record, adopted = kept, True
+                    break
+            else:
+                if self.cache._records or index.repeats():
+                    cached = _CachedRows(index, self.cache._records)
         if state.ckpt is not None:
             state.fingerprint = sweep_fingerprint(
                 axes=grid.axes,
@@ -1838,99 +1992,81 @@ class BatchExplorer:
                 )
                 if loaded is not None:
                     state.restored = loaded["chunks"]
-        params_list: list[Mapping[str, object]] = []
-        designs: list[DesignPoint] = []
         pool: "_parallel.WorkerPool | None" = None
         plan: "_ParallelPlan | None" = None
+        size = self.chunk_size
         with tracer.span(
             "sweep",
             grid_points=len(grid),
-            chunk_size=self.chunk_size,
+            chunk_size=size,
             workers=workers,
             mode=mode,
         ) as sweep_span:
             start_s = time.perf_counter()
             cache_before = self.cache.stats()
             failure: FailureReport | None = None
-            quarantined_params: list[Mapping[str, object]] = []
+            quarantined: list[Mapping[str, object]] = []
             chunks_done = 0
             points_done = 0
             try:
+                chunks: Iterable = range(-(-len(grid) // size))
                 if adopted:
                     # Served whole from the cache: no kernel, no pool.
-                    chunk_stream: Iterable = ()
+                    chunks = ()
                     self.cache.record(hits=len(grid))
                     if registry.enabled:
                         registry.counter(
                             "focal_cache_hits_total", "factory cache hits"
                         ).inc(len(grid))
-                elif record is not None:
+                elif columnar:
                     if mode == "parallel-columnar":
-                        plan = self._parallel_setup(record.index)
+                        plan = self._parallel_setup(
+                            index, cached.fresh if cached is not None else None
+                        )
                         pool = plan.pool
                         self._parallel_kernels(plan, tracer)
-                    # Chunks are grid-row start offsets on this path.
-                    chunk_stream = enumerate(
-                        range(0, len(grid), self.chunk_size)
-                    )
                 else:
-                    chunks: Iterable = _chunked(iter(grid), self.chunk_size)
                     if mode == "parallel-columnar":
                         # Known rows up front: only the rows no source
                         # knows reach the pool.
-                        chunks = list(chunks)
                         state.seen = set()
-                        state.known = {
-                            index: self._known_rows(index, chunk, state)
-                            for index, chunk in enumerate(chunks)
-                        }
-                        plan = self._parallel_setup(
-                            _GridIndex(grid), state.known, state.qsession
-                        )
+                        state.known = {k: self._known_rows(k, state) for k in chunks}
+                        fresh = np.zeros(len(grid), dtype=bool)
+                        for k, known in state.known.items():
+                            for row, outcome in enumerate(known.outcomes):
+                                if outcome is None:
+                                    fresh[k * size + row] = True
+                        plan = self._parallel_setup(index, fresh, state.qsession)
                         pool = plan.pool
                         self._parallel_kernels(plan, tracer)
                     elif workers:
-                        pool = self._open_pool(
-                            _GridIndex(grid), quarantine=state.qsession
-                        )
-                    chunk_stream = enumerate(chunks)
-                for index, chunk in chunk_stream:
-                    restored = index < len(state.restored)
-                    if plan is not None and index in plan.failed:
+                        pool = self._open_pool(index, quarantine=state.qsession)
+                for k in chunks:
+                    restored = k < len(state.restored)
+                    if plan is not None and k in plan.failed:
                         raise _SalvageAbort(
-                            f"the shard covering chunk {index} was never "
+                            f"the shard covering chunk {k} was never "
                             "completed by the worker pool"
                         )
                     with tracer.span(
-                        "chunk", index=index, mode=mode, restored=restored
+                        "chunk", index=k, mode=mode, restored=restored
                     ) as chunk_span:
                         if observing:
                             chunk_start = time.perf_counter()
                             before = self.cache.stats()
-                        if record is not None:
-                            arrays = (
-                                plan.chunk_arrays(index)
-                                if plan is not None
-                                else self._chunk_kernel(record.index, chunk)
+                        if columnar:
+                            points, valid = self._columnar_chunk(
+                                index, k, record, cached, plan
                             )
-                            points = len(arrays)
-                            valid = record.add(chunk, arrays)
-                            self.cache.record(misses=points)
                         else:
-                            points = len(chunk)
-                            outcomes = self._resolve_chunk(
-                                index, chunk, state, plan, pool
-                            )
-                            valid = 0
-                            for params, outcome in zip(chunk, outcomes):
-                                if isinstance(outcome, QuarantinedPoint):
-                                    quarantined_params.append(params)
-                                    continue
-                                if isinstance(outcome, DomainError):
-                                    continue
-                                params_list.append(params)
-                                designs.append(outcome)
-                                valid += 1
+                            outcomes = self._resolve_chunk(k, state, plan, pool)
+                            points = len(outcomes)
+                            valid = record.add_outcomes(k * size, outcomes)
+                            if valid < points:
+                                bad = np.flatnonzero(
+                                    [isinstance(o, QuarantinedPoint) for o in outcomes]
+                                )
+                                quarantined += index.params(bad + k * size)
                         chunks_done += 1
                         points_done += points
                         if observing:
@@ -1950,7 +2086,7 @@ class BatchExplorer:
                     ),
                     error=str(exc),
                     completed_chunks=chunks_done,
-                    total_chunks=-(-len(grid) // self.chunk_size),
+                    total_chunks=-(-len(grid) // size),
                     completed_points=points_done,
                     pending_points=len(grid) - points_done,
                     checkpoint=(
@@ -1973,24 +2109,24 @@ class BatchExplorer:
                 if plan is not None:
                     plan.release()
                 object.__setattr__(self, "_cal", None)
-                if record is not None and not adopted and record.covered:
-                    # Even an aborted sweep leaves its completed chunks
-                    # memoized, as a point-level sweep would.
+                if not adopted:
                     record.seal()
-                    self.cache.defer(record)
+                    if columnar:
+                        kept = record if cached is None else record.kept(cached.fresh)
+                        if kept.owned_points():
+                            # Even an aborted sweep leaves its completed
+                            # chunks memoized, as a point-level sweep would.
+                            self.cache.defer(kept)
             self._record_supervision(pool, sweep_span)
-            valid_points = len(designs) if record is None else len(record.rows)
+            valid_points = len(record.rows)
             if not valid_points and failure is None:
                 raise ConfigurationError(
                     "exploration produced no valid design points"
                 )
             with tracer.span("classify", points=valid_points):
-                if record is None:
-                    perf, ncf_fw, ncf_ft = self._ncf_arrays(designs)
-                else:
-                    perf, ncf_fw, ncf_ft = self._ncf_from_columns(
-                        record.area, record.perf, record.power
-                    )
+                perf, ncf_fw, ncf_ft = self._ncf_from_columns(
+                    record.area, record.perf, record.power
+                )
                 codes = classify_arrays(ncf_fw, ncf_ft)
             cache_after = self.cache.stats()
             stats = self._engine_stats(
@@ -2002,25 +2138,43 @@ class BatchExplorer:
                 use=state.use,
                 memo_points=cache_after.hits - cache_before.hits,
                 fresh_points=cache_after.misses - cache_before.misses,
-                quarantined_points=len(quarantined_params),
+                quarantined_points=len(quarantined),
                 salvaged=failure is not None,
             )
             if observing:
                 self._observe_sweep(registry, sweep_span, stats)
-        if record is not None:
-            return BatchSweepResult._from_columns(
-                record, grid, perf, ncf_fw, ncf_ft, codes, failure
-            )
-        return BatchSweepResult(
-            params=tuple(params_list),
-            designs=tuple(designs),
-            perf=perf,
-            ncf_fixed_work=ncf_fw,
-            ncf_fixed_time=ncf_ft,
-            codes=codes,
-            quarantined=tuple(quarantined_params),
-            failure=failure,
+        return BatchSweepResult._from_columns(
+            record, grid, perf, ncf_fw, ncf_ft, codes, tuple(quarantined), failure
         )
+
+    def _columnar_chunk(
+        self,
+        index: _GridIndex,
+        chunk: int,
+        record: _SweepColumns,
+        cached: _CachedRows | None,
+        plan: "_ParallelPlan | None",
+    ) -> tuple[int, int]:
+        """Resolve chunk *chunk* of a columnar sweep into *record*: the
+        kernel runs on its fresh rows only (the pool already ran them
+        when there is a *plan*), every other row is a cache hit.
+        Returns the chunk's point and valid-row counts."""
+        lo = chunk * self.chunk_size
+        hi = min(lo + self.chunk_size, index.total)
+        if cached is None:
+            arrays = self._kernel_rows(index, chunk, None, plan)
+            fresh = hi - lo
+        else:
+            rows = np.flatnonzero(cached.fresh[lo:hi])
+            fresh = len(rows)
+            kernel = None
+            if fresh:
+                kernel = self._kernel_rows(
+                    index, chunk, None if fresh == hi - lo else rows, plan
+                )
+            arrays = cached.chunk(lo, hi, rows, kernel)
+        self.cache.record(hits=hi - lo - fresh, misses=fresh)
+        return hi - lo, record.add(lo, arrays)
 
     def _record_supervision(
         self, pool: "_parallel.WorkerPool | None", sweep_span
@@ -2227,11 +2381,6 @@ class BatchExplorer:
                     "worker busy seconds / (kernel wall x workers), "
                     "last parallel-columnar sweep",
                 ).set(engine.worker_utilization)
-                registry.counter(
-                    "focal_steal_shards_total",
-                    "shards dispatched through the work-stealing "
-                    "queue scheduler",
-                ).inc(engine.shards)
                 registry.gauge(
                     "focal_steal_tail_shard_points",
                     "smallest (tail) shard of the last work-stealing "
@@ -2258,24 +2407,12 @@ class BatchExplorer:
                     "sweep",
                 ).set(engine.store_reuse_ratio)
 
-    def _ncf_arrays(
-        self, designs: Sequence[DesignPoint]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Perf ratios and both NCF arrays for *designs* vs the baseline.
-
-        Same IEEE-754 operations, in the same order, as the scalar
-        ratio properties on DesignPoint — the values are bit-exact.
-        """
-        area = np.array([design.area for design in designs], dtype=np.float64)
-        perf = np.array([design.perf for design in designs], dtype=np.float64)
-        power = np.array([design.power for design in designs], dtype=np.float64)
-        return self._ncf_from_columns(area, perf, power)
-
     def _ncf_from_columns(
         self, area: np.ndarray, perf: np.ndarray, power: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ratio/NCF arithmetic shared by the object and columnar
-        paths — one definition, so they cannot drift apart."""
+        """Perf ratios and both NCF arrays vs the baseline: the same
+        IEEE-754 operations, in the same order, as the scalar ratio
+        properties on DesignPoint, so the values are bit-exact."""
         base = self.baseline
         area_ratio = area / base.area
         energy_ratio = (power / perf) / base.energy
@@ -2309,107 +2446,8 @@ class BatchExplorer:
         ).results()
 
     def count_categories(self, grid: ParameterGrid) -> dict[Sustainability, int]:
-        """Sweep *grid* and histogram the verdicts.
-
-        Identical counts to
-        ``Explorer.count_categories(Explorer.explore(grid))``. A cold,
-        pooled or adoptable count is :meth:`explore_arrays` plus
-        :meth:`BatchSweepResult.category_counts` — one pipeline, so a
-        cold vector-factory count leaves the cache holding the sweep's
-        columns as a pending record, which the next same-grid sweep
-        adopts. A warm count never materializes per-point params or
-        result objects: cache keys are built straight from the
-        cartesian product, so a hit is one dict probe, and the misses
-        run through the sweep evaluator (:meth:`_evaluate_rows`) in
-        ``chunk_size`` batches — columnar for a vector factory.
-        """
-        if (
-            self._activate_workers(grid)
-            or not len(self.cache)
-            or self.cache.pending_for(grid, self.chunk_size) is not None
-        ):
-            return self.explore_arrays(grid).category_counts()
-        tracer = _trace.get_tracer()
-        registry = _metrics.get_registry()
-        observing = tracer.enabled or registry.enabled
-        mode = self._resolve_mode()
-        with tracer.span(
-            "sweep.count", grid_points=len(grid), mode=mode
-        ) as sweep_span:
-            start_s = time.perf_counter()
-            cache_before = self.cache.stats()
-            designs = self._designs_only(grid)
-            if not designs:
-                raise ConfigurationError(
-                    "exploration produced no valid design points"
-                )
-            _, ncf_fw, ncf_ft = self._ncf_arrays(designs)
-            counts = category_counts(classify_arrays(ncf_fw, ncf_ft))
-            cache_after = self.cache.stats()
-            stats = self._engine_stats(
-                mode=mode,
-                grid_points=len(grid),
-                valid_points=len(designs),
-                seconds=time.perf_counter() - start_s,
-                memo_points=cache_after.hits - cache_before.hits,
-                fresh_points=cache_after.misses - cache_before.misses,
-            )
-            if observing:
-                self._observe_sweep(registry, sweep_span, stats)
-        return {category: n for category, n in counts.items() if n}
-
-    def _designs_only(self, grid: ParameterGrid) -> list[DesignPoint]:
-        """Every valid grid point's design for a warm count, skipping
-        params materialization for cached points (the dominant cost of
-        a warm re-sweep); misses are memoized a ``chunk_size`` batch at
-        a time through :meth:`_evaluate_rows`.
-
-        Deliberately uninstrumented inside the loop — the caller
-        observes at sweep granularity, so a disabled-observability run
-        pays nothing per point.
-        """
-        cache = self.cache
-        entries = cache._entries
-        names = list(grid.axes)
-        slots = sorted(range(len(names)), key=names.__getitem__)
-        designs: list[DesignPoint] = []
-        hits = 0
-        keys: list[tuple] = []
-        rows: list[dict[str, object]] = []
-        for combo in product(*(grid.axes[name] for name in names)):
-            key = tuple([(names[i], combo[i]) for i in slots])
-            outcome = entries.get(key)
-            if outcome is None:
-                keys.append(key)
-                rows.append(dict(zip(names, combo)))
-                if len(rows) == self.chunk_size:
-                    self._memoize_rows(keys, rows, designs)
-                    keys, rows = [], []
-                continue
-            hits += 1
-            if not isinstance(outcome, DomainError):
-                designs.append(outcome)
-        if rows:
-            self._memoize_rows(keys, rows, designs)
-        cache.record(hits=hits)
-        return designs
-
-    def _memoize_rows(
-        self,
-        keys: list[tuple],
-        rows: list[dict[str, object]],
-        designs: list[DesignPoint],
-    ) -> None:
-        """Evaluate one batch of a warm count's misses — each distinct
-        point once (a repeat takes its outcome and counts as a hit) —
-        memoize it and collect its valid designs."""
-        first: dict[tuple, dict[str, object]] = {}
-        for key, row in zip(keys, rows):
-            first.setdefault(key, row)
-        entries = self.cache._entries
-        entries.update(zip(first, self._evaluate_rows(list(first.values()))))
-        self.cache.record(hits=len(keys) - len(first), misses=len(first))
-        for key in keys:
-            outcome = entries[key]
-            if not isinstance(outcome, DomainError):
-                designs.append(outcome)
+        """Sweep *grid* and histogram the verdicts: :meth:`explore_arrays`
+        plus :meth:`BatchSweepResult.category_counts`, so identical
+        counts to ``Explorer.count_categories(Explorer.explore(grid))``
+        and the same cache reuse as any sweep."""
+        return self.explore_arrays(grid).category_counts()

@@ -127,6 +127,16 @@ class TestNCFBandComputation:
         band = ncf_band(d, baseline, FT, EMBODIED_DOMINATED)
         assert band.low <= band.nominal <= band.high
 
+    def test_sub_ulp_band_still_contains_nominal(self):
+        """Both edge values can round one ulp above the nominal NCF when
+        the band is narrower than the rounding error."""
+        x = DesignPoint("x", 1000.0, 1000.0, 7.0)
+        y = DesignPoint("y", 384.71594527196487, 4.076123290760299, 3.0)
+        weight = E2OWeight("w", alpha=0.25, spread=2.2e-16)
+        band = ncf_band(x, y, FT, weight)
+        assert band.low <= band.nominal <= band.high
+        assert band.nominal == ncf(x, y, FT, 0.25)
+
 
 class TestRelativeFootprint:
     def test_equal_designs_ratio_one(self, baseline, better_design):

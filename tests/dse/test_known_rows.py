@@ -162,6 +162,19 @@ class TestRepeatedPoints:
         assert result.results() == reference.explore(REPEAT_GRID)
         assert_same_entries(explorer.cache, reference.cache)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_vector_factory_cold_columnar(self, baseline, workers, thread_pool):
+        factory = CountingFactory()
+        explorer = _explorer(factory, baseline, workers=workers)
+        result = explorer.explore_arrays(REPEAT_GRID)
+        assert (factory.kernel_points, factory.scalar_calls) == (6, 0)
+        assert (explorer.cache.hits, explorer.cache.misses) == (6, 6)
+        assert explorer.last_sweep.fresh_points == 6
+        assert len(explorer.cache) == 6
+        reference = _explorer(lambda params: factory.inner(params), baseline)
+        assert result.results() == reference.explore(REPEAT_GRID)
+        assert_same_entries(explorer.cache, reference.cache)
+
     def test_warm_count(self, baseline):
         factory = CountingFactory()
         explorer = _explorer(factory, baseline)

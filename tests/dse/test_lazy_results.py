@@ -214,7 +214,7 @@ class TestCacheContract:
         factory.kernel_points = 0
         warm = explorer.explore_arrays(GRID)
         stats = explorer.last_sweep
-        assert stats.mode == "memo"
+        assert stats.shards == 0
         assert (stats.memo_points, stats.fresh_points) == (len(GRID), 0)
         assert stats.vector_points == 0
         assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
@@ -226,7 +226,10 @@ class TestCacheContract:
         explorer = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
         cold = explorer.explore_arrays(GRID)
         warm = explorer.explore_arrays(GRID)
-        assert explorer.last_sweep.mode == "memo"
+        assert (explorer.last_sweep.memo_points, explorer.last_sweep.fresh_points) == (
+            len(GRID),
+            0,
+        )
         assert explorer.last_sweep.shards == 0
         assert _columns_equal(warm, cold)
 
@@ -246,15 +249,17 @@ class TestCacheContract:
         assert (stats.memo_points, stats.fresh_points) == (len(GRID), 0)
         assert stats.vector_points == 0
         assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
-        assert cache_owner.cache._pending is None
+        assert stats.shards == 0
         assert warm.results() == cold.results()
 
     def test_observing_does_not_expand_the_record(self, baseline):
         trace.enable()
         metrics.enable()
-        explorer = _explorer(SymmetricMulticoreFactory(), baseline)
+        factory = CountingFactory()
+        explorer = _explorer(factory, baseline)
         explorer.explore_arrays(GRID)
-        assert explorer.cache._pending is not None
+        assert explorer.last_sweep.fresh_points == factory.kernel_points == len(GRID)
+        assert factory.scalar_calls == 0
         registry = metrics.get_registry()
         assert registry.counter("focal_evaluations_total").value == len(GRID)
         assert registry.counter("focal_vector_evaluations_total").value == len(GRID)

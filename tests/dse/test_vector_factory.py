@@ -158,19 +158,25 @@ class TestCountCategories:
         assert vector.count_categories(ASYM_GRID) == plain.count_categories(ASYM_GRID)
 
     def test_columnar_count_leaves_a_pending_record(self, baseline):
-        # A cold count is a columnar explore: it records the sweep's
-        # columns as one pending record, which the next same-grid
+        # A cold count is a columnar explore: it leaves the sweep's
+        # columns in the cache as one record, which the next same-grid
         # sweep adopts without running a kernel.
         factory = CountingFactory()
         vector = _explorer(factory, baseline)
         vector.count_categories(GRID)
         assert vector.last_sweep.mode == "columnar"
-        assert vector.cache._pending is not None
+        assert (vector.last_sweep.memo_points, vector.last_sweep.fresh_points) == (
+            0,
+            len(GRID),
+        )
         assert len(vector.cache) == len(GRID)
         assert factory.kernel_points == len(GRID)
         factory.kernel_points = 0
         vector.explore(GRID)
-        assert vector.last_sweep.mode == "memo"
+        assert (vector.last_sweep.memo_points, vector.last_sweep.fresh_points) == (
+            len(GRID),
+            0,
+        )
         assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
 
     def test_warm_cache_count_stays_columnar(self, baseline):

@@ -3,7 +3,7 @@ intervals, Pareto)."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.classify import Sustainability, classify, classify_values
@@ -66,6 +66,13 @@ class TestNCFProperties:
 
     @given(designs("x"), designs("y"), scenarios,
            st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=0.0, max_value=0.4))
+    @example(
+        x=DesignPoint("x", 1000.0, 1000.0, 7.0),
+        y=DesignPoint("y", 384.71594527196487, 4.076123290760299, 3.0),
+        scenario=UseScenario.FIXED_TIME,
+        alpha_base=0.0,
+        spread=2.2e-16,
+    )
     def test_band_contains_nominal_and_widens_with_spread(
         self, x, y, scenario, alpha_base, spread
     ):
