@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -132,6 +133,14 @@ GROWTH_GRIDS = {
     "2n": ParameterGrid({"cores": list(range(1, 65)), "f": GROWTH_FRACTIONS}),
 }
 CKPT_GROWTH_GATE = 2.05
+#: Commit-time operating point: 64-byte records committed one by one;
+#: the last eighth's median commit may take at most this multiple of
+#: the first eighth's.
+COMMIT_COUNT = 16_384
+COMMIT_GROWTH_GATE = 1.5
+#: A resume of a complete checkpoint may take at most this multiple of
+#: a cold sweep of the same grid.
+RESUME_COLD_GATE = 2.0
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
@@ -811,4 +820,103 @@ def test_checkpoint_bytes_grow_linearly(benchmark, emit, tmp_path):
         f"checkpoint growth: {written_n} B for {len(GROWTH_GRIDS['n'])} points, "
         f"{written_2n} B for twice the chunks ({ratio:.3f}x, gate <= "
         f"{CKPT_GROWTH_GATE:g}x), bytes written == file bytes"
+    )
+
+
+def test_checkpoint_commit_time_flat(benchmark, emit, tmp_path):
+    """A chunk commit appends one record in place, so its cost does not
+    grow with the chunks the run already committed: over
+    :data:`COMMIT_COUNT` commits of 64-byte records, the median commit
+    in the last eighth takes at most :data:`COMMIT_GROWTH_GATE` times
+    the median commit in the first eighth."""
+    from repro.resilience.checkpoint import CheckpointStore
+
+    def commit_times() -> list[float]:
+        store = CheckpointStore(tmp_path / "commits.ckpt")
+        store.remove()
+        fingerprint = {"bench": "commit growth"}
+        record = bytes(64)
+        times = []
+        for _ in range(COMMIT_COUNT):
+            start = time.perf_counter()
+            assert store.commit(kind="sweep", fingerprint=fingerprint, record=record)
+            times.append(time.perf_counter() - start)
+        return times
+
+    times = benchmark.pedantic(commit_times, rounds=1, iterations=1)
+    eighth = COMMIT_COUNT // 8
+    first = statistics.median(times[:eighth])
+    last = statistics.median(times[-eighth:])
+    ratio = last / first
+    _RESULTS.update(
+        {
+            "ckpt_commits": COMMIT_COUNT,
+            "ckpt_commit_first_us": first * 1e6,
+            "ckpt_commit_last_us": last * 1e6,
+            "ckpt_commit_growth_ratio": ratio,
+            "ckpt_commit_growth_gate": COMMIT_GROWTH_GATE,
+        }
+    )
+    assert ratio <= COMMIT_GROWTH_GATE
+    emit(
+        f"checkpoint commits: {first * 1e6:.0f} us (first eighth) -> "
+        f"{last * 1e6:.0f} us (last eighth) over {COMMIT_COUNT} commits "
+        f"({ratio:.2f}x, gate <= {COMMIT_GROWTH_GATE:g}x)"
+    )
+
+
+def test_resume_costs_about_a_cold_sweep(benchmark, emit, tmp_path):
+    """Resuming a complete checkpoint of the 100k stock grid restores
+    its rows as columns: best of :data:`WARM_ROUNDS`, it takes at most
+    :data:`RESUME_COLD_GATE` times a cold ``explore_arrays`` (a fresh
+    explorer and cache each time) and ends byte-identical to it."""
+    from repro.dse.factories import SymmetricMulticoreFactory
+
+    factory = SymmetricMulticoreFactory()
+    path = tmp_path / "stock.ckpt"
+
+    def sweep(**durable):
+        explorer = BatchExplorer(
+            factory=factory,
+            baseline=BASELINE,
+            weight=EMBODIED_DOMINATED,
+            cache=FactoryCache(factory),
+        )
+        start = time.perf_counter()
+        result = explorer.explore_arrays(STOCK_GRID, **durable)
+        return result, time.perf_counter() - start
+
+    def measure():
+        sweep(checkpoint=path)
+        runs = {}
+        for label, durable in (
+            ("cold", {}),
+            ("resume", {"checkpoint": path, "resume": True}),
+        ):
+            best = float("inf")
+            for _ in range(WARM_ROUNDS):
+                result, seconds = sweep(**durable)
+                best = min(best, seconds)
+            runs[label] = (result, best)
+        return runs
+
+    runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    (cold, cold_s), (resumed, resume_s) = runs["cold"], runs["resume"]
+    identical = _sweep_bytes(resumed) == _sweep_bytes(cold)
+    ratio = resume_s / cold_s
+    _RESULTS.update(
+        {
+            "resume_s": resume_s,
+            "resume_cold_s": cold_s,
+            "resume_cold_ratio": ratio,
+            "resume_cold_gate": RESUME_COLD_GATE,
+            "resume_bytes_identical": identical,
+        }
+    )
+    assert identical
+    assert ratio <= RESUME_COLD_GATE
+    emit(
+        f"resume of a complete {len(STOCK_GRID)}-point checkpoint: "
+        f"{resume_s:.3f} s (cold {cold_s:.3f} s, {ratio:.2f}x, gate <= "
+        f"{RESUME_COLD_GATE:g}x), byte-identical"
     )

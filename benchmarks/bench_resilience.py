@@ -40,9 +40,7 @@ from repro.dse.batch import (
     BatchExplorer,
     BatchSweepResult,
     FactoryCache,
-    _chunked,
     _GridIndex,
-    _SweepState,
     params_keys,
 )
 from repro.dse.factories import SymmetricMulticoreFactory
@@ -99,25 +97,36 @@ def unguarded_explore_arrays(
 ) -> BatchSweepResult:
     """``BatchExplorer.explore_arrays`` exactly as shipped before the
     resilience layer existed: same chunk stream, same evaluation and
-    classification kernels, no checkpoint plumbing, no supervision."""
+    classification kernels (the columnar kernel, ``design_points``, one
+    scalar call per invalid row, ``store_many``), no checkpoint
+    plumbing, no supervision."""
     tracer = obs_trace.get_tracer()
     mode = explorer._resolve_mode()
-    state = _SweepState(_GridIndex(grid))
+    factory = explorer.factory
+    index = _GridIndex(grid)
+    points = list(grid)
+    size = explorer.chunk_size
     params_list = []
     designs = []
     with tracer.span(
         "sweep",
         grid_points=len(grid),
-        chunk_size=explorer.chunk_size,
+        chunk_size=size,
         workers=explorer.workers,
         mode=mode,
     ):
         start_s = time.perf_counter()
-        for index, chunk in enumerate(_chunked(iter(grid), explorer.chunk_size)):
-            with tracer.span("chunk", index=index, mode=mode):
-                outcomes = explorer._evaluate_rows(
-                    chunk, None, index, state, None, None
-                )
+        for start in range(0, len(points), size):
+            chunk = points[start : start + size]
+            with tracer.span("chunk", index=start // size, mode=mode):
+                arrays = factory.batch_arrays(index.columns(start, start + len(chunk)))
+                outcomes = list(factory.design_points(chunk, arrays))
+                for row, outcome in enumerate(outcomes):
+                    if outcome is None:
+                        try:
+                            outcomes[row] = factory(chunk[row])
+                        except DomainError as exc:
+                            outcomes[row] = exc
                 explorer.cache.store_many(
                     params_keys(chunk), outcomes, misses=len(chunk)
                 )

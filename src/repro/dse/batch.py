@@ -14,26 +14,25 @@ provides the production path for large sweeps:
   design (invalid corners — ``DomainError`` — are memoized too);
 * :class:`VectorFactory` is the columnar protocol: a factory that
   additionally maps a whole grid chunk (one NumPy column per axis) to
-  :class:`DesignArrays` in a few vectorized passes. A sweep of such a
-  factory never evaluates the scalar substrate point-by-point (see
-  :mod:`repro.dse.factories` for the stock implementations): rows the
-  cache, a checkpoint or the store already know are adopted and only
-  the rest run the kernel. Every sweep keeps its answer as columns —
-  parameter dicts, DesignPoints and cache entries are built only when
-  read — and the cache keeps those columns, so a later sweep gathers
-  the rows it knows from them;
+  :class:`DesignArrays` in a few vectorized passes, so its sweeps never
+  evaluate the scalar substrate point-by-point (see
+  :mod:`repro.dse.factories` for the stock implementations);
+* every sweep, of any factory, first gathers the rows a checkpoint,
+  the quarantine ledger, the result store or the cache already knows
+  as columns (:class:`_KnownRows`) and evaluates only the rest, and
+  keeps its answer as columns: parameter dicts, DesignPoints and cache
+  entries are built only when read, and the cache keeps those
+  columns, so a later sweep gathers the rows it knows from them;
 * with ``workers > 0`` a vector-factory sweep runs
-  **parallel-columnar**: the chunks no source knows any row of are
-  sharded into contiguous, chunk-aligned spans, each span ships to a worker as a ``(lo, hi,
-  seq)`` job (one per span, never per point), workers derive the
-  span's axis columns, run ``batch_arrays`` over them and write the
-  result columns into one shared block (see :mod:`repro.dse.parallel`).
-  The factory and the grid index ship once per pool via an
-  initializer; no DesignPoint ever crosses the process boundary. The parent copies the valid rows'
-  columns out of the block and defers everything point-level exactly
-  like ``workers=0`` does — byte-identical results and cache contents;
+  **parallel-columnar**: the rows no source knows are sharded into
+  contiguous spans, each shipped to a worker as a ``(lo, hi, seq)``
+  job (one per span, never per point); workers derive the span's axis
+  columns, run ``batch_arrays`` over them and write the result columns
+  into one shared block (see :mod:`repro.dse.parallel`). The factory
+  and the grid index ship once per pool via an initializer; no
+  DesignPoint ever crosses the process boundary;
 * with ``workers > 0`` any other factory runs **scalar-pool**: each
-  chunk's missing rows go out as the same ``(lo, hi, seq)`` shard jobs
+  chunk's fresh rows go out as the same ``(lo, hi, seq)`` shard jobs
   over the same pool-resident grid index, and workers reply with the
   rows' outcomes instead of writing a block;
 * :class:`BatchSweepResult` holds the sweep as arrays and converts back
@@ -64,10 +63,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import attrgetter, is_not
 from typing import (
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     Protocol,
     Sequence,
@@ -99,7 +99,7 @@ from ..obs import trace as _trace
 from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import (
     CheckpointStore,
-    decode_outcomes,
+    OutcomeRecord,
     describe_factory,
     encode_outcomes,
     sweep_fingerprint,
@@ -196,16 +196,20 @@ class FactoryCache:
     single :meth:`record` choke point.
 
     Entries live in one of two forms, every key in exactly one place: a
-    point dict, and the sealed column records of columnar sweeps
+    point dict, and the sealed column records every sweep leaves
     (:meth:`defer`). A record holds only the rows of the keys no other
-    record held when it was sealed, so the cache grows with its
-    distinct keys, not with the sweeps it served. A columnar
-    sweep reads the records as columns; ``len`` and :meth:`stats` count
-    them without building a point. The first point-level read —
+    record and no point entry held when it was sealed, so the cache
+    grows with its distinct keys, not with the sweeps it served; it
+    also keeps every outcome its sweep already had (scalar-factory
+    outcomes, quarantine markers, and checkpoint or store rows, decoded
+    from their record on first read). A sweep gathers its known rows
+    from the records as columns; ``len`` and :meth:`stats` count them
+    without building a point. The first point-level read —
     ``_entries``, :meth:`lookup`, :meth:`evaluate`,
     :meth:`store`/:meth:`store_many` or a call — expands every record
-    into the dict through the same materialization an eager sweep runs,
-    so the memoized contents never depend on when they were read.
+    into the dict, never calling the factory for an outcome a record
+    already held, so the memoized contents never depend on when they
+    were read.
     """
 
     def __init__(self, factory: DesignFactory) -> None:
@@ -226,14 +230,26 @@ class FactoryCache:
         records, self._records = self._records, []
         memo = self._memo
         for record in records:
-            for keys, outcomes in record.chunk_outcomes():
-                memo.update(zip(keys, outcomes))
+            memo.update(zip(*record.entries()))
         return memo
 
     def defer(self, record: "_SweepColumns") -> None:
-        """Keep a sealed columnar sweep's record. Counters are the
+        """Keep a sealed sweep's record. Counters are the
         sweep's business (it records its hits and misses as it goes)."""
         self._records.append(record)
+
+    def disown(self, index: "_GridIndex", rows: np.ndarray) -> None:
+        """Forget the keys of *index*'s grid *rows*, wherever they live,
+        without expanding a record."""
+        for key in index.keys(rows):
+            self._memo.pop(key, None)
+        for slot, kept in enumerate(self._records):
+            found = kept.index.lookup(index)
+            if found is not None:
+                owned = np.zeros(kept.index.total, dtype=bool)
+                owned[slice(kept.covered) if kept.owned is None else kept.owned] = True
+                owned[found[rows][found[rows] >= 0]] = False
+                self._records[slot] = kept.kept(owned)
 
     @property
     def hits(self) -> int:
@@ -282,13 +298,7 @@ class FactoryCache:
         misses: int = 0,
     ) -> None:
         """Bulk-memoize a chunk's outcomes under its :func:`params_key`
-        keys, bumping the counters once.
-
-        The public API the batched paths (columnar, parallel-columnar,
-        checkpoint restore) store through, so they share key
-        construction with the scalar path instead of poking
-        ``_entries`` with hand-rolled tuples.
-        """
+        keys, bumping the counters once."""
         if len(keys) != len(outcomes):
             raise ValidationError(
                 f"store_many got {len(keys)} keys for {len(outcomes)} outcomes"
@@ -328,23 +338,20 @@ class _SalvageAbort(Exception):
     the chunk loop, keep the completed prefix, report the failure."""
 
 
-def _chunked(
-    points: Iterable[Mapping[str, object]], size: int
-) -> Iterator[list[Mapping[str, object]]]:
-    chunk: list[Mapping[str, object]] = []
-    for point in points:
-        chunk.append(point)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """The contiguous ``[start, stop)`` runs of *mask*'s true rows."""
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
     return list(zip(edges[0::2], edges[1::2]))
+
+
+def _objects(values: Sequence) -> np.ndarray:
+    """*values* as a 1-D object array (never unpacked as sequences)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _flags(values: Sequence, kind: type) -> np.ndarray:
+    """Which of *values* are instances of *kind*."""
+    return np.fromiter(map(isinstance, values, repeat(kind)), bool, len(values))
 
 
 @dataclass
@@ -362,58 +369,20 @@ class _StoreUse:
     disk_points: int = 0
 
 
-#: Known-row slot of a repeated point: its key is already being
-#: evaluated this sweep (an earlier row), so the row takes that
-#: outcome and counts as a cache hit.
-_REPEAT = object()
-
-
-@dataclass
-class _Known:
-    """The rows of one chunk that need no evaluation this sweep.
-
-    ``outcomes`` has one slot per chunk row: the checkpoint-restored,
-    quarantine-marker, store-served or cached outcome, :data:`_REPEAT`
-    for a repeat of a point an earlier row evaluates, or ``None`` for a
-    row still to evaluate. Only cache hits and repeats (``hits``) bump
-    a cache counter; the others count as neither hits nor misses.
-    ``probe`` is the store's answer when it was asked about the whole
-    chunk; ``stored`` counts the rows the store served, from memory and
-    from disk. ``restored`` marks a chunk restored from the checkpoint
-    (which already holds it). ``params`` holds the chunk's parameter
-    dicts once a source or an evaluation needed them.
-    """
-
-    keys: list[tuple]
-    outcomes: list
-    hits: int = 0
-    params: "list[dict[str, object]] | None" = None
-    probe: "ChunkProbe | None" = None
-    stored: tuple[int, int] = (0, 0)
-    restored: bool = False
-
-
 @dataclass
 class _SweepState:
-    """A point-level sweep's grid index, known-row sources and the sinks
-    each resolved chunk is recorded in. A sweep with any of them reads
-    its chunks' parameter dicts from the grid's point stream
-    (``stream``); one without builds only keys, and dicts for the rows
-    it evaluates. ``known`` is set when the known rows of every chunk
-    were gathered up front (parallel sweeps, so only the rows no source
-    knows reach the pool); ``seen`` then holds the keys of every row
-    left to evaluate."""
+    """A sweep's durable layers: the checkpoint it commits chunks to and
+    the chunk records it restored from it, the store session it reads
+    and writes (with its tally), and the quarantine session."""
 
-    index: "_GridIndex"
-    stream: "Iterator[list[Mapping[str, object]]] | None" = None
     ckpt: "CheckpointStore | None" = None
     fingerprint: "dict | None" = None
     restored: list = field(default_factory=list)
     session: "SweepStoreSession | None" = None
     use: "_StoreUse | None" = None
     qsession: "QuarantineSession | None" = None
-    known: "dict[int, _Known] | None" = None
-    seen: "set[tuple] | None" = None
+    #: Whether fresh rows run the factory's columnar kernel.
+    columnar: bool = False
 
 
 class _ParallelPlan:
@@ -715,91 +684,197 @@ def _positions(
 class _SweepColumns:
     """A sweep's result, kept as columns.
 
-    Holds each valid row's area/perf/power and its flat grid row index
-    for grid rows ``[0, covered)``, plus what it takes to build point
-    objects from them on demand: the parameter dicts, the named
-    DesignPoints (memoized, so a :class:`BatchSweepResult` and the
-    :class:`FactoryCache` expanding this record share the objects) and
-    the per-chunk cache outcomes an eager sweep would have stored. A
-    chunk resolved point by point keeps the designs it already holds.
+    While its sweep runs the record is open: full-length area/perf/power
+    columns plus a valid and a quarantined mask, one slot per grid row,
+    filled as the sweep learns each row — from a durable record's
+    columns (:meth:`set_stored`), outcome objects
+    (:meth:`set_outcomes`), kernel columns (:meth:`set_arrays`) or
+    another record's rows (:meth:`take`). :meth:`seal` then keeps grid
+    rows ``[0, covered)``: the valid rows' flat grid indices ``rows``
+    and their columns, and the sorted ``quarantined`` rows.
+
+    Point objects are built from it on demand (:meth:`outcomes`), each
+    row once, and then held (``held``, so a :class:`BatchSweepResult`
+    and the :class:`FactoryCache` expanding this record share them): a
+    row takes the object the sweep already held for it (a cache point
+    entry, a quarantine marker, a scalar factory's outcome), else the
+    outcome decoded from the durable record it came from (``held``
+    names that :class:`~repro.resilience.checkpoint.OutcomeRecord`,
+    ``at`` the row in it), else the factory's ``design_points`` for a
+    valid row, else one scalar call (an invalid corner's genuine
+    ``DomainError``). ``held`` and ``at`` have one slot per grid row,
+    or, in a record cut down to its owned rows, one per owned row
+    (:meth:`_slots`).
 
     In a cache, the record owns the keys of its ``owned`` grid rows
     (sorted; all covered rows when ``None``): the first row of every
-    key no other record held when it was sealed. A record kept in a
-    cache holds only those rows (:meth:`kept`).
+    key no other record and no point entry held when it was sealed, or
+    whose cached outcome a durable quarantine marker replaced. A record
+    kept in a cache holds only those rows' columns and slots.
     """
 
-    def __init__(self, factory: DesignFactory, grid: ParameterGrid) -> None:
+    def __init__(
+        self,
+        factory: DesignFactory,
+        grid: ParameterGrid,
+        index: "_GridIndex | None" = None,
+    ) -> None:
         self.factory = factory
         self.grid = grid
-        self.index = _GridIndex(grid)
+        self.index = _GridIndex(grid) if index is None else index
+        total = self.index.total
         self.covered = 0
         self.owned: np.ndarray | None = None
-        self._parts: list[tuple] = []
-        #: ``(lo, hi, first, last, designs)`` per chunk once sealed: grid
-        #: rows ``[lo, hi)`` hold valid rows ``[first, last)`` of the
-        #: columns, and *designs* their DesignPoints when already built.
-        self._chunks: list[tuple] = []
-        self.rows = np.zeros(0, dtype=np.int64)
-        self.area = self.perf = self.power = np.zeros(0)
+        self.area = np.zeros(total)
+        self.perf = np.zeros(total)
+        self.power = np.zeros(total)
+        self.valid: np.ndarray | None = np.zeros(total, dtype=bool)
+        self.qmask: np.ndarray | None = np.zeros(total, dtype=bool)
+        #: Set by :meth:`seal`; ``None`` while the record is open.
+        self.rows: np.ndarray | None = None
+        self.quarantined = np.zeros(0, dtype=np.int64)
+        self.held: np.ndarray | None = None
+        self.at: np.ndarray | None = None
         self._params: tuple[dict[str, object], ...] | None = None
         self._designs: tuple[DesignPoint, ...] | None = None
 
-    def add(self, start: int, arrays: DesignArrays) -> int:
-        """Keep chunk ``[start, start + len(arrays))``'s valid rows;
-        returns how many there were."""
+    # -- filling an open record ----------------------------------------
+    def set_arrays(self, rows, arrays: DesignArrays) -> None:
+        """Grid *rows* (an index array or a slice) take kernel columns."""
         valid = arrays.valid
         if valid.all():
-            rows = np.arange(start, start + len(arrays))
-            area, perf, power = arrays.area, arrays.perf, arrays.power
+            _check_design_columns(arrays.area, arrays.perf, arrays.power)
         else:
-            keep = np.flatnonzero(valid)
-            rows = keep + start
-            area, perf, power = (
-                arrays.area[keep], arrays.perf[keep], arrays.power[keep]
+            _check_design_columns(
+                arrays.area[valid], arrays.perf[valid], arrays.power[valid]
             )
-        _check_design_columns(area, perf, power)
-        self._parts.append((start, len(arrays), rows, area, perf, power, None))
-        self.covered = start + len(arrays)
-        return int(rows.shape[0])
+        self.area[rows] = arrays.area
+        self.perf[rows] = arrays.perf
+        self.power[rows] = arrays.power
+        self.valid[rows] = valid
 
-    def add_outcomes(
-        self, start: int, outcomes: Sequence[DesignPoint | DomainError]
-    ) -> int:
-        """Keep a resolved chunk's designs (a ``DomainError`` row, a
-        quarantined one included, is no valid row); returns how many
-        there were."""
-        keep = [
-            row
-            for row, outcome in enumerate(outcomes)
-            if not isinstance(outcome, DomainError)
-        ]
-        designs = tuple(outcomes[row] for row in keep)
-        self._parts.append(
-            (
-                start,
-                len(outcomes),
-                np.array(keep, dtype=np.int64) + start,
-                np.array([design.area for design in designs], dtype=np.float64),
-                np.array([design.perf for design in designs], dtype=np.float64),
-                np.array([design.power for design in designs], dtype=np.float64),
-                designs,
-            )
-        )
-        self.covered = start + len(outcomes)
-        return len(designs)
+    def set_outcomes(self, rows: np.ndarray, outcomes: Sequence) -> None:
+        """Grid *rows* take outcome objects, which the record holds."""
+        self._held()[rows] = _objects(outcomes)
+        valid = ~_flags(outcomes, DomainError)
+        designs = outcomes
+        self.valid[rows] = valid
+        if not valid.all():
+            self.qmask[rows] = _flags(outcomes, QuarantinedPoint)
+            keep = np.flatnonzero(valid)
+            rows = rows[keep]
+            designs = list(map(outcomes.__getitem__, keep.tolist()))
+        for name in ("area", "perf", "power"):
+            column = map(attrgetter(name), designs)
+            getattr(self, name)[rows] = np.fromiter(column, np.float64, len(designs))
+
+    def set_stored(
+        self, rows, stored: OutcomeRecord, at: "np.ndarray | None" = None
+    ) -> None:
+        """Grid *rows* take rows *at* of a durable record (all of them
+        when ``None``) as columns; objects decode when read."""
+        columns = stored.columns(at)
+        self._set(rows, *columns)
+        self._held()[rows] = _objects([stored] * len(columns[0]))
+        if self.at is None:
+            self.at = np.zeros(self.index.total, dtype=np.int64)
+        self.at[rows] = np.arange(len(stored)) if at is None else at
+
+    def mark(self, rows: np.ndarray, qsession: "QuarantineSession") -> np.ndarray:
+        """The *rows* the quarantine session knows as poison take their
+        markers; returns those rows."""
+        markers = list(map(qsession.marker, self.index.params(rows)))
+        poison = [row for row, marker in enumerate(markers) if marker is not None]
+        if poison:
+            self.set_outcomes(rows[poison], [markers[row] for row in poison])
+        return rows[poison]
+
+    def take(self, rows: np.ndarray, other: "_SweepColumns", at: np.ndarray) -> None:
+        """Grid *rows* take *other*'s grid rows *at* (*other* may be this
+        record): columns and what it holds."""
+        self._set(rows, *other._values(at))
+        slots = other._slots(at)
+        if other.held is not None:
+            self._held()[rows] = other.held[slots]
+        if other.at is not None:
+            if self.at is None:
+                self.at = np.zeros(self.index.total, dtype=np.int64)
+            self.at[rows] = other.at[slots]
+
+    def _set(self, rows, area, perf, power, valid, quarantined) -> None:
+        self.area[rows] = area
+        self.perf[rows] = perf
+        self.power[rows] = power
+        self.valid[rows] = valid
+        self.qmask[rows] = quarantined
 
     def seal(self) -> None:
-        """Concatenate the collected chunks into the final columns."""
-        if not self._parts:
+        """Keep grid rows ``[0, covered)``: the valid rows' columns and
+        the quarantined rows."""
+        if self.rows is not None:
             return
-        first = 0
-        for lo, size, rows, _, _, _, designs in self._parts:
-            self._chunks.append((lo, lo + size, first, first + len(rows), designs))
-            first += len(rows)
-        columns = list(zip(*self._parts))[2:6]
-        self.rows, self.area, self.perf, self.power = map(np.concatenate, columns)
-        self._parts = []
+        covered = self.covered
+        rows = np.flatnonzero(self.valid[:covered])
+        cut = slice(0, covered) if len(rows) == covered else rows
+        self.area, self.perf, self.power = (
+            self.area[cut], self.perf[cut], self.power[cut]
+        )
+        self.rows = rows
+        self.quarantined = np.flatnonzero(self.qmask[:covered])
+        self.valid = self.qmask = None
+
+    # -- reading -------------------------------------------------------
+    def _slots(self, rows: np.ndarray) -> np.ndarray:
+        """Where grid *rows* sit in ``held`` and ``at``."""
+        return rows if self.owned is None else np.searchsorted(self.owned, rows)
+
+    def _held(self) -> np.ndarray:
+        if self.held is None:
+            size = self.index.total if self.owned is None else len(self.owned)
+            self.held = np.full(size, None, dtype=object)
+        return self.held
+
+    def _values(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Area, perf, power, valid and quarantined of grid *rows*."""
+        if self.rows is None:
+            return (
+                self.area[rows], self.perf[rows], self.power[rows],
+                self.valid[rows], self.qmask[rows],
+            )
+        valid, at = _positions(self.rows, rows)
+        at = at[valid]
+        columns = []
+        for column in (self.area, self.perf, self.power):
+            values = np.zeros(len(rows))
+            values[valid] = column[at]
+            columns.append(values)
+        quarantined, _ = _positions(self.quarantined, rows)
+        return (*columns, valid, quarantined)
+
+    def outcomes(self, rows: np.ndarray) -> list[DesignPoint | DomainError]:
+        """The outcome object of every grid row in *rows*, each built
+        once and then held (see the class docstring for the order)."""
+        held = self._held()
+        where = self._slots(rows)
+        slots = held[where].tolist()
+        empty = []
+        for slot, outcome in enumerate(slots):
+            if outcome is None:
+                empty.append(slot)
+            elif isinstance(outcome, OutcomeRecord):
+                slots[slot] = outcome.outcomes()[self.at[where[slot]]]
+        if empty:
+            need = rows[empty]
+            area, perf, power, valid, _ = self._values(need)
+            chunk = self.index.params(need)
+            arrays = DesignArrays(area, perf, power, valid)
+            built = _fill_outcomes(
+                self.factory, chunk, _design_slots(self.factory, chunk, arrays)
+            )
+            for slot, outcome in zip(empty, built):
+                slots[slot] = outcome
+        held[where] = _objects(slots)
+        return slots
 
     def owned_points(self) -> int:
         """Cache entries this record expands to."""
@@ -807,26 +882,24 @@ class _SweepColumns:
 
     def kept(self, owned: np.ndarray) -> "_SweepColumns":
         """What a cache keeps of this sealed record, given the mask of
-        the grid rows whose keys it *owned*: the record itself when it
-        owns every row it covers, else a copy cut down to the owned
-        rows, so a cache grows with the keys it holds rather than with
-        the sweeps it saw. (A columnar record holds no designs yet.)"""
-        mine = owned[self.rows]
-        owned = np.flatnonzero(owned[: self.covered])
-        if len(owned) == self.covered:
+        the grid rows whose keys it *owned* (a subset of those it owns):
+        the record itself when that is all of them, else a copy cut down
+        to the owned rows, columns and slots alike, so a cache grows
+        with the keys it holds rather than with the sweeps it saw."""
+        rows = np.flatnonzero(owned[: self.covered])
+        if len(rows) == self.owned_points():
             return self
-        kept = _SweepColumns(self.factory, self.grid)
-        kept.index, kept.covered, kept.owned = self.index, self.covered, owned
+        mine = owned[self.rows]
+        kept = _SweepColumns(self.factory, self.grid, self.index)
+        kept.covered, kept.owned = self.covered, rows
         kept.rows, kept.area, kept.perf, kept.power = (
             column[mine] for column in (self.rows, self.area, self.perf, self.power)
         )
-        bounds = np.searchsorted(
-            kept.rows, [lo for lo, *_ in self._chunks] + [self.covered]
-        ).tolist()
-        kept._chunks = [
-            (lo, hi, first, last, None)
-            for (lo, hi, *_), first, last in zip(self._chunks, bounds, bounds[1:])
-        ]
+        kept.quarantined = self.quarantined[owned[self.quarantined]]
+        kept.valid = kept.qmask = None
+        slots = self._slots(rows)
+        kept.held = None if self.held is None else self.held[slots]
+        kept.at = None if self.at is None else self.at[slots]
         return kept
 
     def params(
@@ -841,116 +914,137 @@ class _SweepColumns:
         return self._params
 
     def designs(self) -> tuple[DesignPoint, ...]:
-        """The valid rows' DesignPoints: a chunk's own when it was
-        resolved point by point, else the factory's ``design_points``
-        per chunk, one scalar call for any row it leaves ``None`` (or
-        for every row, when the factory has no materializer)."""
-        if self._designs is not None:
-            return self._designs
-        designs: list[DesignPoint] = []
-        for _, _, first, last, built in self._chunks:
-            if built is None and last > first:
-                chunk = list(self.params()[first:last])
-                arrays = DesignArrays(
-                    area=self.area[first:last],
-                    perf=self.perf[first:last],
-                    power=self.power[first:last],
-                    valid=np.ones(len(chunk), dtype=bool),
-                )
-                built = _fill_outcomes(
-                    self.factory, chunk, _design_slots(self.factory, chunk, arrays)
-                )
-            designs += built or ()
-        self._designs = tuple(designs)
+        """The valid rows' DesignPoints (memoized)."""
+        if self._designs is None:
+            self._designs = tuple(self.outcomes(self.rows))
         return self._designs
 
-    def chunk_outcomes(
-        self,
-    ) -> Iterator[tuple[list[tuple], list[DesignPoint | DomainError]]]:
-        """``(keys, outcomes)`` of the owned rows, per swept chunk in
-        grid order: exactly what an eager sweep memoizes — the designs
-        for valid rows and, for each invalid corner, the outcome of one
-        scalar call (the genuine ``DomainError``)."""
-        designs = self.designs()
-        for lo, hi, first, last, _ in self._chunks:
-            if self.owned is None:
-                rows = np.arange(lo, hi)
-            else:
-                rows = self.owned[np.searchsorted(self.owned, lo) :]
-                rows = rows[: np.searchsorted(rows, hi)]
-            if not rows.size:
-                continue
-            chunk = self.index.params(rows)
-            slots: list = [None] * len(chunk)
-            mine, at = _positions(rows, self.rows[first:last])
-            for slot, row in zip(at[mine].tolist(), np.flatnonzero(mine).tolist()):
-                slots[slot] = designs[first + row]
-            yield params_keys(chunk), _fill_outcomes(self.factory, chunk, slots)
+    def entries(self) -> tuple[list[tuple], list[DesignPoint | DomainError]]:
+        """The cache keys of the owned rows and their outcomes: exactly
+        what an eager sweep memoizes."""
+        rows = np.arange(self.covered) if self.owned is None else self.owned
+        return self.index.keys(rows), self.outcomes(rows)
 
 
-class _CachedRows:
-    """The rows of a columnar sweep that need no kernel.
+class _KnownRows:
+    """The one way a sweep learns the rows it need not evaluate: every
+    source's rows are gathered into its open *record* as columns, up
+    front. The sources, in priority order: the checkpoint's chunk
+    records, the ledger's poison rows (which never run), the store's
+    hits, the cache's column records (found through
+    :meth:`_GridIndex.lookup`), the cache's point entries (one
+    ``dict.get`` per :meth:`_GridIndex.keys` key), and repeats of an
+    earlier row's key, copied from that row by the chunk step.
 
-    A row whose cache key a cache record holds takes the record's
-    columns (found through :meth:`_GridIndex.lookup`, no per-row key).
-    Records are read in the order they were kept, so a key reaches the
-    record that owns it first — the only one still holding its row;
-    a repeat of an earlier row's key takes that row's values once they
-    are known. ``fresh`` marks the rest — the first row of every key no
-    record holds — and the full-length columns collect every row's
-    values as the sweep fills them in.
+    ``fresh`` marks the rest: the first row of every key no source
+    knows. ``hit`` marks the rows counted as cache hits (cached rows no
+    durable source served, and repeats); durable rows count as neither
+    hits nor misses. ``owned`` marks the rows whose keys the sweep's
+    record will own in the cache, and ``moved`` those of them another
+    home gives up. ``stored`` holds the chunks the store
+    served whole and ``probes`` its answer for the other chunks it was
+    asked about whole, whose point keys their store write reuses.
     """
 
-    def __init__(self, index: _GridIndex, records: Sequence[_SweepColumns]):
+    def __init__(
+        self, record: _SweepColumns, state: _SweepState, cache: FactoryCache, size: int
+    ) -> None:
+        index = record.index
         total = index.total
-        self.fresh = np.ones(total, dtype=bool)
-        self.area = np.zeros(total)
-        self.perf = np.zeros(total)
-        self.power = np.zeros(total)
-        self.valid = np.zeros(total, dtype=bool)
-        for record in records:
-            if not self.fresh.any():
-                break
-            found = record.index.lookup(index)
-            if found is None:
-                continue
-            take = np.flatnonzero(
-                self.fresh & (found >= 0) & (found < record.covered)
-            )
-            self.fresh[take] = False
-            hit, at = _positions(record.rows, found[take])
-            rows, at = take[hit], at[hit]
-            self.area[rows] = record.area[at]
-            self.perf[rows] = record.perf[at]
-            self.power[rows] = record.power[at]
-            self.valid[rows] = True
+        durable = np.zeros(total, dtype=bool)
+        for chunk, data in enumerate(state.restored[: -(-total // size)]):
+            lo = chunk * size
+            hi = min(lo + size, total)
+            stored = OutcomeRecord(data)
+            if len(stored) != hi - lo:
+                raise CheckpointError(
+                    f"checkpoint {state.ckpt.path} records {len(stored)} "
+                    f"outcomes for a {hi - lo}-point chunk; the file does not "
+                    "match this grid"
+                )
+            record.set_stored(slice(lo, hi), stored)
+            durable[lo:hi] = True
+        if state.qsession is not None and state.qsession.known_count:
+            durable[record.mark(np.flatnonzero(~durable), state.qsession)] = True
+        self.stored: set[int] = set()
+        self.probes: dict[int, ChunkProbe] = {}
+        if state.session is not None:
+            self._ask_store(record, state, durable, size)
+        first = np.ones(total, dtype=bool)
+        #: Each row's first row with the same key, and the repeats the
+        #: chunk step copies from it (``None`` for a grid without any).
         self.first: np.ndarray | None = None
+        self.repeat: np.ndarray | None = None
         if index.repeats():
             self.first = index.lookup(index)
-            self.fresh &= self.first == np.arange(total)
-
-    def chunk(
-        self, lo: int, hi: int, rows: np.ndarray, arrays: "DesignArrays | None"
-    ) -> DesignArrays:
-        """Grid rows ``[lo, hi)`` with the kernel *arrays* of their fresh
-        *rows* (chunk-relative) filled in, repeats copied from their
-        first row."""
-        if arrays is not None:
-            rows = rows + lo
-            self.area[rows] = arrays.area
-            self.perf[rows] = arrays.perf
-            self.power[rows] = arrays.power
-            self.valid[rows] = arrays.valid
+            first = self.first == np.arange(total)
+        cached = np.zeros(total, dtype=bool)
+        for kept in cache._records:
+            found = kept.index.lookup(index)
+            if found is None:
+                continue
+            ok = (found >= 0) & (found < kept.covered)
+            if kept.owned is not None:
+                ok[ok] = _positions(kept.owned, found[ok])[0]
+            rows = np.flatnonzero(ok & ~cached)
+            cached[rows] = True
+            rows = rows[~durable[rows]]
+            if rows.size:
+                record.take(rows, kept, found[rows])
+        if cache._memo:
+            rows = np.flatnonzero(~cached)
+            outcomes = list(map(cache._memo.get, index.keys(rows)))
+            hits = list(compress(count(), map(is_not, outcomes, repeat(None))))
+            if len(hits) < len(outcomes):
+                rows = rows[hits]
+                outcomes = list(map(outcomes.__getitem__, hits))
+            cached[rows] = True
+            served = ~durable[rows]
+            if not served.all():
+                rows = rows[served]
+                outcomes = [o for o, keep in zip(outcomes, served.tolist()) if keep]
+            if len(rows):
+                record.set_outcomes(rows, outcomes)
         if self.first is not None:
-            first = self.first[lo:hi]
-            repeat = np.flatnonzero(first != np.arange(lo, hi))
-            source = first[repeat]
-            repeat += lo
-            for column in (self.area, self.perf, self.power, self.valid):
-                column[repeat] = column[source]
-        return DesignArrays(
-            self.area[lo:hi], self.perf[lo:hi], self.power[lo:hi], self.valid[lo:hi]
-        )
+            self.repeat = ~first & ~durable & ~cached
+        self.fresh = first & ~durable & ~cached
+        self.hit = cached & ~durable
+        if self.repeat is not None:
+            self.hit |= self.repeat
+        # A durable design equals the cached outcome, whose home keeps the
+        # key; a durable quarantine marker replaces it and takes the key.
+        marked = durable & record.qmask
+        self.moved = first & cached & marked
+        self.owned = first & (~cached | marked)
+
+    def _ask_store(
+        self, record: _SweepColumns, state: _SweepState, durable: np.ndarray, size: int
+    ) -> None:
+        """Ask the store about every chunk's rows no checkpoint or ledger
+        claimed (a restored chunk is never asked), and tally its answer."""
+        index = record.index
+        use = state.use
+        for chunk in range(len(state.restored), -(-index.total // size)):
+            lo = chunk * size
+            asked = np.flatnonzero(~durable[lo : lo + size]) + lo
+            if not asked.size:
+                continue
+            probe = state.session.locate(index.params(asked))
+            for stored, rows, at in probe.parts:
+                rows = asked[rows]
+                record.set_stored(rows, stored, np.asarray(at))
+                durable[rows] = True
+            whole = len(asked) == min(size, index.total - lo)
+            if whole and probe.complete:
+                self.stored.add(chunk)
+                use.full_chunks += 1
+            else:
+                if whole:
+                    self.probes[chunk] = probe
+                if probe.hit_points:
+                    use.delta_chunks += 1
+            use.memory_points += probe.memory_points
+            use.disk_points += probe.disk_points
 
 
 @runtime_checkable
@@ -1491,7 +1585,7 @@ class BatchExplorer:
         return arrays
 
     # ------------------------------------------------------------------
-    # The chunk resolver: known rows, one evaluator, one record
+    # The chunk step: one evaluator, one record
     # ------------------------------------------------------------------
     def _resolve_mode(self) -> str:
         """The execution mode this sweep will run under, from the
@@ -1505,119 +1599,51 @@ class BatchExplorer:
             return "parallel-columnar" if self._pool_workers else "columnar"
         return "scalar-pool" if self._pool_workers else "scalar"
 
-    def _known_rows(self, index: int, state: _SweepState) -> _Known:
-        """Every row of chunk *index* some source already knows.
-
-        A checkpoint-restored chunk is known whole. Otherwise the
-        sources fill the still-empty slots in order: quarantine markers
-        for ledger-known poison (re-running one would crash a worker,
-        or the sweep itself), then the store probe, then cache hits,
-        then repeats of a point an earlier row of the chunk — or, when
-        the sweep gathers every chunk up front, of the sweep — left to
-        evaluate (``state.seen``), so each point is evaluated once.
-        Keys come straight from the grid index.
-        """
-        lo = index * self.chunk_size
-        keys = state.index.keys(
-            np.arange(lo, min(lo + self.chunk_size, state.index.total))
-        )
-        chunk = next(state.stream) if state.stream is not None else None
-        if index < len(state.restored):
-            outcomes = decode_outcomes(state.restored[index])
-            if len(outcomes) != len(keys):
-                raise CheckpointError(
-                    f"checkpoint {state.ckpt.path} records {len(outcomes)} "
-                    f"outcomes for a {len(keys)}-point chunk; the file "
-                    "does not match this grid"
-                )
-            return _Known(keys, outcomes, params=chunk, restored=True)
-        known = _Known(keys, [None] * len(keys), params=chunk)
-        outcomes = known.outcomes
-        qsession = state.qsession
-        if qsession is not None and qsession.known_count:
-            outcomes[:] = [qsession.marker(params) for params in chunk]
-        if state.session is not None:
-            # The store is asked only for rows no marker claimed, so its
-            # tally counts exactly the rows it serves.
-            rows = [row for row, outcome in enumerate(outcomes) if outcome is None]
-            if rows:
-                whole = len(rows) == len(chunk)
-                probe = state.session.probe(
-                    chunk if whole else [chunk[row] for row in rows]
-                )
-                for row, stored in zip(rows, probe.outcomes):
-                    outcomes[row] = stored
-                known.probe = probe if whole else None
-                known.stored = (probe.memory_points, probe.disk_points)
-        seen = state.seen
-        if seen is None and len(set(keys)) < len(keys):
-            seen = set()
-        if seen is None and chunk is None and len(self.cache):
-            # The cache is the only source: one probe per key.
-            outcomes[:] = map(self.cache._entries.get, keys)
-            known.hits = sum(outcome is not None for outcome in outcomes)
-        elif seen is not None or len(self.cache):
-            entries = self.cache._entries
-            for row, key in enumerate(keys):
-                if outcomes[row] is None:
-                    outcome = entries.get(key)
-                    if outcome is None and seen is not None:
-                        if key not in seen:
-                            seen.add(key)
-                            continue
-                        outcome = _REPEAT
-                    if outcome is not None:
-                        outcomes[row] = outcome
-                        known.hits += 1
-        return known
-
     def _evaluate_rows(
         self,
-        chunk: Sequence[Mapping[str, object]],
-        missing: "list[int] | None",
+        record: _SweepColumns,
         index: int,
+        missing: "np.ndarray | None",
         state: _SweepState,
         plan: "_ParallelPlan | None",
         pool: "_parallel.WorkerPool | None",
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate the *missing* rows of chunk *index* (default: all of
-        them) — the one place that chooses how missing rows run.
+    ) -> None:
+        """Evaluate the *missing* rows of chunk *index* (chunk-relative;
+        default: all of them) into *record* — the one place that
+        chooses how fresh rows run.
 
         A vector factory runs its columnar kernel over the rows
-        (:meth:`_kernel_rows`). ``_design_slots`` then builds the named
-        DesignPoints and ``_fill_outcomes`` completes the rest: a
-        rejected corner takes one scalar call (its genuine
-        ``DomainError``), a row the supervisor bisected out of the
-        block takes its quarantine marker. Any other factory takes one
-        scalar call per point, or, on a pool, the rows go out as ``(lo,
-        hi, seq)`` shards (roughly one per worker) whose workers reply
-        with the outcomes; a row the supervisor quarantined takes its
-        marker the same way.
+        (:meth:`_kernel_rows`) and the record keeps the columns; a row
+        the supervisor bisected out of the block takes its quarantine
+        marker. Any other factory takes one scalar call per point, or,
+        on a pool, the rows go out as ``(lo, hi, seq)`` shards (roughly
+        one per worker) whose workers reply with the outcomes; a row
+        the supervisor quarantined takes its marker the same way.
         """
         factory = self.factory
-        rows = chunk if missing is None else [chunk[row] for row in missing]
-        marker = state.qsession.marker if state.qsession is not None else None
-        if is_vector_factory(factory):
-            arrays = self._kernel_rows(
-                state.index,
-                index,
-                None if missing is None else np.array(missing, dtype=np.int64),
-                plan,
-            )
-            return _fill_outcomes(
-                factory, rows, _design_slots(factory, rows, arrays), marker
-            )
-        if pool is None:
-            return _fill_outcomes(factory, rows, [None] * len(rows))
+        grid = record.index
         lo = index * self.chunk_size
-        wanted = np.zeros(len(chunk), dtype=bool)
+        hi = min(lo + self.chunk_size, grid.total)
+        rows = np.arange(lo, hi) if missing is None else missing + lo
+        qsession = state.qsession
+        if state.columnar:
+            arrays = self._kernel_rows(grid, index, missing, plan)
+            record.set_arrays(slice(lo, hi) if missing is None else rows, arrays)
+            if plan is not None and qsession is not None and qsession.count:
+                record.mark(rows[~arrays.valid], qsession)
+            return
+        chunk = grid.params(rows)
+        if pool is None:
+            outcomes = _fill_outcomes(factory, chunk, [None] * len(chunk))
+            record.set_outcomes(rows, outcomes)
+            return
+        wanted = np.zeros(hi - lo, dtype=bool)
         wanted[slice(None) if missing is None else missing] = True
-        grid_rows = (np.flatnonzero(wanted) + lo).tolist()
         runs = [(lo + start, lo + stop) for start, stop in _runs(wanted)]
         workers = self._pool_workers
         spans = _parallel.plan_steal_runs(runs, -(-len(rows) // workers), workers)
         jobs = [(start, stop, seq) for seq, (start, stop) in enumerate(spans)]
-        slot_of = {row: slot for slot, row in enumerate(grid_rows)}
+        slot_of = {row: slot for slot, row in enumerate(rows.tolist())}
         slots: list = [None] * len(rows)
         with _trace.get_tracer().span("kernels", shards=len(jobs), workers=workers):
             for replies in self._run_shards(pool, jobs):
@@ -1630,87 +1656,59 @@ class BatchExplorer:
                 for start, _, _, _, outcomes, _ in replies:
                     for row, outcome in enumerate(outcomes, start):
                         slots[slot_of[row]] = outcome
-        return _fill_outcomes(factory, rows, slots, marker)
+        marker = qsession.marker if qsession is not None else None
+        record.set_outcomes(rows, _fill_outcomes(factory, chunk, slots, marker))
 
-    def _resolve_chunk(
+    def _chunk_step(
         self,
         index: int,
+        record: _SweepColumns,
+        known: _KnownRows,
         state: _SweepState,
         plan: "_ParallelPlan | None",
         pool,
-    ) -> list[DesignPoint | DomainError]:
-        """Resolve one chunk of a point-level sweep.
+    ) -> int:
+        """Resolve chunk *index* into *record*; returns its point count.
 
-        Gathers the chunk's known rows (up front for a parallel sweep,
-        else now), evaluates the rest once through
-        :meth:`_evaluate_rows`, stitches, and records the chunk once:
-        in the cache (cache hits and repeats count as hits, every
-        evaluated row as a miss, other known rows as neither), in the
-        store (unless the store served the whole chunk) and in the
-        checkpoint (a restored chunk is already there). A chunk the
-        cache served whole in a sweep with no durable layer is only
-        counted.
+        Evaluates the chunk's fresh rows once through
+        :meth:`_evaluate_rows`, copies its repeats from their first
+        rows, and counts the chunk (cached rows and repeats as cache
+        hits, fresh rows as misses, durable rows as neither). It then
+        writes the chunk: to the store (unless the store served it
+        whole) and to the checkpoint (unless restored from it), both
+        from the chunk's outcome objects — built here only for the rows
+        the sweep holds none for.
         """
-        if state.known is not None:
-            known = state.known.pop(index)
-        else:
-            known = self._known_rows(index, state)
-        outcomes = known.outcomes
-        if known.hits == len(outcomes) and known.params is None and state.seen is None:
-            self.cache.record(hits=known.hits)
-            return outcomes
-        missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
-        chunk = known.params
-        if chunk is None and missing:
-            lo = index * self.chunk_size
-            chunk = state.index.params(
-                np.arange(lo, min(lo + self.chunk_size, state.index.total))
-            )
-        if missing:
-            fresh = self._evaluate_rows(
-                chunk,
-                None if len(missing) == len(chunk) else missing,
-                index,
-                state,
-                plan,
-                pool,
-            )
-            for row, outcome in zip(missing, fresh):
-                outcomes[row] = outcome
-        if known.hits:
-            # A repeat takes its point's outcome: from this chunk's own
-            # evaluation, else from the earlier chunk that recorded it.
-            entries = self.cache._entries
-            evaluated = {known.keys[row]: outcomes[row] for row in missing}
-            for row, outcome in enumerate(outcomes):
-                if outcome is _REPEAT:
-                    key = known.keys[row]
-                    outcome = evaluated.get(key)
-                    outcomes[row] = entries[key] if outcome is None else outcome
-        self.cache.store_many(
-            known.keys, outcomes, hits=known.hits, misses=len(missing)
-        )
-        probe = known.probe
-        if any(known.stored):
-            use = state.use
-            if probe is not None and probe.complete:
-                use.full_chunks += 1
-            else:
-                use.delta_chunks += 1
-            use.memory_points += known.stored[0]
-            use.disk_points += known.stored[1]
-        if state.session is not None and not (probe is not None and probe.complete):
-            # Resumed work is stored too: the next process should not
-            # recompute it.
-            state.session.put(chunk, outcomes, probe)
-        if state.ckpt is not None and not known.restored:
-            if not state.ckpt.commit(
+        lo = index * self.chunk_size
+        hi = min(lo + self.chunk_size, record.index.total)
+        fresh = int(np.count_nonzero(known.fresh[lo:hi]))
+        if fresh:
+            missing = None if fresh == hi - lo else np.flatnonzero(known.fresh[lo:hi])
+            self._evaluate_rows(record, index, missing, state, plan, pool)
+        if known.repeat is not None:
+            repeats = np.flatnonzero(known.repeat[lo:hi]) + lo
+            if repeats.size:
+                record.take(repeats, record, known.first[repeats])
+        self.cache.record(hits=int(np.count_nonzero(known.hit[lo:hi])), misses=fresh)
+        record.covered = hi
+        checkpointed = state.ckpt is not None and index >= len(state.restored)
+        stored = state.session is not None and index not in known.stored
+        if checkpointed or stored:
+            rows = np.arange(lo, hi)
+            outcomes = record.outcomes(rows)
+            if stored:
+                # Resumed work is stored too: the next process should
+                # not recompute it.
+                probe = known.probes.pop(index, None)
+                chunk = record.index.params(rows) if probe is None else ()
+                state.session.put(chunk, outcomes, probe)
+            if checkpointed and not state.ckpt.commit(
                 kind="sweep",
                 fingerprint=state.fingerprint,
                 record=encode_outcomes(outcomes),
             ):
                 state.ckpt = None
-        return outcomes
+        return hi - lo
 
     # ------------------------------------------------------------------
     # Parallel-columnar dispatch
@@ -1748,13 +1746,13 @@ class BatchExplorer:
     def _parallel_setup(
         self,
         index: _GridIndex,
-        fresh: "np.ndarray | None" = None,
+        fresh: np.ndarray,
         quarantine: "QuarantineSession | None" = None,
     ) -> _ParallelPlan:
         """Allocate the sweep's shared block, plan the shard spans over
-        the *fresh* rows (a mask over the grid; all rows when ``None``)
-        and spawn the pool (which receives the grid *index* once, so a
-        shard job is ``(lo, hi, seq)``).
+        the *fresh* rows (a mask over the grid) and spawn the pool
+        (which receives the grid *index* once, so a shard job is ``(lo,
+        hi, seq)``).
 
         Only the rows no source knows are dispatched — restored,
         ledger-poison, stored, cached or repeated rows never reach a
@@ -1775,7 +1773,7 @@ class BatchExplorer:
         block = _parallel.ColumnarBlock.allocate(
             total, spill_dir=self.spill_dir, spill_bytes=self.spill_bytes
         )
-        fresh = np.ones(total, dtype=bool) if fresh is None else fresh.copy()
+        fresh = fresh.copy()
         starts = np.arange(0, total, size)
         planned = set(np.flatnonzero(np.logical_or.reduceat(fresh, starts)).tolist())
         first = min(size, total)
@@ -1885,28 +1883,23 @@ class BatchExplorer:
         exactly like ``Explorer.explore``; an all-invalid sweep raises
         :class:`~repro.core.errors.ConfigurationError`.
 
-        Every chunk is resolved the same way: the rows a checkpoint,
-        the quarantine ledger, the store or the cache already know are
-        adopted, and only the rest are evaluated — for a
-        :class:`VectorFactory` through ``batch_arrays`` instead of
-        per-point factory calls, whatever the cache holds. The result
-        keeps its valid rows as columns and builds ``params``/
-        ``designs`` on first read. A :class:`VectorFactory` sweep
-        without checkpoint, store or quarantine (whose formats encode
-        points), on a cache holding no point entries, reads the known
-        rows straight from the cache's column records and leaves its
-        own record there (entries built on the first point-level read);
-        a record of this very grid is adopted whole (n hits, nothing
-        evaluated). Output (ordering, skips, values, cache contents) is
+        Every sweep first gathers, as columns, the rows a checkpoint,
+        the quarantine ledger, the store or the cache already knows,
+        and evaluates only the rest — for a :class:`VectorFactory`
+        through ``batch_arrays``. The result keeps its valid rows as
+        columns and builds ``params``/``designs`` on first read; its
+        record stays in the cache, and a sweep of this very grid with no
+        durable layer adopts it whole (n hits, nothing evaluated).
+        Output (ordering, skips, values, cache contents) is
         byte-identical on every path.
 
         With *checkpoint* set, every completed chunk is appended to that
         log as one checksummed record; with *resume*, completed chunks
-        found there are replayed into the cache without re-evaluating
-        the factory, and the sweep continues from the first unfinished
-        chunk. Resume is bit-exact: result arrays and cache entries
-        match an uninterrupted run. A checkpoint written by a different
-        run configuration raises
+        found there are restored as columns without re-evaluating the
+        factory (their objects decode when read), and the sweep
+        continues from the first unfinished chunk. Resume is bit-exact:
+        result arrays and cache entries match an uninterrupted run. A
+        checkpoint written by a different run configuration raises
         :class:`~repro.core.errors.CheckpointError`; a torn or corrupt
         record is dropped with every later one and recomputed.
 
@@ -1942,7 +1935,9 @@ class BatchExplorer:
         workers = self._activate_workers(grid)
         mode = self._resolve_mode()
         index = _GridIndex(grid)
-        state = _SweepState(index, ckpt=CheckpointStore.coerce(checkpoint))
+        state = _SweepState(
+            ckpt=CheckpointStore.coerce(checkpoint), columnar=mode in COLUMNAR_MODES
+        )
         if resume and state.ckpt is None:
             raise ConfigurationError(
                 "resume=True requires a checkpoint path to resume from"
@@ -1954,30 +1949,21 @@ class BatchExplorer:
         qledger = QuarantineLedger.coerce(quarantine)
         if qledger is not None:
             state.qsession = qledger.session(describe_factory(self.factory))
-        # The durable layers (checkpoint, store, quarantine) encode
-        # points, and so do a cache's point entries; without them a
-        # vector-factory sweep reads known rows from the cache's column
-        # records, and a record of this very grid is the whole answer.
-        layers = (state.ckpt, state.session, state.qsession)
-        durable = any(layer is not None for layer in layers)
-        if durable:
-            state.stream = _chunked(iter(grid), self.chunk_size)
-        columnar = mode in COLUMNAR_MODES and not durable and not self.cache._memo
-        record = _SweepColumns(self.factory, grid)
-        adopted = False
-        cached: _CachedRows | None = None
-        if columnar:
+        record: _SweepColumns | None = None
+        if state.ckpt is None and state.session is None and state.qsession is None:
+            # Without a durable layer to read or write, a record of this
+            # very grid is the whole answer.
             for kept in self.cache._records:
                 if (
                     kept.owned is None
                     and kept.covered == index.total
                     and kept.index.same_grid(index)
                 ):
-                    record, adopted = kept, True
+                    record = kept
                     break
-            else:
-                if self.cache._records or index.repeats():
-                    cached = _CachedRows(index, self.cache._records)
+        adopted = record is not None
+        if record is None:
+            record = _SweepColumns(self.factory, grid, index)
         if state.ckpt is not None:
             state.fingerprint = sweep_fingerprint(
                 axes=grid.axes,
@@ -1994,6 +1980,7 @@ class BatchExplorer:
                     state.restored = loaded["chunks"]
         pool: "_parallel.WorkerPool | None" = None
         plan: "_ParallelPlan | None" = None
+        known: _KnownRows | None = None
         size = self.chunk_size
         with tracer.span(
             "sweep",
@@ -2005,7 +1992,6 @@ class BatchExplorer:
             start_s = time.perf_counter()
             cache_before = self.cache.stats()
             failure: FailureReport | None = None
-            quarantined: list[Mapping[str, object]] = []
             chunks_done = 0
             points_done = 0
             try:
@@ -2018,63 +2004,37 @@ class BatchExplorer:
                         registry.counter(
                             "focal_cache_hits_total", "factory cache hits"
                         ).inc(len(grid))
-                elif columnar:
-                    if mode == "parallel-columnar":
-                        plan = self._parallel_setup(
-                            index, cached.fresh if cached is not None else None
-                        )
-                        pool = plan.pool
-                        self._parallel_kernels(plan, tracer)
                 else:
+                    known = _KnownRows(record, state, self.cache, size)
                     if mode == "parallel-columnar":
-                        # Known rows up front: only the rows no source
-                        # knows reach the pool.
-                        state.seen = set()
-                        state.known = {k: self._known_rows(k, state) for k in chunks}
-                        fresh = np.zeros(len(grid), dtype=bool)
-                        for k, known in state.known.items():
-                            for row, outcome in enumerate(known.outcomes):
-                                if outcome is None:
-                                    fresh[k * size + row] = True
-                        plan = self._parallel_setup(index, fresh, state.qsession)
+                        # Only the rows no source knows reach the pool.
+                        plan = self._parallel_setup(index, known.fresh, state.qsession)
                         pool = plan.pool
                         self._parallel_kernels(plan, tracer)
                     elif workers:
                         pool = self._open_pool(index, quarantine=state.qsession)
                 for k in chunks:
-                    restored = k < len(state.restored)
                     if plan is not None and k in plan.failed:
                         raise _SalvageAbort(
                             f"the shard covering chunk {k} was never "
                             "completed by the worker pool"
                         )
                     with tracer.span(
-                        "chunk", index=k, mode=mode, restored=restored
+                        "chunk", index=k, mode=mode, restored=k < len(state.restored)
                     ) as chunk_span:
                         if observing:
                             chunk_start = time.perf_counter()
                             before = self.cache.stats()
-                        if columnar:
-                            points, valid = self._columnar_chunk(
-                                index, k, record, cached, plan
-                            )
-                        else:
-                            outcomes = self._resolve_chunk(k, state, plan, pool)
-                            points = len(outcomes)
-                            valid = record.add_outcomes(k * size, outcomes)
-                            if valid < points:
-                                bad = np.flatnonzero(
-                                    [isinstance(o, QuarantinedPoint) for o in outcomes]
-                                )
-                                quarantined += index.params(bad + k * size)
+                        points = self._chunk_step(k, record, known, state, plan, pool)
                         chunks_done += 1
                         points_done += points
                         if observing:
+                            lo = k * size
                             self._observe_chunk(
                                 registry,
                                 chunk_span,
                                 points=points,
-                                valid=valid,
+                                valid=int(record.valid[lo : lo + size].sum()),
                                 seconds=time.perf_counter() - chunk_start,
                                 before=before,
                             )
@@ -2109,16 +2069,19 @@ class BatchExplorer:
                 if plan is not None:
                     plan.release()
                 object.__setattr__(self, "_cal", None)
-                if not adopted:
+                if known is not None:
                     record.seal()
-                    if columnar:
-                        kept = record if cached is None else record.kept(cached.fresh)
-                        if kept.owned_points():
-                            # Even an aborted sweep leaves its completed
-                            # chunks memoized, as a point-level sweep would.
-                            self.cache.defer(kept)
+                    kept = record.kept(known.owned)
+                    moved = np.flatnonzero(known.moved[: record.covered])
+                    if moved.size:
+                        self.cache.disown(index, moved)
+                    if kept.owned_points():
+                        # Even an aborted sweep leaves its completed
+                        # chunks memoized.
+                        self.cache.defer(kept)
             self._record_supervision(pool, sweep_span)
             valid_points = len(record.rows)
+            quarantined = tuple(index.params(record.quarantined))
             if not valid_points and failure is None:
                 raise ConfigurationError(
                     "exploration produced no valid design points"
@@ -2144,37 +2107,8 @@ class BatchExplorer:
             if observing:
                 self._observe_sweep(registry, sweep_span, stats)
         return BatchSweepResult._from_columns(
-            record, grid, perf, ncf_fw, ncf_ft, codes, tuple(quarantined), failure
+            record, grid, perf, ncf_fw, ncf_ft, codes, quarantined, failure
         )
-
-    def _columnar_chunk(
-        self,
-        index: _GridIndex,
-        chunk: int,
-        record: _SweepColumns,
-        cached: _CachedRows | None,
-        plan: "_ParallelPlan | None",
-    ) -> tuple[int, int]:
-        """Resolve chunk *chunk* of a columnar sweep into *record*: the
-        kernel runs on its fresh rows only (the pool already ran them
-        when there is a *plan*), every other row is a cache hit.
-        Returns the chunk's point and valid-row counts."""
-        lo = chunk * self.chunk_size
-        hi = min(lo + self.chunk_size, index.total)
-        if cached is None:
-            arrays = self._kernel_rows(index, chunk, None, plan)
-            fresh = hi - lo
-        else:
-            rows = np.flatnonzero(cached.fresh[lo:hi])
-            fresh = len(rows)
-            kernel = None
-            if fresh:
-                kernel = self._kernel_rows(
-                    index, chunk, None if fresh == hi - lo else rows, plan
-                )
-            arrays = cached.chunk(lo, hi, rows, kernel)
-        self.cache.record(hits=hi - lo - fresh, misses=fresh)
-        return hi - lo, record.add(lo, arrays)
 
     def _record_supervision(
         self, pool: "_parallel.WorkerPool | None", sweep_span

@@ -63,9 +63,9 @@ from ..core.errors import DomainError, QuarantinedPoint, ValidationError
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import (
+    OutcomeRecord,
     atomic_write_text,
     canonical_json,
-    decode_outcomes,
     describe_factory,
     encode_outcomes,
     pack_texts,
@@ -185,7 +185,9 @@ class ChunkProbe:
 
     ``outcomes`` has one slot per chunk row — a decoded outcome for
     stored points, ``None`` for rows the sweep must still evaluate
-    (their indices are in ``missing``).
+    (their indices are in ``missing``). ``parts`` locates the stored
+    rows without decoding them: per stored record, its columns, the
+    chunk rows it serves and their rows in it.
     """
 
     keys: list[str]
@@ -194,6 +196,9 @@ class ChunkProbe:
     missing: list[int]
     memory_points: int = 0
     disk_points: int = 0
+    parts: list[tuple[OutcomeRecord, list[int], list[int]]] = field(
+        default_factory=list
+    )
 
     @property
     def hit_points(self) -> int:
@@ -654,54 +659,59 @@ class SweepStoreSession:
 
     # -- reading -------------------------------------------------------
     def probe(self, chunk: Sequence[Mapping[str, object]]) -> ChunkProbe:
-        """What the store holds for *chunk* (never raises; a fully
-        unknown chunk comes back with every row missing)."""
+        """What the store holds for *chunk*, decoded (never raises; a
+        fully unknown chunk comes back with every row missing)."""
+        probe = self.locate(chunk)
+        for stored, rows, sources in probe.parts:
+            outcomes = stored.outcomes()
+            for row, source in zip(rows, sources):
+                probe.outcomes[row] = outcomes[source]
+        return probe
+
+    def locate(self, chunk: Sequence[Mapping[str, object]]) -> ChunkProbe:
+        """Where the store holds *chunk*'s points (``parts``), nothing
+        decoded into objects; tallied per tier like :meth:`probe`."""
         self._probed = True
         keys = [point_store_key(params) for params in chunk]
         chunk_hash = chunk_store_key(keys)
         index = self._chunks.get(chunk_hash)
+        wanted: dict[int, tuple[list[int], list[int]]] = {}
         if index is not None:
             # The fast path a warm re-sweep with unchanged chunking hits.
-            data, tier = self._load(index)
-            outcomes = list(data)
-            memory, disk = (len(chunk), 0) if tier == "memory" else (0, len(chunk))
+            rows = list(range(len(chunk)))
+            wanted[index] = (rows, rows)
         else:
-            outcomes = [None] * len(chunk)
-            wanted: dict[int, list[tuple[int, int]]] = {}
             for row, key in enumerate(keys):
                 entry = self._points.get(key)
                 if entry is not None:
-                    wanted.setdefault(entry[0], []).append((row, entry[1]))
-            memory = disk = 0
-            for index, rows in wanted.items():
-                data, tier = self._load(index)
-                for row, source in rows:
-                    outcomes[row] = data[source]
-                if tier == "memory":
-                    memory += len(rows)
-                else:
-                    disk += len(rows)
-        missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
-        self.store._count(memory, disk, len(missing))
-        return ChunkProbe(
-            keys=keys,
-            chunk_hash=chunk_hash,
-            outcomes=outcomes,
-            missing=missing,
-            memory_points=memory,
-            disk_points=disk,
-        )
+                    rows, sources = wanted.setdefault(entry[0], ([], []))
+                    rows.append(row)
+                    sources.append(entry[1])
+        probe = ChunkProbe(keys, chunk_hash, [None] * len(chunk), [])
+        served = np.zeros(len(chunk), dtype=bool)
+        for index, (rows, sources) in wanted.items():
+            stored, tier = self._load(index)
+            probe.parts.append((stored, rows, sources))
+            served[rows] = True
+            if tier == "memory":
+                probe.memory_points += len(rows)
+            else:
+                probe.disk_points += len(rows)
+        probe.missing = np.flatnonzero(~served).tolist()
+        self.store._count(probe.memory_points, probe.disk_points, len(probe.missing))
+        return probe
 
-    def _load(self, index: int):
-        """Decoded outcomes of one stored record, LRU'd per process."""
+    def _load(self, index: int) -> tuple[OutcomeRecord, str]:
+        """One stored record read as columns (LRU'd per process), and
+        the tier that served it."""
         record, offset, chunk_hash = self._records[index]
         memo_key = ("sweep", self.fp, chunk_hash)
         cached = self.store._memory_get(memo_key)
         if cached is not None:
             return cached, "memory"
-        outcomes = decode_outcomes(record[offset:])
-        self.store._memory_put(memo_key, outcomes)
-        return outcomes, "disk"
+        stored = OutcomeRecord(record, offset)
+        self.store._memory_put(memo_key, stored)
+        return stored, "disk"
 
     # -- writing -------------------------------------------------------
     def put(
@@ -733,7 +743,9 @@ class SweepStoreSession:
         if self.store._append(self._log, self._header, record, self._adopt):
             self.store._counts["objects_written"] += 1
         self._index(keys, record, len(head), chunk_hash)
-        self.store._memory_put(("sweep", self.fp, chunk_hash), list(outcomes))
+        self.store._memory_put(
+            ("sweep", self.fp, chunk_hash), OutcomeRecord(record, len(head))
+        )
 
     def flush(self) -> None:
         """Nothing is pending — every :meth:`put` is committed when it

@@ -57,6 +57,7 @@ __all__ = [
     "sweep_fingerprint",
     "encode_outcomes",
     "decode_outcomes",
+    "OutcomeRecord",
     "describe_factory",
     "canonical_json",
     "point_key",
@@ -152,9 +153,11 @@ class CheckpointStore:
         self.path = Path(path)
         self._log = ChunkLog(self.path)
         # The run the log holds once this store wrote or loaded it — its
-        # (kind, fingerprint object) — and that run's chunk records.
+        # (kind, fingerprint object) — that run's chunk records, and how
+        # many of them the log holds.
         self._run: tuple | None = None
         self._chunks: list[bytes] = []
+        self._written = 0
 
     @classmethod
     def coerce(
@@ -176,24 +179,22 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Saving
     # ------------------------------------------------------------------
-    def _committed(self, kind: str, fingerprint: Mapping) -> list[bytes]:
-        """The chunk records the log holds for the run with this very
-        *fingerprint* object (an identity check, so no per-chunk
-        re-serialization); ``[]`` for any other run."""
+    def _same_run(self, kind: str, fingerprint: Mapping) -> bool:
+        """Whether the log holds the run with this very *fingerprint*
+        object (an identity check, so no per-chunk re-serialization)."""
         run = self._run
-        if run is not None and run[0] == kind and run[1] is fingerprint:
-            return self._chunks
-        return []
+        return run is not None and run[0] == kind and run[1] is fingerprint
 
     def save(self, *, kind: str, fingerprint: Mapping, state: Mapping) -> None:
         """Commit *state* — ``{"chunks": [record bytes, ...]}``.
 
-        A state extending this run's committed records by whole records
+        A state extending this run's written records by whole records
         (how runs grow it, see :meth:`commit`) costs one append and one
-        ``fsync`` of the new ones; any other state starts the file
-        over. Transient disk faults (EIO/ENOSPC) are retried with
-        bounded backoff; a write that still fails raises
-        :class:`CheckpointError`.
+        ``fsync`` of the new ones — and no pass over the old ones when
+        the state is this store's own record list, which :meth:`commit`
+        grows in place. Any other state starts the file over. Transient
+        disk faults (EIO/ENOSPC) are retried with bounded backoff; a
+        write that still fails raises :class:`CheckpointError`.
         """
         if list(state) != ["chunks"]:
             raise CheckpointError(
@@ -201,10 +202,12 @@ class CheckpointStore:
                 f"got keys {sorted(state)}"
             )
         chunks = state["chunks"]
-        done = self._committed(kind, fingerprint)
+        done = self._written if self._same_run(kind, fingerprint) else 0
         try:
-            if done and chunks[: len(done)] == done:
-                self._log.append([(CHUNK, chunk) for chunk in chunks[len(done) :]])
+            if done and (
+                chunks is self._chunks or chunks[:done] == self._chunks[:done]
+            ):
+                self._log.append([(CHUNK, chunk) for chunk in chunks[done:]])
             else:
                 header = canonical_json(
                     {
@@ -222,17 +225,22 @@ class CheckpointStore:
             raise CheckpointError(
                 f"checkpoint {self.path} could not be written: {exc}"
             ) from exc
-        self._run, self._chunks = (kind, fingerprint), list(chunks)
+        if chunks is not self._chunks:
+            self._chunks = list(chunks)
+        self._run, self._written = (kind, fingerprint), len(chunks)
 
     def commit(self, *, kind: str, fingerprint: Mapping, record: bytes) -> bool:
-        """Save this run's committed records plus one chunk *record* —
-        one append — or start a new run's log with it.
+        """Save this run's records plus one chunk *record*: the record
+        list grows in place and the save appends the one record (one
+        write, one ``fsync``, however many chunks the run committed) —
+        or a new run's log starts with it.
 
         Returns ``False`` (logged) when the checkpoint cannot be
         written: a dead checkpoint must not kill a live run, which
         continues without checkpointing.
         """
-        chunks = [*self._committed(kind, fingerprint), record]
+        chunks = self._chunks if self._same_run(kind, fingerprint) else []
+        chunks.append(record)
         try:
             self.save(kind=kind, fingerprint=fingerprint, state={"chunks": chunks})
         except CheckpointError as exc:
@@ -330,6 +338,7 @@ class CheckpointStore:
             )
         chunks = [payload for _, payload in rest]
         self._run, self._chunks = (kind, fingerprint), list(chunks)
+        self._written = len(chunks)
         return chunks, damage
 
 
@@ -434,30 +443,69 @@ def encode_outcomes(outcomes: Sequence[DesignPoint | DomainError]) -> bytes:
     return pack_texts(texts) + tags + struct.pack(f"<{len(values)}d", *values)
 
 
+class OutcomeRecord:
+    """One :func:`encode_outcomes` record (at *offset* of *data*) read
+    as columns: ``tags`` (u8 per row) and ``values`` (area, perf, power
+    per row) are NumPy views of the bytes, so a sweep restores its rows
+    without building an object. The names and messages decode into
+    outcomes on the first :meth:`outcomes` call."""
+
+    def __init__(self, data: bytes, offset: int = 0) -> None:
+        try:
+            n, size = struct.unpack_from("<II", data, offset)
+            tags = offset + 8 + 4 * n + size
+            if len(data) != tags + 25 * n:
+                raise ValueError(f"{len(data) - offset} bytes do not hold {n} rows")
+            self.tags = np.frombuffer(data, np.uint8, n, tags)
+            if n and int(self.tags.max()) > _QUARANTINED:
+                raise ValueError(f"unknown outcome tag {int(self.tags.max())}")
+            self.values = np.frombuffer(data, "<f8", 3 * n, tags + n).reshape(n, 3)
+        except (ValueError, struct.error) as exc:
+            raise CheckpointError(
+                f"checkpoint outcome record is undecodable: {exc}"
+            ) from exc
+        self._data = data
+        self._offset = offset
+        self._outcomes: list[DesignPoint | DomainError] | None = None
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def columns(self, at: "np.ndarray | None" = None) -> tuple[np.ndarray, ...]:
+        """Area, perf, power, valid and quarantined of rows *at* (all
+        rows when ``None``)."""
+        values, tags = self.values, self.tags
+        if at is not None:
+            values, tags = values[at], tags[at]
+        valid, quarantined = tags == _DESIGN, tags == _QUARANTINED
+        return values[:, 0], values[:, 1], values[:, 2], valid, quarantined
+
+    def outcomes(self) -> list[DesignPoint | DomainError]:
+        """Every row as its outcome object (bit-exact design fields),
+        decoded once."""
+        if self._outcomes is None:
+            try:
+                texts, _ = unpack_texts(self._data, self._offset)
+            except (ValueError, struct.error) as exc:
+                raise CheckpointError(
+                    f"checkpoint outcome record is undecodable: {exc}"
+                ) from exc
+            outcomes: list[DesignPoint | DomainError] = []
+            for tag, text, (area, perf, power) in zip(
+                self.tags.tolist(), texts, self.values.tolist()
+            ):
+                if tag == _DESIGN:
+                    outcomes.append(
+                        DesignPoint(name=text, area=area, perf=perf, power=power)
+                    )
+                elif tag == _ERROR:
+                    outcomes.append(DomainError(text))
+                else:
+                    outcomes.append(QuarantinedPoint(text))
+            self._outcomes = outcomes
+        return self._outcomes
+
+
 def decode_outcomes(record: bytes) -> list[DesignPoint | DomainError]:
     """Invert :func:`encode_outcomes` (bit-exact design fields)."""
-    try:
-        texts, offset = unpack_texts(record)
-        n = len(texts)
-        if len(record) != offset + 25 * n:
-            raise ValueError(f"{len(record)} bytes do not hold {n} rows")
-        tags = record[offset : offset + n]
-        values = struct.unpack_from(f"<{3 * n}d", record, offset + n)
-        outcomes: list[DesignPoint | DomainError] = []
-        for row, (tag, text) in enumerate(zip(tags, texts)):
-            if tag == _DESIGN:
-                area, perf, power = values[3 * row : 3 * row + 3]
-                outcomes.append(
-                    DesignPoint(name=text, area=area, perf=perf, power=power)
-                )
-            elif tag == _ERROR:
-                outcomes.append(DomainError(text))
-            elif tag == _QUARANTINED:
-                outcomes.append(QuarantinedPoint(text))
-            else:
-                raise ValueError(f"unknown outcome tag {tag}")
-    except (ValueError, struct.error) as exc:
-        raise CheckpointError(
-            f"checkpoint outcome record is undecodable: {exc}"
-        ) from exc
-    return outcomes
+    return OutcomeRecord(record).outcomes()

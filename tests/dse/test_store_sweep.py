@@ -7,17 +7,26 @@ import numpy as np
 import pytest
 
 from repro.core.design import DesignPoint
+from repro.core.errors import QuarantinedPoint
 from repro.core.scenario import BALANCED, EMBODIED_DOMINATED
 from repro.dse.batch import BatchExplorer
-from repro.dse.factories import SymmetricMulticoreFactory
+from repro.dse.factories import AsymmetricMulticoreFactory, SymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.dse.montecarlo import sample_measurement_noise, sample_verdicts
 from repro.dse.store import ResultStore
+from repro.resilience import QuarantineLedger
+from repro.resilience.checkpoint import describe_factory
+from repro.resilience.faults import CountingFactory
+
+from ..resilience.test_interrupts import interrupt_at_commit
+from .test_parallel_columnar import assert_same_entries
 
 BASELINE = DesignPoint.baseline("1-BCE single core")
 GRID = ParameterGrid(
     {"cores": [float(c) for c in range(1, 17)], "f": linear_range(0.5, 0.99, 8)}
 )  # 128 points
+#: Corners with m >= n are invalid (DomainErrors).
+ASYM_GRID = ParameterGrid({"n": [2, 3, 4, 8], "m": [1, 2, 4], "f": [0.5, 0.9]})
 
 
 def scalar_factory(params):
@@ -197,6 +206,142 @@ class TestComposition:
         healed = _explorer()
         healed.explore_arrays(GRID, store=ResultStore(tmp_path))
         assert healed.last_sweep.fresh_points == 0
+
+
+class TestDurableRowsStayColumns:
+    """A resumed or store-served vector sweep restores its rows as
+    columns: no DesignPoint is built until ``.designs`` is read or the
+    cache is expanded, and those reads make no factory call yet equal
+    the writing sweep's objects — names, DomainError messages and
+    QuarantinedPoint rows."""
+
+    @pytest.mark.parametrize("read", ["designs", "cache"])
+    @pytest.mark.parametrize("target", ["checkpoint", "store"])
+    def test_objects_decode_on_read(self, tmp_path, monkeypatch, target, read):
+        factory = CountingFactory(AsymmetricMulticoreFactory())
+        if target == "checkpoint":
+            ledger = QuarantineLedger(tmp_path / "ledger.log")
+            ledger.record(
+                describe_factory(factory),
+                {"n": 4, "m": 1, "f": 0.9},
+                kind="crash",
+                reason="poison",
+            )
+            durable = dict(checkpoint=tmp_path / "sweep.ckpt", quarantine=ledger)
+        else:
+            durable = dict(store=ResultStore(tmp_path))
+        cold_explorer = _explorer(chunk_size=5, factory=factory)
+        cold = cold_explorer.explore_arrays(ASYM_GRID, **durable)
+        cold.designs, cold_explorer.cache._entries  # built before counting
+        if target == "checkpoint":
+            durable["resume"] = True
+        else:
+            durable["store"] = ResultStore(tmp_path)
+        built: list = []
+        post_init = DesignPoint.__post_init__
+
+        def counting(point):
+            built.append(point)
+            post_init(point)
+
+        monkeypatch.setattr(DesignPoint, "__post_init__", counting)
+        factory.kernel_points = factory.scalar_calls = 0
+        explorer = _explorer(chunk_size=5, factory=factory)
+        result = explorer.explore_arrays(ASYM_GRID, **durable)
+        assert explorer.last_sweep.fresh_points == 0
+        assert built == []
+        if read == "designs":
+            assert result.designs == cold.designs
+            assert built
+        else:
+            assert_same_entries(explorer.cache, cold_explorer.cache)
+        assert (factory.kernel_points, factory.scalar_calls) == (0, 0)
+        assert result.quarantined == cold.quarantined
+        assert len(cold.quarantined) == (target == "checkpoint")
+        _assert_bit_exact(result, cold)
+
+
+def asym_scalar(params):
+    """The asymmetric factory as a plain function: a point-level cache."""
+    return AsymmetricMulticoreFactory()(params)
+
+
+#: Overlaps ASYM_GRID; (4, 1, 0.9) is first held by its record.
+WARM_GRID = ParameterGrid({"n": [3, 4, 16], "m": [1, 2], "f": [0.5, 0.9]})
+
+
+class TestSameExplorerDurableRows:
+    """Durable rows whose keys the explorer's cache already holds leave
+    those keys where they are, unless a quarantine marker replaces the
+    cached design; either way no record is expanded into points."""
+
+    @pytest.mark.parametrize("target", ["checkpoint", "store"])
+    def test_resume_builds_no_point_for_cached_rows(
+        self, tmp_path, monkeypatch, target
+    ):
+        """An interrupted sweep leaves its completed chunks in the cache;
+        resuming it on the same explorer (or re-running a store sweep
+        there) restores rows the cache holds, and builds points only for
+        the chunks it writes."""
+        factory = AsymmetricMulticoreFactory()
+        explorer = _explorer(chunk_size=5, factory=factory)
+        explorer.explore_arrays(WARM_GRID)
+        if target == "checkpoint":
+            ckpt = tmp_path / "sweep.ckpt"
+            with pytest.raises(KeyboardInterrupt), interrupt_at_commit(2):
+                explorer.explore_arrays(ASYM_GRID, checkpoint=ckpt)
+            durable = dict(checkpoint=ckpt, resume=True)
+            written = list(ASYM_GRID)[10:]  # chunks 2 to 4
+        else:
+            explorer.explore_arrays(ASYM_GRID, store=ResultStore(tmp_path))
+            durable = dict(store=ResultStore(tmp_path))
+            written = []
+        built: list = []
+        post_init = DesignPoint.__post_init__
+
+        def counting(point):
+            built.append(point)
+            post_init(point)
+
+        monkeypatch.setattr(DesignPoint, "__post_init__", counting)
+        result = explorer.explore_arrays(ASYM_GRID, **durable)
+        assert len(built) == sum(params["n"] > params["m"] for params in written)
+        assert not explorer.cache._memo
+        monkeypatch.undo()
+
+        reference = _explorer(chunk_size=5, factory=asym_scalar)
+        reference.explore_arrays(WARM_GRID)
+        cold = reference.explore_arrays(ASYM_GRID)
+        _assert_bit_exact(result, cold)
+        assert_same_entries(explorer.cache, reference.cache)
+
+    def test_ledger_marker_replaces_a_cached_design(self, tmp_path):
+        """Poison the ledger records after the cache learned the designs:
+        the markers replace them, whichever record held the key."""
+        factory = AsymmetricMulticoreFactory()
+        poison = [{"n": 4, "m": 1, "f": 0.9}, {"n": 8, "m": 1, "f": 0.5}]
+        ledger = QuarantineLedger(tmp_path / "ledger.log")
+        for described in (factory, asym_scalar):
+            for params in poison:
+                ledger.record(
+                    describe_factory(described), params, kind="crash", reason="poison"
+                )
+        explorer = _explorer(chunk_size=5, factory=factory)
+        reference = _explorer(chunk_size=5, factory=asym_scalar)
+        for sweeper in (explorer, reference):
+            sweeper.explore_arrays(WARM_GRID)
+            sweeper.explore_arrays(ASYM_GRID)
+        result = explorer.explore_arrays(ASYM_GRID, quarantine=ledger)
+        expected = reference.explore_arrays(ASYM_GRID, quarantine=ledger)
+        assert sorted(map(str, result.quarantined)) == sorted(map(str, poison))
+        assert result.quarantined == expected.quarantined
+        assert not explorer.cache._memo
+        keys = {tuple(sorted(params.items())) for params in [*WARM_GRID, *ASYM_GRID]}
+        assert len(explorer.cache) == len(keys)
+        for params in poison:
+            marker = explorer.cache.lookup(tuple(sorted(params.items())))
+            assert isinstance(marker, QuarantinedPoint)
+        assert_same_entries(explorer.cache, reference.cache)
 
 
 class TestStatsAndObservability:

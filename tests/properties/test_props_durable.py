@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.design import DesignPoint
 from repro.core.scenario import EMBODIED_DOMINATED
+from repro.dse import batch
 from repro.dse.batch import BatchExplorer
 from repro.dse.factories import AsymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid
@@ -28,18 +30,20 @@ from repro.resilience import QuarantineLedger
 from repro.resilience.chunklog import MAGIC, ChunkLog
 
 from ..dse.test_parallel_columnar import assert_same_entries
-from ..resilience.test_interrupts import InterruptingGrid
+from ..resilience.test_interrupts import interrupt_at_commit
+from .test_props_warm_cache import _ThreadPool
 
 BASELINE = DesignPoint.baseline("1-BCE single core")
 FACTORY = AsymmetricMulticoreFactory()  # m >= n corners are DomainErrors
 
 
-def _explorer(chunk_size: int) -> BatchExplorer:
+def _explorer(chunk_size: int, workers: int = 0) -> BatchExplorer:
     return BatchExplorer(
         factory=FACTORY,
         baseline=BASELINE,
         weight=EMBODIED_DOMINATED,
         chunk_size=chunk_size,
+        workers=workers,
     )
 
 
@@ -84,6 +88,7 @@ def damaged_runs(draw):
         "kind": draw(st.sampled_from(["truncate", "flip"])),
         "where": draw(st.floats(0.0, 1.0, exclude_max=True)),
         "bit": draw(st.integers(0, 7)),
+        "workers": draw(st.sampled_from([0, 2])),
     }
 
 
@@ -122,8 +127,11 @@ def test_damage_is_recomputed_never_returned(run):
         metrics.reset()
         metrics.enable()
         try:
-            explorer = _explorer(chunk_size)
-            resumed = explorer.explore_arrays(grid, **durable)
+            # With workers, the durable rows are gathered before the
+            # rest goes to a (thread) pool.
+            explorer = _explorer(chunk_size, run["workers"])
+            with mock.patch.object(batch, "ProcessPoolExecutor", _ThreadPool):
+                resumed = explorer.explore_arrays(grid, **durable)
             corrupt = metrics.get_registry().counter(counter).value
         finally:
             metrics.reset()
@@ -220,8 +228,8 @@ def test_resume_after_kill_matches_a_cold_sweep(data):
             first, durable = dict(checkpoint=path), dict(checkpoint=path, resume=True)
         else:
             first, durable = dict(store=ResultStore(root)), dict(store=ResultStore(root))
-        with pytest.raises(KeyboardInterrupt):
-            _explorer(chunk_size).explore_arrays(InterruptingGrid(grid, k), **first)
+        with pytest.raises(KeyboardInterrupt), interrupt_at_commit(k // chunk_size):
+            _explorer(chunk_size).explore_arrays(grid, **first)
         explorer = _explorer(chunk_size)
         resumed = explorer.explore_arrays(grid, **durable)
     _assert_same_sweep(resumed, explorer, cold, cold_explorer)

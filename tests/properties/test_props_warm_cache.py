@@ -6,7 +6,9 @@ byte-identical to a cold sweep, at any worker count."""
 
 from __future__ import annotations
 
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -18,6 +20,7 @@ from repro.dse import batch
 from repro.dse.batch import BatchExplorer
 from repro.dse.factories import AsymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid
+from repro.dse.store import ResultStore
 from repro.resilience.faults import CountingFactory
 
 from ..dse.test_parallel_columnar import assert_same_entries
@@ -130,3 +133,39 @@ def test_cache_records_hold_each_key_once(sweeps, chunk_size):
     assert len(explorer.cache) == len(seen)
     assert sum(len(record.rows) for record in explorer.cache._records) == len(valid)
     assert factory.scalar_calls == 0
+
+
+def _scalar(params):
+    """FACTORY as a plain function: a scalar sweep, a point-level cache."""
+    return FACTORY(params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sweeps=st.lists(grids(), min_size=2, max_size=4),
+    chunk_size=st.integers(1, 12),
+    vector=st.booleans(),
+    durable=st.sampled_from([None, "checkpoint", "store"]),
+)
+def test_cache_slots_grow_with_keys(sweeps, chunk_size, vector, durable):
+    """Whatever the factory and durable layer, partly-overlapping sweeps
+    leave records whose held objects and durable-row slots, like their
+    columns, number one per owned key rather than one per grid row swept,
+    and the cache ends with a point-level cache's entries."""
+    explorer = _explorer(FACTORY if vector else _scalar, chunk_size)
+    reference = _explorer(_scalar, chunk_size)
+    with tempfile.TemporaryDirectory() as root:
+        for n, grid in enumerate(sweeps):
+            layer: dict = {}
+            if durable == "checkpoint":
+                layer = dict(checkpoint=Path(root) / f"{n}.ckpt")
+            elif durable == "store":
+                layer = dict(store=ResultStore(root))
+            explorer.explore_arrays(grid, **layer)
+            reference.explore_arrays(grid)
+    keys = {_key(params) for grid in sweeps for params in grid}
+    assert len(explorer.cache) == len(keys)
+    for record in explorer.cache._records:
+        for slots in (record.held, record.at):
+            assert slots is None or len(slots) == record.owned_points()
+    assert_same_entries(explorer.cache, reference.cache)

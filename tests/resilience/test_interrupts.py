@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -27,26 +29,29 @@ def _settled_children(timeout_s: float = 10.0) -> list:
     return alive
 
 
-class InterruptingGrid:
-    """Iterates like the wrapped grid, raising KeyboardInterrupt after
-    *after* points — a deterministic stand-in for Ctrl-C mid-sweep."""
+@contextmanager
+def interrupt_at_commit(chunk: int):
+    """Raise KeyboardInterrupt in place of a durable sweep's *chunk*-th
+    (0-based) chunk commit, checkpoint or store alike — a deterministic
+    stand-in for Ctrl-C mid-sweep, fired from the chunk loop while the
+    sweep's worker pool is still live. Every commit writes one log
+    record through ``ChunkLog.reset`` (a new file) or ``ChunkLog.append``."""
+    commits = {"n": 0}
 
-    def __init__(self, grid, after: int):
-        self.grid = grid
-        self.after = after
-
-    def __len__(self) -> int:
-        return len(self.grid)
-
-    @property
-    def axes(self):
-        return self.grid.axes
-
-    def __iter__(self):
-        for index, point in enumerate(self.grid):
-            if index == self.after:
+    def interrupting(write):
+        def wrapper(log, records):
+            if commits["n"] == chunk:
                 raise KeyboardInterrupt()
-            yield point
+            commits["n"] += 1
+            return write(log, records)
+
+        return wrapper
+
+    with (
+        mock.patch.object(ChunkLog, "reset", interrupting(ChunkLog.reset)),
+        mock.patch.object(ChunkLog, "append", interrupting(ChunkLog.append)),
+    ):
+        yield
 
 
 class TestKeyboardInterrupt:
@@ -57,21 +62,16 @@ class TestKeyboardInterrupt:
         explorer = make_explorer(
             workers=2, resilience=fast_policy if supervised else None
         )
-        with pytest.raises(KeyboardInterrupt):
-            explorer.explore_arrays(
-                InterruptingGrid(grid, after=40),
-                checkpoint=tmp_path / "sweep.ckpt",
-            )
+        with pytest.raises(KeyboardInterrupt), interrupt_at_commit(2):
+            explorer.explore_arrays(grid, checkpoint=tmp_path / "sweep.ckpt")
         assert _settled_children() == []
 
     def test_checkpoint_loadable_after_interrupt(
         self, make_explorer, grid, tmp_path
     ):
         ckpt = tmp_path / "sweep.ckpt"
-        with pytest.raises(KeyboardInterrupt):
-            make_explorer().explore_arrays(
-                InterruptingGrid(grid, after=40), checkpoint=ckpt
-            )
+        with pytest.raises(KeyboardInterrupt), interrupt_at_commit(2):
+            make_explorer().explore_arrays(grid, checkpoint=ckpt)
         # Two full chunks completed before the interrupt: the log holds
         # its header and them, every record verifies, and no temp
         # siblings were left behind.
@@ -87,10 +87,8 @@ class TestKeyboardInterrupt:
 
         reference = make_explorer().explore_arrays(grid)
         ckpt = tmp_path / "sweep.ckpt"
-        with pytest.raises(KeyboardInterrupt):
-            make_explorer().explore_arrays(
-                InterruptingGrid(grid, after=40), checkpoint=ckpt
-            )
+        with pytest.raises(KeyboardInterrupt), interrupt_at_commit(2):
+            make_explorer().explore_arrays(grid, checkpoint=ckpt)
         result = make_explorer().explore_arrays(
             grid, checkpoint=ckpt, resume=True
         )
