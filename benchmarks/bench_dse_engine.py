@@ -141,6 +141,13 @@ COMMIT_GROWTH_GATE = 1.5
 #: A resume of a complete checkpoint may take at most this multiple of
 #: a cold sweep of the same grid.
 RESUME_COLD_GATE = 2.0
+#: A warm same-grid store sweep (a fresh explorer on a newly opened
+#: store) may take at most this multiple of a cold sweep: a warm read
+#: must not lose to recomputing.
+STORE_WARM_COLD_GATE = 1.0
+#: A checkpointed cold sweep (one appended record and one fsync per
+#: chunk) may take at most this multiple of a plain cold sweep.
+CKPT_COLD_GATE = 3.0
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
@@ -919,4 +926,102 @@ def test_resume_costs_about_a_cold_sweep(benchmark, emit, tmp_path):
         f"resume of a complete {len(STOCK_GRID)}-point checkpoint: "
         f"{resume_s:.3f} s (cold {cold_s:.3f} s, {ratio:.2f}x, gate <= "
         f"{RESUME_COLD_GATE:g}x), byte-identical"
+    )
+
+
+def _stock_sweeps(runs: dict, prepare: dict | None = None) -> dict:
+    """Best of :data:`WARM_ROUNDS` seconds and the last result of each
+    labelled 100k stock-grid sweep in *runs* (durable keyword arguments
+    of ``explore_arrays``), the labels taking turns so host load hits
+    them alike; *prepare* holds a per-label setup run before each."""
+    from repro.dse.factories import SymmetricMulticoreFactory
+
+    factory = SymmetricMulticoreFactory()
+    best = {label: (None, float("inf")) for label in runs}
+    for _ in range(WARM_ROUNDS):
+        for label, durable in runs.items():
+            if prepare and label in prepare:
+                prepare[label]()
+            explorer = BatchExplorer(
+                factory=factory,
+                baseline=BASELINE,
+                weight=EMBODIED_DOMINATED,
+                cache=FactoryCache(factory),
+            )
+            start = time.perf_counter()
+            result = explorer.explore_arrays(STOCK_GRID, **durable())
+            seconds = time.perf_counter() - start
+            best[label] = (result, min(best[label][1], seconds))
+    return best
+
+
+def test_store_warm_read_against_a_cold_sweep(benchmark, emit, tmp_path):
+    """A warm same-grid store sweep of the 100k stock grid serves every
+    chunk by its key digest: best of :data:`WARM_ROUNDS`, it takes at
+    most :data:`STORE_WARM_COLD_GATE` times a cold ``explore_arrays``
+    and ends byte-identical to it."""
+    from repro.dse.store import ResultStore
+
+    root = tmp_path / "stock-store"
+    runs = {
+        "cold": dict,
+        "warm": lambda: {"store": ResultStore(root)},
+    }
+
+    def measure():
+        _stock_sweeps({"write": runs["warm"]}, {})
+        return _stock_sweeps(runs)
+
+    best = benchmark.pedantic(measure, rounds=1, iterations=1)
+    (cold, cold_s), (warm, warm_s) = best["cold"], best["warm"]
+    identical = _sweep_bytes(warm) == _sweep_bytes(cold)
+    ratio = warm_s / cold_s
+    _RESULTS.update(
+        {
+            "store_warm_read_s": warm_s,
+            "store_warm_cold_s": cold_s,
+            "store_warm_cold_ratio": ratio,
+            "store_warm_cold_gate": STORE_WARM_COLD_GATE,
+            "store_warm_read_bytes_identical": identical,
+        }
+    )
+    assert identical
+    assert ratio <= STORE_WARM_COLD_GATE
+    emit(
+        f"warm store read of a {len(STOCK_GRID)}-point grid: {warm_s:.3f} s "
+        f"(cold {cold_s:.3f} s, {ratio:.2f}x, gate <= "
+        f"{STORE_WARM_COLD_GATE:g}x), byte-identical"
+    )
+
+
+def test_checkpointed_sweep_against_a_cold_sweep(benchmark, emit, tmp_path):
+    """Checkpointing the 100k stock grid appends one nameless record per
+    chunk, encoded straight from the columns: best of
+    :data:`WARM_ROUNDS`, the checkpointed sweep takes at most
+    :data:`CKPT_COLD_GATE` times a plain cold sweep and ends
+    byte-identical to it."""
+    path = tmp_path / "stock.ckpt"
+    runs = {"cold": dict, "checkpoint": lambda: {"checkpoint": path}}
+    prepare = {"checkpoint": lambda: path.unlink(missing_ok=True)}
+    best = benchmark.pedantic(
+        _stock_sweeps, args=(runs, prepare), rounds=1, iterations=1
+    )
+    (cold, cold_s), (checkpointed, ckpt_s) = best["cold"], best["checkpoint"]
+    identical = _sweep_bytes(checkpointed) == _sweep_bytes(cold)
+    ratio = ckpt_s / cold_s
+    _RESULTS.update(
+        {
+            "ckpt_sweep_s": ckpt_s,
+            "ckpt_cold_s": cold_s,
+            "ckpt_cold_ratio": ratio,
+            "ckpt_cold_gate": CKPT_COLD_GATE,
+            "ckpt_sweep_bytes_identical": identical,
+        }
+    )
+    assert identical
+    assert ratio <= CKPT_COLD_GATE
+    emit(
+        f"checkpointed sweep of a {len(STOCK_GRID)}-point grid: {ckpt_s:.3f} s "
+        f"(cold {cold_s:.3f} s, {ratio:.2f}x, gate <= {CKPT_COLD_GATE:g}x), "
+        "byte-identical"
     )

@@ -22,7 +22,10 @@ provides the production path for large sweeps:
   as columns (:class:`_KnownRows`) and evaluates only the rest, and
   keeps its answer as columns: parameter dicts, DesignPoints and cache
   entries are built only when read, and the cache keeps those
-  columns, so a later sweep gathers the rows it knows from them;
+  columns, so a later sweep gathers the rows it knows from them. Store
+  and ledger lookups use key columns, not a key per row, and a vector
+  factory's checkpoint and store records are written straight from
+  the columns, without names;
 * with ``workers > 0`` a vector-factory sweep runs
   **parallel-columnar**: the rows no source knows are sharded into
   contiguous spans, each shipped to a worker as a ``(lo, hi, seq)``
@@ -101,7 +104,10 @@ from ..resilience.checkpoint import (
     CheckpointStore,
     OutcomeRecord,
     describe_factory,
+    encode_columns,
     encode_outcomes,
+    key_token,
+    point_key,
     sweep_fingerprint,
 )
 from ..resilience.containment import (
@@ -115,7 +121,7 @@ from ..resilience.policy import RetryPolicy, SupervisionStats
 from . import parallel as _parallel
 from .explorer import DesignFactory, ExplorationResult
 from .grid import ParameterGrid
-from .store import ChunkProbe, ResultStore, SweepStoreSession
+from .store import GridKeys, PointKeys, ResultStore, SweepStoreSession
 
 __all__ = [
     "params_key",
@@ -510,6 +516,7 @@ class _GridIndex:
         self.total = len(grid)
         self._arrays: list[np.ndarray] | None = None
         self._pairs: list[tuple] | None = None
+        self._tokens: list[tuple[str, dict[str, list[int]], int]] | None = None
 
     def columns(self, start: int, stop: int) -> dict[str, np.ndarray]:
         """One NumPy column per axis for grid rows ``[start, stop)``."""
@@ -550,6 +557,45 @@ class _GridIndex:
             for _, pairs, stride, size in self._pairs
         ]
         return list(zip(*columns))
+
+    def key_rows(self, keys: Iterable[str]) -> np.ndarray:
+        """The sorted rows whose :func:`~repro.resilience.checkpoint.
+        point_key` is one of *keys*, found per key rather than per row:
+        a key splits into one ``name=token`` part per axis (sorted by
+        name), each token maps to the axis positions holding it, and
+        strides turn positions into rows."""
+        if self._tokens is None:
+            self._tokens = []
+            for name, values, stride in sorted(
+                zip(self.names, self.values, self.strides), key=lambda axis: axis[0]
+            ):
+                where: dict[str, list[int]] = {}
+                for position, value in enumerate(values):
+                    where.setdefault(key_token(value), []).append(position)
+                self._tokens.append((f"{name}=", where, stride))
+        if any(
+            "\x1e" in prefix or any("\x1e" in token for token in where)
+            for prefix, where, _ in self._tokens
+        ):
+            # A name or string value holding the separator makes a key
+            # ambiguous to split: compare whole keys, row by row.
+            wanted = set(keys)
+            rows = np.arange(self.total)
+            return rows[[point_key(params) in wanted for params in self.params(rows)]]
+        found = [np.zeros(0, dtype=np.int64)]
+        for key in keys:
+            parts = key.split("\x1e")
+            if len(parts) != len(self._tokens):
+                continue
+            positions = []
+            for part, (prefix, where, stride) in zip(parts, self._tokens):
+                token = part[len(prefix) :] if part.startswith(prefix) else None
+                if token not in where:
+                    break
+                positions.append(np.array(where[token], dtype=np.int64) * stride)
+            else:
+                found.append(sum(np.ix_(*positions)).ravel())
+        return np.unique(np.concatenate(found))
 
     def same_grid(self, other: "_GridIndex") -> bool:
         """Whether *other* indexes this very grid: equal axes in order,
@@ -686,8 +732,8 @@ class _SweepColumns:
 
     While its sweep runs the record is open: full-length area/perf/power
     columns plus a valid and a quarantined mask, one slot per grid row,
-    filled as the sweep learns each row — from a durable record's
-    columns (:meth:`set_stored`), outcome objects
+    filled as the sweep learns each row — from durable records' columns
+    (:meth:`set_records`, :meth:`set_stored`), outcome objects
     (:meth:`set_outcomes`), kernel columns (:meth:`set_arrays`) or
     another record's rows (:meth:`take`). :meth:`seal` then keeps grid
     rows ``[0, covered)``: the valid rows' flat grid indices ``rows``
@@ -700,9 +746,9 @@ class _SweepColumns:
     entry, a quarantine marker, a scalar factory's outcome), else the
     outcome decoded from the durable record it came from (``held``
     names that :class:`~repro.resilience.checkpoint.OutcomeRecord`,
-    ``at`` the row in it), else the factory's ``design_points`` for a
-    valid row, else one scalar call (an invalid corner's genuine
-    ``DomainError``). ``held`` and ``at`` have one slot per grid row,
+    ``at`` the row in it; a nameless record decodes only its invalid
+    rows), else the factory's ``design_points`` for a valid row, else
+    one scalar call (an invalid corner's genuine ``DomainError``). ``held`` and ``at`` have one slot per grid row,
     or, in a record cut down to its owned rows, one per owned row
     (:meth:`_slots`).
 
@@ -735,6 +781,9 @@ class _SweepColumns:
         self.quarantined = np.zeros(0, dtype=np.int64)
         self.held: np.ndarray | None = None
         self.at: np.ndarray | None = None
+        #: Whole durable records whose rows ``held``/``at`` do not name
+        #: yet: ``(first grid row, records back to back)``.
+        self._spans: list[tuple[int, list[OutcomeRecord]]] = []
         self._params: tuple[dict[str, object], ...] | None = None
         self._designs: tuple[DesignPoint, ...] | None = None
 
@@ -769,37 +818,61 @@ class _SweepColumns:
             getattr(self, name)[rows] = np.fromiter(column, np.float64, len(designs))
 
     def set_stored(
-        self, rows, stored: OutcomeRecord, at: "np.ndarray | None" = None
+        self, rows: np.ndarray, stored: OutcomeRecord, at: np.ndarray
     ) -> None:
-        """Grid *rows* take rows *at* of a durable record (all of them
-        when ``None``) as columns; objects decode when read."""
-        columns = stored.columns(at)
-        self._set(rows, *columns)
-        self._held()[rows] = _objects([stored] * len(columns[0]))
+        """Grid *rows* take rows *at* of a durable record as columns;
+        objects decode when read."""
+        self._set(rows, *stored.columns(at))
+        self._held()[rows] = _objects([stored])  # broadcast: one object
+        self._at()[rows] = at
+
+    def set_records(self, lo: int, records: list[OutcomeRecord]) -> None:
+        """Grid rows from *lo* on take whole durable *records*, back to
+        back, as columns in one pass; which record holds each row is
+        laid out only when an object is first wanted (:meth:`_ready`)."""
+        sizes = sum(map(len, records))
+        self._set(slice(lo, lo + sizes), *OutcomeRecord.stacked(records))
+        self._spans.append((lo, records))
+
+    def _ready(self) -> None:
+        """Point ``held``/``at`` at the rows of the records
+        :meth:`set_records` left pending."""
+        spans, self._spans = self._spans, []
+        for lo, records in spans:
+            sizes = list(map(len, records))
+            rows = slice(lo, lo + sum(sizes))
+            self._held()[rows] = np.repeat(_objects(records), sizes)
+            starts = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+            self._at()[rows] = np.arange(rows.stop - lo) - starts
+
+    def _at(self) -> np.ndarray:
+        self._ready()
         if self.at is None:
             self.at = np.zeros(self.index.total, dtype=np.int64)
-        self.at[rows] = np.arange(len(stored)) if at is None else at
+        return self.at
 
     def mark(self, rows: np.ndarray, qsession: "QuarantineSession") -> np.ndarray:
-        """The *rows* the quarantine session knows as poison take their
-        markers; returns those rows."""
-        markers = list(map(qsession.marker, self.index.params(rows)))
-        poison = [row for row, marker in enumerate(markers) if marker is not None]
-        if poison:
-            self.set_outcomes(rows[poison], [markers[row] for row in poison])
-        return rows[poison]
+        """The sorted grid *rows* the quarantine session knows as poison
+        take their markers; returns those rows. The session's keys
+        resolve to grid rows (:meth:`_GridIndex.key_rows`), so only the
+        rows that hit get a parameter dict."""
+        poison = self.index.key_rows(qsession.known_keys())
+        poison = poison[_positions(rows, poison)[0]]
+        if poison.size:
+            markers = list(map(qsession.marker, self.index.params(poison)))
+            self.set_outcomes(poison, markers)
+        return poison
 
     def take(self, rows: np.ndarray, other: "_SweepColumns", at: np.ndarray) -> None:
         """Grid *rows* take *other*'s grid rows *at* (*other* may be this
         record): columns and what it holds."""
         self._set(rows, *other._values(at))
+        other._ready()
         slots = other._slots(at)
         if other.held is not None:
             self._held()[rows] = other.held[slots]
         if other.at is not None:
-            if self.at is None:
-                self.at = np.zeros(self.index.total, dtype=np.int64)
-            self.at[rows] = other.at[slots]
+            self._at()[rows] = other.at[slots]
 
     def _set(self, rows, area, perf, power, valid, quarantined) -> None:
         self.area[rows] = area
@@ -823,12 +896,31 @@ class _SweepColumns:
         self.quarantined = np.flatnonzero(self.qmask[:covered])
         self.valid = self.qmask = None
 
+    def encode(self, lo: int, hi: int, named: bool) -> bytes:
+        """Open grid rows ``[lo, hi)`` as one durable chunk record: with
+        every design's name (from the outcome objects) when *named*,
+        else straight from the columns, only the invalid rows' messages
+        built — a vector factory's ``design_points`` rebuild the names
+        on read."""
+        if named:
+            return encode_outcomes(self.outcomes(np.arange(lo, hi)))
+        valid = self.valid[lo:hi]
+        messages = []
+        if not valid.all():
+            messages = list(map(str, self.outcomes(np.flatnonzero(~valid) + lo)))
+        return encode_columns(
+            valid, self.qmask[lo:hi],
+            self.area[lo:hi], self.perf[lo:hi], self.power[lo:hi],
+            messages,
+        )
+
     # -- reading -------------------------------------------------------
     def _slots(self, rows: np.ndarray) -> np.ndarray:
         """Where grid *rows* sit in ``held`` and ``at``."""
         return rows if self.owned is None else np.searchsorted(self.owned, rows)
 
     def _held(self) -> np.ndarray:
+        self._ready()
         if self.held is None:
             size = self.index.total if self.owned is None else len(self.owned)
             self.held = np.full(size, None, dtype=object)
@@ -859,10 +951,12 @@ class _SweepColumns:
         slots = held[where].tolist()
         empty = []
         for slot, outcome in enumerate(slots):
+            if isinstance(outcome, OutcomeRecord):
+                # A nameless record's designs decode to None: the factory
+                # rebuilds them below, like any other unbuilt design.
+                outcome = slots[slot] = outcome.outcomes()[self.at[where[slot]]]
             if outcome is None:
                 empty.append(slot)
-            elif isinstance(outcome, OutcomeRecord):
-                slots[slot] = outcome.outcomes()[self.at[where[slot]]]
         if empty:
             need = rows[empty]
             area, perf, power, valid, _ = self._values(need)
@@ -897,6 +991,7 @@ class _SweepColumns:
         )
         kept.quarantined = self.quarantined[owned[self.quarantined]]
         kept.valid = kept.qmask = None
+        self._ready()
         slots = self._slots(rows)
         kept.held = None if self.held is None else self.held[slots]
         kept.at = None if self.at is None else self.at[slots]
@@ -941,9 +1036,10 @@ class _KnownRows:
     durable source served, and repeats); durable rows count as neither
     hits nor misses. ``owned`` marks the rows whose keys the sweep's
     record will own in the cache, and ``moved`` those of them another
-    home gives up. ``stored`` holds the chunks the store
-    served whole and ``probes`` its answer for the other chunks it was
-    asked about whole, whose point keys their store write reuses.
+    home gives up. ``stored`` holds the chunks the store served whole,
+    ``keys`` the grid's store key encoder and ``blocks`` the key
+    columns of the other chunks it was asked about whole, which their
+    store write reuses.
     """
 
     def __init__(
@@ -952,22 +1048,23 @@ class _KnownRows:
         index = record.index
         total = index.total
         durable = np.zeros(total, dtype=bool)
-        for chunk, data in enumerate(state.restored[: -(-total // size)]):
-            lo = chunk * size
-            hi = min(lo + size, total)
-            stored = OutcomeRecord(data)
-            if len(stored) != hi - lo:
+        restored = list(map(OutcomeRecord, state.restored[: -(-total // size)]))
+        for chunk, stored in enumerate(restored):
+            points = min(size, total - chunk * size)
+            if len(stored) != points:
                 raise CheckpointError(
                     f"checkpoint {state.ckpt.path} records {len(stored)} "
-                    f"outcomes for a {hi - lo}-point chunk; the file does not "
+                    f"outcomes for a {points}-point chunk; the file does not "
                     "match this grid"
                 )
-            record.set_stored(slice(lo, hi), stored)
-            durable[lo:hi] = True
+        if restored:
+            record.set_records(0, restored)
+            durable[: min(len(restored) * size, total)] = True
         if state.qsession is not None and state.qsession.known_count:
             durable[record.mark(np.flatnonzero(~durable), state.qsession)] = True
         self.stored: set[int] = set()
-        self.probes: dict[int, ChunkProbe] = {}
+        self.keys: GridKeys | None = None
+        self.blocks: dict[int, PointKeys] = {}
         if state.session is not None:
             self._ask_store(record, state, durable, size)
         first = np.ones(total, dtype=bool)
@@ -1021,30 +1118,69 @@ class _KnownRows:
         self, record: _SweepColumns, state: _SweepState, durable: np.ndarray, size: int
     ) -> None:
         """Ask the store about every chunk's rows no checkpoint or ledger
-        claimed (a restored chunk is never asked), and tally its answer."""
+        claimed (a restored chunk is never asked), and tally its answer
+        chunk by chunk. A chunk asked whole is looked up by the digest of
+        its key columns; every other asked row is matched in one
+        sort-join over the grid. No key is built per row."""
         index = record.index
-        use = state.use
-        for chunk in range(len(state.restored), -(-index.total // size)):
+        session, use = state.session, state.use
+        keys = self.keys = GridKeys(index)
+        total = index.total
+        asked = ~durable
+        asked[: len(state.restored) * size] = False
+        tiers = {"memory": 0, "disk": 0}
+        runs: list[tuple[int, list[OutcomeRecord]]] = []  # whole hits, by run
+        for chunk in range(len(state.restored), -(-total // size)):
             lo = chunk * size
-            asked = np.flatnonzero(~durable[lo : lo + size]) + lo
-            if not asked.size:
+            hi = min(lo + size, total)
+            if not asked[lo:hi].all():
                 continue
-            probe = state.session.locate(index.params(asked))
-            for stored, rows, at in probe.parts:
-                rows = asked[rows]
-                record.set_stored(rows, stored, np.asarray(at))
-                durable[rows] = True
-            whole = len(asked) == min(size, index.total - lo)
-            if whole and probe.complete:
+            block = keys.block(lo, hi)
+            found = session.find(block)
+            if found is None:
+                self.blocks[chunk] = block
+                continue
+            stored, tier = session.load(found)
+            if chunk - 1 in self.stored:
+                runs[-1][1].append(stored)
+            else:
+                runs.append((lo, [stored]))
+            asked[lo:hi] = False
+            durable[lo:hi] = True
+            self.stored.add(chunk)
+            use.full_chunks += 1
+            tiers[tier] += hi - lo
+        for lo, records in runs:
+            record.set_records(lo, records)
+        rows = np.flatnonzero(asked)
+        found, at = session.join(keys, rows)
+        hit = found >= 0
+        chunks = rows // size
+        hits = np.bincount(chunks[hit], minlength=-(-total // size))
+        for chunk in np.flatnonzero(np.bincount(chunks)).tolist():
+            if hits[chunk] == min(size, total - chunk * size):
+                # Asked whole (no ledger row) and served whole.
                 self.stored.add(chunk)
                 use.full_chunks += 1
-            else:
-                if whole:
-                    self.probes[chunk] = probe
-                if probe.hit_points:
-                    use.delta_chunks += 1
-            use.memory_points += probe.memory_points
-            use.disk_points += probe.disk_points
+            elif hits[chunk]:
+                use.delta_chunks += 1
+        misses = len(rows) - int(np.count_nonzero(hit))
+        rows, found, at, chunks = rows[hit], found[hit], at[hit], chunks[hit]
+        order = np.lexsort((found, chunks))
+        starts = np.flatnonzero(
+            np.diff(chunks[order], prepend=-1) | np.diff(found[order], prepend=-1)
+        ).tolist()
+        for start, stop in zip(starts, starts[1:] + [len(order)]):
+            # One chunk's rows from one record: loaded in chunk order, so
+            # each tier tallies what per-chunk probes would.
+            part = order[start:stop]
+            stored, tier = session.load(int(found[part[0]]))
+            record.set_stored(rows[part], stored, at[part])
+            tiers[tier] += len(part)
+        durable[rows] = True
+        use.memory_points += tiers["memory"]
+        use.disk_points += tiers["disk"]
+        session.count(tiers["memory"], tiers["disk"], misses)
 
 
 @runtime_checkable
@@ -1674,10 +1810,12 @@ class BatchExplorer:
         :meth:`_evaluate_rows`, copies its repeats from their first
         rows, and counts the chunk (cached rows and repeats as cache
         hits, fresh rows as misses, durable rows as neither). It then
-        writes the chunk: to the store (unless the store served it
-        whole) and to the checkpoint (unless restored from it), both
-        from the chunk's outcome objects — built here only for the rows
-        the sweep holds none for.
+        writes the chunk as one record (:meth:`_SweepColumns.encode`):
+        to the store (unless the store served it whole or it holds a
+        quarantined row) and to the checkpoint (unless restored from
+        it). A vector factory's record comes straight from the columns;
+        any other factory's from the outcome objects, built here only
+        for the rows the sweep holds none for.
         """
         lo = index * self.chunk_size
         hi = min(lo + self.chunk_size, record.index.total)
@@ -1692,20 +1830,24 @@ class BatchExplorer:
         self.cache.record(hits=int(np.count_nonzero(known.hit[lo:hi])), misses=fresh)
         record.covered = hi
         checkpointed = state.ckpt is not None and index >= len(state.restored)
-        stored = state.session is not None and index not in known.stored
+        # A quarantine marker is containment state, not a factory
+        # outcome: no later sweep without the ledger may be served it.
+        stored = (
+            state.session is not None
+            and index not in known.stored
+            and not record.qmask[lo:hi].any()
+        )
         if checkpointed or stored:
-            rows = np.arange(lo, hi)
-            outcomes = record.outcomes(rows)
+            data = record.encode(lo, hi, named=not state.columnar)
             if stored:
                 # Resumed work is stored too: the next process should
                 # not recompute it.
-                probe = known.probes.pop(index, None)
-                chunk = record.index.params(rows) if probe is None else ()
-                state.session.put(chunk, outcomes, probe)
+                keys = known.blocks.pop(index, None)
+                if keys is None:
+                    keys = known.keys.block(lo, hi)
+                state.session.put_record(keys, data)
             if checkpointed and not state.ckpt.commit(
-                kind="sweep",
-                fingerprint=state.fingerprint,
-                record=encode_outcomes(outcomes),
+                kind="sweep", fingerprint=state.fingerprint, record=data
             ):
                 state.ckpt = None
         return hi - lo

@@ -11,14 +11,20 @@ merely *overlaps* a stored one evaluates only the new points and
 stitches the rest from the store.
 
 Keying follows the checkpoint fingerprints: the factory's identity is
-:func:`~repro.resilience.checkpoint.describe_factory`, and every grid
-point is reduced to a canonical key string with ``float.hex`` encoding
-for floats, so two parameter dicts collide exactly when the factory
-would compute bit-identical outcomes for them. Nothing else enters the
-key — not chunk size, not worker count, not baseline or weight — so a
-store written at ``chunk_size=4096, workers=4`` serves a reader at
-``chunk_size=100, workers=0`` bit-exactly (outcomes depend only on
-``factory(params)``).
+:func:`~repro.resilience.checkpoint.describe_factory`, and a grid point's
+key is a row of key columns (:class:`PointKeys`): per axis, in sorted
+name order, a type tag and a 64-bit payload. Two points share a key
+exactly when their :func:`point_store_key` strings are equal — int 2
+never aliases float 2.0 or ``True``, floats compare bit for bit (``-0.0``
+is not ``0.0``; every NaN is one NaN) — so they collide exactly when the
+factory would compute bit-identical outcomes for them. Nothing else
+enters the key — not chunk size, not worker count, not baseline or
+weight — so a store written at ``chunk_size=4096, workers=4`` serves a
+reader at ``chunk_size=100, workers=0`` bit-exactly (outcomes depend
+only on ``factory(params)``). A sweep never builds a key per row: each
+axis value of its grid is encoded once (:class:`GridKeys`), a chunk is
+looked up by the digest of its key bytes, and any other rows are
+matched against every stored key in one vectorized sort-join.
 
 Two tiers: an in-process LRU over decoded outcome chunks (bounded,
 stats-instrumented like :class:`~repro.dse.batch.CacheStats`), and an
@@ -26,33 +32,35 @@ on-disk tier of append-only run files
 (:class:`~repro.resilience.chunklog.ChunkLog`), one per factory or
 sampler fingerprint::
 
-    focal-store.json   # marker: {"format": "focal-store/2"}
-    sweeps/<fp>.log    # header {factory}; per stored chunk: point keys
-                       #   + encode_outcomes columns
+    focal-store.json   # marker: {"format": "focal-store/3"}
+    sweeps/<fp>.log    # header {factory}; per stored chunk: key digest,
+                       #   key columns + outcome record
     mc/<fp>.log        # header {fingerprint}; per Monte-Carlo segment:
                        #   int8 codes + post-segment rng state
 
 Storing a chunk appends one checksummed record (one write, one
-``fsync``); opening a run file rebuilds its point-key index from the
-records. Damage is never an error and never a wrong answer: a torn or
-corrupt record is dropped with everything after it, counted in
+``fsync``); opening a run file indexes its records by key digest (the
+key columns are read on the first sweep that needs a join). Damage is
+never an error and never a wrong answer: a torn or corrupt record is
+dropped with everything after it, counted in
 ``focal_store_corrupt_total``, and its points recompute; the next
 append truncates the damage. ``ResultStore.gc`` removes temp litter,
 stray files, damaged tails and headerless run files, and with
-``max_bytes`` evicts whole fingerprints oldest-first. A
-``focal-store/1`` directory (JSON objects plus ``index.json``) is
-refused with an error naming that format.
+``max_bytes`` evicts whole fingerprints oldest-first. A store of an
+older format — ``focal-store/1`` (JSON objects plus ``index.json``) or
+``focal-store/2`` (point-key strings) — is refused with an error naming
+that format.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -81,15 +89,13 @@ __all__ = [
     "ResultStore",
     "SweepStoreSession",
     "ChunkProbe",
+    "PointKeys",
+    "GridKeys",
     "point_store_key",
-    "chunk_store_key",
 ]
 
 #: Format tag of the store marker and of every run-file header.
-STORE_FORMAT = "focal-store/2"
-
-#: The JSON-object layout of earlier versions, refused by name.
-_OLD_FORMAT = "focal-store/1"
+STORE_FORMAT = "focal-store/3"
 
 #: Name of the marker file identifying a directory as a result store
 #: (``gc`` refuses to delete anything from a directory without it).
@@ -97,13 +103,201 @@ MARKER_NAME = "focal-store.json"
 
 
 # ----------------------------------------------------------------------
-# Chunk keys (point keys are repro.resilience.checkpoint.point_key,
-# shared with the quarantine ledger)
+# Point keys as columns (point_store_key is the string form they
+# replace on store paths; the quarantine ledger still keys by it)
 # ----------------------------------------------------------------------
-def chunk_store_key(keys: Sequence[str]) -> str:
-    """One hash for a whole chunk of point keys — the fast path a warm
-    re-sweep with unchanged chunking hits (one probe, not N)."""
-    return sha256_hex("\x1f".join(keys))
+#: Key tags. Strings and ints outside int64 index a value table.
+_INT, _FLOAT, _BOOL, _NONE, _STR, _BIG = range(6)
+_INT64 = range(-(2**63), 2**63)
+_NAN = struct.unpack("<q", struct.pack("<d", float("nan")))[0]
+
+
+def _key_value(value: object) -> tuple[int, int | str]:
+    """One axis value as ``(tag, payload)``, with
+    :func:`point_store_key`'s classes: bools, ints (NumPy ints too),
+    strings and ``None`` keep their type, anything else is a float
+    compared by its bit pattern (every NaN as one)."""
+    if isinstance(value, bool):
+        return _BOOL, int(value)
+    if isinstance(value, (int, np.integer)):
+        number = int(value)
+        return (_INT, number) if number in _INT64 else (_BIG, str(number))
+    if isinstance(value, str):
+        return _STR, value
+    if value is None:
+        return _NONE, 0
+    number = float(value)
+    if number != number:
+        return _FLOAT, _NAN
+    return _FLOAT, struct.unpack("<q", struct.pack("<d", number))[0]
+
+
+def _key_column(
+    values: Sequence[object], table: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's key cells for *values*: tags and payloads, texts
+    numbered in *table* in first-use order. An axis of plain floats or
+    of plain int64-range ints is encoded in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        column = np.array(values, np.float64)
+        bits = column.view(np.int64).copy()
+        bits[np.isnan(column)] = _NAN
+        return np.full(len(values), _FLOAT, np.uint8), bits
+    if kinds == {int} and -(2**63) <= min(values) and max(values) < 2**63:
+        return np.full(len(values), _INT, np.uint8), np.array(values, np.int64)
+    tags, bits = [], []
+    for tag, payload in map(_key_value, values):
+        tags.append(tag)
+        bits.append(table.setdefault(payload, len(table)) if tag >= _STR else payload)
+    return np.array(tags, np.uint8), np.array(bits, np.int64)
+
+
+def _factorize(tags: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct ``(tag, payload)`` pairs of one key column and each
+    row's position among them."""
+    pairs = np.stack((tags.astype(np.int64), bits), axis=1)
+    distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return distinct[:, 0], distinct[:, 1], inverse.reshape(-1)
+
+
+def _digest(block: bytes) -> bytes:
+    return hashlib.sha256(block).digest()[:16]
+
+
+class PointKeys:
+    """The keys of a run of grid points as columns: ``tags`` (u8) and
+    ``bits`` (int64) of shape ``(axes, rows)``, axes in sorted
+    ``names`` order. A payload is an int64 value, a float's bit pattern,
+    0/1 for a bool, 0 for ``None``, or, for a string or an int outside
+    int64, its position in ``texts`` (in first-use order, so equal rows
+    give equal bytes whichever side encoded them)."""
+
+    def __init__(
+        self, names: list[str], tags: np.ndarray, bits: np.ndarray, texts: list[str]
+    ) -> None:
+        self.names, self.tags, self.bits, self.texts = names, tags, bits, texts
+        self._digest: bytes | None = None
+
+    def __len__(self) -> int:
+        return self.tags.shape[1]
+
+    @classmethod
+    def of_params(cls, chunk: Sequence[Mapping[str, object]]) -> "PointKeys":
+        """The keys of parameter dicts sharing one axis set."""
+        names = sorted(chunk[0]) if chunk else []
+        table: dict[str, int] = {}
+        columns = [
+            _key_column([params[name] for params in chunk], table) for name in names
+        ]
+        shape = (len(names), len(chunk))
+        tags = np.array([tags for tags, _ in columns], np.uint8).reshape(shape)
+        bits = np.array([bits for _, bits in columns], np.int64).reshape(shape)
+        return cls(names, tags, bits, list(table))
+
+    def to_bytes(self) -> bytes:
+        """The keys as a record stores them."""
+        return b"".join(
+            (
+                pack_texts(self.names),
+                pack_texts(self.texts),
+                struct.pack("<I", len(self)),
+                self.tags.tobytes(),
+                self.bits.astype("<i8", copy=False).tobytes(),
+            )
+        )
+
+    @classmethod
+    def from_bytes(cls, data: bytes, offset: int = 0) -> "PointKeys":
+        names, offset = unpack_texts(data, offset)
+        texts, offset = unpack_texts(data, offset)
+        (n,) = struct.unpack_from("<I", data, offset)
+        cells = len(names) * n
+        tags = np.frombuffer(data, np.uint8, cells, offset + 4)
+        bits = np.frombuffer(data, "<i8", cells, offset + 4 + cells)
+        return cls(names, tags.reshape(-1, n), bits.reshape(-1, n), texts)
+
+    def digest(self) -> bytes:
+        """The digest of :meth:`to_bytes`, which keys a whole chunk
+        (computed once; the bytes are not kept)."""
+        if self._digest is None:
+            self._digest = _digest(self.to_bytes())
+        return self._digest
+
+    def query(self, rows: None = None) -> list[tuple[np.ndarray, ...]]:
+        """These keys as a :meth:`SweepStoreSession.join` query: each
+        axis's distinct values, and per row its position among them."""
+        return [_factorize(*column) for column in zip(self.tags, self.bits)]
+
+
+class GridKeys:
+    """A grid's point keys without a key per row: every axis value of
+    the grid is encoded once, and any rows' key columns are gathered by
+    stride arithmetic (*index* is the sweep's
+    :class:`~repro.dse.batch._GridIndex`)."""
+
+    def __init__(self, index) -> None:
+        axes = sorted(
+            zip(index.names, index.values, index.strides, index.sizes),
+            key=lambda axis: axis[0],
+        )
+        self.names = [axis[0] for axis in axes]
+        self.strides = [axis[2] for axis in axes]
+        self.sizes = [axis[3] for axis in axes]
+        self.total = index.total
+        table: dict[str, int] = {}
+        self.tags, self.bits, self.distinct = [], [], []
+        for _, values, _, _ in axes:
+            tags, bits = _key_column(values, table)
+            self.tags.append(tags)
+            self.bits.append(bits)
+            self.distinct.append(_factorize(tags, bits))
+        self.texts = list(table)
+        self._columns: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _positions(self, rows: np.ndarray) -> list[np.ndarray]:
+        axes = zip(self.strides, self.sizes)
+        return [(rows // stride) % size for stride, size in axes]
+
+    def block(self, lo: int, hi: int) -> PointKeys:
+        """The keys of grid rows ``[lo, hi)``, byte for byte what
+        :meth:`PointKeys.of_params` makes of their parameter dicts."""
+        if self._columns is None:
+            # Every row's key cells at once: in row-major order an axis
+            # repeats each value `stride` times, the whole run tiled.
+            axes = list(zip(self.strides, self.sizes))
+            self._columns = tuple(
+                np.stack(
+                    [
+                        np.tile(np.repeat(cells, stride), self.total // (stride * size))
+                        for cells, (stride, size) in zip(column, axes)
+                    ]
+                )
+                for column in (self.tags, self.bits)
+            )
+        tags, bits = self._columns[0][:, lo:hi], self._columns[1][:, lo:hi]
+        texts: list[str] = []
+        cells = tags >= _STR
+        if self.texts and cells.any():
+            # Grid text ids become the block's own value-table positions.
+            bits = bits.copy()
+            ids = bits[cells]
+            unique, first = np.unique(ids, return_index=True)
+            order = np.argsort(first)
+            local = np.empty(len(unique), np.int64)
+            local[order] = np.arange(len(unique))
+            bits[cells] = local[np.searchsorted(unique, ids)]
+            texts = [self.texts[i] for i in unique[order].tolist()]
+        return PointKeys(self.names, tags, bits, texts)
+
+    def query(self, rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """The keys of grid *rows* as a :meth:`SweepStoreSession.join`
+        query, like :meth:`PointKeys.query`."""
+        positions = self._positions(rows)
+        return [
+            (tags, bits, inverse[at])
+            for (tags, bits, inverse), at in zip(self.distinct, positions)
+        ]
 
 
 def _fingerprint_hash(payload: object) -> str:
@@ -190,8 +384,6 @@ class ChunkProbe:
     chunk rows it serves and their rows in it.
     """
 
-    keys: list[str]
-    chunk_hash: str
     outcomes: list[DesignPoint | DomainError | None]
     missing: list[int]
     memory_points: int = 0
@@ -239,7 +431,7 @@ class ResultStore:
         Store directory (created on first write). Refuses a non-empty
         directory that is not a store — the marker file guards ``gc``
         and plain writes alike from clobbering unrelated data — and a
-        store in the older ``focal-store/1`` format.
+        store of an older format.
     max_memory_entries:
         LRU bound of the in-process tier, in decoded chunk records /
         Monte-Carlo segments (not points).
@@ -350,9 +542,8 @@ class ResultStore:
         if found != STORE_FORMAT:
             raise ValidationError(
                 f"refusing to {verb} {self.root}: its {MARKER_NAME} names format "
-                f"{found!r}, not {STORE_FORMAT!r} (a {_OLD_FORMAT} store of JSON "
-                "objects and index.json is from an older version; its results "
-                "are recomputable: delete it or use a fresh directory)"
+                f"{found!r}, not {STORE_FORMAT!r} (a store from an older version; "
+                "its results are recomputable: delete it or use a fresh directory)"
             )
         return True
 
@@ -426,7 +617,7 @@ class ResultStore:
     # -- sweep tier ----------------------------------------------------
     def sweep_session(self, factory: object) -> "SweepStoreSession":
         """Open (or create) the per-factory run file for one sweep."""
-        return SweepStoreSession(self, describe_factory(factory))
+        return SweepStoreSession(self, factory)
 
     # -- Monte-Carlo rng-stream segments -------------------------------
     def _segment_run(self, fingerprint: Mapping) -> _SegmentRun:
@@ -500,10 +691,12 @@ class ResultStore:
                 continue
             header, records = _read_run(ChunkLog(path))
             if parent == "sweeps":
-                keys = {
-                    key for record in records for key in unpack_texts(record)[0]
-                }
-                what, entries = header.get("factory", "?"), len(keys)
+                columns = _key_columns(records, {}).values()
+                entries = sum(
+                    len(np.unique(np.concatenate((tags, bits)), axis=1).T)
+                    for tags, bits, _, _ in columns
+                )
+                what = header.get("factory", "?")
             else:
                 fingerprint = header.get("fingerprint") or {}
                 what = fingerprint.get("kind", fingerprint.get("factory", "?"))
@@ -606,6 +799,34 @@ def _read_run(log: ChunkLog) -> tuple[dict, list[bytes]]:
     return header, [payload for kind, payload in records[1:] if kind == CHUNK]
 
 
+def _key_columns(
+    records: Sequence[bytes], texts: dict[str, int]
+) -> dict[tuple, tuple[np.ndarray, ...]]:
+    """The key columns of sweep *records*, by axis names: tags, payloads
+    (value-table positions turned into ids in *texts*, grown as needed,
+    so keys of different records compare), and each key's record and
+    row."""
+    groups: dict[tuple, list] = {}
+    for index, record in enumerate(records):
+        keys = PointKeys.from_bytes(record, _RECORD.size)
+        bits = keys.bits
+        cells = keys.tags >= _STR
+        if cells.any():
+            ids = [texts.setdefault(text, len(texts)) for text in keys.texts]
+            bits = bits.copy()
+            bits[cells] = np.array(ids, np.int64)[bits[cells]]
+        groups.setdefault(tuple(keys.names), []).append((keys.tags, bits, index))
+    return {
+        names: (
+            np.concatenate([tags for tags, _, _ in parts], axis=1),
+            np.concatenate([bits for _, bits, _ in parts], axis=1),
+            np.concatenate([np.full(tags.shape[1], i) for tags, _, i in parts]),
+            np.concatenate([np.arange(tags.shape[1]) for tags, _, _ in parts]),
+        )
+        for names, parts in groups.items()
+    }
+
+
 def _tree_bytes(root: Path) -> int:
     return sum(
         path.stat().st_size for path in root.rglob("*") if path.is_file()
@@ -615,114 +836,179 @@ def _tree_bytes(root: Path) -> int:
 # ----------------------------------------------------------------------
 # Sweep sessions
 # ----------------------------------------------------------------------
-class SweepStoreSession:
-    """One sweep's view of the store, bound to one factory identity.
+#: A sweep record's head: the digest of its key columns and their size.
+_RECORD = struct.Struct("<16sI")
 
-    Opening the session scans the factory's run file once and rebuilds
-    its point-key index from the records; probes are answered from it
-    (memory tier first, then the records read at open), and :meth:`put`
-    commits each newly evaluated chunk as one appended record.
+
+class SweepStoreSession:
+    """One sweep's view of the store, bound to one factory.
+
+    Opening the session scans the factory's run file once and indexes
+    its records by key digest; a chunk whose key bytes a record holds
+    is served whole (:meth:`find`), and any other rows are matched
+    against the key columns of every record in one sort-join
+    (:meth:`join`), built on first use. :meth:`put_record` commits each
+    newly evaluated chunk as one appended record.
     """
 
-    def __init__(self, store: ResultStore, factory_desc: str) -> None:
+    def __init__(self, store: ResultStore, factory: object) -> None:
         self.store = store
-        self.factory = factory_desc
-        self.fp = _fingerprint_hash({"factory": factory_desc})
+        self._factory = factory
+        self.factory = describe_factory(factory)
+        self.fp = _fingerprint_hash({"factory": self.factory})
         self.path = store.root / "sweeps" / f"{self.fp}.log"
         self._header = canonical_json(
-            {"format": STORE_FORMAT, "factory": factory_desc}
+            {"format": STORE_FORMAT, "factory": self.factory}
         ).encode("utf-8")
-        # Per record: its payload, the offset of its outcome columns and
-        # its chunk hash; then chunk hash -> record, point key ->
-        # (record, row).
-        self._records: list[tuple[bytes, int, str]] = []
-        self._chunks: dict[str, int] = {}
-        self._points: dict[str, tuple[int, int]] = {}
+        # Per record: its payload and digest; digest -> record; the
+        # join's stored key columns by axis names (None until a join
+        # needs them) and the text ids they share.
+        self._records: list[tuple[bytes, bytes]] = []
+        self._chunks: dict[bytes, int] = {}
+        self._stored: dict[tuple, tuple[np.ndarray, ...]] | None = None
+        self._texts: dict[str, int] = {}
         self._probed = False
         self._log, records = store._open_log(self.path, self._header)
         for record in records:
             self._adopt(record)
 
     def _adopt(self, record: bytes) -> None:
-        keys, offset = unpack_texts(record)
-        self._index(keys, record, offset, chunk_store_key(keys))
-
-    def _index(
-        self, keys: list[str], record: bytes, offset: int, chunk_hash: str
-    ) -> None:
-        index = len(self._records)
-        self._records.append((record, offset, chunk_hash))
-        self._chunks.setdefault(chunk_hash, index)
-        # A point stored twice has the same outcome in both records, so
-        # the later one may win.
-        self._points.update(zip(keys, zip(repeat(index), range(len(keys)))))
+        digest, _ = _RECORD.unpack_from(record)
+        self._chunks.setdefault(digest, len(self._records))
+        self._records.append((record, digest))
+        self._stored = None
 
     # -- reading -------------------------------------------------------
+    def find(self, keys: PointKeys) -> int | None:
+        """The record holding exactly the chunk *keys* (the fast path a
+        warm re-sweep with unchanged chunking hits: one digest, no
+        join), or ``None``."""
+        self._probed = True
+        return self._chunks.get(keys.digest())
+
+    def join(
+        self, keys: "PointKeys | GridKeys", asked: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of *keys* (a :class:`PointKeys`, or the grid rows
+        *asked* of a :class:`GridKeys`), the record holding its key and
+        its row there (-1 and 0 where no record does; a key stored twice
+        is served by the later record). One vectorized sort-join: each
+        axis maps the stored payloads onto the query's distinct values,
+        the per-axis positions combine into one int64 code per row, and
+        the queried codes are looked up in the sorted stored ones."""
+        self._probed = True
+        count = len(keys) if asked is None else len(asked)
+        record = np.full(count, -1, np.int64)
+        row = np.zeros(count, np.int64)
+        stored = self._stored_keys().get(tuple(keys.names)) if count else None
+        if stored is None:
+            return record, row
+        axes = keys.query(asked)
+        tags, bits, records, rows = stored
+        ids = [self._texts.get(text, -1) for text in keys.texts]
+        ids = np.array(ids, np.int64)
+        keep = np.ones(len(records), dtype=bool)
+        code = np.zeros(len(records), np.int64)
+        queried = np.zeros(count, np.int64)
+        bound = 1
+        for axis, (values, payloads, positions) in enumerate(axes):
+            cells = values >= _STR
+            if cells.any():
+                payloads = payloads.copy()
+                payloads[cells] = ids[payloads[cells]]
+            position = _lookup(values, payloads, tags[axis], bits[axis])
+            keep &= position >= 0
+            size = len(values)
+            if bound * size >= 2**62:
+                # Renumber the codes seen so far densely before they
+                # could overflow.
+                both = np.concatenate((queried, code[keep]))
+                unique, inverse = np.unique(both, return_inverse=True)
+                queried, code[keep] = inverse[:count], inverse[count:]
+                bound = len(unique)
+            queried = queried * size + positions
+            code = code * size + np.maximum(position, 0)
+            bound *= size
+        kept = np.flatnonzero(keep)
+        order = kept[np.argsort(code[kept], kind="stable")]
+        ordered = code[order]
+        at = np.searchsorted(ordered, queried, side="right") - 1
+        hit = at >= 0
+        hit[hit] = ordered[at[hit]] == queried[hit]
+        source = order[at[hit]]
+        record[hit], row[hit] = records[source], rows[source]
+        return record, row
+
+    def _stored_keys(self) -> dict[tuple, tuple[np.ndarray, ...]]:
+        """Every record's key columns (:func:`_key_columns`), read on
+        the first join after a record was added."""
+        if self._stored is None:
+            records = [record for record, _ in self._records]
+            self._stored = _key_columns(records, self._texts)
+        return self._stored
+
+    def load(self, index: int) -> tuple[OutcomeRecord, str]:
+        """Record *index*'s outcomes read as columns (LRU'd per
+        process), and the tier that served them."""
+        record, digest = self._records[index]
+        memo_key = ("sweep", self.fp, digest)
+        cached = self.store._memory_get(memo_key)
+        if cached is not None:
+            return cached, "memory"
+        (size,) = struct.unpack_from("<I", record, 16)
+        stored = OutcomeRecord(record, _RECORD.size + size)
+        self.store._memory_put(memo_key, stored)
+        return stored, "disk"
+
+    def count(self, memory: int = 0, disk: int = 0, misses: int = 0) -> None:
+        """Tally points served from each tier and points missed."""
+        self.store._count(memory, disk, misses)
+
     def probe(self, chunk: Sequence[Mapping[str, object]]) -> ChunkProbe:
         """What the store holds for *chunk*, decoded (never raises; a
-        fully unknown chunk comes back with every row missing)."""
+        fully unknown chunk comes back with every row missing). A
+        nameless record's designs take the factory's own outcome."""
         probe = self.locate(chunk)
         for stored, rows, sources in probe.parts:
             outcomes = stored.outcomes()
             for row, source in zip(rows, sources):
-                probe.outcomes[row] = outcomes[source]
+                outcome = outcomes[source]
+                probe.outcomes[row] = (
+                    self._factory(chunk[row]) if outcome is None else outcome
+                )
         return probe
 
     def locate(self, chunk: Sequence[Mapping[str, object]]) -> ChunkProbe:
         """Where the store holds *chunk*'s points (``parts``), nothing
         decoded into objects; tallied per tier like :meth:`probe`."""
-        self._probed = True
-        keys = [point_store_key(params) for params in chunk]
-        chunk_hash = chunk_store_key(keys)
-        index = self._chunks.get(chunk_hash)
-        wanted: dict[int, tuple[list[int], list[int]]] = {}
+        keys = PointKeys.of_params(chunk)
+        index = self.find(keys)
         if index is not None:
-            # The fast path a warm re-sweep with unchanged chunking hits.
-            rows = list(range(len(chunk)))
-            wanted[index] = (rows, rows)
+            records = np.full(len(chunk), index)
+            rows = np.arange(len(chunk))
         else:
-            for row, key in enumerate(keys):
-                entry = self._points.get(key)
-                if entry is not None:
-                    rows, sources = wanted.setdefault(entry[0], ([], []))
-                    rows.append(row)
-                    sources.append(entry[1])
-        probe = ChunkProbe(keys, chunk_hash, [None] * len(chunk), [])
-        served = np.zeros(len(chunk), dtype=bool)
-        for index, (rows, sources) in wanted.items():
-            stored, tier = self._load(index)
-            probe.parts.append((stored, rows, sources))
-            served[rows] = True
+            records, rows = self.join(keys)
+        probe = ChunkProbe([None] * len(chunk), [])
+        for index in np.unique(records[records >= 0]).tolist():
+            served = np.flatnonzero(records == index)
+            stored, tier = self.load(index)
+            probe.parts.append((stored, served.tolist(), rows[served].tolist()))
             if tier == "memory":
-                probe.memory_points += len(rows)
+                probe.memory_points += len(served)
             else:
-                probe.disk_points += len(rows)
-        probe.missing = np.flatnonzero(~served).tolist()
-        self.store._count(probe.memory_points, probe.disk_points, len(probe.missing))
+                probe.disk_points += len(served)
+        probe.missing = np.flatnonzero(records < 0).tolist()
+        self.count(probe.memory_points, probe.disk_points, len(probe.missing))
         return probe
-
-    def _load(self, index: int) -> tuple[OutcomeRecord, str]:
-        """One stored record read as columns (LRU'd per process), and
-        the tier that served it."""
-        record, offset, chunk_hash = self._records[index]
-        memo_key = ("sweep", self.fp, chunk_hash)
-        cached = self.store._memory_get(memo_key)
-        if cached is not None:
-            return cached, "memory"
-        stored = OutcomeRecord(record, offset)
-        self.store._memory_put(memo_key, stored)
-        return stored, "disk"
 
     # -- writing -------------------------------------------------------
     def put(
         self,
         chunk: Sequence[Mapping[str, object]],
         outcomes: Sequence[DesignPoint | DomainError],
-        probe: ChunkProbe | None = None,
     ) -> None:
-        """Store one fully evaluated chunk as one appended record
-        (idempotent: a chunk the run file already holds is not
-        appended again).
+        """Store one fully evaluated chunk of parameter dicts and their
+        outcomes, names included (see :meth:`put_record`).
 
         Chunks holding quarantined points are not stored: a
         :class:`~repro.core.errors.QuarantinedPoint` is containment
@@ -731,20 +1017,22 @@ class SweepStoreSession:
         """
         if any(isinstance(outcome, QuarantinedPoint) for outcome in outcomes):
             return
-        if probe is not None:
-            keys, chunk_hash = probe.keys, probe.chunk_hash
-        else:
-            keys = [point_store_key(params) for params in chunk]
-            chunk_hash = chunk_store_key(keys)
-        if chunk_hash in self._chunks:
+        self.put_record(PointKeys.of_params(chunk), encode_outcomes(outcomes))
+
+    def put_record(self, keys: PointKeys, outcomes: bytes) -> None:
+        """Store one chunk's *outcomes* record under its *keys* as one
+        appended record (idempotent: a chunk the run file already holds
+        is not appended again)."""
+        block, digest = keys.to_bytes(), keys.digest()
+        if digest in self._chunks:
             return
-        head = pack_texts(keys)
-        record = head + encode_outcomes(outcomes)
+        record = _RECORD.pack(digest, len(block)) + block + outcomes
         if self.store._append(self._log, self._header, record, self._adopt):
             self.store._counts["objects_written"] += 1
-        self._index(keys, record, len(head), chunk_hash)
+        self._adopt(record)
         self.store._memory_put(
-            ("sweep", self.fp, chunk_hash), OutcomeRecord(record, len(head))
+            ("sweep", self.fp, digest),
+            OutcomeRecord(record, _RECORD.size + len(block)),
         )
 
     def flush(self) -> None:
@@ -756,3 +1044,20 @@ class SweepStoreSession:
                 os.utime(self.path)
             except FileNotFoundError:
                 pass
+
+
+def _lookup(
+    values: np.ndarray, payloads: np.ndarray, tags: np.ndarray, bits: np.ndarray
+) -> np.ndarray:
+    """Per stored key cell ``(tags, bits)``, its position among the
+    query's distinct ``(values, payloads)`` of one axis, or -1."""
+    found = np.full(len(tags), -1, np.int64)
+    for tag in np.unique(values).tolist():
+        mine = np.flatnonzero(values == tag)
+        mine = mine[np.argsort(payloads[mine])]
+        ordered = payloads[mine]
+        cells = np.flatnonzero(tags == tag)
+        at = np.minimum(np.searchsorted(ordered, bits[cells]), len(ordered) - 1)
+        hit = ordered[at] == bits[cells]
+        found[cells[hit]] = mine[at[hit]]
+    return found

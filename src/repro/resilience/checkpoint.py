@@ -10,9 +10,9 @@ A checkpoint is a :class:`~repro.resilience.chunklog.ChunkLog` file
   fingerprint does not match the run being resumed, so a stale file can
   never silently contaminate results;
 * one **chunk** record per committed chunk — a sweep chunk's outcomes
-  as raw float64 columns plus names and error messages
-  (:func:`encode_outcomes`), or a Monte-Carlo segment's int8 codes plus
-  its post-segment RNG state.
+  as a tag byte per row, raw float64 area/perf/power columns and texts
+  (:func:`encode_columns`, :func:`encode_outcomes`), or a Monte-Carlo
+  segment's int8 codes plus its post-segment RNG state.
 
 Durability contract: committing a chunk appends its record with one
 write and one ``fsync``; nothing is ever rewritten, so a run's
@@ -55,6 +55,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointStore",
     "sweep_fingerprint",
+    "encode_columns",
     "encode_outcomes",
     "decode_outcomes",
     "OutcomeRecord",
@@ -68,10 +69,14 @@ __all__ = [
 ]
 
 #: Format tag written into (and required from) every checkpoint header.
-CHECKPOINT_FORMAT = "focal-checkpoint/2"
+CHECKPOINT_FORMAT = "focal-checkpoint/3"
 
-#: The JSON-document format of earlier versions, refused by name.
+#: The JSON-document format of the first version, refused by name.
 _OLD_FORMAT = "focal-checkpoint/1"
+
+#: The log format whose outcome records name every design, refused by
+#: name too (its records do not decode as this version's).
+_NAMED_FORMAT = "focal-checkpoint/2"
 
 
 def atomic_write_text(
@@ -121,7 +126,8 @@ def canonical_json(payload: object) -> str:
 # outcome: floats go through float.hex (bit-exact, like the fingerprints),
 # other JSON scalars keep their type tag so int 2 and float 2.0 never
 # alias (a conservative miss, never a wrong answer).
-def _encode_value(value: object) -> str:
+def key_token(value: object) -> str:
+    """One axis value's token in a :func:`point_key`."""
     if isinstance(value, bool):
         return "b1" if value else "b0"
     if isinstance(value, (int, np.integer)):
@@ -137,7 +143,7 @@ def point_key(params: Mapping[str, object]) -> str:
     """The canonical key of one grid point (axis-order free), shared by
     the result store and the quarantine ledger."""
     return "\x1e".join(
-        f"{name}={_encode_value(params[name])}" for name in sorted(params)
+        f"{name}={key_token(params[name])}" for name in sorted(params)
     )
 
 
@@ -320,7 +326,15 @@ class CheckpointStore:
             header = json.loads(head) if head_kind == HEADER else {}
         except ValueError:
             header = {}
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(header, dict):
+            header = {}
+        if header.get("format") == _NAMED_FORMAT:
+            raise CheckpointError(
+                f"checkpoint {self.path} is a {_NAMED_FORMAT} log from an older "
+                f"version; this version reads {CHECKPOINT_FORMAT} logs only — "
+                "delete it or point --checkpoint at a fresh path"
+            )
+        if header.get("format") != CHECKPOINT_FORMAT:
             raise _CorruptCheckpoint(
                 f"checkpoint {self.path} has no {CHECKPOINT_FORMAT} header"
             )
@@ -348,11 +362,19 @@ class CheckpointStore:
 # One chunk of outcomes is one record of raw little-endian columns, so a
 # resumed sweep rebuilds arrays and cache entries bit-for-bit:
 #
-#   texts   name of each design, message of each DomainError
+#   head    u32 rows, u8 named (1: a text per row, 0: texts of the
+#           DomainError and QuarantinedPoint rows only)
+#   texts   design names (named records), error messages
 #   tags    u8 per row: 0 design, 1 DomainError, 2 QuarantinedPoint
-#   values  f64 area, perf, power per row (zeros for errors)
+#   values  f64 area of every row, then perf, then power (zeros for
+#           errors)
+#
+# A vector factory's sweep writes nameless records straight from its
+# columns; its design_points rebuild the names on read (the factory is
+# part of every fingerprint). Other factories' records keep the names.
 # ----------------------------------------------------------------------
 _DESIGN, _ERROR, _QUARANTINED = 0, 1, 2
+_HEAD = struct.Struct("<IB")
 
 
 def pack_texts(texts: Sequence[str]) -> bytes:
@@ -421,52 +443,92 @@ def sweep_fingerprint(
     }
 
 
+def encode_columns(
+    valid: np.ndarray,
+    quarantined: np.ndarray,
+    area: np.ndarray,
+    perf: np.ndarray,
+    power: np.ndarray,
+    messages: Sequence[str],
+) -> bytes:
+    """One nameless chunk record straight from columns: a row is a
+    design where *valid*, else quarantined or a ``DomainError`` whose
+    text is the next of *messages* (one per invalid row, in row order)."""
+    n = len(valid)
+    values = np.concatenate((area, perf, power)).astype("<f8", copy=False)
+    if valid.all():
+        tags = bytes(n)  # every row _DESIGN
+    else:
+        values.reshape(3, n)[:, ~valid] = 0.0
+        tags = np.where(valid, _DESIGN, np.where(quarantined, _QUARANTINED, _ERROR))
+        tags = tags.astype(np.uint8).tobytes()
+    return _HEAD.pack(n, False) + pack_texts(messages) + tags + values.tobytes()
+
+
 def encode_outcomes(outcomes: Sequence[DesignPoint | DomainError]) -> bytes:
-    """One chunk record: designs as raw float64 columns plus names,
-    errors by message. Quarantined points keep their own tag so a
+    """One named chunk record: designs as raw float64 columns plus
+    names, errors by message. Quarantined points keep their own tag so a
     resumed sweep restores them as :class:`QuarantinedPoint` — still an
     excluded outcome, but one the engine keeps reporting as quarantined.
     """
     texts: list[str] = []
     tags = bytearray()
-    values: list[float] = []
+    area: list[float] = []
+    perf: list[float] = []
+    power: list[float] = []
     for outcome in outcomes:
         if isinstance(outcome, DomainError):
             quarantined = isinstance(outcome, QuarantinedPoint)
             tags.append(_QUARANTINED if quarantined else _ERROR)
             texts.append(str(outcome))
-            values += (0.0, 0.0, 0.0)
+            area.append(0.0)
+            perf.append(0.0)
+            power.append(0.0)
         else:
             tags.append(_DESIGN)
             texts.append(outcome.name)
-            values += (outcome.area, outcome.perf, outcome.power)
-    return pack_texts(texts) + tags + struct.pack(f"<{len(values)}d", *values)
+            area.append(outcome.area)
+            perf.append(outcome.perf)
+            power.append(outcome.power)
+    return (
+        _HEAD.pack(len(tags), True)
+        + pack_texts(texts)
+        + tags
+        + struct.pack(f"<{3 * len(tags)}d", *area, *perf, *power)
+    )
 
 
 class OutcomeRecord:
-    """One :func:`encode_outcomes` record (at *offset* of *data*) read
-    as columns: ``tags`` (u8 per row) and ``values`` (area, perf, power
-    per row) are NumPy views of the bytes, so a sweep restores its rows
-    without building an object. The names and messages decode into
-    outcomes on the first :meth:`outcomes` call."""
+    """One chunk record (at *offset* of *data*) read as columns:
+    ``tags`` (u8 per row) and ``values`` (the area, perf and power
+    columns, shape ``(3, rows)``) are NumPy views of the bytes, so a sweep restores its rows without
+    building an object. The texts decode into outcomes on the first
+    :meth:`outcomes` call."""
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
         try:
-            n, size = struct.unpack_from("<II", data, offset)
-            tags = offset + 8 + 4 * n + size
+            n, named = _HEAD.unpack_from(data, offset)
+            count, size = struct.unpack_from("<II", data, offset + _HEAD.size)
+            tags = offset + _HEAD.size + 8 + 4 * count + size
             if len(data) != tags + 25 * n:
                 raise ValueError(f"{len(data) - offset} bytes do not hold {n} rows")
+            if named > 1:
+                raise ValueError(f"unknown text layout {named}")
             self.tags = np.frombuffer(data, np.uint8, n, tags)
             if n and int(self.tags.max()) > _QUARANTINED:
                 raise ValueError(f"unknown outcome tag {int(self.tags.max())}")
-            self.values = np.frombuffer(data, "<f8", 3 * n, tags + n).reshape(n, 3)
+            texts = n if named else int(np.count_nonzero(self.tags))
+            if count != texts:
+                raise ValueError(f"{count} texts for {texts} rows that need one")
+            self.values = np.frombuffer(data, "<f8", 3 * n, tags + n).reshape(3, n)
         except (ValueError, struct.error) as exc:
             raise CheckpointError(
                 f"checkpoint outcome record is undecodable: {exc}"
             ) from exc
+        self.named = bool(named)
         self._data = data
         self._offset = offset
-        self._outcomes: list[DesignPoint | DomainError] | None = None
+        self._outcomes: list[DesignPoint | DomainError | None] | None = None
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -476,36 +538,53 @@ class OutcomeRecord:
         rows when ``None``)."""
         values, tags = self.values, self.tags
         if at is not None:
-            values, tags = values[at], tags[at]
+            values, tags = values[:, at], tags[at]
         valid, quarantined = tags == _DESIGN, tags == _QUARANTINED
-        return values[:, 0], values[:, 1], values[:, 2], valid, quarantined
+        return values[0], values[1], values[2], valid, quarantined
 
-    def outcomes(self) -> list[DesignPoint | DomainError]:
+    @staticmethod
+    def stacked(records: Sequence["OutcomeRecord"]) -> tuple[np.ndarray, ...]:
+        """Area, perf, power, valid and quarantined of *records*' rows,
+        back to back."""
+        values = np.concatenate([record.values for record in records], axis=1)
+        tags = np.concatenate([record.tags for record in records])
+        valid, quarantined = tags == _DESIGN, tags == _QUARANTINED
+        return values[0], values[1], values[2], valid, quarantined
+
+    def outcomes(self) -> list[DesignPoint | DomainError | None]:
         """Every row as its outcome object (bit-exact design fields),
-        decoded once."""
+        decoded once — ``None`` for the designs of a nameless record,
+        whose names only the factory can rebuild."""
         if self._outcomes is None:
             try:
-                texts, _ = unpack_texts(self._data, self._offset)
+                texts, _ = unpack_texts(self._data, self._offset + _HEAD.size)
             except (ValueError, struct.error) as exc:
                 raise CheckpointError(
                     f"checkpoint outcome record is undecodable: {exc}"
                 ) from exc
-            outcomes: list[DesignPoint | DomainError] = []
-            for tag, text, (area, perf, power) in zip(
-                self.tags.tolist(), texts, self.values.tolist()
+            messages = iter(texts)
+            outcomes: list[DesignPoint | DomainError | None] = []
+            for tag, area, perf, power in zip(
+                self.tags.tolist(), *self.values.tolist()
             ):
                 if tag == _DESIGN:
                     outcomes.append(
-                        DesignPoint(name=text, area=area, perf=perf, power=power)
+                        DesignPoint(
+                            name=next(messages), area=area, perf=perf, power=power
+                        )
+                        if self.named
+                        else None
                     )
                 elif tag == _ERROR:
-                    outcomes.append(DomainError(text))
+                    outcomes.append(DomainError(next(messages)))
                 else:
-                    outcomes.append(QuarantinedPoint(text))
+                    outcomes.append(QuarantinedPoint(next(messages)))
             self._outcomes = outcomes
         return self._outcomes
 
 
-def decode_outcomes(record: bytes) -> list[DesignPoint | DomainError]:
-    """Invert :func:`encode_outcomes` (bit-exact design fields)."""
+def decode_outcomes(record: bytes) -> list[DesignPoint | DomainError | None]:
+    """Invert :func:`encode_outcomes` (bit-exact design fields; a
+    nameless :func:`encode_columns` record decodes its designs to
+    ``None``)."""
     return OutcomeRecord(record).outcomes()

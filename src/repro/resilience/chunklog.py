@@ -108,17 +108,19 @@ def retry_disk_write(
             sleep(DISK_BACKOFF_S * (2.0**attempt))
 
 
-def _frame(kind: int, payload: bytes) -> bytes:
-    head = struct.pack("<IB", len(payload), kind)
-    return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
+def _frame(kind: int, payload: bytes) -> tuple[bytes, bytes]:
+    """One record as its frame head and payload (written back to back)."""
+    crc = zlib.crc32(payload, zlib.crc32(struct.pack("<IB", len(payload), kind)))
+    return _FRAME.pack(len(payload), kind, crc), payload
 
 
-def _scan(data: bytes) -> tuple[list[tuple[int, bytes]], int, str | None]:
-    """The verified records at the start of *data*, the offset after
+def _scan(
+    data: bytes, offset: int = 0
+) -> tuple[list[tuple[int, bytes]], int, str | None]:
+    """The verified records of *data* from *offset* on, the offset after
     the last of them, and the damage that stopped the scan (``None`` at
     a clean end)."""
     records: list[tuple[int, bytes]] = []
-    offset = 0
     while offset < len(data):
         if len(data) - offset < _FRAME.size:
             return records, offset, "torn record header"
@@ -153,8 +155,7 @@ class ChunkLog:
             return [], None
         if not data.startswith(MAGIC):
             return [], "missing log header (torn, foreign or older file)"
-        records, used, damage = _scan(data[len(MAGIC) :])
-        self.end = len(MAGIC) + used
+        records, self.end, damage = _scan(data, len(MAGIC))
         return records, damage
 
     def open(self, header: bytes) -> tuple[list[bytes], str | None]:
@@ -225,7 +226,9 @@ class ChunkLog:
     def reset(self, records: Sequence[tuple[int, bytes]]) -> int:
         """Start the file over with *records* (one write, an ``fsync``
         of the file and of its directory); returns bytes written."""
-        blob = MAGIC + b"".join(_frame(kind, payload) for kind, payload in records)
+        blob = MAGIC + b"".join(
+            part for kind, payload in records for part in _frame(kind, payload)
+        )
 
         def write() -> None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -250,19 +253,23 @@ class ChunkLog:
         """Truncate anything past :attr:`end` (a torn or corrupt tail),
         then commit *records* with one write and one ``fsync``; returns
         bytes written."""
-        blob = b"".join(_frame(kind, payload) for kind, payload in records)
+        parts = [part for kind, payload in records for part in _frame(kind, payload)]
+        size = sum(map(len, parts))
 
         def write() -> None:
-            with open(self.path, "r+b") as handle:
-                handle.seek(self.end)
-                handle.truncate()
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
+            fd = os.open(self.path, os.O_RDWR)
+            try:
+                if os.lseek(fd, 0, os.SEEK_END) != self.end:
+                    os.ftruncate(fd, self.end)
+                if os.pwritev(fd, parts, self.end) != size:
+                    raise OSError(errno.EIO, "short write")
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
         retry_disk_write(self.path, write)
-        self.end += len(blob)
-        return self._count(len(blob))
+        self.end += size
+        return self._count(size)
 
     @staticmethod
     def _count(n: int) -> int:

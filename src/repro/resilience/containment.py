@@ -276,6 +276,11 @@ class QuarantineSession:
         """The ledger entry for *params*, or ``None`` if not quarantined."""
         return self._known.get(point_key(params))
 
+    def known_keys(self) -> list[str]:
+        """The :func:`point_key` of every point the ledger knows as
+        poison for this factory."""
+        return list(self._known)
+
     def marker(self, params: Mapping[str, object]) -> QuarantinedPoint | None:
         """A :class:`QuarantinedPoint` for a known poison point, else ``None``."""
         entry = self.known(params)

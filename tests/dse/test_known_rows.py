@@ -188,3 +188,55 @@ class TestRepeatedPoints:
         after = explorer.cache.stats()
         assert (factory.kernel_points, factory.scalar_calls) == (4, 0)
         assert (after.hits - before.hits, after.misses - before.misses) == (8, 4)
+
+
+class TestLedgerKeysResolveToRows:
+    """The ledger's known points resolve to grid rows through each
+    axis's value tokens: a sweep never builds a parameter dict or a
+    point key for a row the ledger does not name."""
+
+    def test_100k_grid_asks_params_only_for_the_poison_rows(
+        self, tmp_path, monkeypatch, baseline
+    ):
+        factory = SymmetricMulticoreFactory()
+        grid = ParameterGrid(
+            {"cores": list(range(1, 401)), "f": linear_range(0.5, 0.99, 250)}
+        )
+        points = list(grid)
+        poison = [points[0], points[54_321], points[-1]]
+        ledger = QuarantineLedger(tmp_path / "ledger.log")
+        for params in poison:
+            ledger.record(describe_factory(factory), params, kind="crash", reason="x")
+        asked: list[list[int]] = []
+        params_of = batch._GridIndex.params
+
+        def counting(index, rows):
+            asked.append(rows.tolist())
+            return params_of(index, rows)
+
+        monkeypatch.setattr(batch._GridIndex, "params", counting)
+        result = _explorer(factory, baseline, chunk_size=1024).explore_arrays(
+            grid, quarantine=QuarantineLedger(tmp_path / "ledger.log")
+        )
+        monkeypatch.undo()
+        assert max(map(len, asked)) <= 3
+        assert {row for rows in asked for row in rows} == {0, 54_321, len(grid) - 1}
+        assert result.quarantined == tuple(poison)
+        assert len(result) == len(grid) - 3
+
+    def test_keys_with_the_separator_in_a_string_token(self, tmp_path):
+        """A string value holding the key separator still resolves to
+        exactly its own row."""
+        factory = SymmetricMulticoreFactory()
+        grid = ParameterGrid(
+            {"cores": [1, 2], "f": [0.5, 0.9], "tag": ["a\x1ef=f1", "b"]}
+        )
+        ledger = QuarantineLedger(tmp_path / "ledger.log")
+        poison = {"cores": 2, "f": 0.9, "tag": "a\x1ef=f1"}
+        ledger.record(describe_factory(factory), poison, kind="crash", reason="x")
+        index = batch._GridIndex(grid)
+        session = QuarantineLedger(tmp_path / "ledger.log").session(
+            describe_factory(factory)
+        )
+        rows = index.key_rows(session.known_keys())
+        assert [list(grid)[row] for row in rows.tolist()] == [poison]

@@ -13,8 +13,8 @@ from repro.core.errors import DomainError, ValidationError
 from repro.dse.store import (
     MARKER_NAME,
     ChunkProbe,
+    PointKeys,
     ResultStore,
-    chunk_store_key,
     point_store_key,
 )
 from repro.resilience.chunklog import MAGIC, ChunkLog
@@ -67,8 +67,9 @@ class TestPointKeys:
         assert point_store_key({"x": 0.5}) == point_store_key({"x": 0.5})
 
     def test_chunk_key_depends_on_order(self):
-        keys = [point_store_key({"x": 1.0}), point_store_key({"x": 2.0})]
-        assert chunk_store_key(keys) != chunk_store_key(keys[::-1])
+        chunk = [{"x": 1.0}, {"x": 2.0}]
+        keys = PointKeys.of_params(chunk).to_bytes()
+        assert keys != PointKeys.of_params(chunk[::-1]).to_bytes()
 
 
 class TestMarkerSafety:
@@ -317,6 +318,13 @@ class TestOldFormat:
         with pytest.raises(ValidationError, match="focal-store/1"):
             ResultStore(tmp_path)
 
+    def test_point_key_string_store_raises_naming_it(self, tmp_path):
+        (tmp_path / MARKER_NAME).write_text('{"format":"focal-store/2"}')
+        (tmp_path / "sweeps").mkdir()
+        (tmp_path / "sweeps" / "0123456789abcdef.log").write_bytes(MAGIC)
+        with pytest.raises(ValidationError, match="focal-store/2"):
+            ResultStore(tmp_path)
+
 
 class TestMemoryTier:
     def test_lru_bound_counts_evictions(self, tmp_path):
@@ -481,8 +489,6 @@ class TestMaintenance:
 class TestChunkProbe:
     def test_complete_and_hit_points(self):
         probe = ChunkProbe(
-            keys=["a", "b"],
-            chunk_hash="h",
             outcomes=[object(), object()],
             missing=[],
             memory_points=1,

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from repro.core.design import DesignPoint
-from repro.core.errors import QuarantinedPoint
+from repro.core.errors import DomainError, QuarantinedPoint
 from repro.core.scenario import BALANCED, EMBODIED_DOMINATED
 from repro.dse.batch import BatchExplorer
-from repro.dse.factories import AsymmetricMulticoreFactory, SymmetricMulticoreFactory
+from repro.dse.factories import (
+    AsymmetricMulticoreFactory,
+    DVFSOperatingPointFactory,
+    SymmetricMulticoreFactory,
+)
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.dse.montecarlo import sample_measurement_noise, sample_verdicts
 from repro.dse.store import ResultStore
@@ -113,6 +117,103 @@ class TestWarmResweep:
         assert not engine.store_used
         assert "store reuse" not in engine.summary()
         assert "store_points" not in engine.as_dict()
+
+
+#: One swept design across frequency multipliers (paper §5.8).
+DVFS_GRID = ParameterGrid({"s": linear_range(0.5, 1.5, 11)})
+NAMELESS_CASES = [
+    pytest.param(SymmetricMulticoreFactory(), GRID, id="symmetric"),
+    pytest.param(AsymmetricMulticoreFactory(), ASYM_GRID, id="asymmetric"),
+    pytest.param(
+        DVFSOperatingPointFactory(design=DesignPoint.baseline("edge core")),
+        DVFS_GRID,
+        id="dvfs",
+    ),
+]
+
+
+class TestNamelessRecords:
+    """A vector factory's durable records hold tags and columns, and
+    texts only for invalid rows: a resumed or warm sweep rebuilds the
+    names through the factory's ``design_points`` and equals a cold
+    sweep — designs, params, cache entries (invalid corners keep their
+    messages) and result bytes — without one scalar call."""
+
+    @pytest.mark.parametrize("target", ["checkpoint", "store"])
+    @pytest.mark.parametrize("inner, grid", NAMELESS_CASES)
+    def test_read_back_equals_a_cold_sweep(self, tmp_path, inner, grid, target):
+        counting = CountingFactory(inner)
+        if target == "checkpoint":
+            written = dict(checkpoint=tmp_path / "sweep.ckpt")
+            read = dict(checkpoint=tmp_path / "sweep.ckpt", resume=True)
+        else:
+            written, read = dict(store=ResultStore(tmp_path)), dict(store=tmp_path)
+        _explorer(chunk_size=7, factory=counting).explore_arrays(grid, **written)
+        counting.kernel_points = counting.scalar_calls = 0
+        explorer = _explorer(chunk_size=7, factory=counting)
+        result = explorer.explore_arrays(grid, **read)
+        assert explorer.last_sweep.fresh_points == 0
+        assert (counting.kernel_points, counting.scalar_calls) == (0, 0)
+        cold_explorer = _explorer(chunk_size=7, factory=inner)
+        cold = cold_explorer.explore_arrays(grid)
+        assert result.designs == cold.designs
+        assert result.params == cold.params
+        assert_same_entries(explorer.cache, cold_explorer.cache)
+        _assert_bit_exact(result, cold)
+        assert (counting.kernel_points, counting.scalar_calls) == (0, 0)
+
+    def test_probe_rebuilds_a_nameless_design(self, tmp_path):
+        """The parameter-dict API serves a vector sweep's rows as the
+        factory's own outcomes, names included."""
+        factory = AsymmetricMulticoreFactory()
+        _explorer(chunk_size=5, factory=factory).explore_arrays(
+            ASYM_GRID, store=ResultStore(tmp_path)
+        )
+        chunk = list(ASYM_GRID)[3:9]
+        probe = ResultStore(tmp_path).sweep_session(factory).probe(chunk)
+        assert probe.complete
+        for params, outcome in zip(chunk, probe.outcomes):
+            if params["m"] < params["n"]:
+                assert outcome == factory(params)
+            else:
+                assert isinstance(outcome, DomainError)
+
+    def test_vector_records_carry_no_names(self, tmp_path):
+        """Each record holds a text for every invalid row — its scalar
+        DomainError message — and none for the designs."""
+        from repro.resilience.checkpoint import CheckpointStore, OutcomeRecord
+
+        factory = AsymmetricMulticoreFactory()
+        path = tmp_path / "sweep.ckpt"
+        explorer = _explorer(chunk_size=5, factory=factory)
+        explorer.explore_arrays(ASYM_GRID, checkpoint=path)
+        fingerprint = _fingerprint(factory)
+        state = CheckpointStore(path).load(kind="sweep", fingerprint=fingerprint)
+        outcomes = []
+        for data in state["chunks"]:
+            record = OutcomeRecord(data)
+            assert not record.named
+            outcomes += record.outcomes()
+        for params, outcome in zip(ASYM_GRID, outcomes):
+            if params["m"] < params["n"]:
+                assert outcome is None
+                continue
+            with pytest.raises(DomainError) as scalar:
+                factory(params)
+            assert type(outcome) is DomainError
+            assert str(outcome) == str(scalar.value)
+
+
+def _fingerprint(factory):
+    from repro.resilience.checkpoint import sweep_fingerprint
+
+    return sweep_fingerprint(
+        axes=ASYM_GRID.axes,
+        chunk_size=5,
+        baseline=BASELINE,
+        alpha=EMBODIED_DOMINATED.alpha,
+        factory=factory,
+    )
 
 
 class TestDeltaSweep:
@@ -281,8 +382,8 @@ class TestSameExplorerDurableRows:
     ):
         """An interrupted sweep leaves its completed chunks in the cache;
         resuming it on the same explorer (or re-running a store sweep
-        there) restores rows the cache holds, and builds points only for
-        the chunks it writes."""
+        there) restores rows the cache holds, and builds no point: the
+        chunks it writes are encoded from their columns."""
         factory = AsymmetricMulticoreFactory()
         explorer = _explorer(chunk_size=5, factory=factory)
         explorer.explore_arrays(WARM_GRID)
@@ -291,11 +392,9 @@ class TestSameExplorerDurableRows:
             with pytest.raises(KeyboardInterrupt), interrupt_at_commit(2):
                 explorer.explore_arrays(ASYM_GRID, checkpoint=ckpt)
             durable = dict(checkpoint=ckpt, resume=True)
-            written = list(ASYM_GRID)[10:]  # chunks 2 to 4
         else:
             explorer.explore_arrays(ASYM_GRID, store=ResultStore(tmp_path))
             durable = dict(store=ResultStore(tmp_path))
-            written = []
         built: list = []
         post_init = DesignPoint.__post_init__
 
@@ -305,7 +404,7 @@ class TestSameExplorerDurableRows:
 
         monkeypatch.setattr(DesignPoint, "__post_init__", counting)
         result = explorer.explore_arrays(ASYM_GRID, **durable)
-        assert len(built) == sum(params["n"] > params["m"] for params in written)
+        assert built == []
         assert not explorer.cache._memo
         monkeypatch.undo()
 

@@ -140,6 +140,16 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError, match="focal-checkpoint/1"):
             store.load_or_restart(kind="sweep", fingerprint=FP)
 
+    def test_named_record_log_raises_naming_it(self, store):
+        """A log of the format whose records name every design is
+        refused by name on resume, not silently restarted."""
+        header = canonical_json(
+            {"format": "focal-checkpoint/2", "kind": "sweep", "fingerprint": FP}
+        )
+        ChunkLog(store.path).reset([(HEADER, header.encode())])
+        with pytest.raises(CheckpointError, match="focal-checkpoint/2"):
+            store.load_or_restart(kind="sweep", fingerprint=FP)
+
     def test_coerce(self, tmp_path):
         assert CheckpointStore.coerce(None) is None
         store = CheckpointStore(tmp_path / "a")

@@ -239,6 +239,22 @@ class TestSweepStore:
         assert main(self._sweep(tmp_path)) == 2
         assert "focal-store/1" in capsys.readouterr().err
 
+    def test_v2_store_exits_2_naming_it(self, tmp_path, capsys):
+        (tmp_path / "focal-store.json").write_text('{"format":"focal-store/2"}')
+        assert main(self._sweep(tmp_path)) == 2
+        assert "focal-store/2" in capsys.readouterr().err
+
+    def test_v2_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        from repro.resilience.checkpoint import canonical_json
+        from repro.resilience.chunklog import HEADER, ChunkLog
+
+        old = tmp_path / "sweep.ckpt"
+        header = {"format": "focal-checkpoint/2", "kind": "sweep", "fingerprint": {}}
+        ChunkLog(old).reset([(HEADER, canonical_json(header).encode())])
+        argv = ["sweep", "--max-cores", "8", "--checkpoint", str(old), "--resume"]
+        assert main(argv) == 2
+        assert "focal-checkpoint/2" in capsys.readouterr().err
+
     def test_old_format_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
         old = tmp_path / "sweep.ckpt"
         old.write_text('{"format": "focal-checkpoint/1", "payload": {}}')
@@ -269,6 +285,21 @@ class TestStoreCommand:
         out = capsys.readouterr().out
         assert "sweep" in out
         assert "SymmetricMulticoreFactory" in out
+
+    def test_ls_counts_each_point_once_after_a_delta_sweep(self, tmp_path, capsys):
+        """A 50%-overlap delta sweep re-stores its chunks whole: ``ls``
+        still reports one entry per distinct point, |A u B|."""
+        from repro.dse.store import ResultStore
+
+        store = tmp_path / "store"
+        sweep = ["sweep", "--max-cores", "8", "--store", str(store)]
+        assert main(sweep + ["--fractions", "0.5", "0.9"]) == 0
+        assert main(sweep + ["--fractions", "0.9", "0.99"]) == 0
+        capsys.readouterr()
+        assert main(["store", "ls", str(store)]) == 0
+        (row,) = ResultStore(store).ls()
+        assert row["entries"] == 4 * 3  # cores 1..8 x f {0.5, 0.9, 0.99}
+        assert f" {row['entries']} " in capsys.readouterr().out
 
     def test_ls_empty_store(self, tmp_path, capsys):
         assert main(["store", "ls", str(tmp_path / "absent")]) == 0
