@@ -35,43 +35,7 @@ Quick start::
     print(classify(fsc, ino, alpha=0.8).category)
 """
 
-from .core import (
-    BALANCED,
-    EMBODIED_DOMINATED,
-    OPERATIONAL_DOMINATED,
-    STANDARD_WEIGHTS,
-    CheckpointError,
-    ConfigurationError,
-    ConvergenceError,
-    DesignPoint,
-    DomainError,
-    E2OWeight,
-    Interval,
-    NCFAssessment,
-    NCFBand,
-    ParetoPoint,
-    ReproError,
-    ResilienceError,
-    RobustConclusion,
-    Sustainability,
-    UnknownStudyError,
-    UseScenario,
-    ValidationError,
-    Verdict,
-    WorkerPoolError,
-    assess,
-    classify,
-    classify_pair,
-    classify_values,
-    ncf,
-    ncf_band,
-    ncf_from_ratios,
-    pareto_designs,
-    pareto_frontier,
-    relative_footprint,
-    robust_classification,
-)
-from .studies import all_findings, case_study, run_study, study_names
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -119,3 +83,44 @@ __all__ = [
     "all_findings",
     "case_study",
 ]
+
+#: Subpackages reachable as attributes of the bare package.
+_SUBPACKAGES = (
+    "accel",
+    "act",
+    "amdahl",
+    "cache",
+    "core",
+    "dse",
+    "dvfs",
+    "gating",
+    "lifetime",
+    "microarch",
+    "multichip",
+    "obs",
+    "rebound",
+    "report",
+    "resilience",
+    "speculation",
+    "studies",
+    "technode",
+    "validation",
+    "wafer",
+    "workloads",
+)
+
+# Nothing is imported until first used: ``import repro`` stays cheap,
+# and the NumPy kernels load only with the modules that need them. The
+# study drivers resolve from their own modules, never from a
+# ``repro.studies`` attribute a same-named submodule may have replaced.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        **{name: f".{name}" for name in _SUBPACKAGES},
+        **{name: ".core" for name in __all__ if name != "__version__"},
+        "run_study": ".studies.registry",
+        "study_names": ".studies.registry",
+        "all_findings": ".studies.findings",
+        "case_study": ".studies.case_study",
+    },
+)

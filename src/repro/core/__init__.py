@@ -1,13 +1,7 @@
 """FOCAL's core: design points, scenarios, the NCF metric, and the
 strong/weak/less sustainability classification (paper §3–§4)."""
 
-from .batch import (
-    CATEGORIES,
-    categories_from_codes,
-    category_counts,
-    classify_arrays,
-    ncf_values,
-)
+from .._lazy import lazy_exports
 from .classify import (
     NEUTRAL_ABS_TOL,
     NEUTRAL_REL_TOL,
@@ -118,3 +112,19 @@ __all__ = [
     "CheckpointError",
     "WorkerPoolError",
 ]
+
+# The NumPy kernels load on first access, so the scalar model imports
+# without NumPy.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    dict.fromkeys(
+        (
+            "CATEGORIES",
+            "categories_from_codes",
+            "category_counts",
+            "classify_arrays",
+            "ncf_values",
+        ),
+        ".batch",
+    ),
+)

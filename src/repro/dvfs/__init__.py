@@ -1,13 +1,7 @@
 """Voltage/frequency scaling: DVFS, turbo boost, and iso-power solving
 (paper §5.8, §7)."""
 
-from .batch import (
-    dynamic_energy_factors,
-    dynamic_power_factors,
-    leakage_power_factors,
-    performance_factors,
-    scale_design_arrays,
-)
+from .._lazy import lazy_exports
 from .governor import (
     EnergyModel,
     RaceVsPace,
@@ -48,3 +42,19 @@ __all__ = [
     "performance_factors",
     "scale_design_arrays",
 ]
+
+# The NumPy kernels load on first access, so the scalar model imports
+# without NumPy.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    dict.fromkeys(
+        (
+            "dynamic_energy_factors",
+            "dynamic_power_factors",
+            "leakage_power_factors",
+            "performance_factors",
+            "scale_design_arrays",
+        ),
+        ".batch",
+    ),
+)

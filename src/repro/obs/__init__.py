@@ -35,10 +35,10 @@ pre-instrumented; flip everything on with :func:`enable` or the CLI's
 
 from __future__ import annotations
 
-from . import events, exporters, log, manifest, metrics, trace
+from .._lazy import lazy_exports
+from . import events, log, metrics, trace
 from .log import configure as configure_logging
 from .log import get_logger, kv
-from .manifest import RunManifest, build_manifest, build_report
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
 from .trace import NULL_SPAN, Span, Tracer, get_tracer, span
 
@@ -70,6 +70,20 @@ __all__ = [
     "reset",
     "is_active",
 ]
+
+# The exporters and run manifests load on first access. The rest stays
+# eager: enable()/disable()/reset() reach events, metrics and trace as
+# module globals, which a module __getattr__ does not serve.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "exporters": ".exporters",
+        "manifest": ".manifest",
+        "RunManifest": ".manifest",
+        "build_manifest": ".manifest",
+        "build_report": ".manifest",
+    },
+)
 
 
 def enable(

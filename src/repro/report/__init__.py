@@ -1,16 +1,8 @@
 """Reporting: chart data types, tables, ASCII plots, and exporters."""
 
+from .._lazy import lazy_exports
 from .ascii_plot import PlotCanvas, render_panel, render_series
-from .export import (
-    figure_from_json,
-    figure_to_csv,
-    figure_to_json,
-    figure_to_markdown,
-    read_figure,
-    write_figure,
-)
 from .series import FigureResult, Panel, Point, Series
-from .svg import figure_to_html, render_panel_svg
 from .table import format_mapping_rows, format_table
 
 __all__ = [
@@ -32,3 +24,24 @@ __all__ = [
     "render_panel_svg",
     "figure_to_html",
 ]
+
+# The exporters load on first access: the ASCII and table paths never
+# need them.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        **dict.fromkeys(
+            (
+                "figure_to_csv",
+                "figure_to_json",
+                "figure_to_markdown",
+                "figure_from_json",
+                "write_figure",
+                "read_figure",
+            ),
+            ".export",
+        ),
+        "render_panel_svg": ".svg",
+        "figure_to_html": ".svg",
+    },
+)

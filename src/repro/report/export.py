@@ -16,8 +16,8 @@ import io
 import json
 from pathlib import Path
 
+from .._lazy import lazy_exports
 from ..core.errors import ValidationError
-from ..obs.exporters import metrics_to_jsonl, metrics_to_prometheus, trace_to_jsonl
 from .series import FigureResult
 
 __all__ = [
@@ -33,6 +33,16 @@ __all__ = [
     "write_metrics",
     "write_trace",
 ]
+
+# The observability formatters load on first access, not with the
+# figure exporters.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    dict.fromkeys(
+        ("metrics_to_jsonl", "metrics_to_prometheus", "trace_to_jsonl"),
+        "..obs.exporters",
+    ),
+)
 
 
 def figure_to_csv(figure: FigureResult) -> str:
@@ -181,6 +191,8 @@ def write_metrics(registry, path: str | Path) -> Path:
     """Write a metrics registry to *path*; the suffix picks the format
     — ``.prom``/``.txt`` for Prometheus text exposition, ``.jsonl``
     (or anything else) for JSON-lines."""
+    from ..obs.exporters import metrics_to_jsonl, metrics_to_prometheus
+
     path = Path(path)
     if path.suffix.lower() in (".prom", ".txt"):
         path.write_text(metrics_to_prometheus(registry))
@@ -199,6 +211,7 @@ def write_trace(
     show`` / ``focal trace export`` / ``focal profile`` read) is
     written; without one, just the spans as JSON-lines.
     """
+    from ..obs.exporters import trace_to_jsonl
     from ..obs.manifest import build_report, report_to_json
 
     path = Path(path)

@@ -14,13 +14,19 @@ NCF = 1 guide line.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 from ..core.errors import ValidationError
 from .series import FigureResult, Panel
 
 __all__ = ["render_panel_svg", "figure_to_html"]
+
+
+def _escape(text: str) -> str:
+    """*text* with ``&``, ``<`` and ``>`` escaped; quotes stay as they are."""
+    return html.escape(text, quote=False)
+
 
 #: Categorical palette (colorblind-safe Okabe-Ito subset).
 PALETTE = (
@@ -90,16 +96,16 @@ def render_panel_svg(
         f'font-family="sans-serif" font-size="11">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
-        f'font-size="12" font-weight="bold">{escape(panel.name)}</text>',
+        f'font-size="12" font-weight="bold">{_escape(panel.name)}</text>',
         # plot frame
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#999"/>',
         # axis labels and min/max ticks
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" '
-        f'text-anchor="middle">{escape(panel.x_label)}</text>',
+        f'text-anchor="middle">{_escape(panel.x_label)}</text>',
         f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{escape(panel.y_label)}</text>",
+        f"{_escape(panel.y_label)}</text>",
         f'<text x="{_MARGIN_LEFT}" y="{height - 26}" text-anchor="middle">'
         f"{x_min:.3g}</text>",
         f'<text x="{_MARGIN_LEFT + plot_w}" y="{height - 26}" '
@@ -138,7 +144,7 @@ def render_panel_svg(
             f'<rect x="{lx}" y="{ly - 7}" width="9" height="9" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{lx + 13}" y="{ly + 1}">{escape(series.name)}</text>'
+            f'<text x="{lx + 13}" y="{ly + 1}">{_escape(series.name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -150,13 +156,13 @@ def figure_to_html(figure: FigureResult, **svg_kwargs: object) -> str:
         f'<div class="panel">{render_panel_svg(panel, **svg_kwargs)}</div>'  # type: ignore[arg-type]
         for panel in figure.panels
     )
-    notes_html = "\n".join(f"<li>{escape(note)}</li>" for note in figure.notes)
+    notes_html = "\n".join(f"<li>{_escape(note)}</li>" for note in figure.notes)
     notes_block = f"<ul>{notes_html}</ul>" if figure.notes else ""
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>{escape(figure.figure_id)}</title>
+<title>{_escape(figure.figure_id)}</title>
 <style>
 body {{ font-family: sans-serif; margin: 2em; }}
 .panel {{ display: inline-block; margin: 0.5em; }}
@@ -164,8 +170,8 @@ p.caption {{ max-width: 60em; }}
 </style>
 </head>
 <body>
-<h1>{escape(figure.figure_id)}</h1>
-<p class="caption">{escape(figure.caption)}</p>
+<h1>{_escape(figure.figure_id)}</h1>
+<p class="caption">{_escape(figure.caption)}</p>
 {notes_block}
 {panels_html}
 </body>

@@ -9,18 +9,15 @@ in the same order (transcendental sites route through the exact
 elementwise helpers in :mod:`repro.core.batch`, because NumPy's SIMD
 ``exp``/``expm1`` drift from libm by an ulp on a few percent of
 inputs). A die-area sweep through these kernels therefore produces
-byte-identical curves to the scalar per-point loop it replaces — the
-speedup is free of numerical consequences.
-
-:meth:`repro.wafer.embodied.EmbodiedFootprintModel.sweep` routes
-through :func:`normalized_footprint_array`, so every figure study that
-sweeps die sizes runs columnar automatically.
+byte-identical curves to the scalar per-point loop
+(:meth:`repro.wafer.embodied.EmbodiedFootprintModel.sweep`) — the
+speedup is free of numerical consequences. The figure studies sweep
+too few die sizes to need them and stay scalar, without NumPy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +55,6 @@ __all__ = [
     "good_chips_per_wafer_array",
     "footprint_per_chip_array",
     "normalized_footprint_array",
-    "footprint_sweep",
 ]
 
 _MM2_PER_CM2 = 100.0
@@ -257,18 +253,3 @@ def normalized_footprint_array(
         model, die_areas_mm2
     ) / model.footprint_per_chip(reference_area_mm2)
 
-
-def footprint_sweep(
-    model: EmbodiedFootprintModel,
-    die_areas_mm2: Sequence[float],
-    reference_area_mm2: float = FIGURE1_REFERENCE_AREA_MM2,
-) -> list[tuple[float, float]]:
-    """(die area, normalized footprint) pairs, computed columnar.
-
-    The kernel behind :meth:`EmbodiedFootprintModel.sweep`; areas are
-    echoed back exactly as passed.
-    """
-    values = normalized_footprint_array(model, die_areas_mm2, reference_area_mm2)
-    return [
-        (area, float(value)) for area, value in zip(die_areas_mm2, values)
-    ]

@@ -83,10 +83,13 @@ class EmbodiedFootprintModel:
     ) -> list[tuple[float, float]]:
         """(die area, normalized footprint) pairs for a range of sizes.
 
-        Runs columnar through :func:`repro.wafer.batch.footprint_sweep`
-        (bit-exact with the per-point scalar loop it replaced), so the
-        figure studies sweep die sizes at array speed.
+        Areas are echoed back exactly as passed. The loop is scalar:
+        Figure 1 sweeps a few dozen sizes, far too few for NumPy's
+        import to pay off; :func:`repro.wafer.batch.
+        normalized_footprint_array` is the columnar twin for large
+        sweeps.
         """
-        from .batch import footprint_sweep
-
-        return footprint_sweep(self, die_areas_mm2, reference_area_mm2)
+        return [
+            (area, self.normalized_footprint(area, reference_area_mm2))
+            for area in die_areas_mm2
+        ]

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.design import DesignPoint
@@ -26,7 +26,7 @@ from repro.resilience.faults import CountingFactory
 from ..dse.test_parallel_columnar import assert_same_entries
 
 BASELINE = DesignPoint.baseline("1-BCE single core")
-#: Corners with m >= n are invalid; 2 and 2.0 are one cache key.
+#: Corners with m >= n are invalid; 2 and 2.0 are two cache keys.
 FACTORY = AsymmetricMulticoreFactory()
 VALUES = {
     "n": [2, 3, 4, 8, 2.0, 4.0],
@@ -44,7 +44,8 @@ class _ThreadPool(ThreadPoolExecutor):
 
 
 def _key(params) -> tuple:
-    return tuple(sorted(params.items()))
+    """A point's identity: its values with their types (2 is not 2.0)."""
+    return tuple(sorted((name, type(v).__name__, v) for name, v in params.items()))
 
 
 def _explorer(factory, chunk_size: int, workers: int = 0) -> BatchExplorer:
@@ -76,6 +77,13 @@ def grids(draw) -> ParameterGrid:
     grid=grids(),
     chunk_size=st.integers(1, 12),
     workers=st.sampled_from([0, 2]),
+)
+# 4.0 is not the cached 4: the re-sweep evaluates it fresh.
+@example(
+    warm=ParameterGrid({"n": [8], "m": [1, 2, 4], "f": [0.5]}),
+    grid=ParameterGrid({"n": [8], "m": [1, 2, 4.0], "f": [0.5]}),
+    chunk_size=2,
+    workers=0,
 )
 def test_warm_sweep_gathers_known_rows(warm, grid, chunk_size, workers):
     cold = _explorer(FACTORY, chunk_size).explore_arrays(grid)

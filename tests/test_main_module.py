@@ -2,10 +2,56 @@
 
 from __future__ import annotations
 
+import importlib
+import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
+
+import pytest
 
 import repro
+
+#: Modules whose heavy re-exports load on first attribute access.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.wafer",
+    "repro.amdahl",
+    "repro.dvfs",
+    "repro.report",
+    "repro.obs",
+    "repro.report.export",
+)
+
+#: Modules the paper path (figures and findings) must never import.
+HEAVY_MODULES = (
+    "numpy",
+    "repro.core.batch",
+    "repro.dse.batch",
+    "repro.obs.exporters",
+    "repro.obs.manifest",
+    "urllib.request",
+)
+
+
+def _run_child(code: str) -> str:
+    """Run *code* in a fresh interpreter that imports this checkout's
+    package; returns its stdout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestMainModule:
@@ -49,3 +95,70 @@ class TestPackageMetadata:
         )
         exec(snippet, namespace)  # noqa: S102 - our own documented snippet
         assert namespace["value"] < 1.0
+
+
+class TestImportHygiene:
+    """The paper path imports only what it runs: no NumPy, no engine,
+    no exporters, no urllib (asserted on module names, never timings)."""
+
+    def test_paper_path_leaves_heavy_modules_unloaded(self):
+        commands = [["findings"]]
+        commands += [["figure", f"figure{n}", "--format", "json"] for n in range(1, 10)]
+        commands.append(["figure", "figure3", "--format", "html"])
+        out = _run_child(
+            f"""
+            import contextlib, io, json, sys
+            import repro
+            loaded = {{"import repro": sorted(sys.modules)}}
+            from repro.cli import main
+            for argv in {commands!r}:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert code == 0, argv
+                loaded[" ".join(argv)] = sorted(sys.modules)
+            print(json.dumps(loaded))
+            """
+        )
+        loaded = json.loads(out)
+        assert len(loaded) == len(commands) + 1
+        for step, modules in loaded.items():
+            assert not set(HEAVY_MODULES) & set(modules), step
+
+    def test_studies_resolve_to_functions_after_the_cli_ran(self):
+        out = _run_child(
+            """
+            import contextlib, inspect, io, json
+            import repro.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                repro.cli.main(["findings"])
+            import repro
+            from repro.studies import case_study, figure3
+            from repro.studies.registry import STUDIES
+            values = [repro.case_study, case_study, figure3, STUDIES["figure3"]]
+            print(json.dumps([inspect.isfunction(value) for value in values]))
+            """
+        )
+        assert json.loads(out) == [True] * 4
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+class TestLazyExports:
+    def test_every_exported_name_resolves_and_is_listed(self, name):
+        module = importlib.import_module(name)
+        listed = dir(module)
+        for export in module.__all__:
+            getattr(module, export)  # raises AttributeError if it does not resolve
+            assert export in listed, export
+
+    def test_unknown_name_raises_attribute_error_naming_the_module(self, name):
+        module = importlib.import_module(name)
+        with pytest.raises(AttributeError, match=f"module '{name}' has no attribute"):
+            module.no_such_name  # noqa: B018 - the lookup is the test
+
+    def test_star_import_binds_all(self, name):
+        namespace: dict = {}
+        exec(f"from {name} import *", namespace)  # noqa: S102 - fixed module names
+        module = importlib.import_module(name)
+        assert set(module.__all__) <= set(namespace)
+        for export in module.__all__:
+            assert namespace[export] is getattr(module, export)

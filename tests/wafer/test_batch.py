@@ -13,7 +13,6 @@ from repro.wafer.batch import (
     de_vries_valid_mask,
     die_yield_array,
     footprint_per_chip_array,
-    footprint_sweep,
     good_chips_per_wafer_array,
     gross_dies_array,
     murphy_yield_array,
@@ -158,15 +157,13 @@ class TestFootprintKernels:
             model.normalized_footprint(float(a), 100.0) for a in AREAS
         ]
 
-    def test_footprint_sweep_matches_per_point_calls(self, model):
-        pairs = footprint_sweep(model, AREAS.tolist(), 100.0)
-        assert pairs == [
-            (a, model.normalized_footprint(a, 100.0)) for a in AREAS.tolist()
-        ]
+    def test_model_sweep_matches_normalized_footprint_array(self, model):
+        values = normalized_footprint_array(model, AREAS, 100.0)
+        pairs = model.sweep(AREAS.tolist(), 100.0)
+        assert pairs == list(zip(AREAS.tolist(), values.tolist()))
 
-    def test_model_sweep_routes_through_kernel(self, model):
-        # EmbodiedFootprintModel.sweep is the public columnar entry point.
+    def test_model_sweep_echoes_areas_and_self_normalizes(self, model):
         areas = [100.0, 200.0, 400.0]
-        assert model.sweep(areas, 100.0) == footprint_sweep(model, areas, 100.0)
+        assert [area for area, _ in model.sweep(areas, 100.0)] == areas
         values = dict(model.sweep(areas, 100.0))
         assert values[100.0] == 1.0  # self-normalization stays exact
