@@ -38,7 +38,7 @@ from repro.core.design import DesignPoint
 from repro.core.errors import ConfigurationError
 from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse import parallel
-from repro.dse.batch import BatchExplorer, FactoryCache, _GridIndex
+from repro.dse.batch import BatchExplorer, FactoryCache, _GridIndex, params_key
 from repro.dse.factories import IterativeFixedPointFactory
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.obs import events as obs_events
@@ -97,24 +97,32 @@ def factory(params):
 
 
 def uninstrumented_count_categories(explorer: BatchExplorer, grid: ParameterGrid):
-    """``BatchExplorer.count_categories`` exactly as shipped in PR 1,
-    before the observability hooks existed (same cache, same kernels)."""
+    """``BatchExplorer.count_categories`` as shipped in PR 1, before the
+    observability hooks existed (same cache, same kernels), with the
+    cache's current key format: each axis's :func:`params_key` items
+    (``(name, value, int)`` on an int axis) are made once, and every
+    row's key is assembled from them in name order."""
     from repro.core.errors import DomainError
 
     cache = explorer.cache
     entries = cache._entries
     names = list(grid.axes)
     slots = sorted(range(len(names)), key=names.__getitem__)
+    items = [
+        [params_key({name: value})[0] for value in grid.axes[name]]
+        for name in names
+    ]
     designs = []
     hits = 0
     misses = 0
-    for combo in product(*(grid.axes[name] for name in names)):
-        key = tuple([(names[i], combo[i]) for i in slots])
+    for combo in product(*items):
+        key = tuple([combo[i] for i in slots])
         outcome = entries.get(key)
         if outcome is None:
             misses += 1
             try:
-                outcome = explorer.factory(dict(zip(names, combo)))
+                params = {name: item[1] for name, item in zip(names, combo)}
+                outcome = explorer.factory(params)
             except DomainError as exc:
                 outcome = exc
             entries[key] = outcome
@@ -203,7 +211,11 @@ def write_trajectory():
 
 def test_parity_instrumented_vs_uninstrumented(explorer, emit):
     """Numerical parity gate: tracing on or off never changes results."""
+    size, misses = len(explorer.cache), explorer.cache.stats().misses
     expected = uninstrumented_count_categories(explorer, GRID)
+    # The reference reads the shipped path's cache: every row hits.
+    assert len(explorer.cache) == size
+    assert explorer.cache.stats().misses == misses
     assert explorer.count_categories(GRID) == expected
 
     plain = explorer.explore_arrays(GRID)

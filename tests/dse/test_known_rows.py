@@ -13,7 +13,7 @@ import pytest
 from repro.core.errors import QuarantinedPoint
 from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse import batch
-from repro.dse.batch import BatchExplorer
+from repro.dse.batch import BatchExplorer, params_key
 from repro.dse.factories import SymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid, linear_range
 from repro.dse.store import ResultStore
@@ -118,8 +118,7 @@ class TestMixedSources:
         assert explorer.last_sweep.fresh_points == 0
         assert explorer.last_sweep.store_points == len(GRID) - 1
         assert counting.kernel_points == counting.scalar_calls == 0
-        key = tuple(sorted(poison.items()))
-        assert isinstance(explorer.cache.lookup(key), QuarantinedPoint)
+        assert isinstance(explorer.cache.lookup(params_key(poison)), QuarantinedPoint)
         # Part ledger, part store: the poisoned chunk is a delta chunk.
         stats = explorer.last_sweep
         assert (stats.store_chunks, stats.delta_chunks) == (-(-len(GRID) // 4) - 1, 1)

@@ -9,7 +9,7 @@ import pytest
 from repro.core.design import DesignPoint
 from repro.core.errors import DomainError, QuarantinedPoint
 from repro.core.scenario import BALANCED, EMBODIED_DOMINATED
-from repro.dse.batch import BatchExplorer
+from repro.dse.batch import BatchExplorer, params_key
 from repro.dse.factories import (
     AsymmetricMulticoreFactory,
     DVFSOperatingPointFactory,
@@ -435,10 +435,10 @@ class TestSameExplorerDurableRows:
         assert sorted(map(str, result.quarantined)) == sorted(map(str, poison))
         assert result.quarantined == expected.quarantined
         assert not explorer.cache._memo
-        keys = {tuple(sorted(params.items())) for params in [*WARM_GRID, *ASYM_GRID]}
+        keys = {params_key(params) for params in [*WARM_GRID, *ASYM_GRID]}
         assert len(explorer.cache) == len(keys)
         for params in poison:
-            marker = explorer.cache.lookup(tuple(sorted(params.items())))
+            marker = explorer.cache.lookup(params_key(params))
             assert isinstance(marker, QuarantinedPoint)
         assert_same_entries(explorer.cache, reference.cache)
 
