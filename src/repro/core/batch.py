@@ -9,7 +9,7 @@ provides the NumPy kernels those hot paths run on:
   footprint ratios and alphas;
 * :func:`classify_arrays` — the strong/weak/less/neutral verdict for
   whole arrays of NCF pairs, including the neutral-boundary tolerance;
-* :func:`category_counts` — the category histogram via ``np.bincount``.
+* :func:`category_counts` — the category histogram of those codes.
 
 The kernels are bit-exact with their scalar counterparts
 (:func:`repro.core.ncf.ncf_from_ratios` and
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Category for each code returned by :func:`classify_arrays`. The order
-#: is load-bearing: ``np.bincount`` over codes counts in this order.
+#: is load-bearing: :func:`category_counts` counts in this order.
 CATEGORIES: tuple[Sustainability, ...] = (
     Sustainability.STRONG,
     Sustainability.WEAK,
@@ -104,16 +104,60 @@ def ncf_values(
     return alpha * area + (1.0 - alpha) * op
 
 
+#: Category code for each pair of per-axis signs (-1 below NCF = 1, 0 on
+#: it, +1 above), at index ``3 * fw + ft + 4``: the rules of
+#: :func:`~repro.core.classify.classify_values`.
+_CODE_TABLE = np.array(
+    [
+        _STRONG, _STRONG, _WEAK,  # fw = -1; ft = -1, 0, +1
+        _STRONG, _NEUTRAL, _LESS,  # fw = 0
+        _WEAK, _LESS, _LESS,  # fw = +1
+    ],
+    dtype=np.int8,
+)
+
+
 def _boundary_signs(values: np.ndarray, rel_tol: float, abs_tol: float) -> np.ndarray:
-    """Per-element sign vs the NCF = 1 boundary: -1 below, 0 on, +1 above.
+    """Per-element ``int8`` sign of 1-D *values* vs the NCF = 1
+    boundary: -1 below, 0 on, +1 above.
 
     Mirrors ``close(value, 1.0)`` from :mod:`repro.core.quantities`,
     i.e. ``math.isclose``: on-boundary means
     ``|v - 1| <= max(rel_tol * max(|v|, 1), abs_tol)``.
+
+    The comparison signs cost two passes; the tolerance test runs only
+    on the values inside ``[1 - 2t, 1 + 4t]`` with
+    ``t = max(rel_tol, abs_tol)``, which holds every on-boundary value
+    when ``t < 0.25`` (for larger ``t`` the test runs on every value).
+    Proof: the tolerance is at most ``t * max(|v|, 1)``, and its one
+    rounded product ``rel_tol * |v|`` is at most ``2**-53`` above the
+    exact one. Below 1, ``max(|v|, 1) = 1`` for ``v`` in ``[-1, 1]``, so
+    an on-boundary ``v`` has ``1 - v <= t`` (``1 - v`` is exact for
+    ``v`` in ``[0.5, 1]`` and at least 0.5 > t below it; for
+    ``v < -1``, ``|v - 1| > |v| > t * |v|``), hence ``v >= 1 - t``.
+    Above 1, ``v - 1 <= t * v * (1 + 2**-53)`` gives
+    ``v <= 1 / (1 - t (1 + 2**-53)) < 1 + 4t / 3 (1 + 2**-52)`` for
+    ``t < 0.25`` (``v - 1`` is exact for ``v`` in ``[1, 2]``, and no
+    larger ``v`` passes). Both bounds sit strictly inside the real
+    interval ``[1 - 2t, 1 + 4t]``, and rounding is monotone, so a double
+    inside the real interval is inside the computed endpoints too. A
+    negative or NaN ``t`` makes every tolerance negative or NaN: no
+    value is on the boundary, and the bracket is empty.
     """
-    tolerance = np.maximum(rel_tol * np.maximum(np.abs(values), 1.0), abs_tol)
-    signs = np.where(values < 1.0, -1, 1).astype(np.int8)
-    signs[np.abs(values - 1.0) <= tolerance] = 0
+    signs = np.greater(values, 1.0).view(np.int8)
+    signs -= np.less(values, 1.0).view(np.int8)
+    t = max(rel_tol, abs_tol)
+    if t >= 0.25:
+        near = np.arange(values.size)
+    else:
+        band = np.greater_equal(values, 1.0 - 2.0 * t)
+        band &= np.less_equal(values, 1.0 + 4.0 * t)
+        near = np.flatnonzero(band)
+        if not near.size:
+            return signs
+    candidates = values[near]
+    tolerance = np.maximum(rel_tol * np.maximum(np.abs(candidates), 1.0), abs_tol)
+    signs[near[np.abs(candidates - 1.0) <= tolerance]] = 0
     return signs
 
 
@@ -129,46 +173,47 @@ def classify_arrays(
     Returns an ``int8`` array of category codes indexing
     :data:`CATEGORIES`; decode with :func:`categories_from_codes` or
     histogram with :func:`category_counts`. Values within the tolerance
-    of 1 are neutral on that axis, exactly as in the scalar path.
+    of 1 are neutral on that axis, exactly as in the scalar path. Each
+    axis reduces to a sign (see :func:`_boundary_signs`) and the code is
+    one lookup of the sign pair in a 9-entry table.
     """
     fw_arr, ft_arr = np.broadcast_arrays(
         np.asarray(ncf_fw, dtype=np.float64),
         np.asarray(ncf_ft, dtype=np.float64),
     )
     for name, arr in (("ncf_fw", fw_arr), ("ncf_ft", ft_arr)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            index, value = _first_bad(arr, bad)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            index, value = _first_bad(arr, ~finite)
             raise ValidationError(
                 f"{name} values must be finite, got {value!r} (flat index "
                 f"{index}); NaN/Inf NCFs cannot be classified"
             )
-    fw = _boundary_signs(fw_arr, rel_tol, abs_tol)
-    ft = _boundary_signs(ft_arr, rel_tol, abs_tol)
-    return np.select(
-        [
-            (fw == 0) & (ft == 0),
-            (fw <= 0) & (ft <= 0),
-            (fw >= 0) & (ft >= 0),
-        ],
-        [_NEUTRAL, _STRONG, _LESS],
-        default=_WEAK,
-    ).astype(np.int8)
+    # Flat views (a copy only for broadcast inputs): on 0-d arrays the
+    # ufuncs would return NumPy scalars, which cannot be updated in place.
+    index = _boundary_signs(fw_arr.reshape(-1), rel_tol, abs_tol)
+    index *= 3
+    index += _boundary_signs(ft_arr.reshape(-1), rel_tol, abs_tol)
+    index += 4
+    # Every index is in range, and mode="clip" skips take()'s per-element
+    # negative-index handling (~4x faster).
+    return _CODE_TABLE.take(index, mode="clip").reshape(fw_arr.shape)
 
 
 def category_counts(codes: object) -> dict[Sustainability, int]:
-    """Histogram of :func:`classify_arrays` codes via ``np.bincount``.
+    """Histogram of :func:`classify_arrays` codes, one ``count_nonzero``
+    per code (no widening of the int8 codes).
 
-    Every category appears as a key, including zero-count ones.
+    Every category appears as a key, including zero-count ones. A code
+    outside ``[0, 3]`` raises :class:`ValidationError`.
     """
-    counts = np.bincount(
-        np.asarray(codes, dtype=np.int64).ravel(), minlength=len(CATEGORIES)
-    )
-    if len(counts) > len(CATEGORIES):
+    arr = np.asarray(codes)
+    counts = [int(np.count_nonzero(arr == code)) for code in range(len(CATEGORIES))]
+    if sum(counts) != arr.size:
         raise ValidationError(
             f"category codes must lie in [0, {len(CATEGORIES) - 1}]"
         )
-    return {category: int(counts[code]) for code, category in enumerate(CATEGORIES)}
+    return dict(zip(CATEGORIES, counts))
 
 
 def categories_from_codes(codes: object) -> list[Sustainability]:

@@ -179,6 +179,67 @@ def _point_fields(point: DesignPoint) -> dict:
 #: concatenated codes are byte-identical to the serial draw.
 _MC_MIN_SPAN = 64
 
+#: Samples per draw → NCF → classify block. At 16 Ki samples a float64
+#: column is 128 KiB, so a block's ~1 MiB of columns and classifier
+#: temporaries stays in a core's L2 cache from pass to pass instead of
+#: streaming through memory, and a sampler's memory no longer grows
+#: with its sample count beyond the int8 codes. (16-64 Ki measured
+#: within ~10 % of each other; smaller blocks pay per-block call
+#: overhead, see docs/PERFORMANCE.md.) Generator streams are
+#: split-invariant, so the block size changes no code and no generator
+#: state.
+_BLOCK = 16 * 1024
+
+
+def _verdict_codes(
+    rng: np.random.Generator,
+    count: int,
+    lo: float,
+    hi: float,
+    area: float,
+    energy: float,
+    power: float,
+) -> np.ndarray:
+    """Codes of the next *count* ``sample_verdicts`` samples of *rng*,
+    drawn and classified one :data:`_BLOCK` at a time (the serial draw
+    and every worker shard). A degenerate band, ``hi == lo``, draws no
+    variates at all."""
+    codes = np.empty(count, dtype=np.int8)
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
+        alphas = rng.uniform(lo, hi, size=n) if hi > lo else np.full(n, lo)
+        weighted = alphas * area
+        rest = 1.0 - alphas
+        codes[start : start + n] = classify_arrays(
+            weighted + rest * energy, weighted + rest * power
+        )
+    return codes
+
+
+def _noise_codes(
+    noise_at: Callable[[int, int], np.ndarray],
+    count: int,
+    alpha: float,
+    area_ratio: float,
+    energy_ratio: float,
+    power_ratio: float,
+) -> np.ndarray:
+    """Codes of *count* ``sample_measurement_noise`` samples, one
+    :data:`_BLOCK` at a time; ``noise_at(start, n)`` returns the
+    ``(n, 3)`` area/energy/power noise of samples ``[start, start + n)``
+    (drawn from the generator serially, sliced from the parent's draw
+    in a worker shard)."""
+    codes = np.empty(count, dtype=np.int8)
+    rest = 1.0 - alpha
+    for start in range(0, count, _BLOCK):
+        noise = noise_at(start, min(_BLOCK, count - start))
+        weighted = alpha * (area_ratio * noise[:, 0])
+        codes[start : start + len(noise)] = classify_arrays(
+            weighted + rest * (energy_ratio * noise[:, 1]),
+            weighted + rest * (power_ratio * noise[:, 2]),
+        )
+    return codes
+
 
 def _verdict_shard(job: tuple) -> np.ndarray:
     """Worker-side draw+classify for one ``sample_verdicts`` shard.
@@ -193,15 +254,10 @@ def _verdict_shard(job: tuple) -> np.ndarray:
     seed, start, count, lo, hi, area, energy, power = job
     buf = _events.get_buffer()
     t0 = buf.now() if buf.enabled else 0.0
+    rng = np.random.default_rng(seed)
     if hi > lo:
-        rng = np.random.default_rng(seed)
         rng.bit_generator.advance(start)
-        alphas = rng.uniform(lo, hi, size=count)
-    else:
-        alphas = np.full(count, lo)
-    ncf_fw = alphas * area + (1.0 - alphas) * energy
-    ncf_ft = alphas * area + (1.0 - alphas) * power
-    codes = classify_arrays(ncf_fw, ncf_ft)
+    codes = _verdict_codes(rng, count, lo, hi, area, energy, power)
     if buf.enabled:
         # Spill-only transport: the reply stays a bare codes array so
         # checkpointed streams remain bit-exact at any worker count.
@@ -229,12 +285,14 @@ def _noise_shard(job: tuple) -> np.ndarray:
     noise, alpha, area_ratio, energy_ratio, power_ratio = job
     buf = _events.get_buffer()
     t0 = buf.now() if buf.enabled else 0.0
-    area = area_ratio * noise[:, 0]
-    energy = energy_ratio * noise[:, 1]
-    power = power_ratio * noise[:, 2]
-    ncf_fw = alpha * area + (1.0 - alpha) * energy
-    ncf_ft = alpha * area + (1.0 - alpha) * power
-    codes = classify_arrays(ncf_fw, ncf_ft)
+    codes = _noise_codes(
+        lambda start, n: noise[start : start + n],
+        len(noise),
+        alpha,
+        area_ratio,
+        energy_ratio,
+        power_ratio,
+    )
     if buf.enabled:
         buf.add(
             "mc.shard",
@@ -423,14 +481,7 @@ def sample_verdicts(
                 if hi > lo:
                     rng.bit_generator.advance(count)
                 return np.concatenate(parts)
-            alphas = (
-                rng.uniform(lo, hi, size=count)
-                if hi > lo
-                else np.full(count, lo)
-            )
-            ncf_fw = alphas * area + (1.0 - alphas) * energy
-            ncf_ft = alphas * area + (1.0 - alphas) * power
-            return classify_arrays(ncf_fw, ncf_ft)
+            return _verdict_codes(rng, count, lo, hi, area, energy, power)
 
         try:
             codes, store_samples = _checkpointed_codes(
@@ -532,8 +583,8 @@ def sample_measurement_noise(
         )
 
         def draw(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
-            noise = rng.lognormal(mean=0.0, sigma=sigma_log, size=(count, 3))
             if pool is not None and count > 1:
+                noise = rng.lognormal(mean=0.0, sigma=sigma_log, size=(count, 3))
                 jobs = [
                     (noise[span_lo:span_hi], alpha,
                      area_ratio, energy_ratio, power_ratio)
@@ -542,12 +593,14 @@ def sample_measurement_noise(
                     )
                 ]
                 return np.concatenate(pool.run(_noise_shard, jobs))
-            area = area_ratio * noise[:, 0]
-            energy = energy_ratio * noise[:, 1]
-            power = power_ratio * noise[:, 2]
-            ncf_fw = alpha * area + (1.0 - alpha) * energy
-            ncf_ft = alpha * area + (1.0 - alpha) * power
-            return classify_arrays(ncf_fw, ncf_ft)
+            return _noise_codes(
+                lambda _, n: rng.lognormal(mean=0.0, sigma=sigma_log, size=(n, 3)),
+                count,
+                alpha,
+                area_ratio,
+                energy_ratio,
+                power_ratio,
+            )
 
         try:
             codes, store_samples = _checkpointed_codes(

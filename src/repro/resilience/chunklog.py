@@ -136,6 +136,20 @@ def _scan(
     return records, offset, None
 
 
+def _pread(fd: int, size: int, offset: int) -> bytes:
+    """*size* bytes of *fd* from *offset* on, fewer only at end of file
+    (one ``pread`` returns at most ~2 GiB)."""
+    parts = []
+    while size > 0:
+        part = os.pread(fd, size, offset)
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+        offset += len(part)
+    return b"".join(parts)
+
+
 class ChunkLog:
     """One append-only record file. ``end`` is the offset just past the
     last record verified or written; ``0`` means there is no usable log
@@ -144,13 +158,19 @@ class ChunkLog:
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.end = 0
+        # The locked descriptor while a commit() runs: read() and
+        # append() use it instead of reopening the path.
+        self._fd: int | None = None
 
     def read(self) -> tuple[list[tuple[int, bytes]], str | None]:
         """Every verified ``(kind, payload)`` record and the damage that
         ended the scan (``None`` for a clean or missing file)."""
         self.end = 0
         try:
-            data = self.path.read_bytes()
+            if self._fd is None:
+                data = self.path.read_bytes()
+            else:
+                data = _pread(self._fd, os.fstat(self._fd).st_size, 0)
         except FileNotFoundError:
             return [], None
         if not data.startswith(MAGIC):
@@ -191,12 +211,18 @@ class ChunkLog:
         since this handle last read are handed to *adopt* first, never
         overwritten: the whole commit holds an exclusive ``flock`` on
         the file, so no other handle, in this process or another, can
-        append between the adoption and this append. Returns bytes
-        written."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            records = self.tail() if self.end else ()
+        append between the adoption and this append. The lock, the
+        check for other writers' records and the append share one file
+        descriptor. Returns bytes written."""
+        try:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            self._fd = fd
+            records = self._tail(fd) if self.end else ()
             fresh = [body for kind, body in records if kind == CHUNK]
             if not self.end:  # another writer may have started the file
                 fresh, _ = self.open(header)
@@ -205,21 +231,19 @@ class ChunkLog:
             if self.end:
                 return self.append([(CHUNK, payload)])
             return self.reset([(HEADER, header), (CHUNK, payload)])
+        finally:
+            self._fd = None
+            os.close(fd)
 
-    def tail(self) -> list[tuple[int, bytes]]:
+    def _tail(self, fd: int) -> list[tuple[int, bytes]]:
         """Verified records another writer appended past :attr:`end`,
-        which advances over them. A vanished file, or one cut shorter
-        (started over), resets :attr:`end` to ``0``."""
-        try:
-            with open(self.path, "rb") as handle:
-                if handle.seek(0, os.SEEK_END) < self.end:
-                    self.end = 0
-                    return []
-                handle.seek(self.end)
-                records, used, _ = _scan(handle.read())
-        except FileNotFoundError:
+        which advances over them. A file cut shorter (started over)
+        resets :attr:`end` to ``0``."""
+        size = os.fstat(fd).st_size
+        if size < self.end:
             self.end = 0
             return []
+        records, used, _ = _scan(_pread(fd, size - self.end, self.end))
         self.end += used
         return records
 
@@ -257,7 +281,7 @@ class ChunkLog:
         size = sum(map(len, parts))
 
         def write() -> None:
-            fd = os.open(self.path, os.O_RDWR)
+            fd = os.open(self.path, os.O_RDWR) if self._fd is None else self._fd
             try:
                 if os.lseek(fd, 0, os.SEEK_END) != self.end:
                     os.ftruncate(fd, self.end)
@@ -265,7 +289,8 @@ class ChunkLog:
                     raise OSError(errno.EIO, "short write")
                 os.fsync(fd)
             finally:
-                os.close(fd)
+                if self._fd is None:
+                    os.close(fd)
 
         retry_disk_write(self.path, write)
         self.end += size

@@ -156,6 +156,12 @@ class TestClassifyArrays:
     def test_codes_are_int8(self):
         assert classify_arrays([0.5], [0.5]).dtype == np.int8
 
+    def test_scalar_inputs_give_a_0d_array(self):
+        codes = classify_arrays(0.5, 0.9)
+        assert type(codes) is np.ndarray
+        assert codes.shape == () and codes.dtype == np.int8
+        assert categories_from_codes(codes) == [Sustainability.STRONG]
+
 
 class TestCategoryCounts:
     def test_matches_scalar_histogram(self, rng):
@@ -180,6 +186,12 @@ class TestCategoryCounts:
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValidationError):
             category_counts([7])
+
+    def test_rejects_negative_codes(self):
+        with pytest.raises(ValidationError, match="must lie in"):
+            category_counts([-1])
+        with pytest.raises(ValidationError, match="must lie in"):
+            category_counts(np.array([0, -1, 3], dtype=np.int8))
 
 
 class TestCategories:
