@@ -1151,7 +1151,7 @@ class _KnownRows:
         self, record: _SweepColumns, state: _SweepState, durable: np.ndarray, size: int
     ) -> None:
         """Ask the store about every chunk's rows no checkpoint or ledger
-        claimed (a restored chunk is never asked), and tally its answer
+        claimed (no *durable* row is asked), and tally its answer
         chunk by chunk. A chunk asked whole is looked up by the digest of
         its key columns; every other asked row is matched in one
         sort-join over the grid. No key is built per row."""
@@ -1160,10 +1160,9 @@ class _KnownRows:
         keys = self.keys = GridKeys(index)
         total = index.total
         asked = ~durable
-        asked[: len(state.restored) * size] = False
         tiers = {"memory": 0, "disk": 0}
         runs: list[tuple[int, list[OutcomeRecord]]] = []  # whole hits, by run
-        for chunk in range(len(state.restored), -(-total // size)):
+        for chunk in range(-(-total // size)):
             lo = chunk * size
             hi = min(lo + size, total)
             if not asked[lo:hi].all():

@@ -26,11 +26,10 @@ axis value of its grid is encoded once (:class:`GridKeys`), a chunk is
 looked up by the digest of its key bytes, and any other rows are
 matched against every stored key in one vectorized sort-join.
 
-Two tiers: an in-process LRU over decoded outcome chunks (bounded,
-stats-instrumented like :class:`~repro.dse.batch.CacheStats`), and an
-on-disk tier of append-only run files
+The store is its append-only run files
 (:class:`~repro.resilience.chunklog.ChunkLog`), one per factory or
-sampler fingerprint::
+sampler fingerprint; a sweep session or sampler run holds the records
+it opened, so nothing is cached beside them::
 
     focal-store.json   # marker: {"format": "focal-store/3"}
     sweeps/<fp>.log    # header {factory}; per stored chunk: key digest,
@@ -59,7 +58,6 @@ import json
 import os
 import shutil
 import struct
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -335,14 +333,15 @@ class StoreStats:
 
     Hits and misses count *entries served* — grid points for sweep
     probes, samples for Monte-Carlo segments — mirroring how
-    :class:`~repro.dse.batch.CacheStats` counts lookups.
+    :class:`~repro.dse.batch.CacheStats` counts lookups. A hit is a
+    disk hit the first time a sweep session or sampler run reads its
+    record, and a memory hit after that, or once it wrote the record.
     """
 
     memory_hits: int
     disk_hits: int
     misses: int
     corrupt: int
-    memory_evictions: int
     objects_written: int
     segments_written: int
     bytes_read: int
@@ -351,7 +350,7 @@ class StoreStats:
 
     @property
     def hits(self) -> int:
-        """Entries served from either tier."""
+        """Entries served, from disk or memory."""
         return self.memory_hits + self.disk_hits
 
     @property
@@ -404,15 +403,15 @@ class ChunkProbe:
 
 @dataclass
 class _SegmentRun:
-    """One sampler fingerprint's run file and its decoded segments,
-    keyed by ``(start, count)``."""
+    """One sampler fingerprint's run file, its decoded segments keyed by
+    ``(start, count)``, and the ones this run already served or wrote."""
 
-    fp: str
     log: ChunkLog
     header: bytes
     segments: dict[tuple[int, int], tuple[np.ndarray, dict]] = field(
         default_factory=dict
     )
+    served: set[tuple[int, int]] = field(default_factory=set)
 
     def adopt(self, record: bytes) -> None:
         start, codes, state = decode_segment(record)
@@ -432,21 +431,10 @@ class ResultStore:
         directory that is not a store — the marker file guards ``gc``
         and plain writes alike from clobbering unrelated data — and a
         store of an older format.
-    max_memory_entries:
-        LRU bound of the in-process tier, in decoded chunk records /
-        Monte-Carlo segments (not points).
     """
 
-    def __init__(
-        self, root: str | os.PathLike, *, max_memory_entries: int = 64
-    ) -> None:
-        if max_memory_entries < 0:
-            raise ValidationError(
-                f"max_memory_entries must be >= 0, got {max_memory_entries}"
-            )
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.max_memory_entries = max_memory_entries
-        self._memory: OrderedDict[tuple, object] = OrderedDict()
         self._runs: dict[str, _SegmentRun] = {}
         self._counts = dict.fromkeys(_COUNTERS, 0)
         self._disk_disabled = False
@@ -467,11 +455,12 @@ class ResultStore:
         return StoreStats(**self._counts, disk_fallback=self._disk_disabled)
 
     def reset(self) -> None:
-        """Zero the counters (keeps the memory tier)."""
+        """Zero the counters (keeps what sessions and runs hold)."""
         self._counts = dict.fromkeys(_COUNTERS, 0)
 
     def _count(self, memory: int = 0, disk: int = 0, misses: int = 0) -> None:
-        """Tally entries served from each tier and entries missed."""
+        """Tally entries served from memory and disk, and entries
+        missed."""
         for tier, n in (("memory", memory), ("disk", disk)):
             if n:
                 self._counts[f"{tier}_hits"] += n
@@ -499,27 +488,7 @@ class ResultStore:
             "damaged result-store records discarded (recomputed)",
         )
 
-    # -- memory tier ---------------------------------------------------
-    def _memory_get(self, key: tuple):
-        entry = self._memory.get(key)
-        if entry is not None:
-            self._memory.move_to_end(key)
-        return entry
-
-    def _memory_put(self, key: tuple, value: object) -> None:
-        if self.max_memory_entries == 0:
-            return
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-            self._counts["memory_evictions"] += 1
-            _metrics.count(
-                "focal_store_memory_evictions_total",
-                "decoded entries evicted from the store's LRU tier",
-            )
-
-    # -- disk tier -----------------------------------------------------
+    # -- run files -----------------------------------------------------
     def _marked(self, verb: str) -> bool:
         """Whether the root holds a store (``False`` for an absent or
         empty directory); :class:`ValidationError` for a foreign
@@ -575,11 +544,11 @@ class ResultStore:
 
         Transient disk faults (EIO/ENOSPC) are retried inside
         :func:`~repro.resilience.chunklog.retry_disk_write`; when the
-        retry budget is exhausted the store degrades to memory-only for
-        the rest of the process instead of failing the sweep — reads
-        keep working, writes become no-ops (returning ``False``), and
-        the degradation is visible in stats and
-        ``focal_store_disk_fallback_total``.
+        retry budget is exhausted the store stops writing for the rest
+        of the process instead of failing the sweep — reads keep
+        working, sessions and runs keep what they computed, writes
+        become no-ops (returning ``False``), and the degradation is
+        visible in stats and ``focal_store_disk_fallback_total``.
         """
         if self._disk_disabled:
             return False
@@ -598,12 +567,12 @@ class ResultStore:
                     "store.disk_fallback",
                     path=str(log.path),
                     error=str(exc),
-                    action="store degraded to memory-only tier",
+                    action="store writes disabled for this process",
                 )
             )
             _metrics.count(
                 "focal_store_disk_fallback_total",
-                "result stores degraded to memory-only after disk faults",
+                "result stores that stopped writing after disk faults",
             )
             return False
         self._counts["bytes_written"] += written
@@ -628,7 +597,7 @@ class ResultStore:
                 {"format": STORE_FORMAT, "fingerprint": fingerprint}
             ).encode("utf-8")
             log, records = self._open_log(self.root / "mc" / f"{fp}.log", header)
-            run = self._runs[fp] = _SegmentRun(fp, log, header)
+            run = self._runs[fp] = _SegmentRun(log, header)
             for record in records:
                 run.adopt(record)
         return run
@@ -639,16 +608,14 @@ class ResultStore:
         """One stored sampler segment: ``(codes, post-segment rng
         state)``, or ``None`` when the store has nothing usable."""
         run = self._segment_run(fingerprint)
-        memo_key = ("mc", run.fp, start, count)
-        entry = self._memory_get(memo_key)
-        if entry is not None:
+        entry = run.segments.get((start, count))
+        if entry is None:
+            self._count(misses=count)
+            return None
+        if (start, count) in run.served:
             self._count(memory=count)
         else:
-            entry = run.segments.get((start, count))
-            if entry is None:
-                self._count(misses=count)
-                return None
-            self._memory_put(memo_key, entry)
+            run.served.add((start, count))
             self._count(disk=count)
         codes, state = entry
         return np.array(codes), state
@@ -669,8 +636,8 @@ class ResultStore:
         self._append(run.log, run.header, record, run.adopt)
         entry = (np.asarray(codes, dtype=np.int8), dict(rng_state))
         run.segments[(start, count)] = entry
+        run.served.add((start, count))
         self._counts["segments_written"] += 1
-        self._memory_put(("mc", run.fp, start, count), entry)
 
     # -- maintenance ---------------------------------------------------
     def _run_files(self) -> list[tuple[str, Path]]:
@@ -779,7 +746,6 @@ class ResultStore:
                 )
                 victim.unlink(missing_ok=True)
         after = _tree_bytes(self.root)
-        self._memory.clear()
         self._runs.clear()
         report.update(freed_bytes=max(0, before - after), bytes=after)
         return report
@@ -861,10 +827,12 @@ class SweepStoreSession:
             {"format": STORE_FORMAT, "factory": self.factory}
         ).encode("utf-8")
         # Per record: its payload and digest; digest -> record; the
-        # join's stored key columns by axis names (None until a join
-        # needs them) and the text ids they share.
+        # records read as columns so far, by index; the join's stored
+        # key columns by axis names (None until a join needs them) and
+        # the text ids they share.
         self._records: list[tuple[bytes, bytes]] = []
         self._chunks: dict[bytes, int] = {}
+        self._loaded: dict[int, OutcomeRecord] = {}
         self._stored: dict[tuple, tuple[np.ndarray, ...]] | None = None
         self._texts: dict[str, int] = {}
         self._probed = False
@@ -948,16 +916,15 @@ class SweepStoreSession:
         return self._stored
 
     def load(self, index: int) -> tuple[OutcomeRecord, str]:
-        """Record *index*'s outcomes read as columns (LRU'd per
-        process), and the tier that served them."""
-        record, digest = self._records[index]
-        memo_key = ("sweep", self.fp, digest)
-        cached = self.store._memory_get(memo_key)
-        if cached is not None:
-            return cached, "memory"
+        """Record *index*'s outcomes read as columns, and the tier that
+        served them: ``"disk"`` the first time this session reads the
+        record, ``"memory"`` after that or once it wrote the record."""
+        stored = self._loaded.get(index)
+        if stored is not None:
+            return stored, "memory"
+        record, _ = self._records[index]
         (size,) = struct.unpack_from("<I", record, 16)
-        stored = OutcomeRecord(record, _RECORD.size + size)
-        self.store._memory_put(memo_key, stored)
+        stored = self._loaded[index] = OutcomeRecord(record, _RECORD.size + size)
         return stored, "disk"
 
     def count(self, memory: int = 0, disk: int = 0, misses: int = 0) -> None:
@@ -1030,9 +997,8 @@ class SweepStoreSession:
         if self.store._append(self._log, self._header, record, self._adopt):
             self.store._counts["objects_written"] += 1
         self._adopt(record)
-        self.store._memory_put(
-            ("sweep", self.fp, digest),
-            OutcomeRecord(record, _RECORD.size + len(block)),
+        self._loaded[len(self._records) - 1] = OutcomeRecord(
+            record, _RECORD.size + len(block)
         )
 
     def flush(self) -> None:

@@ -39,8 +39,8 @@ speedup: with serial time ``s`` and total compute ``c``, a perfect
 ceiling the current pool should be measured against.
 
 Sweeps recorded with reuse telemetry (any store-backed run) also carry
-a point-provenance section: how many grid points came from the store's
-memory tier, its disk tier, the in-process factory memo, and fresh
+a point-provenance section: how many grid points the store served from
+memory and from disk, the in-process factory memo, and fresh
 evaluation — so a "suspiciously fast" sweep is explained rather than
 mis-attributed to compute.
 """

@@ -104,15 +104,6 @@ def atomic_write_text(
     retry_disk_write(path, write, sleep=sleep)
 
 
-class _CorruptCheckpoint(CheckpointError):
-    """Internal marker: the file is damaged (vs. merely mismatched).
-
-    ``load_or_restart`` recovers from damage by restarting cold; a
-    fingerprint/kind mismatch is a configuration error and always
-    propagates as a plain :class:`CheckpointError`.
-    """
-
-
 def canonical_json(payload: object) -> str:
     """The canonical serialization fingerprints are compared and hashed
     over (checkpoint headers, result-store run files, quarantine
@@ -153,17 +144,17 @@ def sha256_hex(text: str) -> str:
 
 
 class CheckpointStore:
-    """One checkpoint log with append-only commits and verified loads."""
+    """One checkpoint log with append-only commits and verified loads.
+
+    The store keeps no copy of the records: :meth:`load` returns them
+    and :meth:`commit` appends one."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self._log = ChunkLog(self.path)
-        # The run the log holds once this store wrote or loaded it — its
-        # (kind, fingerprint object) — that run's chunk records, and how
-        # many of them the log holds.
+        # The run the log holds once this store wrote or loaded it: its
+        # kind and fingerprint object.
         self._run: tuple | None = None
-        self._chunks: list[bytes] = []
-        self._written = 0
 
     @classmethod
     def coerce(
@@ -185,76 +176,56 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Saving
     # ------------------------------------------------------------------
-    def _same_run(self, kind: str, fingerprint: Mapping) -> bool:
-        """Whether the log holds the run with this very *fingerprint*
-        object (an identity check, so no per-chunk re-serialization)."""
-        run = self._run
-        return run is not None and run[0] == kind and run[1] is fingerprint
-
     def save(self, *, kind: str, fingerprint: Mapping, state: Mapping) -> None:
-        """Commit *state* — ``{"chunks": [record bytes, ...]}``.
-
-        A state extending this run's written records by whole records
-        (how runs grow it, see :meth:`commit`) costs one append and one
-        ``fsync`` of the new ones — and no pass over the old ones when
-        the state is this store's own record list, which :meth:`commit`
-        grows in place. Any other state starts the file over. Transient
-        disk faults (EIO/ENOSPC) are retried with bounded backoff; a
-        write that still fails raises :class:`CheckpointError`.
+        """Start the file over with *state* — ``{"chunks": [record
+        bytes, ...]}`` — in one write and one ``fsync``. Transient disk
+        faults (EIO/ENOSPC) are retried with bounded backoff; a write
+        that still fails raises :class:`CheckpointError`.
         """
         if list(state) != ["chunks"]:
             raise CheckpointError(
                 "checkpoint state must be {'chunks': [record bytes, ...]}, "
                 f"got keys {sorted(state)}"
             )
-        chunks = state["chunks"]
-        done = self._written if self._same_run(kind, fingerprint) else 0
-        try:
-            if done and (
-                chunks is self._chunks or chunks[:done] == self._chunks[:done]
-            ):
-                self._log.append([(CHUNK, chunk) for chunk in chunks[done:]])
-            else:
-                header = canonical_json(
-                    {
-                        "format": CHECKPOINT_FORMAT,
-                        "kind": kind,
-                        "fingerprint": fingerprint,
-                    }
-                )
-                self._log.reset(
-                    [(HEADER, header.encode("utf-8"))]
-                    + [(CHUNK, chunk) for chunk in chunks]
-                )
-        except OSError as exc:
-            self._run = None
-            raise CheckpointError(
-                f"checkpoint {self.path} could not be written: {exc}"
-            ) from exc
-        if chunks is not self._chunks:
-            self._chunks = list(chunks)
-        self._run, self._written = (kind, fingerprint), len(chunks)
+        self._write(kind, fingerprint, state["chunks"], append=False)
 
     def commit(self, *, kind: str, fingerprint: Mapping, record: bytes) -> bool:
-        """Save this run's records plus one chunk *record*: the record
-        list grows in place and the save appends the one record (one
-        write, one ``fsync``, however many chunks the run committed) —
-        or a new run's log starts with it.
+        """Append one chunk *record* (one write, one ``fsync``, however
+        many chunks the run committed) when this store wrote or loaded
+        this *kind* with this very *fingerprint* object — an identity
+        check, so no per-chunk re-serialization — and otherwise start
+        the file over with it.
 
         Returns ``False`` (logged) when the checkpoint cannot be
         written: a dead checkpoint must not kill a live run, which
         continues without checkpointing.
         """
-        chunks = self._chunks if self._same_run(kind, fingerprint) else []
-        chunks.append(record)
+        run = self._run
+        same = run is not None and run[0] == kind and run[1] is fingerprint
         try:
-            self.save(kind=kind, fingerprint=fingerprint, state={"chunks": chunks})
+            self._write(kind, fingerprint, [record], append=same)
         except CheckpointError as exc:
             get_logger().warning(
                 kv("checkpoint.disabled", path=str(self.path), error=str(exc))
             )
             return False
         return True
+
+    def _write(
+        self, kind: str, fingerprint: Mapping, chunks: Sequence[bytes], *, append: bool
+    ) -> None:
+        records = [(CHUNK, chunk) for chunk in chunks]
+        try:
+            if append:
+                self._log.append(records)
+            else:
+                self._log.reset([(HEADER, _header(kind, fingerprint)), *records])
+        except OSError as exc:
+            self._run = None
+            raise CheckpointError(
+                f"checkpoint {self.path} could not be written: {exc}"
+            ) from exc
+        self._run = (kind, fingerprint)
 
     # ------------------------------------------------------------------
     # Loading
@@ -265,7 +236,7 @@ class CheckpointStore:
         fingerprint mismatch)."""
         chunks, damage = self._read(kind, fingerprint)
         if damage is not None:
-            raise _CorruptCheckpoint(f"checkpoint {self.path}: {damage}")
+            raise CheckpointError(f"checkpoint {self.path}: {damage}")
         return {"chunks": chunks}
 
     def load_or_restart(self, *, kind: str, fingerprint: Mapping) -> dict | None:
@@ -273,7 +244,7 @@ class CheckpointStore:
 
         A missing file, or a damaged header, starts cold. A torn or
         corrupt record is dropped with everything after it and the whole
-        records before it are returned; the next save truncates the
+        records before it are returned; the next commit truncates the
         damage. Damage is logged and counted in
         ``focal_checkpoint_corrupt_total``. A *fingerprint mismatch* or
         an older-format file still raises: that is a configuration error
@@ -281,10 +252,9 @@ class CheckpointStore:
         """
         if not self.path.exists():
             return None
-        try:
-            chunks, damage = self._read(kind, fingerprint)
-        except _CorruptCheckpoint as exc:
-            self._note_corrupt(str(exc))
+        chunks, damage = self._read(kind, fingerprint)
+        if chunks is None:
+            self._note_corrupt(damage)
             return None
         if damage is not None:
             self._note_corrupt(
@@ -301,27 +271,30 @@ class CheckpointStore:
             "damaged checkpoint records discarded on resume",
         )
 
-    def _read(self, kind: str, fingerprint: Mapping) -> tuple[list[bytes], str | None]:
-        """The verified chunk records and the damage after them."""
+    def _read(
+        self, kind: str, fingerprint: Mapping
+    ) -> tuple[list[bytes] | None, str | None]:
+        """The verified chunk records and the damage after them, or
+        ``None`` and the damage when the header itself is unusable.
+
+        The header is checked by its bytes. Only a header that differs
+        is parsed, to tell an older format, another kind or another
+        fingerprint (each a :class:`CheckpointError`) from damage."""
+        self._run = None
         try:
             records, damage = self._log.read()
         except OSError as exc:
             raise CheckpointError(f"checkpoint {self.path} unreadable: {exc}")
+        if records[:1] == [(HEADER, _header(kind, fingerprint))]:
+            self._run = (kind, fingerprint)
+            return [payload for _, payload in records[1:]], damage
         if not records:
             if not self.path.exists():
                 raise CheckpointError(f"checkpoint {self.path} does not exist")
             if self._log.legacy(_OLD_FORMAT):
-                raise CheckpointError(
-                    f"checkpoint {self.path} is a {_OLD_FORMAT} JSON file "
-                    "from an older version; this version reads "
-                    f"{CHECKPOINT_FORMAT} logs only — delete it or point "
-                    "--checkpoint at a fresh path"
-                )
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} has no readable header "
-                f"({damage or 'empty log'})"
-            )
-        (head_kind, head), *rest = records
+                raise self._older(_OLD_FORMAT, "JSON file")
+            return None, f"no readable header ({damage or 'empty log'})"
+        head_kind, head = records[0]
         try:
             header = json.loads(head) if head_kind == HEADER else {}
         except ValueError:
@@ -329,31 +302,37 @@ class CheckpointStore:
         if not isinstance(header, dict):
             header = {}
         if header.get("format") == _NAMED_FORMAT:
-            raise CheckpointError(
-                f"checkpoint {self.path} is a {_NAMED_FORMAT} log from an older "
-                f"version; this version reads {CHECKPOINT_FORMAT} logs only — "
-                "delete it or point --checkpoint at a fresh path"
-            )
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} has no {CHECKPOINT_FORMAT} header"
-            )
-        if header.get("kind") != kind:
-            raise CheckpointError(
-                f"checkpoint {self.path} holds a {header.get('kind')!r} "
-                f"run, expected {kind!r}"
-            )
-        if canonical_json(header.get("fingerprint")) != canonical_json(fingerprint):
-            raise CheckpointError(
-                f"checkpoint {self.path} was written by a different run "
-                "configuration (grid/chunk-size/baseline/weight/factory "
-                "fingerprint mismatch); delete it or point --checkpoint "
-                "at a fresh path"
-            )
-        chunks = [payload for _, payload in rest]
-        self._run, self._chunks = (kind, fingerprint), list(chunks)
-        self._written = len(chunks)
-        return chunks, damage
+            raise self._older(_NAMED_FORMAT, "log")
+        if header.get("format") == CHECKPOINT_FORMAT:
+            if header.get("kind") != kind:
+                raise CheckpointError(
+                    f"checkpoint {self.path} holds a {header.get('kind')!r} "
+                    f"run, expected {kind!r}"
+                )
+            if canonical_json(header.get("fingerprint")) != canonical_json(
+                fingerprint
+            ):
+                raise CheckpointError(
+                    f"checkpoint {self.path} was written by a different run "
+                    "configuration (grid/chunk-size/baseline/weight/factory "
+                    "fingerprint mismatch); delete it or point --checkpoint "
+                    "at a fresh path"
+                )
+        return None, f"no {CHECKPOINT_FORMAT} header for this run"
+
+    def _older(self, tag: str, what: str) -> CheckpointError:
+        return CheckpointError(
+            f"checkpoint {self.path} is a {tag} {what} from an older version; "
+            f"this version reads {CHECKPOINT_FORMAT} logs only — delete it or "
+            "point --checkpoint at a fresh path"
+        )
+
+
+def _header(kind: str, fingerprint: Mapping) -> bytes:
+    """The header record of a *kind* run with *fingerprint*."""
+    return canonical_json(
+        {"format": CHECKPOINT_FORMAT, "kind": kind, "fingerprint": fingerprint}
+    ).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

@@ -87,8 +87,8 @@ def retry_disk_write(
     to :data:`DISK_RETRIES` times with doubling backoff, counting
     ``focal_disk_retry_total``. A persistent or non-transient
     ``OSError`` propagates: checkpoints then raise
-    :class:`~repro.core.errors.CheckpointError`, the result store falls
-    back to its memory tier."""
+    :class:`~repro.core.errors.CheckpointError`, the result store stops
+    writing."""
     for attempt in range(DISK_RETRIES + 1):
         try:
             if _disk_fault_hook is not None:

@@ -154,20 +154,21 @@ def test_kill_and_resume_writes_the_uninterrupted_bytes(
     run, _ = sampler
     whole = tmp_path / "whole.ckpt"
     reference = run(samples, checkpoint=whole, checkpoint_every=every)
-    # With one segment the kill lands after the last save: the resume
+    # With one segment the kill lands after the last commit: the resume
     # then replays a complete checkpoint.
-    saves = {"n": 0}
-    real_save = CheckpointStore.save
+    commits = {"n": 0}
+    real_commit = CheckpointStore.commit
 
     def killed_after_first(self, **kwargs):
-        real_save(self, **kwargs)
-        saves["n"] += 1
-        if saves["n"] == 1:
+        committed = real_commit(self, **kwargs)
+        commits["n"] += 1
+        if commits["n"] == 1:
             raise Killed()
+        return committed
 
     killed = tmp_path / "killed.ckpt"
     with monkeypatch.context() as patch:
-        patch.setattr(CheckpointStore, "save", killed_after_first)
+        patch.setattr(CheckpointStore, "commit", killed_after_first)
         with pytest.raises(Killed):
             run(samples, checkpoint=killed, checkpoint_every=every)
     assert len(_chunk_records(killed)) == 1

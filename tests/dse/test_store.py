@@ -96,10 +96,6 @@ class TestMarkerSafety:
         assert ResultStore.coerce(store) is store
         assert ResultStore.coerce(tmp_path).root == store.root
 
-    def test_negative_lru_bound_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            ResultStore(tmp_path, max_memory_entries=-1)
-
 
 class TestSweepSession:
     def test_unknown_chunk_all_missing(self, tmp_path):
@@ -327,23 +323,6 @@ class TestOldFormat:
 
 
 class TestMemoryTier:
-    def test_lru_bound_counts_evictions(self, tmp_path):
-        store = ResultStore(tmp_path, max_memory_entries=1)
-        session = _session(store)
-        for start in (0, 10, 20):
-            chunk = _chunk(2, offset=start)
-            session.put(chunk, _outcomes(chunk))
-        assert store.stats().memory_evictions == 2
-
-    def test_zero_bound_disables_memory_tier(self, tmp_path):
-        store = ResultStore(tmp_path, max_memory_entries=0)
-        session = _session(store)
-        chunk = _chunk(2)
-        session.put(chunk, _outcomes(chunk))
-        probe = session.probe(chunk)
-        assert probe.complete
-        assert probe.disk_points == 2  # served from disk even in-process
-
     def test_stats_reset_keeps_contents(self, tmp_path):
         store = ResultStore(tmp_path)
         session = _session(store)
@@ -369,6 +348,18 @@ class TestSegments:
         assert np.array_equal(got_codes, codes)
         assert got_state == state
         assert fresh.stats().disk_hits == 4
+
+    def test_second_read_or_own_write_is_a_memory_hit(self, tmp_path):
+        """A run serves a segment from disk once, then from memory; a
+        segment it wrote is a memory hit at once."""
+        codes = np.zeros(4, dtype=np.int8)
+        ResultStore(tmp_path).save_segment(self.FP, 0, 4, codes, {"s": 1})
+        reader = ResultStore(tmp_path)
+        reader.load_segment(self.FP, 0, 4)
+        reader.load_segment(self.FP, 0, 4)
+        reader.save_segment(self.FP, 4, 4, codes, {"s": 2})
+        reader.load_segment(self.FP, 4, 4)
+        assert (reader.stats().disk_hits, reader.stats().memory_hits) == (4, 8)
 
     def test_wrong_position_misses(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -8,6 +8,7 @@ sweep killed at any point resumes to the cold sweep's bytes."""
 
 from __future__ import annotations
 
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -15,18 +16,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.design import DesignPoint
+from repro.core.errors import CheckpointError
 from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse import batch
 from repro.dse.batch import BatchExplorer
 from repro.dse.factories import AsymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid
+from repro.dse.montecarlo import sample_measurement_noise, sample_verdicts
 from repro.dse.store import ResultStore
 from repro.obs import metrics
-from repro.resilience import QuarantineLedger
+from repro.resilience import CheckpointStore, QuarantineLedger
+from repro.resilience.checkpoint import canonical_json
 from repro.resilience.chunklog import MAGIC, ChunkLog
 
 from ..dse.test_parallel_columnar import assert_same_entries
@@ -234,3 +238,157 @@ def test_resume_after_kill_matches_a_cold_sweep(data):
         resumed = explorer.explore_arrays(grid, **durable)
     _assert_same_sweep(resumed, explorer, cold, cold_explorer)
     assert explorer.last_sweep.fresh_points == len(grid) - (k // chunk_size) * chunk_size
+
+
+# ----------------------------------------------------------------------
+# The samplers' logs: a checkpoint and a store segment run file
+# ----------------------------------------------------------------------
+MC_DESIGN = DesignPoint("edge", area=1.1, perf=1.0, power=0.6)
+MC_BASELINE = DesignPoint.baseline("baseline")
+MC_SAMPLES = 3000
+
+
+def _sample(sampler: str, **kwargs):
+    if sampler == "verdicts":
+        return sample_verdicts(
+            MC_DESIGN, MC_BASELINE, EMBODIED_DOMINATED,
+            samples=MC_SAMPLES, seed=5, **kwargs,
+        )
+    return sample_measurement_noise(
+        MC_DESIGN, MC_BASELINE, EMBODIED_DOMINATED.alpha,
+        samples=MC_SAMPLES, seed=5, **kwargs,
+    )
+
+
+@st.composite
+def damaged_sampler_runs(draw):
+    return {
+        "sampler": draw(st.sampled_from(["verdicts", "noise"])),
+        "every": draw(st.sampled_from([700, 1000, 3000])),
+        "target": draw(st.sampled_from(["checkpoint", "store"])),
+        "kind": draw(st.sampled_from(["truncate", "flip"])),
+        "where": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "bit": draw(st.integers(0, 7)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=damaged_sampler_runs())
+def test_sampler_log_damage_is_redrawn_never_returned(run):
+    """Truncate a sampler's checkpoint or store segment log at any byte,
+    or flip any bit of it: the resumed or store-backed run gives the
+    uninterrupted run's probabilities and leaves the log it finishes
+    byte-identical to the undamaged one."""
+    reference = _sample(run["sampler"])
+    with tempfile.TemporaryDirectory() as root:
+        if run["target"] == "checkpoint":
+            path = Path(root) / "mc.ckpt"
+            _sample(run["sampler"], checkpoint=path, checkpoint_every=run["every"])
+            durable = dict(checkpoint=path, resume=True)
+        else:
+            _sample(
+                run["sampler"], store=ResultStore(root), checkpoint_every=run["every"]
+            )
+            (path,) = Path(root).glob("mc/*.log")
+            durable = dict(store=ResultStore(root))
+        finished = path.read_bytes()
+        assert len(_record_ends(finished)) == 1 + -(-MC_SAMPLES // run["every"])
+        _damage(path, run)
+        resumed = _sample(run["sampler"], checkpoint_every=run["every"], **durable)
+        assert resumed == reference
+        assert path.read_bytes() == finished
+
+
+# ----------------------------------------------------------------------
+# Checkpoint headers are compared by their bytes
+# ----------------------------------------------------------------------
+_LEAVES = st.one_of(
+    st.floats(),  # NaN, -0.0 and the infinities included
+    st.just(-0.0),
+    st.just(float("nan")),
+    st.integers(),
+    st.integers(2**63, 2**200),
+    st.booleans(),
+    st.none(),
+    st.text(st.characters(min_codepoint=0x80), max_size=4),
+    st.text(max_size=4),
+)
+_FINGERPRINTS = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(  # containers are never empty: every path ends in a leaf
+        _LEAVES,
+        lambda inner: st.lists(inner, min_size=1, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, min_size=1, max_size=3),
+        max_leaves=8,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _rebuilt(value):
+    """An equal value built separately: new containers, numbers
+    re-parsed from their text."""
+    if isinstance(value, dict):
+        return {"".join(key): _rebuilt(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rebuilt(item) for item in value]
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return int(str(value))
+    if isinstance(value, float):
+        return float.fromhex(value.hex())
+    return "".join(value)
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for at, item in enumerate(value):
+            yield from _leaf_paths(item, (*path, at))
+    else:
+        yield path
+
+
+def _replaced(value, path, leaf):
+    if not path:
+        return leaf
+    head, *rest = path
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[head] = _replaced(value[head], rest, leaf)
+    return copy
+
+
+@settings(max_examples=200, deadline=None)
+@given(fingerprint=_FINGERPRINTS, data=st.data())
+def test_checkpoint_header_bytes_match_the_parsed_comparison(fingerprint, data):
+    """A header written from one fingerprint object resumes under an
+    equal fingerprint built separately, and refuses one that differs in
+    any single leaf — exactly where the canonical JSON of the parsed
+    header and of the fingerprint agree or differ."""
+    chunks = [b"\x00" * 5, b"\x01" * 7]
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "run.ckpt"
+        CheckpointStore(path).save(
+            kind="montecarlo", fingerprint=fingerprint, state={"chunks": chunks}
+        )
+        records, _ = ChunkLog(path).read()
+        stored = json.loads(records[0][1])["fingerprint"]
+        equal = _rebuilt(fingerprint)
+        assert canonical_json(stored) == canonical_json(equal)
+        assert CheckpointStore(path).load_or_restart(
+            kind="montecarlo", fingerprint=equal
+        ) == {"chunks": chunks}
+
+        where = data.draw(st.sampled_from(list(_leaf_paths(fingerprint))))
+        leaf = data.draw(_LEAVES)
+        changed = _replaced(fingerprint, where, leaf)
+        assume(canonical_json(changed) != canonical_json(fingerprint))
+        assert canonical_json(stored) != canonical_json(changed)
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            CheckpointStore(path).load_or_restart(
+                kind="montecarlo", fingerprint=changed
+            )

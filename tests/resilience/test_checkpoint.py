@@ -294,3 +294,45 @@ class TestFingerprints:
 class SweepFactory:
     def __repr__(self) -> str:
         return "SweepFactory()"
+
+
+class TestRunWithoutResume:
+    """A run without ``resume`` over an existing checkpoint starts the
+    file over: whatever the file held, the run ends with a fresh run's
+    bytes."""
+
+    @pytest.fixture(params=["sweep", "sampler"])
+    def run(self, request, make_explorer, grid):
+        from repro.core.scenario import BALANCED
+        from repro.dse.grid import ParameterGrid
+        from repro.dse.montecarlo import sample_verdicts
+
+        design = DesignPoint("candidate", area=1.2, perf=1.4, power=1.1)
+        baseline = DesignPoint.baseline("baseline")
+        other_grid = ParameterGrid({"cores": [1, 2, 3], "f": [0.5]})
+
+        def run(path, *, other=False):
+            if request.param == "sweep":
+                return make_explorer().explore_arrays(
+                    other_grid if other else grid, checkpoint=path
+                ).designs
+            return sample_verdicts(
+                design, baseline, BALANCED, samples=5000, seed=2 if other else 1,
+                checkpoint=path, checkpoint_every=1000,
+            )
+
+        return run
+
+    @pytest.mark.parametrize("existing", ["same run", "another run", "damaged"])
+    def test_final_bytes_equal_a_fresh_run(self, run, existing, tmp_path):
+        fresh = tmp_path / "fresh.ckpt"
+        expected = run(fresh)
+        path = tmp_path / "run.ckpt"
+        run(path, other=existing == "another run")
+        if existing == "damaged":
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x10
+            path.write_bytes(bytes(data))
+        assert path.read_bytes() != fresh.read_bytes() or existing == "same run"
+        assert run(path) == expected
+        assert path.read_bytes() == fresh.read_bytes()

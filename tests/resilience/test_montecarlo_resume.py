@@ -29,19 +29,20 @@ def mc_baseline() -> DesignPoint:
 
 @pytest.fixture
 def kill_after(monkeypatch):
-    """Kill the sampler after its Nth checkpoint save."""
+    """Kill the sampler after its Nth checkpoint commit."""
 
     def arm(count: int):
-        saves = {"n": 0}
-        real_save = CheckpointStore.save
+        commits = {"n": 0}
+        real_commit = CheckpointStore.commit
 
         def bombed(self, **kwargs):
-            real_save(self, **kwargs)
-            saves["n"] += 1
-            if saves["n"] == count:
+            committed = real_commit(self, **kwargs)
+            commits["n"] += 1
+            if commits["n"] == count:
                 raise Killed()
+            return committed
 
-        monkeypatch.setattr(CheckpointStore, "save", bombed)
+        monkeypatch.setattr(CheckpointStore, "commit", bombed)
 
     return arm
 
