@@ -18,6 +18,10 @@ Each pool pass interleaves the two kernels shard by shard and times
 every shard inside the worker, so pool scheduling, load imbalance and
 host drift hit both kernels alike; a kernel's time is the sum over
 shards of each shard's fastest round.
+Without pytest-benchmark's own timing (``--benchmark-disable``), the
+serial pair is timed the same way: the uninstrumented and disabled
+re-sweeps alternate within each of :data:`SERIAL_ROUNDS` rounds (their
+order flipping each round), and each keeps its fastest round.
 Numerical parity is asserted at both operating points — instrumented
 results (traced or not, and under injected worker faults) are
 bit-identical to the uninstrumented engine. The module writes
@@ -57,6 +61,7 @@ GRID = ParameterGrid(
 )  # 10,000 points — the PR 1 sweep
 BASELINE = DesignPoint.baseline("1-BCE single core")
 OVERHEAD_GATE = 0.05  # disabled instrumentation must cost < 5%
+SERIAL_ROUNDS = 30  # interleaved rounds of the serial pair, by hand
 
 #: The parallel-columnar operating point: the PR 5 shard kernel on a
 #: live pool, small enough to round-trip in seconds on a busy CI box
@@ -171,15 +176,37 @@ def _best_of(fn, rounds: int = 5) -> float:
     return best
 
 
-def _record(key: str, benchmark, fallback) -> None:
-    """Store mean + min runtimes; time by hand on --benchmark-disable."""
+def _interleaved_best(runs, rounds: int = SERIAL_ROUNDS) -> list[float]:
+    """Per callable in *runs*, its fastest of *rounds* rounds. Every
+    round runs each callable once, their order flipping each round, so
+    host drift hits them alike."""
+    best = [float("inf")] * len(runs)
+    for round_ in range(rounds):
+        for k in range(len(runs))[:: -1 if round_ % 2 else 1]:
+            start = time.perf_counter()
+            runs[k]()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best
+
+
+def _store(key: str, mean: float, best: float) -> None:
+    _RESULTS[f"{key}_mean_s"] = mean
+    _RESULTS[f"{key}_min_s"] = best
+
+
+def _record(key: str, benchmark, fallback=None) -> None:
+    """Store pytest-benchmark's mean + min runtimes. On
+    --benchmark-disable, time *fallback* by hand (best of 5), or leave
+    the key to :func:`test_resweep_overhead_interleaved` if none."""
     try:
-        _RESULTS[f"{key}_mean_s"] = float(benchmark.stats.stats.mean)
-        _RESULTS[f"{key}_min_s"] = float(benchmark.stats.stats.min)
+        mean = float(benchmark.stats.stats.mean)
+        best = float(benchmark.stats.stats.min)
     except (AttributeError, TypeError):
-        best = _best_of(fallback)
-        _RESULTS[f"{key}_mean_s"] = best
-        _RESULTS[f"{key}_min_s"] = best
+        if fallback is not None:
+            best = mean = _best_of(fallback)
+            _store(key, mean, best)
+        return
+    _store(key, mean, best)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -246,21 +273,21 @@ def _counts_str(counts) -> str:
 
 
 def test_resweep_uninstrumented(benchmark, explorer, emit):
-    run = lambda: uninstrumented_count_categories(explorer, GRID)
-    counts = benchmark(run)
-    _record("uninstrumented", benchmark, run)
+    counts = benchmark(lambda: uninstrumented_count_categories(explorer, GRID))
+    _record("uninstrumented", benchmark)
     assert sum(counts.values()) == len(GRID)
-    emit(f"uninstrumented warm re-sweep: {_RESULTS['uninstrumented_min_s'] * 1e3:.2f} ms (min)")
+    if "uninstrumented_min_s" in _RESULTS:
+        emit(f"uninstrumented warm re-sweep: {_RESULTS['uninstrumented_min_s'] * 1e3:.2f} ms (min)")
 
 
 def test_resweep_instrumentation_disabled(benchmark, explorer, emit):
     assert not obs_trace.is_enabled()
     assert not obs_metrics.get_registry().enabled
-    run = lambda: explorer.count_categories(GRID)
-    counts = benchmark(run)
-    _record("disabled", benchmark, run)
+    counts = benchmark(lambda: explorer.count_categories(GRID))
+    _record("disabled", benchmark)
     assert sum(counts.values()) == len(GRID)
-    emit(f"instrumented (disabled) re-sweep: {_RESULTS['disabled_min_s'] * 1e3:.2f} ms (min)")
+    if "disabled_min_s" in _RESULTS:
+        emit(f"instrumented (disabled) re-sweep: {_RESULTS['disabled_min_s'] * 1e3:.2f} ms (min)")
 
 
 def test_resweep_instrumentation_enabled(benchmark, explorer, emit):
@@ -276,6 +303,26 @@ def test_resweep_instrumentation_enabled(benchmark, explorer, emit):
         obs_metrics.reset()
     assert sum(counts.values()) == len(GRID)
     emit(f"instrumented (enabled) re-sweep: {_RESULTS['enabled_min_s'] * 1e3:.2f} ms (min)")
+
+
+def test_resweep_overhead_interleaved(explorer, emit):
+    """The serial gate's pair timed by hand, interleaved round by round
+    (runs without --benchmark-only, which skips tests that take no
+    benchmark fixture; its timings replace the pair's)."""
+    assert not obs_trace.is_enabled()
+    assert not obs_metrics.get_registry().enabled
+    plain, shipped = _interleaved_best(
+        (
+            lambda: uninstrumented_count_categories(explorer, GRID),
+            lambda: explorer.count_categories(GRID),
+        )
+    )
+    _store("uninstrumented", plain, plain)
+    _store("disabled", shipped, shipped)
+    emit(
+        f"serial re-sweep, interleaved: uninstrumented {plain * 1e3:.2f} ms, "
+        f"disabled {shipped * 1e3:.2f} ms (min of {SERIAL_ROUNDS})"
+    )
 
 
 # ----------------------------------------------------------------------

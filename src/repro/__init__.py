@@ -110,17 +110,14 @@ _SUBPACKAGES = (
 )
 
 # Nothing is imported until first used: ``import repro`` stays cheap,
-# and the NumPy kernels load only with the modules that need them. The
-# study drivers resolve from their own modules, never from a
-# ``repro.studies`` attribute a same-named submodule may have replaced.
+# and the NumPy kernels load only with the modules that need them.
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         **{name: f".{name}" for name in _SUBPACKAGES},
         **{name: ".core" for name in __all__ if name != "__version__"},
-        "run_study": ".studies.registry",
-        "study_names": ".studies.registry",
-        "all_findings": ".studies.findings",
-        "case_study": ".studies.case_study",
+        **dict.fromkeys(
+            ("run_study", "study_names", "all_findings", "case_study"), ".studies"
+        ),
     },
 )

@@ -1,25 +1,19 @@
 """Last-level-cache sustainability study (paper §5.5, Figure 6)."""
 
-from .cacti import CACTI_65NM_LLC, CactiCacheModel
-from .hierarchy import PAPER_LLC_WORKLOAD, CachedProcessor, MemoryBoundWorkload
-from .llc_study import (
-    PAPER_LLC_SIZES_MB,
-    LLCPoint,
-    classify_llc,
-    llc_sweep,
-)
-from .missrate import SQRT2_RULE, MissRateModel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CactiCacheModel",
-    "CACTI_65NM_LLC",
-    "MissRateModel",
-    "SQRT2_RULE",
-    "MemoryBoundWorkload",
-    "PAPER_LLC_WORKLOAD",
-    "CachedProcessor",
-    "LLCPoint",
-    "llc_sweep",
-    "classify_llc",
-    "PAPER_LLC_SIZES_MB",
-]
+# Every name loads with its module on first access.
+_EXPORTS = {
+    **dict.fromkeys(("CactiCacheModel", "CACTI_65NM_LLC"), ".cacti"),
+    **dict.fromkeys(("MissRateModel", "SQRT2_RULE"), ".missrate"),
+    **dict.fromkeys(
+        ("MemoryBoundWorkload", "PAPER_LLC_WORKLOAD", "CachedProcessor"),
+        ".hierarchy",
+    ),
+    **dict.fromkeys(
+        ("LLCPoint", "llc_sweep", "classify_llc", "PAPER_LLC_SIZES_MB"),
+        ".llc_study",
+    ),
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -41,10 +41,7 @@ from .obs import log as obs_log
 from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
 from .obs.log import get_logger, kv
-from .report.ascii_plot import render_panel
-from .report.export import figure_to_csv, figure_to_json, figure_to_markdown, write_figure
 from .report.table import format_mapping_rows
-from .studies.findings import all_findings
 from .studies.registry import run_study, study_names
 
 __all__ = ["main", "build_parser"]
@@ -524,20 +521,30 @@ def _profile_bench_report(args: argparse.Namespace) -> dict:
 def _cmd_figure(name: str, fmt: str, out: str | None) -> int:
     figure = run_study(name)
     if out:
+        from .report.export import write_figure
+
         path = write_figure(figure, out)
         print(f"wrote {path}")
         return 0
     if fmt == "csv":
+        from .report.export import figure_to_csv
+
         print(figure_to_csv(figure), end="")
     elif fmt == "json":
+        from .report.export import figure_to_json
+
         print(figure_to_json(figure))
     elif fmt == "md":
+        from .report.export import figure_to_markdown
+
         print(figure_to_markdown(figure))
     elif fmt == "html":
         from .report.svg import figure_to_html
 
         print(figure_to_html(figure))
     else:
+        from .report.ascii_plot import render_panel
+
         print(f"== {figure.figure_id}: {figure.caption}")
         for note in figure.notes:
             print(f"   note: {note}")
@@ -548,6 +555,8 @@ def _cmd_figure(name: str, fmt: str, out: str | None) -> int:
 
 
 def _cmd_findings(failed_only: bool) -> int:
+    from .studies.findings import all_findings
+
     checks = all_findings()
     shown = [c for c in checks if not (failed_only and c.passed)]
     failed = [c for c in checks if not c.passed]

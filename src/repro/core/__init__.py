@@ -2,129 +2,89 @@
 strong/weak/less sustainability classification (paper §3–§4)."""
 
 from .._lazy import lazy_exports
-from .classify import (
-    NEUTRAL_ABS_TOL,
-    NEUTRAL_REL_TOL,
-    Sustainability,
-    Verdict,
-    classify,
-    classify_assessment,
-    classify_pair,
-    classify_values,
-)
-from .design import DesignPoint
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    ConvergenceError,
-    DomainError,
-    ReproError,
-    ResilienceError,
-    UnknownStudyError,
-    ValidationError,
-    WorkerPoolError,
-)
-from .metrics import (
-    ClassicMetric,
-    Disagreement,
-    disagreement,
-    metric_ratio,
-    metric_value,
-)
-from .mix import time_weighted_mix
-from .ncf import (
-    NCFAssessment,
-    NCFBand,
-    assess,
-    ncf,
-    ncf_band,
-    ncf_from_ratios,
-    relative_footprint,
-)
-from .pareto import ParetoPoint, pareto_designs, pareto_frontier
-from .scenario import (
-    BALANCED,
-    EMBODIED_DOMINATED,
-    OPERATIONAL_DOMINATED,
-    STANDARD_WEIGHTS,
-    E2OWeight,
-    UseScenario,
-)
-from .uncertainty import Interval, RobustConclusion, robust_classification
 
-__all__ = [
-    # design
-    "DesignPoint",
-    # scenario
-    "UseScenario",
-    "E2OWeight",
-    "EMBODIED_DOMINATED",
-    "OPERATIONAL_DOMINATED",
-    "BALANCED",
-    "STANDARD_WEIGHTS",
-    # ncf
-    "ncf",
-    "ncf_from_ratios",
-    "ncf_band",
-    "relative_footprint",
-    "NCFBand",
-    "NCFAssessment",
-    "assess",
-    # classification
-    "Sustainability",
-    "Verdict",
-    "classify",
-    "classify_values",
-    "classify_assessment",
-    "classify_pair",
-    "NEUTRAL_REL_TOL",
-    "NEUTRAL_ABS_TOL",
-    # vectorized batch kernels
-    "CATEGORIES",
-    "ncf_values",
-    "classify_arrays",
-    "category_counts",
-    "categories_from_codes",
-    # uncertainty
-    "Interval",
-    "RobustConclusion",
-    "robust_classification",
-    # pareto
-    "ParetoPoint",
-    "pareto_frontier",
-    "pareto_designs",
-    # classical metrics
-    "ClassicMetric",
-    "metric_value",
-    "metric_ratio",
-    "Disagreement",
-    "disagreement",
-    # workload mixes
-    "time_weighted_mix",
-    # errors
-    "ReproError",
-    "ValidationError",
-    "DomainError",
-    "ConvergenceError",
-    "ConfigurationError",
-    "UnknownStudyError",
-    "ResilienceError",
-    "CheckpointError",
-    "WorkerPoolError",
-]
-
-# The NumPy kernels load on first access, so the scalar model imports
-# without NumPy.
-__getattr__, __dir__ = lazy_exports(
-    globals(),
-    dict.fromkeys(
+# Every name loads with its module on first access: the scalar model
+# imports without NumPy, and a command loads only the modules it runs.
+_EXPORTS = {
+    "DesignPoint": ".design",
+    **dict.fromkeys(
+        (
+            "UseScenario",
+            "E2OWeight",
+            "EMBODIED_DOMINATED",
+            "OPERATIONAL_DOMINATED",
+            "BALANCED",
+            "STANDARD_WEIGHTS",
+        ),
+        ".scenario",
+    ),
+    **dict.fromkeys(
+        (
+            "ncf",
+            "ncf_from_ratios",
+            "ncf_band",
+            "relative_footprint",
+            "NCFBand",
+            "NCFAssessment",
+            "assess",
+        ),
+        ".ncf",
+    ),
+    **dict.fromkeys(
+        (
+            "Sustainability",
+            "Verdict",
+            "classify",
+            "classify_values",
+            "classify_assessment",
+            "classify_pair",
+            "NEUTRAL_REL_TOL",
+            "NEUTRAL_ABS_TOL",
+        ),
+        ".classify",
+    ),
+    **dict.fromkeys(
         (
             "CATEGORIES",
-            "categories_from_codes",
-            "category_counts",
-            "classify_arrays",
             "ncf_values",
+            "classify_arrays",
+            "category_counts",
+            "categories_from_codes",
         ),
         ".batch",
     ),
-)
+    **dict.fromkeys(
+        ("Interval", "RobustConclusion", "robust_classification"),
+        ".uncertainty",
+    ),
+    **dict.fromkeys(
+        ("ParetoPoint", "pareto_frontier", "pareto_designs"), ".pareto"
+    ),
+    **dict.fromkeys(
+        (
+            "ClassicMetric",
+            "metric_value",
+            "metric_ratio",
+            "Disagreement",
+            "disagreement",
+        ),
+        ".metrics",
+    ),
+    "time_weighted_mix": ".mix",
+    **dict.fromkeys(
+        (
+            "ReproError",
+            "ValidationError",
+            "DomainError",
+            "ConvergenceError",
+            "ConfigurationError",
+            "UnknownStudyError",
+            "ResilienceError",
+            "CheckpointError",
+            "WorkerPoolError",
+        ),
+        ".errors",
+    ),
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

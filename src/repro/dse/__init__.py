@@ -7,60 +7,44 @@ reference path, :class:`BatchExplorer` the vectorized production path
 factories, array-at-once NCF/classification kernels).
 """
 
-from .batch import (
-    BatchExplorer,
-    BatchSweepResult,
-    DesignArrays,
-    FactoryCache,
-    SweepEngineStats,
-    VectorFactory,
-    is_vector_factory,
-    params_key,
-)
-from .breakeven import bisect_crossing, crossing_or_none
-from .explorer import ExplorationResult, Explorer
-from .factories import (
-    AsymmetricMulticoreFactory,
-    DVFSOperatingPointFactory,
-    SymmetricMulticoreFactory,
-)
-from .grid import ParameterGrid, geometric_range, linear_range
-from .montecarlo import (
-    CategoryProbabilities,
-    sample_measurement_noise,
-    sample_verdicts,
-)
-from .optimizer import max_perf_subject_to_ncf, min_ncf_subject_to_perf
-from .sensitivity import SensitivityEntry, cached_metric, tornado
-from .store import ResultStore, StoreStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ParameterGrid",
-    "geometric_range",
-    "linear_range",
-    "Explorer",
-    "ExplorationResult",
-    "BatchExplorer",
-    "BatchSweepResult",
-    "FactoryCache",
-    "params_key",
-    "DesignArrays",
-    "VectorFactory",
-    "is_vector_factory",
-    "SweepEngineStats",
-    "SymmetricMulticoreFactory",
-    "AsymmetricMulticoreFactory",
-    "DVFSOperatingPointFactory",
-    "bisect_crossing",
-    "crossing_or_none",
-    "SensitivityEntry",
-    "tornado",
-    "cached_metric",
-    "CategoryProbabilities",
-    "sample_verdicts",
-    "sample_measurement_noise",
-    "max_perf_subject_to_ncf",
-    "min_ncf_subject_to_perf",
-    "ResultStore",
-    "StoreStats",
-]
+# Every name loads with its module on first access, so importing one
+# engine piece does not load the others.
+_EXPORTS = {
+    **dict.fromkeys(("ParameterGrid", "geometric_range", "linear_range"), ".grid"),
+    **dict.fromkeys(("Explorer", "ExplorationResult"), ".explorer"),
+    **dict.fromkeys(
+        (
+            "BatchExplorer",
+            "BatchSweepResult",
+            "FactoryCache",
+            "params_key",
+            "DesignArrays",
+            "VectorFactory",
+            "is_vector_factory",
+            "SweepEngineStats",
+        ),
+        ".batch",
+    ),
+    **dict.fromkeys(
+        (
+            "SymmetricMulticoreFactory",
+            "AsymmetricMulticoreFactory",
+            "DVFSOperatingPointFactory",
+        ),
+        ".factories",
+    ),
+    **dict.fromkeys(("bisect_crossing", "crossing_or_none"), ".breakeven"),
+    **dict.fromkeys(("SensitivityEntry", "tornado", "cached_metric"), ".sensitivity"),
+    **dict.fromkeys(
+        ("CategoryProbabilities", "sample_verdicts", "sample_measurement_noise"),
+        ".montecarlo",
+    ),
+    **dict.fromkeys(
+        ("max_perf_subject_to_ncf", "min_ncf_subject_to_perf"), ".optimizer"
+    ),
+    **dict.fromkeys(("ResultStore", "StoreStats"), ".store"),
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

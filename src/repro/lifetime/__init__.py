@@ -1,18 +1,20 @@
 """Lifetime and replacement analyses: GreenChip indifference points and
 junkyard-computing amortization (paper §8 related work)."""
 
-from .act_bridge import device_from_act
-from .replacement import (
-    DeviceFootprint,
-    breakeven_lifetime_extension,
-    footprint_per_work,
-    indifference_point,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeviceFootprint",
-    "indifference_point",
-    "footprint_per_work",
-    "breakeven_lifetime_extension",
-    "device_from_act",
-]
+# Every name loads with its module on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "DeviceFootprint",
+            "indifference_point",
+            "footprint_per_work",
+            "breakeven_lifetime_extension",
+        ),
+        ".replacement",
+    ),
+    "device_from_act": ".act_bridge",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

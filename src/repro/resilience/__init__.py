@@ -34,62 +34,51 @@ See ``docs/ROBUSTNESS.md`` for the operational guide.
 
 from __future__ import annotations
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    CheckpointStore,
-    atomic_write_text,
-    decode_outcomes,
-    describe_factory,
-    encode_outcomes,
-    set_disk_fault_hook,
-    sweep_fingerprint,
-)
-from .containment import (
-    INCOMPLETE,
-    QUARANTINE_FORMAT,
-    BisectOutcome,
-    FailureReport,
-    HeartbeatMonitor,
-    QuarantineLedger,
-    QuarantineSession,
-)
-from .faults import (
-    FaultInjectingFactory,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    VectorFaultInjectingFactory,
-    corrupt_checkpoint,
-    truncate_checkpoint,
-)
-from .policy import DEFAULT_POLICY, RetryPolicy, SupervisionStats
-from .supervisor import SupervisedPool
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RetryPolicy",
-    "DEFAULT_POLICY",
-    "SupervisionStats",
-    "SupervisedPool",
-    "CheckpointStore",
-    "CHECKPOINT_FORMAT",
-    "atomic_write_text",
-    "set_disk_fault_hook",
-    "sweep_fingerprint",
-    "encode_outcomes",
-    "decode_outcomes",
-    "describe_factory",
-    "QUARANTINE_FORMAT",
-    "QuarantineLedger",
-    "QuarantineSession",
-    "FailureReport",
-    "HeartbeatMonitor",
-    "BisectOutcome",
-    "INCOMPLETE",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultInjectingFactory",
-    "InjectedFault",
-    "VectorFaultInjectingFactory",
-    "truncate_checkpoint",
-    "corrupt_checkpoint",
-]
+# Every name loads with its module on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("RetryPolicy", "DEFAULT_POLICY", "SupervisionStats"), ".policy"
+    ),
+    "SupervisedPool": ".supervisor",
+    **dict.fromkeys(
+        (
+            "CheckpointStore",
+            "CHECKPOINT_FORMAT",
+            "atomic_write_text",
+            "set_disk_fault_hook",
+            "sweep_fingerprint",
+            "encode_outcomes",
+            "decode_outcomes",
+            "describe_factory",
+        ),
+        ".checkpoint",
+    ),
+    **dict.fromkeys(
+        (
+            "QUARANTINE_FORMAT",
+            "QuarantineLedger",
+            "QuarantineSession",
+            "FailureReport",
+            "HeartbeatMonitor",
+            "BisectOutcome",
+            "INCOMPLETE",
+        ),
+        ".containment",
+    ),
+    **dict.fromkeys(
+        (
+            "FaultPlan",
+            "FaultSpec",
+            "FaultInjectingFactory",
+            "InjectedFault",
+            "VectorFaultInjectingFactory",
+            "truncate_checkpoint",
+            "corrupt_checkpoint",
+        ),
+        ".faults",
+    ),
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,30 +1,30 @@
 """Speculation mechanisms: branch prediction and runahead execution
 (paper §5.7, Figure 8, Findings #12–#13)."""
 
-from .branch_prediction import (
-    PARIKH_HYBRID,
-    BranchPredictorEffect,
-    max_sustainable_area,
-    ncf_vs_area,
-    predictor_design,
-)
-from .runahead import (
-    PRE,
-    RunaheadEffect,
-    classify_runahead,
-    runahead_design,
-    runahead_ncf,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BranchPredictorEffect",
-    "PARIKH_HYBRID",
-    "predictor_design",
-    "ncf_vs_area",
-    "max_sustainable_area",
-    "RunaheadEffect",
-    "PRE",
-    "runahead_design",
-    "runahead_ncf",
-    "classify_runahead",
-]
+# Every name loads with its module on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "BranchPredictorEffect",
+            "PARIKH_HYBRID",
+            "predictor_design",
+            "ncf_vs_area",
+            "max_sustainable_area",
+        ),
+        ".branch_prediction",
+    ),
+    **dict.fromkeys(
+        (
+            "RunaheadEffect",
+            "PRE",
+            "runahead_design",
+            "runahead_ncf",
+            "classify_runahead",
+        ),
+        ".runahead",
+    ),
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,51 +1,34 @@
 """Per-figure study drivers, the Findings verification table, and the
 §7 case study."""
 
-from .case_study import CaseStudyConfig, CaseStudyPoint, case_study, figure9
-from .common import FOUR_PANELS, TWO_WEIGHT_PANELS, PanelSpec
-from .figure1 import figure1
-from .figure2 import figure2
-from .figure3 import PAPER_BCE_LADDER, PAPER_PARALLEL_FRACTIONS, figure3
-from .figure4 import figure4
-from .figure5 import figure5
-from .figure6 import figure6
-from .figure7 import figure7
-from .figure8 import figure8
-from .findings import FindingCheck, all_findings, failed_findings
-from .mechanisms import (
-    PAPER_CATEGORIES,
-    MechanismEntry,
-    catalogue_pairs,
-    mechanism_catalogue,
-)
-from .registry import STUDIES, run_study, study_names
+from .._lazy import lazy_exports
 
-__all__ = [
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "case_study",
-    "CaseStudyConfig",
-    "CaseStudyPoint",
-    "FindingCheck",
-    "all_findings",
-    "failed_findings",
-    "MechanismEntry",
-    "PAPER_CATEGORIES",
-    "mechanism_catalogue",
-    "catalogue_pairs",
-    "STUDIES",
-    "run_study",
-    "study_names",
-    "PanelSpec",
-    "FOUR_PANELS",
-    "TWO_WEIGHT_PANELS",
-    "PAPER_BCE_LADDER",
-    "PAPER_PARALLEL_FRACTIONS",
-]
+# Every name loads with its module on first access, so a command runs
+# one driver without importing the others. ``figure1``…``figure8`` and
+# ``case_study`` are the functions of those names in their same-named
+# submodules, also once a submodule has been imported (see
+# repro._lazy).
+_EXPORTS = {
+    **{f"figure{n}": f".figure{n}" for n in range(1, 9)},
+    **dict.fromkeys(
+        ("figure9", "case_study", "CaseStudyConfig", "CaseStudyPoint"),
+        ".case_study",
+    ),
+    **dict.fromkeys(("FindingCheck", "all_findings", "failed_findings"), ".findings"),
+    **dict.fromkeys(
+        (
+            "MechanismEntry",
+            "PAPER_CATEGORIES",
+            "mechanism_catalogue",
+            "catalogue_pairs",
+        ),
+        ".mechanisms",
+    ),
+    **dict.fromkeys(("STUDIES", "run_study", "study_names"), ".registry"),
+    **dict.fromkeys(("PanelSpec", "FOUR_PANELS", "TWO_WEIGHT_PANELS"), ".common"),
+    **dict.fromkeys(
+        ("PAPER_BCE_LADDER", "PAPER_PARALLEL_FRACTIONS"), ".figure3"
+    ),
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,44 +2,52 @@
 
 The registry decouples consumers (CLI, benchmarks, integration tests)
 from the individual driver modules; ``run_study("figure3")`` is the
-single entry point for regenerating any figure.
+single entry point for regenerating any figure. A driver's module is
+imported when the driver is first looked up, so running one figure
+loads no other.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from collections.abc import Mapping
+from typing import Callable, Iterator
 
 from ..core.errors import UnknownStudyError
 from ..obs.log import get_logger, kv
 from ..obs.trace import NULL_SPAN, span
 from ..report.series import FigureResult
-from .case_study import figure9
-from .figure1 import figure1
-from .figure2 import figure2
-from .figure3 import figure3
-from .figure4 import figure4
-from .figure5 import figure5
-from .figure6 import figure6
-from .figure7 import figure7
-from .figure8 import figure8
 
 __all__ = ["STUDIES", "run_study", "study_names"]
 
 StudyDriver = Callable[[], FigureResult]
 
-#: All figures; Figure 2 is the paper's conceptual illustration,
-#: reproduced as exact step profiles (see repro.studies.figure2).
-STUDIES: dict[str, StudyDriver] = {
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure4": figure4,
-    "figure5": figure5,
-    "figure6": figure6,
-    "figure7": figure7,
-    "figure8": figure8,
-    "figure9": figure9,
+#: Each study and the module defining its driver function of the same
+#: name; Figure 2 is the paper's conceptual illustration, reproduced as
+#: exact step profiles (see repro.studies.figure2).
+_MODULES = {
+    **{f"figure{n}": f".figure{n}" for n in range(1, 9)},
+    "figure9": ".case_study",
 }
+
+
+class _Drivers(Mapping[str, StudyDriver]):
+    """Study name → driver function, importing the driver's module on
+    lookup."""
+
+    def __getitem__(self, name: str) -> StudyDriver:
+        module = importlib.import_module(_MODULES[name], __package__)
+        return getattr(module, name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+
+#: All figures by name.
+STUDIES: Mapping[str, StudyDriver] = _Drivers()
 
 
 def study_names() -> list[str]:

@@ -14,16 +14,54 @@ import pytest
 
 import repro
 
-#: Modules whose heavy re-exports load on first attribute access.
+#: Modules whose re-exports load on first attribute access.
 LAZY_PACKAGES = (
     "repro",
-    "repro.core",
-    "repro.wafer",
+    "repro.accel",
+    "repro.act",
     "repro.amdahl",
+    "repro.cache",
+    "repro.core",
+    "repro.dse",
     "repro.dvfs",
-    "repro.report",
+    "repro.gating",
+    "repro.lifetime",
+    "repro.microarch",
+    "repro.multichip",
     "repro.obs",
+    "repro.rebound",
+    "repro.report",
     "repro.report.export",
+    "repro.resilience",
+    "repro.speculation",
+    "repro.studies",
+    "repro.technode",
+    "repro.validation",
+    "repro.wafer",
+    "repro.workloads",
+)
+
+#: Exported functions that share their name with the submodule defining
+#: them, as (package, name).
+SHADOWED_NAMES = (
+    *(("repro.studies", f"figure{n}") for n in range(1, 9)),
+    ("repro.studies", "case_study"),
+    ("repro.technode", "roadmap"),
+)
+
+#: The study drivers' modules, one per registered figure.
+DRIVER_MODULES = {
+    **{f"figure{n}": f"repro.studies.figure{n}" for n in range(1, 9)},
+    "figure9": "repro.studies.case_study",
+}
+
+#: Modules that no ``focal figure`` command loads, whatever the figure.
+FIGURE_NEVER_LOADS = (
+    "repro.studies.findings",
+    "repro.studies.mechanisms",
+    "repro.technode.roadmap",
+    "repro.core.uncertainty",
+    "repro.core.pareto",
 )
 
 #: Modules the paper path (figures and findings) must never import.
@@ -125,20 +163,80 @@ class TestImportHygiene:
             assert not set(HEAVY_MODULES) & set(modules), step
 
     def test_studies_resolve_to_functions_after_the_cli_ran(self):
+        commands = [["findings"]]
+        commands += [["figure", f"figure{n}", "--format", "json"] for n in range(1, 10)]
         out = _run_child(
-            """
+            f"""
             import contextlib, inspect, io, json
             import repro.cli
             with contextlib.redirect_stdout(io.StringIO()):
-                repro.cli.main(["findings"])
+                for argv in {commands!r}:
+                    assert repro.cli.main(argv) == 0, argv
             import repro
-            from repro.studies import case_study, figure3
+            import repro.studies
+            from repro.studies import case_study
             from repro.studies.registry import STUDIES
-            values = [repro.case_study, case_study, figure3, STUDIES["figure3"]]
+            values = [repro.case_study, case_study]
+            values += [getattr(repro.studies, f"figure{{n}}") for n in range(1, 10)]
+            values += [STUDIES[f"figure{{n}}"] for n in range(1, 10)]
             print(json.dumps([inspect.isfunction(value) for value in values]))
             """
         )
-        assert json.loads(out) == [True] * 4
+        assert json.loads(out) == [True] * 20
+
+    def test_shadowed_names_stay_functions_after_their_submodule_loads(self):
+        """Importing ``repro.studies.figure3`` first must not make
+        ``from repro.studies import figure3`` the module."""
+        out = _run_child(
+            f"""
+            import importlib, inspect, json
+            from repro.technode.roadmap import RoadmapPolicy
+            shadowed = {SHADOWED_NAMES!r}
+            submodules = [importlib.import_module(f"{{package}}.{{name}}") for package, name in shadowed]
+            results = []
+            for (package, name), submodule in zip(shadowed, submodules):
+                namespace = {{}}
+                exec(f"from {{package}} import {{name}}", namespace)
+                value = namespace[name]
+                results.append(
+                    inspect.isfunction(value)
+                    and value is getattr(submodule, name)
+                    and value is getattr(importlib.import_module(package), name)
+                )
+            print(json.dumps(results))
+            """
+        )
+        assert json.loads(out) == [True] * len(SHADOWED_NAMES)
+
+    @staticmethod
+    def _loaded_by(argv: list[str]) -> set[str]:
+        """The modules a fresh interpreter holds after ``focal *argv``."""
+        out = _run_child(
+            f"""
+            import contextlib, io, json, sys
+            from repro.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({argv!r}) == 0
+            print(json.dumps(sorted(sys.modules)))
+            """
+        )
+        return set(json.loads(out))
+
+    def test_list_loads_no_driver(self):
+        assert not set(DRIVER_MODULES.values()) & self._loaded_by(["list"])
+
+    def test_findings_loads_no_figure_driver(self):
+        figures = {f"repro.studies.figure{n}" for n in range(1, 9)}
+        assert not figures & self._loaded_by(["findings"])
+
+    @pytest.mark.parametrize("name", sorted(DRIVER_MODULES))
+    def test_figure_loads_its_own_driver_only(self, name):
+        modules = self._loaded_by(["figure", name, "--format", "json"])
+        assert DRIVER_MODULES[name] in modules
+        others = set(DRIVER_MODULES.values()) - {DRIVER_MODULES[name]}
+        assert not others & modules
+        assert not set(FIGURE_NEVER_LOADS) & modules
+        assert "repro.report.ascii_plot" not in modules
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)
