@@ -145,8 +145,9 @@ RESUME_COLD_GATE = 2.0
 #: store) may take at most this multiple of a cold sweep: a warm read
 #: must not lose to recomputing.
 STORE_WARM_COLD_GATE = 1.0
-#: A checkpointed cold sweep (one appended record and one fsync per
-#: chunk) may take at most this multiple of a plain cold sweep.
+#: A checkpointed cold sweep (one appended record per chunk, an fsync
+#: per second and one at the end) may take at most this multiple of a
+#: plain cold sweep.
 CKPT_COLD_GATE = 3.0
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"

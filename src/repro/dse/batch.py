@@ -415,6 +415,17 @@ class _SweepState:
     #: Whether fresh rows run the factory's columnar kernel.
     columnar: bool = False
 
+    def sync(self) -> None:
+        """The run-end barrier: fsync what each durable layer appended
+        since its log's last ``fsync``. A checkpoint that fails it is
+        dropped (logged), like one whose commit fails."""
+        if self.ckpt is not None and not self.ckpt.sync():
+            self.ckpt = None
+        if self.session is not None:
+            self.session.flush()
+        if self.qsession is not None:
+            self.qsession.ledger.sync()
+
 
 class _ParallelPlan:
     """Execution state of one parallel-columnar sweep.
@@ -2236,8 +2247,6 @@ class BatchExplorer:
                     kv("sweep.salvage", **failure.as_dict())
                 )
             finally:
-                if state.session is not None:
-                    state.session.flush()
                 if pool is not None:
                     pool.close()
                 if plan is not None:
@@ -2253,6 +2262,7 @@ class BatchExplorer:
                         # Even an aborted sweep leaves its completed
                         # chunks memoized.
                         self.cache.defer(kept)
+                state.sync()
             self._record_supervision(pool, sweep_span)
             valid_points = len(record.rows)
             quarantined = tuple(index.params(record.quarantined))

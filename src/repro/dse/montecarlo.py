@@ -375,32 +375,40 @@ def _checkpointed_codes(
     step = (
         samples if ckpt is None and result_store is None else checkpoint_every
     )
-    while drawn < samples:
-        count = min(step, samples - drawn)
-        segment = (
-            result_store.load_segment(segment_fp, drawn, count)
-            if result_store is not None
-            else None
-        )
-        if segment is not None:
-            codes_arr, rng_state = segment
-            rng.bit_generator.state = rng_state
-            reused += count
-        else:
-            codes_arr = draw(rng, drawn, count)
-            if result_store is not None:
-                result_store.save_segment(
-                    segment_fp, drawn, count, codes_arr,
-                    rng.bit_generator.state,
-                )
-        if ckpt is not None and not ckpt.commit(
-            kind="montecarlo",
-            fingerprint=fingerprint,
-            record=encode_segment(drawn, codes_arr, rng.bit_generator.state),
-        ):
-            ckpt = None
-        done.append(codes_arr)
-        drawn += count
+    try:
+        while drawn < samples:
+            count = min(step, samples - drawn)
+            segment = (
+                result_store.load_segment(segment_fp, drawn, count)
+                if result_store is not None
+                else None
+            )
+            if segment is not None:
+                codes_arr, rng_state = segment
+                rng.bit_generator.state = rng_state
+                reused += count
+            else:
+                codes_arr = draw(rng, drawn, count)
+                if result_store is not None:
+                    result_store.save_segment(
+                        segment_fp, drawn, count, codes_arr,
+                        rng.bit_generator.state,
+                    )
+            if ckpt is not None and not ckpt.commit(
+                kind="montecarlo",
+                fingerprint=fingerprint,
+                record=encode_segment(drawn, codes_arr, rng.bit_generator.state),
+            ):
+                ckpt = None
+            done.append(codes_arr)
+            drawn += count
+    finally:
+        # The run-end barrier: whatever ends the run, what it committed
+        # is on disk.
+        if ckpt is not None:
+            ckpt.sync()
+        if result_store is not None:
+            result_store.sync()
     return (done[0] if len(done) == 1 else np.concatenate(done)), reused
 
 

@@ -37,18 +37,21 @@ it opened, so nothing is cached beside them::
     mc/<fp>.log        # header {fingerprint}; per Monte-Carlo segment:
                        #   int8 codes + post-segment rng state
 
-Storing a chunk appends one checksummed record (one write, one
-``fsync``); opening a run file indexes its records by key digest (the
-key columns are read on the first sweep that needs a join). Damage is
-never an error and never a wrong answer: a torn or corrupt record is
-dropped with everything after it, counted in
-``focal_store_corrupt_total``, and its points recompute; the next
-append truncates the damage. ``ResultStore.gc`` removes temp litter,
-stray files, damaged tails and headerless run files, and with
-``max_bytes`` evicts whole fingerprints oldest-first. A store of an
-older format — ``focal-store/1`` (JSON objects plus ``index.json``) or
-``focal-store/2`` (point-key strings) — is refused with an error naming
-that format.
+Storing a chunk appends one checksummed record with one write; a run
+file fsyncs at most once per
+:data:`~repro.resilience.chunklog.SYNC_INTERVAL_S`, and the barrier
+every sweep (:meth:`SweepStoreSession.flush`) and sampler run
+(:meth:`ResultStore.sync`) calls where it ends fsyncs the rest. Opening
+a run file indexes its records by key digest (the key columns are read
+on the first sweep that needs a join). Damage is never an error and
+never a wrong answer: a torn or corrupt record is dropped with
+everything after it, counted in ``focal_store_corrupt_total``, and its
+points recompute; the next append truncates the damage.
+``ResultStore.gc`` removes temp litter, stray files, damaged tails and
+headerless run files, and with ``max_bytes`` evicts whole fingerprints
+oldest-first. A store of an older format — ``focal-store/1`` (JSON
+objects plus ``index.json``) or ``focal-store/2`` (point-key strings) —
+is refused with an error naming that format.
 """
 
 from __future__ import annotations
@@ -538,9 +541,9 @@ class ResultStore:
         adopt: Callable[[bytes], None],
     ) -> bool:
         """Commit one chunk *record* to *log* through
-        :meth:`~repro.resilience.chunklog.ChunkLog.commit` (one write +
-        ``fsync``; records another writer committed meanwhile go to
-        *adopt* first), creating the store marker on first use.
+        :meth:`~repro.resilience.chunklog.ChunkLog.commit` (one write;
+        records another writer committed meanwhile go to *adopt*
+        first), creating the store marker on first use.
 
         Transient disk faults (EIO/ENOSPC) are retried inside
         :func:`~repro.resilience.chunklog.retry_disk_write`; when the
@@ -550,14 +553,35 @@ class ResultStore:
         become no-ops (returning ``False``), and the degradation is
         visible in stats and ``focal_store_disk_fallback_total``.
         """
-        if self._disk_disabled:
-            return False
-        try:
+
+        def commit() -> int:
             marker = self.root / MARKER_NAME
             if not marker.exists():
                 self.root.mkdir(parents=True, exist_ok=True)
                 atomic_write_text(marker, canonical_json({"format": STORE_FORMAT}))
-            written = log.commit(header, record, adopt)
+            return log.commit(header, record, adopt)
+
+        written = self._disk(log, commit)
+        if written is None:
+            return False
+        self._counts["bytes_written"] += written
+        _metrics.count(
+            "focal_store_bytes_written_total",
+            "bytes written to result-store files",
+            written,
+        )
+        return True
+
+    def _disk(self, log: ChunkLog, write: Callable[[], object]) -> object:
+        """*write*'s result (a commit to *log*, or its run-end
+        :meth:`~repro.resilience.chunklog.ChunkLog.sync` barrier), or
+        ``None`` when the store does not write (any more): a transient
+        disk fault that outlived its retries disables writes for the
+        rest of the process."""
+        if self._disk_disabled:
+            return None
+        try:
+            return write()
         except OSError as exc:
             if exc.errno not in TRANSIENT_DISK_ERRNOS:
                 raise
@@ -574,14 +598,14 @@ class ResultStore:
                 "focal_store_disk_fallback_total",
                 "result stores that stopped writing after disk faults",
             )
-            return False
-        self._counts["bytes_written"] += written
-        _metrics.count(
-            "focal_store_bytes_written_total",
-            "bytes written to result-store files",
-            written,
-        )
-        return True
+            return None
+
+    def sync(self) -> None:
+        """The barrier a Monte-Carlo run calls where it ends: fsync
+        every sampler run file this store appended to since its last
+        ``fsync``."""
+        for run in self._runs.values():
+            self._disk(run.log, run.log.sync)
 
     # -- sweep tier ----------------------------------------------------
     def sweep_session(self, factory: object) -> "SweepStoreSession":
@@ -731,6 +755,7 @@ class ResultStore:
                 path.unlink()
             elif path.stat().st_size > log.end:
                 log.append([])  # truncates the damaged tail
+                log.sync()
             else:
                 continue
             report["removed_corrupt"] += 1
@@ -1002,9 +1027,11 @@ class SweepStoreSession:
         )
 
     def flush(self) -> None:
-        """Nothing is pending — every :meth:`put` is committed when it
-        returns. After a sweep that probed the store, freshen the run
-        file's mtime so ``gc`` eviction ordering sees the use."""
+        """The barrier a sweep calls where it ends: fsync the records
+        :meth:`put` appended since the run file's last ``fsync``. After
+        a sweep that probed the store, freshen the run file's mtime so
+        ``gc`` eviction ordering sees the use."""
+        self.store._disk(self._log, self._log.sync)
         if self._probed:
             try:
                 os.utime(self.path)

@@ -15,13 +15,18 @@ A checkpoint is a :class:`~repro.resilience.chunklog.ChunkLog` file
   segment's int8 codes plus its post-segment RNG state.
 
 Durability contract: committing a chunk appends its record with one
-write and one ``fsync``; nothing is ever rewritten, so a run's
-checkpoint bytes grow linearly with its chunks. Every record carries a
-CRC-32, so a reader sees whole verified records only. Damage is not
-fatal on resume: :meth:`CheckpointStore.load_or_restart` logs and
-counts ``focal_checkpoint_corrupt_total``, resumes from the whole
-records before a torn or corrupt one (or cold, when the header itself
-is damaged), and the next commit truncates the damaged tail — the final
+write, and an ``fsync`` at most once per
+:data:`~repro.resilience.chunklog.SYNC_INTERVAL_S`; the run's end calls
+:meth:`CheckpointStore.sync`, a barrier that fsyncs the rest, so a run
+that returns is wholly on disk. A killed process loses no committed
+chunk; a host crash loses at most one interval's commits, which resume
+recomputes. Nothing is ever rewritten, so a run's checkpoint bytes grow
+linearly with its chunks. Every record carries a CRC-32, so a reader
+sees whole verified records only. Damage is not fatal on resume:
+:meth:`CheckpointStore.load_or_restart` logs and counts
+``focal_checkpoint_corrupt_total``, resumes from the whole records
+before a torn or corrupt one (or cold, when the header itself is
+damaged), and the next commit truncates the damaged tail — the final
 output stays byte-identical to a fault-free run.
 """
 
@@ -190,8 +195,8 @@ class CheckpointStore:
         self._write(kind, fingerprint, state["chunks"], append=False)
 
     def commit(self, *, kind: str, fingerprint: Mapping, record: bytes) -> bool:
-        """Append one chunk *record* (one write, one ``fsync``, however
-        many chunks the run committed) when this store wrote or loaded
+        """Append one chunk *record* (one write, however many chunks the
+        run committed; see :meth:`sync`) when this store wrote or loaded
         this *kind* with this very *fingerprint* object — an identity
         check, so no per-chunk re-serialization — and otherwise start
         the file over with it.
@@ -205,11 +210,25 @@ class CheckpointStore:
         try:
             self._write(kind, fingerprint, [record], append=same)
         except CheckpointError as exc:
-            get_logger().warning(
-                kv("checkpoint.disabled", path=str(self.path), error=str(exc))
-            )
-            return False
+            return self._disabled(exc)
         return True
+
+    def sync(self) -> bool:
+        """The run-end barrier: ``fsync`` the chunks committed since the
+        log's last ``fsync``. Returns ``False`` (logged, like a failed
+        :meth:`commit`) when that fails after the disk-fault retries."""
+        try:
+            self._log.sync()
+        except OSError as exc:
+            self._run = None
+            return self._disabled(exc)
+        return True
+
+    def _disabled(self, exc: Exception) -> bool:
+        get_logger().warning(
+            kv("checkpoint.disabled", path=str(self.path), error=str(exc))
+        )
+        return False
 
     def _write(
         self, kind: str, fingerprint: Mapping, chunks: Sequence[bytes], *, append: bool

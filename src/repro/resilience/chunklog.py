@@ -6,15 +6,26 @@ kind:u8 crc32:u32le payload``, the CRC-32 covering length, kind and
 payload. The first record is a :data:`HEADER` (canonical JSON naming the
 format and the run's fingerprint), each later one a :data:`CHUNK` (raw
 little-endian column bytes, or one quarantined point). A chunk commit is
-one ``write`` plus one ``fsync``; nothing is rewritten, so a run writes
-exactly the bytes its file holds. :meth:`ChunkLog.read` returns the
-longest prefix of whole, verified records and names the damage that
-ended it (torn tail, flipped bit, foreign file); nothing past it is ever
-returned, and the next append truncates it. :meth:`ChunkLog.open` and
-:meth:`ChunkLog.commit` add the header check and the adoption of records
-another writer appended, for files several handles — in one process or
-several — share: a commit holds an exclusive ``flock`` on the file from
-adopting to appending, so concurrent writers never overwrite each other.
+one ``write``; nothing is rewritten, so a run writes exactly the bytes
+its file holds.
+
+Durability is a group commit: an append fsyncs only when its handle's
+last ``fsync`` is :data:`SYNC_INTERVAL_S` old, and otherwise leaves the
+handle :attr:`~ChunkLog.dirty`. :meth:`ChunkLog.sync` is the barrier
+every durable run calls where it ends, on every exit path, so a run that
+returns is wholly on disk. A killed process loses no record it wrote
+(the page cache holds it). A host crash loses at most the records a
+handle appended in the one interval after its last ``fsync``, and the
+verified prefix read turns that loss into a recompute.
+
+:meth:`ChunkLog.read` returns the longest prefix of whole, verified
+records and names the damage that ended it (torn tail, flipped bit,
+foreign file); nothing past it is ever returned, and the next append
+truncates it. :meth:`ChunkLog.open` and :meth:`ChunkLog.commit` add the
+header check and the adoption of records another writer appended, for
+files several handles — in one process or several — share: a commit
+holds an exclusive ``flock`` on the file from adopting to appending, so
+concurrent writers never overwrite each other.
 
 Every durable write goes through :func:`retry_disk_write`, which retries
 transient disk faults and fires the chaos suite's
@@ -36,6 +47,7 @@ from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
 
 __all__ = [
+    "SYNC_INTERVAL_S",
     "MAGIC",
     "HEADER",
     "CHUNK",
@@ -58,6 +70,11 @@ _FRAME = struct.Struct("<IBI")
 #: milliseconds; anything else (EACCES, EROFS, ...) is configuration
 #: and propagates immediately.
 TRANSIENT_DISK_ERRNOS = (errno.EIO, errno.ENOSPC)
+
+#: Longest time, in seconds, a handle leaves appended records without an
+#: ``fsync``: an append fsyncs once the handle's last ``fsync`` is this
+#: old, and the run-end :meth:`ChunkLog.sync` barrier covers the rest.
+SYNC_INTERVAL_S = 1.0
 
 #: Bounded retry budget for transient disk faults, and the backoff base
 #: between attempts (doubled each retry).
@@ -153,11 +170,16 @@ def _pread(fd: int, size: int, offset: int) -> bytes:
 class ChunkLog:
     """One append-only record file. ``end`` is the offset just past the
     last record verified or written; ``0`` means there is no usable log
-    yet, so the next write must be a :meth:`reset`."""
+    yet, so the next write must be a :meth:`reset`. ``dirty`` is true
+    while records this handle appended wait for an ``fsync``."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.end = 0
+        self.dirty = False
+        # When this handle last fsynced (or was made): an append fsyncs
+        # once this is SYNC_INTERVAL_S old.
+        self._synced_at = time.monotonic()
         # The locked descriptor while a commit() runs: read() and
         # append() use it instead of reopening the path.
         self._fd: int | None = None
@@ -205,15 +227,16 @@ class ChunkLog:
     def commit(
         self, header: bytes, payload: bytes, adopt: Callable[[bytes], None]
     ) -> int:
-        """Append one chunk *payload* with one write and one ``fsync``
-        — or, when the log has no usable header, start the file over
-        with *header* and it. Chunk records another writer committed
-        since this handle last read are handed to *adopt* first, never
-        overwritten: the whole commit holds an exclusive ``flock`` on
-        the file, so no other handle, in this process or another, can
-        append between the adoption and this append. The lock, the
-        check for other writers' records and the append share one file
-        descriptor. Returns bytes written."""
+        """Append one chunk *payload* with one write (see
+        :meth:`append` for when it fsyncs) — or, when the log has no
+        usable header, start the file over with *header* and it. Chunk
+        records another writer committed since this handle last read
+        are handed to *adopt* first, never overwritten: the whole
+        commit holds an exclusive ``flock`` on the file, so no other
+        handle, in this process or another, can append between the
+        adoption and this append. The lock, the check for other
+        writers' records and the append share one file descriptor.
+        Returns bytes written."""
         try:
             fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
         except FileNotFoundError:
@@ -270,15 +293,19 @@ class ChunkLog:
                 os.close(fd)
         except OSError:  # pragma: no cover - not every platform allows it
             pass
+        self._synced()
         self.end = len(blob)
         return self._count(len(blob))
 
     def append(self, records: Sequence[tuple[int, bytes]]) -> int:
         """Truncate anything past :attr:`end` (a torn or corrupt tail),
-        then commit *records* with one write and one ``fsync``; returns
-        bytes written."""
+        then commit *records* with one write, and an ``fsync`` when this
+        handle's last one is :data:`SYNC_INTERVAL_S` old (otherwise the
+        handle turns :attr:`dirty` until :meth:`sync`); returns bytes
+        written."""
         parts = [part for kind, payload in records for part in _frame(kind, payload)]
         size = sum(map(len, parts))
+        due = time.monotonic() - self._synced_at >= SYNC_INTERVAL_S
 
         def write() -> None:
             fd = os.open(self.path, os.O_RDWR) if self._fd is None else self._fd
@@ -287,14 +314,46 @@ class ChunkLog:
                     os.ftruncate(fd, self.end)
                 if os.pwritev(fd, parts, self.end) != size:
                     raise OSError(errno.EIO, "short write")
-                os.fsync(fd)
+                if due:
+                    os.fsync(fd)
             finally:
                 if self._fd is None:
                     os.close(fd)
 
         retry_disk_write(self.path, write)
+        if due:
+            self._synced()
+        else:
+            self.dirty = True
         self.end += size
         return self._count(size)
+
+    def sync(self) -> None:
+        """The barrier: ``fsync`` the file when this handle appended
+        records since its last ``fsync`` (reopening the path, since
+        :meth:`commit` closes its descriptor). Transient faults are
+        retried by :func:`retry_disk_write`; a barrier that still fails
+        raises ``OSError`` and leaves the handle dirty. A file deleted
+        meanwhile has nothing left to sync."""
+        if not self.dirty:
+            return
+
+        def write() -> None:
+            try:
+                fd = os.open(self.path, os.O_RDONLY)
+            except FileNotFoundError:
+                return
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+        retry_disk_write(self.path, write)
+        self._synced()
+
+    def _synced(self) -> None:
+        self.dirty = False
+        self._synced_at = time.monotonic()
 
     @staticmethod
     def _count(n: int) -> int:

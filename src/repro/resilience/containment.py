@@ -156,13 +156,15 @@ class QuarantineLedger:
     resilience.checkpoint.describe_factory`), point key, parameters,
     fault kind and reason. :meth:`record` adopts the records other
     handles on the same file appended, then commits its own with one
-    append and one ``fsync``. Damage is never an error: a load keeps the
-    whole records before a torn or corrupt one (none when the header is
-    hit), logs ``quarantine.corrupt``, and the next append truncates the
-    damage — losing quarantine history costs re-discovering the poison
-    points, never correctness. A ``focal-quarantine/1`` JSON ledger is
-    refused with a :class:`~repro.core.errors.ValidationError` naming
-    that format.
+    append; the log fsyncs at most once per
+    :data:`~repro.resilience.chunklog.SYNC_INTERVAL_S`, and :meth:`sync`
+    is the barrier a sweep calls where it ends. Damage is never an
+    error: a load keeps the whole records before a torn or corrupt one
+    (none when the header is hit), logs ``quarantine.corrupt``, and the
+    next append truncates the damage — losing quarantine history costs
+    re-discovering the poison points, never correctness. A
+    ``focal-quarantine/1`` JSON ledger is refused with a
+    :class:`~repro.core.errors.ValidationError` naming that format.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -237,6 +239,12 @@ class QuarantineLedger:
                 "focal_quarantine_total",
                 "design points quarantined by failure containment",
             ).inc()
+
+    def sync(self) -> None:
+        """The run-end barrier: fsync the points recorded since the
+        log's last ``fsync`` (an ``OSError`` that outlives the disk-fault
+        retries propagates, like a failed :meth:`record`)."""
+        self._log.sync()
 
     def entries(self, factory: str) -> dict[str, dict]:
         """The quarantined points recorded for *factory* (by key)."""

@@ -3,15 +3,20 @@ is truncated at, and whatever bit of it flips, the resumed or
 store-backed sweep ends byte-identical to a cold sweep — result columns
 and cache entries — and recomputes exactly the rows whose record did
 not survive whole. Damage is never returned, only recomputed. The
-quarantine ledger keeps exactly its whole records the same way, and a
-sweep killed at any point resumes to the cold sweep's bytes."""
+quarantine ledger keeps exactly its whole records the same way, a
+sweep killed at any point resumes to the cold sweep's bytes, and so
+does one whose host crashed, whatever became of its unsynced records."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import stat
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -31,7 +36,8 @@ from repro.dse.store import ResultStore
 from repro.obs import metrics
 from repro.resilience import CheckpointStore, QuarantineLedger
 from repro.resilience.checkpoint import canonical_json
-from repro.resilience.chunklog import MAGIC, ChunkLog
+from repro.resilience import chunklog
+from repro.resilience.chunklog import MAGIC, SYNC_INTERVAL_S, ChunkLog
 
 from ..dse.test_parallel_columnar import assert_same_entries
 from ..resilience.test_interrupts import interrupt_at_commit
@@ -238,6 +244,89 @@ def test_resume_after_kill_matches_a_cold_sweep(data):
         resumed = explorer.explore_arrays(grid, **durable)
     _assert_same_sweep(resumed, explorer, cold, cold_explorer)
     assert explorer.last_sweep.fresh_points == len(grid) - (k // chunk_size) * chunk_size
+
+
+# ----------------------------------------------------------------------
+# A host crash: the records past the last fsync are lost or garbled
+# ----------------------------------------------------------------------
+@st.composite
+def crashed_runs(draw):
+    return {
+        "grid": draw(_grids()),
+        "chunk_size": draw(st.integers(1, 10)),
+        "target": draw(st.sampled_from(["checkpoint", "store"])),
+        # Fake seconds per clock reading: frozen, some appends due for an
+        # fsync, every append due.
+        "tick": draw(st.sampled_from([0.0, 0.4, SYNC_INTERVAL_S])),
+        "kind": draw(st.sampled_from(["cut", "zero"])),
+        "where": draw(st.floats(0.0, 1.0)),
+        "span": draw(st.floats(0.0, 1.0)),
+    }
+
+
+def _unsynced_loss(data: bytes, synced: int, run: dict) -> tuple[bytes, int]:
+    """*data* as a host crash may leave it: cut at a byte past *synced*,
+    or a range there zeroed; and the first byte that differs (the
+    length of *data* when none does)."""
+    at = synced + int(run["where"] * (len(data) - synced))
+    if run["kind"] == "cut":
+        return data[:at], at
+    end = at + int(run["span"] * (len(data) - at))
+    zeroed = data[:at] + bytes(end - at) + data[end:]
+    changed = [i for i in range(at, end) if data[i]]
+    return zeroed, changed[0] if changed else len(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=crashed_runs())
+def test_host_crash_recomputes_only_the_unsynced_chunks(run):
+    """Run a durable sweep whose host dies before the run-end barrier:
+    whatever the crash does to the log past its last fsync — cut it
+    anywhere there, or zero a range there — the resumed or re-run sweep
+    equals a cold sweep bit for bit, and recomputes only the chunks
+    whose records did not survive whole."""
+    grid, chunk_size = run["grid"], run["chunk_size"]
+    cold_explorer = _explorer(chunk_size)
+    cold = cold_explorer.explore_arrays(grid)
+    clock = itertools.count(0.0, run["tick"])
+    synced: list[tuple[int, int]] = []  # (inode, size) at each file fsync
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            synced.append((info.st_ino, info.st_size))
+        real_fsync(fd)
+
+    with tempfile.TemporaryDirectory() as root:
+        if run["target"] == "checkpoint":
+            path = Path(root) / "sweep.ckpt"
+            first, durable = dict(checkpoint=path), dict(checkpoint=path, resume=True)
+        else:
+            first, durable = dict(store=ResultStore(root)), dict(store=ResultStore(root))
+        with (
+            mock.patch.object(os, "fsync", fsync),
+            mock.patch.object(
+                chunklog, "time", SimpleNamespace(monotonic=clock.__next__)
+            ),
+            mock.patch.object(ChunkLog, "sync", lambda log: None),  # the crash
+        ):
+            _explorer(chunk_size).explore_arrays(grid, **first)
+        if run["target"] == "store":
+            (path,) = Path(root).glob("sweeps/*.log")
+        data = path.read_bytes()
+        inode = path.stat().st_ino
+        last_synced = max(size for ino, size in synced if ino == inode)
+        ends = _record_ends(data)
+        assert last_synced in ends  # an fsync always follows a whole record
+        damaged, first_change = _unsynced_loss(data, last_synced, run)
+        path.write_bytes(damaged)
+        explorer = _explorer(chunk_size)
+        resumed = explorer.explore_arrays(grid, **durable)
+    _assert_same_sweep(resumed, explorer, cold, cold_explorer)
+    kept = min(_surviving_chunks(ends, first_change) * chunk_size, len(grid))
+    assert kept >= min(_surviving_chunks(ends, last_synced) * chunk_size, len(grid))
+    assert explorer.last_sweep.fresh_points == len(grid) - kept
 
 
 # ----------------------------------------------------------------------
