@@ -59,6 +59,7 @@ from repro.core.batch import category_counts, classify_arrays
 from repro.core.classify import Sustainability, classify_values
 from repro.core.design import DesignPoint
 from repro.core.scenario import EMBODIED_DOMINATED
+from repro.dse import parallel
 from repro.dse.batch import BatchExplorer, FactoryCache
 from repro.dse.explorer import Explorer
 from repro.dse.factories import IterativeFixedPointFactory
@@ -473,7 +474,9 @@ def test_parallel_columnar_sweep(benchmark, emit):
 
     Parity gates — bit-identical NCFs, identical category counts and
     cache contents — are enforced everywhere, for both the auto and the
-    forced-pool sweep.
+    forced-pool sweep. The auto sweep's shard count is gated too: at
+    most ``parallel.STEAL_FACTOR`` shards (kernel calls) per worker,
+    and none when auto declines the pool.
     """
     cpus = os.cpu_count() or 1
     serial_sweep, serial_explorer, serial_s = _timed_parallel_sweep(0)
@@ -516,6 +519,7 @@ def test_parallel_columnar_sweep(benchmark, emit):
             "sweep_auto_s": auto_s,
             "parallel_auto_engaged": auto_engaged,
             "parallel_auto_workers": auto_engine.workers,
+            "parallel_auto_shards": auto_engine.shards,
             "parallel_speedup": speedup,
             "parallel_speedup_gate": gate,
             "parallel_gate_enforced": True,
@@ -533,6 +537,7 @@ def test_parallel_columnar_sweep(benchmark, emit):
     assert max_diff == 0.0
     assert counts_equal
     assert cache_equal
+    assert auto_engine.shards <= auto_engine.workers * parallel.STEAL_FACTOR
     assert speedup >= gate, (
         f"auto operating point lost to serial: {speedup:.2f}x < {gate:g}x "
         f"({cpus} CPUs, auto -> {auto_engine.workers or 'serial'})"

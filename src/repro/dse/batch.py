@@ -1309,7 +1309,8 @@ class SweepEngineStats:
     shm_bytes: int = 0
     worker_utilization: float = 0.0
     #: The smallest dispatched shard of a parallel-columnar sweep in
-    #: grid points (the steal tail), and file bytes backing the sweep's
+    #: grid points (within one chunk of ``shard_points`` when the
+    #: pending rows form one run), and file bytes backing the sweep's
     #: result block (0 when it sat in shared memory).
     tail_shard_points: int = 0
     spill_bytes: int = 0
@@ -1581,10 +1582,12 @@ class BatchExplorer:
         ``workers=0`` path — never slower than serial by construction).
         The calibration chunk's arrays are reused, so auto costs no
         extra kernel work on the sweep it serves. A vector factory's
-        pool sweep plans geometrically shrinking
-        chunk-aligned shards and submits one executor future each, so
-        idle workers pull the next shard off the shared call queue the
-        moment they finish one (work stealing). A scalar factory's pool
+        pool sweep plans ``workers * STEAL_FACTOR`` near-equal,
+        chunk-aligned shards (about two ``batch_arrays`` calls per
+        worker, each paying the kernel's fixed per-call cost once) and
+        submits one executor future each, so idle workers pull the next
+        shard off the shared call queue the moment they finish one
+        (work stealing). A scalar factory's pool
         sweep ships each chunk's missing rows as about one shard per
         worker, on the same queue.
     spill_dir, spill_bytes:

@@ -11,10 +11,11 @@ exactly that, one way:
   the sweep opts into out-of-core operation (``spill_dir=`` /
   ``spill_bytes=``) or the host has no usable shared memory;
 * :func:`plan_steal_runs` — contiguous ``[lo, hi)`` spans, whole
-  chunks from each run's start, that shrink geometrically toward the
-  tail, so one future per shard on the executor's shared call queue
+  chunks from each run's start, ``STEAL_FACTOR`` near-equal spans per
+  worker, so one future per shard on the executor's shared call queue
   behaves like a work-stealing scheduler: idle workers pull the next
-  shard, and a straggler can at most hold one tail-sized shard;
+  shard, and each worker pays the kernel's fixed per-call cost only a
+  few times;
 * worker-side state and entry points — the factory, the sweep's grid
   index (the grid's own axis values plus strides) and, for a vector
   factory, the block attachment ship **once per pool** through
@@ -75,11 +76,11 @@ __all__ = [
 #: three float64 result columns plus one bool validity flag.
 BYTES_PER_POINT = 3 * 8 + 1
 
-#: Guided-scheduling divisor for :func:`plan_steal_runs`: each shard
-#: takes ``remaining_chunks // (workers * STEAL_FACTOR)`` chunks, so
-#: early shards are large (low dispatch overhead) and tail shards
-#: shrink geometrically down to one chunk (a straggler can only hold
-#: the queue for one chunk's worth of work).
+#: Shards per worker in :func:`plan_steal_runs`: a sweep is cut into
+#: ``workers * STEAL_FACTOR`` near-equal, chunk-aligned spans, so each
+#: worker pays the kernel's fixed per-call cost about this many times,
+#: and a worker that finishes early can still take a whole shard off a
+#: slower one.
 STEAL_FACTOR = 2
 
 #: Handle prefix distinguishing mmapped spill files from raw
@@ -367,42 +368,47 @@ class ColumnarBlock:
 def plan_steal_runs(
     runs: list[tuple[int, int]], chunk_size: int, workers: int
 ) -> list[tuple[int, int]]:
-    """Guided shard spans over the pending point *runs*.
+    """Near-equal shard spans over the pending point *runs*.
 
     Checkpoint resume skips a prefix, and a persistent result store or
     the cache can know *any* subset of rows, so what remains to
     evaluate is a list of contiguous ``[lo, hi)`` point runs. Spans
     advance in whole chunks from a run's start (chunk-aligned when the
     run is) and never straddle two runs (the gap between them is
-    already-known work whose block rows must stay untouched). They are sized geometrically: each
-    successive shard takes ``remaining_chunks // (workers *
-    STEAL_FACTOR)`` chunks (never less than one). Early shards are
-    large — few task messages while every worker is busy anyway — and
-    tail shards shrink toward single chunks, so when the queue drains,
-    no worker can be left holding more than one chunk of work while
-    the others idle. One executor future per span turns the pool's
-    shared call queue into the steal queue: whichever worker goes idle
-    first pulls the next span.
+    already-known work whose block rows must stay untouched).
+
+    The sweep gets ``workers * STEAL_FACTOR`` spans (fewer only when
+    it has fewer chunks), split across the runs by chunk count with
+    largest remainders: every run gets at least one span and at most
+    one per chunk, and the spans of one run differ by at most one
+    chunk, the longer ones last (so a run ending in the grid's short
+    final chunk splits more evenly by rows). A kernel call costs a
+    fixed setup plus a per-row term, so a few equal shards per worker
+    pay the fixed part a few times instead of once per chunk, and a
+    shard count that is a multiple of the worker count leaves no
+    worker alone with a last whole shard. One executor future per
+    span turns the pool's shared call queue into the steal queue:
+    whichever worker goes idle first pulls the next span.
     """
-    pending: list[tuple[int, int, int]] = []
-    remaining = 0
-    for lo, hi in runs:
-        if hi > lo:
-            chunks = -(-(hi - lo) // chunk_size)
-            pending.append((lo, hi, chunks))
-            remaining += chunks
-    divisor = max(1, workers) * STEAL_FACTOR
+    pending = [(lo, hi, -(-(hi - lo) // chunk_size)) for lo, hi in runs if hi > lo]
+    total = sum(chunks for _, _, chunks in pending)
+    if not total:
+        return []
+    seats = min(total, max(1, workers) * STEAL_FACTOR)
+    shares = [seats * chunks for _, _, chunks in pending]
+    counts = [share // total for share in shares]
+    by_remainder = sorted(range(len(pending)), key=lambda i: -(shares[i] % total))
+    for i in by_remainder[: seats - sum(counts)]:
+        counts[i] += 1
     spans: list[tuple[int, int]] = []
-    for lo, hi, chunks in pending:
+    for (lo, hi, chunks), count in zip(pending, counts):
+        count = max(1, count)
+        base, extra = divmod(chunks, count)
         cursor = lo
-        left = chunks
-        while left > 0:
-            take = min(left, max(1, remaining // divisor))
-            span_hi = min(cursor + take * chunk_size, hi)
+        for k in range(count):
+            span_hi = min(cursor + (base + (k >= count - extra)) * chunk_size, hi)
             spans.append((cursor, span_hi))
             cursor = span_hi
-            left -= take
-            remaining -= take
     return spans
 
 

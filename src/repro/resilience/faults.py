@@ -207,10 +207,10 @@ _COUNT_LOCK = threading.Lock()
 
 class CountingFactory:
     """A vector factory that counts the points it is asked to evaluate:
-    ``scalar_calls`` per-point calls and ``kernel_points`` rows through
-    ``batch_arrays``. Wraps *factory* (default: the stock symmetric
-    multicore factory); the counters are thread-safe, so thread-pool
-    workers count too."""
+    ``scalar_calls`` per-point calls, and ``kernel_calls`` calls and
+    ``kernel_points`` rows through ``batch_arrays``. Wraps *factory*
+    (default: the stock symmetric multicore factory); the counters are
+    thread-safe, so thread-pool workers count too."""
 
     def __init__(self, factory: object | None = None) -> None:
         if factory is None:
@@ -218,6 +218,7 @@ class CountingFactory:
 
             factory = SymmetricMulticoreFactory()
         self.inner = factory
+        self.kernel_calls = 0
         self.kernel_points = 0
         self.scalar_calls = 0
 
@@ -228,6 +229,7 @@ class CountingFactory:
 
     def batch_arrays(self, columns: Mapping[str, np.ndarray]):
         with _COUNT_LOCK:
+            self.kernel_calls += 1
             self.kernel_points += len(next(iter(columns.values())))
         return self.inner.batch_arrays(columns)  # type: ignore[attr-defined]
 

@@ -74,6 +74,10 @@ __all__ = ["SupervisedPool"]
 #: indescribable job) — fall through to the next recovery rung.
 _ABORT = object()
 
+#: Seconds :meth:`SupervisedPool.shutdown` lets the idle workers of a
+#: settled pool exit on their own before terminating the rest.
+WIND_DOWN_S = 2.0
+
 
 def _run_job(fn: Callable, job: object) -> object:
     """Worker-side job evaluation (module-level, hence picklable).
@@ -155,6 +159,9 @@ class SupervisedPool:
             monitor = HeartbeatMonitor()
         self._monitor = monitor
         self._quarantine = quarantine
+        # True while a run() is dispatching: a shutdown then cannot
+        # wait for the workers, which may still be busy or hung.
+        self._in_flight = False
 
     # ------------------------------------------------------------------
     # Public interface
@@ -201,6 +208,7 @@ class SupervisedPool:
         jobs = list(jobs)
         if not jobs:
             return []
+        self._in_flight = True
         results: list = [None] * len(jobs)
         pending = list(range(len(jobs)))
         attempt = 0
@@ -275,16 +283,25 @@ class SupervisedPool:
             self.policy.sleep(self.policy.backoff_s(attempt))
             attempt += 1
             pending = failed
+        self._in_flight = False
         return results
 
     def shutdown(self, *, cancel_futures: bool = True) -> None:
         """Tear the pool down, reaping every worker process.
 
-        Queued work is cancelled (``cancel_futures``) and worker
-        processes are terminated and joined, so an aborted sweep —
-        ``KeyboardInterrupt`` included — leaves no orphans behind.
+        Queued work is cancelled (``cancel_futures``). When the last
+        :meth:`run` finished, the workers are idle and get up to
+        :data:`WIND_DOWN_S` to exit on the executor's own stop
+        sentinels: a worker the others outran to every job still runs
+        its initializer first, so its ``worker.init`` event reaches its
+        spill file. Workers still alive then — all of them at once when
+        a run was cut short — are terminated and joined, so an aborted
+        sweep, ``KeyboardInterrupt`` included, leaves no orphans behind.
         """
-        self._kill_executor(cancel_futures=cancel_futures)
+        self._kill_executor(
+            cancel_futures=cancel_futures,
+            grace_s=0.0 if self._in_flight else WIND_DOWN_S,
+        )
         if self._monitor is not None:
             self._monitor.cleanup()
 
@@ -567,12 +584,13 @@ class SupervisedPool:
             "irrecoverable runs salvaged as partial results",
         )
 
-    def _kill_executor(self, *, cancel_futures: bool) -> None:
+    def _kill_executor(self, *, cancel_futures: bool, grace_s: float = 0.0) -> None:
         """Shut the executor down without waiting on hung workers.
 
         ``shutdown(wait=True)`` would block forever behind a hung
-        worker, so the order is: non-blocking shutdown, terminate the
-        worker processes, then a bounded join to reap them.
+        worker, so the order is: non-blocking shutdown, up to *grace_s*
+        for the workers to exit on their own, terminate the rest, then
+        a bounded join to reap them.
         """
         executor = self._executor
         self._executor = None
@@ -587,6 +605,12 @@ class SupervisedPool:
             executor.shutdown(wait=False, cancel_futures=cancel_futures)
         except Exception:  # pragma: no cover - shutdown is best-effort
             pass
+        deadline = time.monotonic() + grace_s
+        for process in processes:
+            try:
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
+            except Exception:  # pragma: no cover
+                pass
         for process in processes:
             try:
                 process.terminate()

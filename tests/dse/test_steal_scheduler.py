@@ -1,7 +1,9 @@
 """The work-stealing scheduler must be invisible in the results.
 
 Shard planning has to cover every pending run exactly once,
-chunk-aligned, at any worker count — and the order shards
+chunk-aligned, at any worker count, in ``workers * STEAL_FACTOR``
+near-equal spans (so a sweep pays the kernel's fixed per-call cost a
+few times per worker, not once per chunk) — and the order shards
 actually execute in must never change a single result byte, because
 every shard owns disjoint rows of the shared block. ``workers="auto"``
 is a scheduling decision too: whatever it resolves to, the sweep output
@@ -10,6 +12,7 @@ is byte-identical to both the serial and the forced-pool runs.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -17,19 +20,24 @@ import pytest
 
 from repro.core.errors import ValidationError
 from repro.core.scenario import EMBODIED_DOMINATED
-from repro.dse import parallel
-from repro.dse.batch import BatchExplorer, _GridIndex
+from repro.dse import batch, parallel
+from repro.dse.batch import BatchExplorer, _GridIndex, _runs
 from repro.dse.factories import SymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid, linear_range
+from repro.dse.store import ResultStore
+from repro.resilience import truncate_checkpoint
+from repro.resilience.faults import CountingFactory
+
+from .test_known_rows import _ThreadPool
 
 GRID = ParameterGrid({"cores": [1, 2, 4, 8, 16], "f": linear_range(0.5, 0.99, 7)})
 
 
-def _explorer(**kwargs) -> BatchExplorer:
+def _explorer(factory=None, **kwargs) -> BatchExplorer:
     from repro.core.design import DesignPoint
 
     return BatchExplorer(
-        factory=SymmetricMulticoreFactory(),
+        factory=factory or SymmetricMulticoreFactory(),
         baseline=DesignPoint.baseline("baseline"),
         weight=EMBODIED_DOMINATED,
         **kwargs,
@@ -91,7 +99,7 @@ class TestPlanShardRuns:
 
 
 class TestPlanStealRuns:
-    """Properties of the guided (geometric) planner."""
+    """Properties of the equal-span planner."""
 
     CASES = [
         ([(0, 256)], 16, 2),
@@ -114,22 +122,35 @@ class TestPlanStealRuns:
             assert hi == run_hi or (hi - run_lo) % chunk_size == 0
 
     @pytest.mark.parametrize("runs,chunk_size,workers", CASES)
-    def test_sizes_shrink_geometrically(self, runs, chunk_size, workers):
+    def test_spans_apportioned_by_chunk_count(self, runs, chunk_size, workers):
         spans = parallel.plan_steal_runs(runs, chunk_size, workers)
-        sizes = _sizes_in_chunks(spans, chunk_size)
-        total = sum(sizes)
-        # No shard ever exceeds the first guided budget — the unclipped
-        # take is monotonically nonincreasing because the backlog only
-        # shrinks — and none is ever empty.
-        budget = max(1, total // (workers * parallel.STEAL_FACTOR))
-        for size in sizes:
-            assert 1 <= size <= budget
+        chunks = {
+            run: -(-(run[1] - run[0]) // chunk_size) for run in runs if run[1] > run[0]
+        }
+        total = sum(chunks.values())
+        seats = min(total, workers * parallel.STEAL_FACTOR)
+        # The sweep's seats, plus one for each run too small to earn one.
+        assert seats <= len(spans) <= seats + len(chunks)
+        for (run_lo, run_hi), run_chunks in chunks.items():
+            parts = [(lo, hi) for lo, hi in spans if run_lo <= lo and hi <= run_hi]
+            # Largest remainders: within one of the run's exact quota,
+            # at least one span and at most one per chunk.
+            quota = seats * run_chunks / total
+            assert max(1, math.floor(quota)) <= len(parts) <= max(1, math.ceil(quota))
+            assert len(parts) <= run_chunks
+            sizes = _sizes_in_chunks(parts, chunk_size)
+            assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes)
 
-    def test_tail_shrinks_to_single_chunks(self):
-        spans = parallel.plan_steal_runs([(0, 1024)], 16, 2)
-        sizes = _sizes_in_chunks(spans, 16)
-        assert sizes[-1] == 1
-        assert sizes[0] > sizes[-1]
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_one_run_gets_steal_factor_spans_per_worker(self, workers):
+        # The compute-heavy benchmark's shape: 40 chunks of 1024 rows
+        # less the auto-calibration chunk, a 64-row runt at the end.
+        spans = parallel.plan_steal_runs([(1024, 40_000)], 1024, workers)
+        assert len(spans) == workers * parallel.STEAL_FACTOR
+        sizes = _sizes_in_chunks(spans, 1024)
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) == -(-39 // (workers * parallel.STEAL_FACTOR))
 
     def test_empty(self):
         assert parallel.plan_steal_runs([], 16, 2) == []
@@ -179,6 +200,77 @@ class TestStolenOrderParity:
         assert np.array_equal(result.ncf_fixed_time, reference.ncf_fixed_time)
         assert np.array_equal(result.codes, reference.codes)
         assert explorer.last_sweep.shards > 1
+
+
+# 20 x 8 points in chunks of 4: a 40-chunk sweep.
+CALL_GRID = ParameterGrid(
+    {"cores": list(range(1, 21)), "f": linear_range(0.5, 0.99, 8)}
+)
+
+
+class TestKernelCalls:
+    """A parallel sweep makes one ``batch_arrays`` call per shard: about
+    ``STEAL_FACTOR`` per worker, not one per chunk."""
+
+    SEATS = 2 * parallel.STEAL_FACTOR
+
+    @pytest.fixture(autouse=True)
+    def thread_pool(self, monkeypatch):
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _ThreadPool)
+
+    def test_cold_sweep(self):
+        reference = _explorer(chunk_size=4).explore_arrays(CALL_GRID)
+        factory = CountingFactory()
+        explorer = _explorer(factory, workers=2, chunk_size=4)
+        result = explorer.explore_arrays(CALL_GRID)
+        assert np.array_equal(result.codes, reference.codes)
+        assert np.array_equal(result.ncf_fixed_work, reference.ncf_fixed_work)
+        assert factory.kernel_points == len(CALL_GRID)
+        assert factory.kernel_calls <= self.SEATS
+        assert explorer.last_sweep.shards == factory.kernel_calls
+
+    def test_auto_sweep_adds_only_the_calibration_call(self, monkeypatch):
+        monkeypatch.setattr(
+            BatchExplorer, "_auto_decision", staticmethod(lambda est, cpus: 2)
+        )
+        factory = CountingFactory()
+        explorer = _explorer(factory, workers="auto", chunk_size=4)
+        explorer.explore_arrays(CALL_GRID)
+        assert explorer.last_sweep.workers == 2
+        assert factory.kernel_points == len(CALL_GRID)
+        assert factory.kernel_calls <= self.SEATS + 1
+
+    def test_resumed_prefix(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        factory = CountingFactory()
+        reference = _explorer(factory, chunk_size=4).explore_arrays(
+            CALL_GRID, checkpoint=ckpt
+        )
+        truncate_checkpoint(ckpt, keep_fraction=0.5)
+        factory.kernel_calls = factory.kernel_points = 0
+        explorer = _explorer(factory, workers=2, chunk_size=4)
+        result = explorer.explore_arrays(CALL_GRID, checkpoint=ckpt, resume=True)
+        assert np.array_equal(result.codes, reference.codes)
+        assert 0 < factory.kernel_points < len(CALL_GRID)
+        assert factory.kernel_calls <= self.SEATS + 1
+
+    def test_store_gaps(self, tmp_path):
+        root = tmp_path / "store"
+        factory = CountingFactory()
+        for cores in (5, 12):
+            _explorer(factory, chunk_size=4).explore_arrays(
+                CALL_GRID.subgrid(cores=cores), store=ResultStore(root)
+            )
+        fresh = np.array([p["cores"] not in (5, 12) for p in CALL_GRID])
+        runs = _runs(fresh)
+        assert len(runs) == 3
+        reference = _explorer(chunk_size=4).explore_arrays(CALL_GRID)
+        factory.kernel_calls = factory.kernel_points = 0
+        explorer = _explorer(factory, workers=2, chunk_size=4)
+        result = explorer.explore_arrays(CALL_GRID, store=ResultStore(root))
+        assert np.array_equal(result.codes, reference.codes)
+        assert factory.kernel_points == int(fresh.sum())
+        assert factory.kernel_calls <= self.SEATS + len(runs)
 
 
 class TestAutoWorkers:

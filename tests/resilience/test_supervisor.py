@@ -8,7 +8,10 @@ same ladder against real crashed/hung worker processes.
 
 from __future__ import annotations
 
+import os
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -155,7 +158,32 @@ class TestDegradedPool:
             assert before and pool.degraded
 
 
+def _slow_unless_first(marks: str) -> None:
+    """Pool initializer: the first worker to start up marks itself at
+    once; every later one is still starting when the only job is done."""
+    try:
+        (Path(marks) / "first").touch(exist_ok=False)
+    except FileExistsError:
+        time.sleep(0.5)
+    (Path(marks) / f"init-{os.getpid()}").touch()
+
+
 class TestShutdown:
+    def test_settled_pool_lets_starting_workers_initialize(self, tmp_path):
+        # A worker the others outran to every job still finishes its
+        # initializer (where sweeps record ``worker.init``) before the
+        # pool goes: shutdown after a finished run waits for idle
+        # workers instead of terminating them.
+        pool = SupervisedPool(
+            3,
+            RetryPolicy(**NO_SLEEP),
+            initializer=_slow_unless_first,
+            initargs=(str(tmp_path),),
+        )
+        assert pool.run(double, [1]) == [2]
+        pool.shutdown()
+        assert len(list(tmp_path.glob("init-*"))) == 3
+
     def test_shutdown_without_use_is_safe(self):
         pool = SupervisedPool(2, RetryPolicy(**NO_SLEEP), ThreadPoolExecutor)
         pool.shutdown()
