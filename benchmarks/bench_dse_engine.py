@@ -551,23 +551,15 @@ def test_parallel_columnar_sweep(benchmark, emit):
 
 
 def test_parallel_schedule_byte_identity(benchmark, emit, tmp_path):
-    """Serial, work-stealing shards over shared memory and
-    work-stealing shards over a spilled block must be fully
+    """Serial and work-stealing shards over shared memory must be fully
     interchangeable: identical result bytes, identical cache contents,
     identical checkpoint bytes (the fingerprint deliberately excludes
-    workers/spill, so a checkpoint written under any schedule resumes
-    under any other)."""
+    workers, so a checkpoint written under either schedule resumes
+    under the other)."""
 
     def run_schedules() -> dict:
         runs = {}
-        for key, kwargs in (
-            ("serial", dict(workers=0)),
-            ("steal", dict(workers=2)),
-            (
-                "steal-spilled",
-                dict(workers=2, spill_dir=tmp_path / "spill", spill_bytes=1),
-            ),
-        ):
+        for key, workers in (("serial", 0), ("steal", 2)):
             factory = IterativeFixedPointFactory(iters=SCHEDULE_ITERS)
             explorer = BatchExplorer(
                 factory=factory,
@@ -575,7 +567,7 @@ def test_parallel_schedule_byte_identity(benchmark, emit, tmp_path):
                 weight=EMBODIED_DOMINATED,
                 cache=FactoryCache(factory),
                 chunk_size=2048,
-                **kwargs,
+                workers=workers,
             )
             ckpt = tmp_path / f"{key}.ckpt"
             sweep = explorer.explore_arrays(SCHEDULE_GRID, checkpoint=ckpt)
@@ -604,7 +596,7 @@ def test_parallel_schedule_byte_identity(benchmark, emit, tmp_path):
     assert ckpt_equal
     emit(
         f"schedule identity: {len(SCHEDULE_GRID)} points x "
-        "{serial, steal, steal spilled} -> identical result, cache and "
+        "{serial, steal} -> identical result, cache and "
         "checkpoint bytes"
     )
 

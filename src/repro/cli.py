@@ -258,27 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--spill-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "back the sweep's result block with a memory-mapped file "
-            "under DIR instead of shared memory; without --spill-bytes "
-            "every block spills"
-        ),
-    )
-    sweep.add_argument(
-        "--spill-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "out-of-core threshold: blocks at or above BYTES are "
-            "memmap-backed (under --spill-dir when given, else the "
-            "system tmp dir); smaller blocks stay in RAM"
-        ),
-    )
-    sweep.add_argument(
         "--chunk-size",
         type=int,
         default=1024,
@@ -666,8 +645,6 @@ def _cmd_sweep(
     store: str | None = None,
     quarantine: str | None = None,
     salvage: bool = False,
-    spill_dir: str | None = None,
-    spill_bytes: int | None = None,
 ) -> int:
     import dataclasses
 
@@ -709,8 +686,6 @@ def _cmd_sweep(
         chunk_size=chunk_size,
         workers=workers,
         resilience=policy,
-        spill_dir=spill_dir,
-        spill_bytes=spill_bytes,
     )
     result_store = ResultStore(store) if store else None
     sweep = explorer.explore_arrays(
@@ -914,8 +889,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.store,
             args.quarantine,
             args.salvage,
-            args.spill_dir,
-            args.spill_bytes,
         )
     if args.command == "store":
         return _cmd_store(args)

@@ -461,7 +461,6 @@ class _ParallelPlan:
         #: Captured at setup — the block is released before stats are
         #: cut.
         self.shm_bytes = block.nbytes
-        self.spill_nbytes = block.spill_nbytes
         self.kernel_wall = 0.0
         self.busy = 0.0
 
@@ -1295,7 +1294,9 @@ class SweepEngineStats:
     knew are not among them.
     The ``shards``/``shard_points``/``shm_bytes``/
     ``worker_utilization`` fields are populated by parallel-columnar
-    sweeps only and feed the ``focal_parallel_*`` gauges.
+    sweeps only and feed the ``focal_parallel_*`` gauges;
+    ``worker_utilization`` is the workers' kernel CPU seconds over
+    kernel wall × workers, so it cannot exceed the CPUs they shared.
     """
 
     mode: str
@@ -1310,10 +1311,8 @@ class SweepEngineStats:
     worker_utilization: float = 0.0
     #: The smallest dispatched shard of a parallel-columnar sweep in
     #: grid points (within one chunk of ``shard_points`` when the
-    #: pending rows form one run), and file bytes backing the sweep's
-    #: result block (0 when it sat in shared memory).
+    #: pending rows form one run).
     tail_shard_points: int = 0
-    spill_bytes: int = 0
     #: True when ``workers="auto"`` resolved this sweep's worker count
     #: (``workers`` then records the calibrated choice).
     auto_workers: bool = False
@@ -1367,8 +1366,6 @@ class SweepEngineStats:
                 f"x {self.workers} workers, "
                 f"{self.worker_utilization:.0%} kernel utilization"
             )
-        if self.spill_bytes:
-            line += f", {self.spill_bytes / 1e6:.1f} MB spilled"
         if self.store_used:
             line += (
                 f", store reuse: {self.store_reuse_ratio * 100:.1f}% "
@@ -1407,8 +1404,6 @@ class SweepEngineStats:
                 worker_utilization=self.worker_utilization,
                 tail_shard_points=self.tail_shard_points,
             )
-        if self.spill_bytes:
-            payload["spill_bytes"] = self.spill_bytes
         if self.store_used:
             payload.update(
                 store_chunks=self.store_chunks,
@@ -1589,16 +1584,10 @@ class BatchExplorer:
         shard off the shared call queue the moment they finish one
         (work stealing). A scalar factory's pool
         sweep ships each chunk's missing rows as about one shard per
-        worker, on the same queue.
-    spill_dir, spill_bytes:
-        Out-of-core policy. When ``spill_bytes`` is set, a parallel
-        sweep's result block at or above that many bytes is backed by
-        an mmapped file instead of shared memory; a bare ``spill_dir``
-        (threshold unset) always spills. Files land under
-        ``spill_dir`` (a temp dir when only the threshold is given) and
-        are removed when the sweep winds down. A host without usable
-        shared memory gets the file backing too. Results are
-        byte-identical to the in-RAM path.
+        worker, on the same queue. A vector factory's results travel
+        back in one shared-memory block; on a host that refuses the
+        segment the sweep logs ``block.fallback`` and runs the
+        ``columnar`` path in-process instead (same bytes, no pool).
     cache:
         A :class:`FactoryCache` to (re)use; by default a private one is
         created, so repeated sweeps — ``subgrid`` pins, tornado runs —
@@ -1619,8 +1608,6 @@ class BatchExplorer:
     workers: int | str = 0
     cache: FactoryCache = field(default=None)  # type: ignore[assignment]
     resilience: RetryPolicy | None = None
-    spill_dir: str | os.PathLike | None = None
-    spill_bytes: int | None = None
     #: Engine execution snapshot of the most recent sweep (set by
     #: explore_arrays/count_categories; None before the first sweep).
     last_sweep: SweepEngineStats | None = field(
@@ -1655,10 +1642,6 @@ class BatchExplorer:
                 )
         elif self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
-        if self.spill_bytes is not None and self.spill_bytes < 0:
-            raise ValidationError(
-                f"spill_bytes must be >= 0, got {self.spill_bytes}"
-            )
         if self.cache is None:
             object.__setattr__(self, "cache", FactoryCache(self.factory))
 
@@ -1913,9 +1896,7 @@ class BatchExplorer:
         This process mirrors the worker state first (its own factory,
         block and index, never a second attachment), so supervised
         in-process degradation — and thread-pool executors injected by
-        tests — evaluate exactly what the worker processes would. An
-        out-of-core sweep roots the event spill and heartbeat files
-        under its spill dir.
+        tests — evaluate exactly what the worker processes would.
         """
         _parallel.set_worker_state(self.factory, block, index)
         return _parallel.WorkerPool(
@@ -1924,9 +1905,6 @@ class BatchExplorer:
             (self.factory, index, block.name if block is not None else None),
             resilience=self.resilience,
             quarantine=quarantine,
-            scratch_dir=(
-                os.fspath(self.spill_dir) if self.spill_dir is not None else None
-            ),
             # Resolved in this module, so a test can swap in threads.
             executor_factory=ProcessPoolExecutor,
         )
@@ -1936,7 +1914,7 @@ class BatchExplorer:
         index: _GridIndex,
         fresh: np.ndarray,
         quarantine: "QuarantineSession | None" = None,
-    ) -> _ParallelPlan:
+    ) -> "_ParallelPlan | None":
         """Allocate the sweep's shared block, plan the shard spans over
         the *fresh* rows (a mask over the grid) and spawn the pool
         (which receives the grid *index* once, so a shard job is ``(lo,
@@ -1955,12 +1933,24 @@ class BatchExplorer:
         that chunk is fresh, its arrays are written into the block up
         front and the chunk is dropped from the dispatch spans —
         calibration cost no extra kernel work.
+
+        A host that refuses the shared-memory segment gets ``None``
+        (the cause logged as ``block.fallback``), and the caller sweeps
+        in-process.
         """
         total = index.total
         size = self.chunk_size
-        block = _parallel.ColumnarBlock.allocate(
-            total, spill_dir=self.spill_dir, spill_bytes=self.spill_bytes
-        )
+        try:
+            block = _parallel.ColumnarBlock.allocate(total)
+        except OSError as exc:
+            get_logger().warning(
+                kv(
+                    "block.fallback",
+                    mode="columnar",
+                    cause=f"{type(exc).__name__}: {exc}",
+                )
+            )
+            return None
         fresh = fresh.copy()
         starts = np.arange(0, total, size)
         planned = set(np.flatnonzero(np.logical_or.reduceat(fresh, starts)).tolist())
@@ -1984,9 +1974,9 @@ class BatchExplorer:
 
         One job per span — ``(lo, hi, seq)`` out (workers derive their
         columns from the pool-shipped grid index and write their rows
-        into the block), a busy-seconds acknowledgement back. Shard
-        writes are idempotent, so supervised retry/respawn/
-        degradation re-runs are safe. Busy seconds accumulate for the
+        into the block), the kernel's CPU seconds back. Shard writes
+        are idempotent, so supervised retry/respawn/degradation re-runs
+        are safe. CPU seconds accumulate for the
         worker-utilization gauge and, per worker, into the
         ``focal_worker_busy_seconds`` histogram; worker events riding
         the replies merge into the global event log.
@@ -2000,7 +1990,6 @@ class BatchExplorer:
             shard_points=plan.shard_points,
             workers=self._pool_workers,
             shm_bytes=plan.shm_bytes,
-            spill_bytes=plan.spill_nbytes,
         ):
             begin = time.perf_counter()
             for job, replies in zip(jobs, self._run_shards(plan.pool, jobs)):
@@ -2047,7 +2036,7 @@ class BatchExplorer:
                 if registry.enabled:
                     registry.histogram(
                         "focal_worker_busy_seconds",
-                        "kernel busy seconds per shard, by worker process",
+                        "kernel CPU seconds per shard, by worker process",
                         labels={"worker": str(pid)},
                     ).observe(busy)
             unpacked.append(replies)
@@ -2197,8 +2186,15 @@ class BatchExplorer:
                     if mode == "parallel-columnar":
                         # Only the rows no source knows reach the pool.
                         plan = self._parallel_setup(index, known.fresh, state.qsession)
-                        pool = plan.pool
-                        self._parallel_kernels(plan, tracer)
+                        if plan is None:
+                            # No shared block on this host: run the
+                            # in-process path, as a declined auto does.
+                            mode = "columnar"
+                            object.__setattr__(self, "_active_workers", 0)
+                            sweep_span.set(mode=mode, workers=0)
+                        else:
+                            pool = plan.pool
+                            self._parallel_kernels(plan, tracer)
                     elif workers:
                         pool = self._open_pool(index, quarantine=state.qsession)
                 for k in chunks:
@@ -2402,8 +2398,6 @@ class BatchExplorer:
                 ),
                 tail_shard_points=plan.tail_shard_points,
             )
-        if plan is not None and plan.spill_nbytes:
-            extras["spill_bytes"] = plan.spill_nbytes
         if use is not None:
             extras.update(
                 store_used=True,
@@ -2495,11 +2489,11 @@ class BatchExplorer:
                 registry.gauge(
                     "focal_parallel_shm_bytes",
                     "shared-memory bytes backing the last parallel-columnar "
-                    "sweep (0 = file-backed block)",
+                    "sweep",
                 ).set(engine.shm_bytes)
                 registry.gauge(
                     "focal_parallel_worker_utilization",
-                    "worker busy seconds / (kernel wall x workers), "
+                    "worker kernel CPU seconds / (kernel wall x workers), "
                     "last parallel-columnar sweep",
                 ).set(engine.worker_utilization)
                 registry.gauge(
@@ -2507,11 +2501,6 @@ class BatchExplorer:
                     "smallest (tail) shard of the last work-stealing "
                     "sweep, in grid points",
                 ).set(engine.tail_shard_points)
-            registry.gauge(
-                "focal_spill_bytes",
-                "file bytes backing the last sweep's result block "
-                "(0 = shared memory)",
-            ).set(engine.spill_bytes)
             if engine.store_used:
                 registry.counter(
                     "focal_store_sweep_points_total",

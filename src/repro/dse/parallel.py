@@ -5,11 +5,12 @@ parallel sweep only has to move a span of grid rows into a kernel and
 three float columns plus a validity flag back. This module carries
 exactly that, one way:
 
-* :class:`ColumnarBlock` — one flat buffer holding the sweep's
-  area/perf/power/valid columns for *every* grid point, backed by a
-  ``multiprocessing.shared_memory`` segment, or by an mmapped file when
-  the sweep opts into out-of-core operation (``spill_dir=`` /
-  ``spill_bytes=``) or the host has no usable shared memory;
+* :class:`ColumnarBlock` — one flat buffer holding a vector
+  factory's area/perf/power/valid columns for *every* grid point,
+  backed by a ``multiprocessing.shared_memory`` segment (a scalar
+  factory's shards reply with their outcomes instead). A host that
+  refuses the segment sweeps in-process: see
+  :meth:`ColumnarBlock.allocate`;
 * :func:`plan_steal_runs` — contiguous ``[lo, hi)`` spans, whole
   chunks from each run's start, ``STEAL_FACTOR`` near-equal spans per
   worker, so one future per shard on the executor's shared call queue
@@ -27,7 +28,7 @@ exactly that, one way:
   dicts from the grid's own values and replies with the outcomes;
 * :class:`WorkerPool` — the one pool lifecycle sweeps and the
   Monte-Carlo samplers share: open (supervised or bare, worker event
-  capture and its spill directory armed), dispatch, wind down.
+  capture and its event-spill directory armed), dispatch, wind down.
 
 Everything here is byte-neutral: the kernels run unchanged on the same
 columns, the parent re-reads the same float64/bool columns the
@@ -43,9 +44,7 @@ module-level functions the workers do.
 
 from __future__ import annotations
 
-import mmap
 import os
-import tempfile
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable
@@ -54,7 +53,6 @@ import numpy as np
 
 from ..core.errors import ConfigurationError, DomainError
 from ..obs import events as _events
-from ..obs.log import get_logger, kv
 from ..resilience import containment as _containment
 from ..resilience.policy import RetryPolicy, SupervisionStats
 from ..resilience.supervisor import SupervisedPool
@@ -83,13 +81,8 @@ BYTES_PER_POINT = 3 * 8 + 1
 #: slower one.
 STEAL_FACTOR = 2
 
-#: Handle prefix distinguishing mmapped spill files from raw
-#: shared-memory segment names in ``ColumnarBlock.name`` / ``attach``.
-FILE_PREFIX = "file:"
-
-#: Handles (shm segment names and ``file:`` spill paths) this process
-#: created and has not yet unlinked — the leak detector the
-#: interrupt-hygiene tests assert on.
+#: Shared-memory segment names this process created and has not yet
+#: unlinked — the leak detector the interrupt-hygiene tests assert on.
 _LIVE_NAMES: set[str] = set()
 
 #: Per-process worker state, installed once per pool by the initializers
@@ -98,148 +91,8 @@ _STATE: dict = {}
 
 
 def live_blocks() -> frozenset[str]:
-    """Segment handles created here and not yet unlinked (shm names
-    plus ``file:`` spill paths)."""
+    """Shared-memory segment names created here and not yet unlinked."""
     return frozenset(_LIVE_NAMES)
-
-
-class _FileMap:
-    """An mmapped spill file with the same surface as ``SharedMemory``.
-
-    Exposes ``name`` (a ``file:``-prefixed handle), ``size``, ``buf``,
-    ``close()`` and ``unlink()``, so :class:`ColumnarBlock` treats the
-    file backing exactly like a shared-memory segment. Both sides map
-    the file ``MAP_SHARED``, so worker writes are visible to the parent
-    through the page cache without any explicit flush.
-    """
-
-    def __init__(self, path: str, size: int) -> None:
-        self.path = path
-        self.name = FILE_PREFIX + path
-        self.size = size
-        self._file = open(path, "r+b")
-        try:
-            self._mmap = mmap.mmap(self._file.fileno(), size)
-        except Exception:
-            self._file.close()
-            raise
-        self.buf: memoryview | None = memoryview(self._mmap)
-
-    @classmethod
-    def create(cls, size: int, spill_dir: str | os.PathLike | None) -> "_FileMap":
-        """A new zero-filled file of *size* bytes under *spill_dir* (the
-        temp dir when ``None``). The handle is live from the moment the
-        file exists, and a file that cannot be sized or mapped is
-        unlinked again before the error propagates."""
-        if spill_dir is not None:
-            os.makedirs(spill_dir, exist_ok=True)
-        fd, path = tempfile.mkstemp(
-            prefix="focal-block-", suffix=".bin", dir=spill_dir
-        )
-        _LIVE_NAMES.add(FILE_PREFIX + path)
-        try:
-            os.ftruncate(fd, size)
-            return cls(path, size)
-        except BaseException:
-            os.unlink(path)
-            _LIVE_NAMES.discard(FILE_PREFIX + path)
-            raise
-        finally:
-            os.close(fd)
-
-    def close(self) -> None:
-        buf, self.buf = self.buf, None
-        if buf is not None:
-            buf.release()
-        self._mmap.close()
-        self._file.close()
-
-    def unlink(self) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            raise
-        except OSError:  # pragma: no cover - spill dir torn down first
-            pass
-
-
-def _create_shm(size: int):
-    """A new shared-memory segment of *size* bytes, registered live."""
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(create=True, size=size)
-    _LIVE_NAMES.add(segment.name)
-    return segment
-
-
-def _should_spill(
-    nbytes: int,
-    spill_dir: str | os.PathLike | None,
-    spill_bytes: int | None,
-) -> bool:
-    """Whether a segment of *nbytes* goes out-of-core.
-
-    A ``spill_bytes`` threshold spills any segment at or above it; a
-    bare ``spill_dir`` (no threshold) opts every segment into the
-    memmap backing.
-    """
-    if spill_bytes is not None:
-        return nbytes >= spill_bytes
-    return spill_dir is not None
-
-
-def _create_segment(
-    nbytes: int,
-    spill_dir: str | os.PathLike | None,
-    spill_bytes: int | None,
-):
-    """A new segment of *nbytes*: a spill file when the out-of-core
-    policy selects one, else shared memory — each the other's fallback.
-
-    A fallback is logged (``block.fallback``); when neither backing can
-    be created, :class:`~repro.core.errors.ConfigurationError` names
-    both causes.
-    """
-    backings = [
-        ("shm", lambda: _create_shm(nbytes)),
-        ("file", lambda: _FileMap.create(nbytes, spill_dir)),
-    ]
-    if _should_spill(nbytes, spill_dir, spill_bytes):
-        backings.reverse()
-    failures: list[str] = []
-    for backing, create in backings:
-        try:
-            segment = create()
-        except Exception as exc:
-            failures.append(f"{backing}: {type(exc).__name__}: {exc}")
-            continue
-        if failures:
-            get_logger().warning(
-                kv("block.fallback", backing=backing, cause=failures[0])
-            )
-        return segment
-    raise ConfigurationError(
-        f"cannot allocate a {nbytes}-byte sweep block "
-        f"({'; '.join(failures)})"
-    )
-
-
-def _attach_segment(handle: str, nbytes: int):
-    """Attach to a parent-created segment by its handle.
-
-    On Python < 3.13 shm attachment re-registers the segment with the
-    ``resource_tracker`` (python/cpython#82300). Pool workers are
-    children of the sweep's parent and share its tracker process, where
-    registrations collapse into one set entry — so the re-register is
-    harmless, and explicitly unregistering here would be wrong: it
-    would strip the *parent's* registration and make its ``unlink``
-    complain about an unknown name.
-    """
-    if handle.startswith(FILE_PREFIX):
-        return _FileMap(handle[len(FILE_PREFIX) :], nbytes)
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=handle)
 
 
 class ColumnarBlock:
@@ -247,9 +100,8 @@ class ColumnarBlock:
 
     Layout over ``total`` points: ``area``/``perf``/``power`` as
     consecutive float64 columns, then ``valid`` as a bool column.
-    Workers write their shard rows directly into the buffer — a
-    shared-memory segment, or an mmapped file when the sweep spills or
-    the host has no usable shared memory.
+    Workers write their shard rows directly into the buffer, a
+    shared-memory segment.
     """
 
     def __init__(self, total: int, shm, owner: bool) -> None:
@@ -269,54 +121,46 @@ class ColumnarBlock:
         )
 
     @classmethod
-    def allocate(
-        cls,
-        total: int,
-        *,
-        spill_dir: str | os.PathLike | None = None,
-        spill_bytes: int | None = None,
-    ) -> "ColumnarBlock":
-        """A new block: spill file when the out-of-core policy selects
-        one, else shared memory; a host without usable shared memory
-        (no /dev/shm, size limits, sandboxing) gets a file in
-        *spill_dir* or the temp dir instead."""
-        return cls(
-            total,
-            _create_segment(
-                max(1, total * BYTES_PER_POINT), spill_dir, spill_bytes
-            ),
-            owner=True,
+    def allocate(cls, total: int) -> "ColumnarBlock":
+        """A new block in a fresh shared-memory segment.
+
+        Raises whatever the segment creation raises (``OSError`` on a
+        host whose ``/dev/shm`` is full, size-limited or sandboxed);
+        the sweep catches it and runs in-process instead.
+        """
+        from multiprocessing import shared_memory
+
+        segment = shared_memory.SharedMemory(
+            create=True, size=max(1, total * BYTES_PER_POINT)
         )
+        _LIVE_NAMES.add(segment.name)
+        return cls(total, segment, owner=True)
 
     @classmethod
     def attach(cls, name: str, total: int) -> "ColumnarBlock":
-        """Attach to the parent's segment (worker-side)."""
-        return cls(
-            total,
-            _attach_segment(name, max(1, total * BYTES_PER_POINT)),
-            owner=False,
-        )
+        """Attach to the parent's segment (worker-side).
+
+        On Python < 3.13 shm attachment re-registers the segment with
+        the ``resource_tracker`` (python/cpython#82300). Pool workers
+        are children of the sweep's parent and share its tracker
+        process, where registrations collapse into one set entry — so
+        the re-register is harmless, and explicitly unregistering here
+        would be wrong: it would strip the *parent's* registration and
+        make its ``unlink`` complain about an unknown name.
+        """
+        from multiprocessing import shared_memory
+
+        return cls(total, shared_memory.SharedMemory(name=name), owner=False)
 
     @property
     def name(self) -> str:
-        """Segment handle: a raw shm name, or a ``file:``-prefixed
-        spill path."""
+        """The shared-memory segment's name."""
         return self._shm.name
 
     @property
-    def backing(self) -> str:
-        """``"shm"`` or ``"file"``."""
-        return "file" if isinstance(self._shm, _FileMap) else "shm"
-
-    @property
     def nbytes(self) -> int:
-        """Shared-memory bytes backing the block (0 when file-backed)."""
-        return self._shm.size if self.backing == "shm" else 0
-
-    @property
-    def spill_nbytes(self) -> int:
-        """File bytes backing the block (0 when in shared memory)."""
-        return self._shm.size if self.backing == "file" else 0
+        """Shared-memory bytes backing the block."""
+        return self._shm.size
 
     def write(
         self,
@@ -452,8 +296,9 @@ def init_columnar_worker(
     vector factory, one attachment to the parent's result block
     (*block_name* ``None``: a scalar factory, no block).
 
-    With *capture* the worker's event buffer is armed first, so the
-    block attach itself lands on the timeline (``worker.init``).
+    With *capture* the worker's event buffer is armed first (its
+    write-through events file under *spill_dir*), so the block attach
+    itself lands on the timeline (``worker.init``).
     """
     _events.init_worker(capture, spill_dir)
     block = None
@@ -466,7 +311,6 @@ def init_columnar_worker(
             start=t0,
             dur_s=buf.now() - t0,
             attach_s=buf.now() - t0,
-            backing=block.backing,
         )
     set_worker_state(factory, block, index)
 
@@ -482,6 +326,10 @@ def eval_shard(job):
     built from the grid's own values, a ``DomainError`` travelling back
     as a value. The reply is ``(start, stop, busy_seconds, worker_pid,
     outcomes, events)``: ``outcomes`` is ``None`` for a block shard.
+    ``busy_seconds`` (``compute_s`` on the ``shard`` event) is the
+    factory's CPU time on this thread (``time.thread_time``), not wall
+    time, so a worker waiting for a CPU on an oversubscribed host does
+    not count as computing.
 
     When this worker's event buffer is armed (pool initializer with
     ``capture=True``) the shard leaves a ``heartbeat`` instant plus
@@ -502,7 +350,7 @@ def eval_shard(job):
     outcomes = None
     if block is None:
         rows = _STATE["index"].params(np.arange(start, stop))
-        begin = time.perf_counter()
+        begin = time.thread_time()
         outcomes = []
         for params in rows:
             _containment.beat()
@@ -510,12 +358,12 @@ def eval_shard(job):
                 outcomes.append(factory(params))
             except DomainError as exc:
                 outcomes.append(exc)
-        busy = time.perf_counter() - begin
+        busy = time.thread_time() - begin
     else:
         columns = _STATE["index"].columns(start, stop)
-        begin = time.perf_counter()
+        begin = time.thread_time()
         arrays = factory.batch_arrays(columns)
-        busy = time.perf_counter() - begin
+        busy = time.thread_time() - begin
         if len(arrays) != stop - start:
             raise ConfigurationError(
                 f"batch_arrays returned {len(arrays)} rows for a "
@@ -585,8 +433,8 @@ class WorkerPool:
 
     When the global event log collects, each worker runs
     ``initializer(*initargs, True, spill_dir)`` — event capture armed,
-    with a fresh spill directory (under *scratch_dir*) for the events a
-    dead worker never replied with — and this process's buffer is armed
+    with a fresh event-spill directory for the events a dead worker
+    never replied with — and this process's buffer is armed
     too, so jobs re-run here leave the same events. With a *resilience*
     policy the pool is a :class:`~repro.resilience.supervisor.
     SupervisedPool` (and :attr:`stats` its counters), else the bare
@@ -601,11 +449,10 @@ class WorkerPool:
         *,
         resilience: RetryPolicy | None = None,
         quarantine: "_containment.QuarantineSession | None" = None,
-        scratch_dir: str | None = None,
         executor_factory: Callable[..., Executor] = ProcessPoolExecutor,
     ) -> None:
         capture = _events.get_log().enabled
-        self.spill_dir = _events.make_spill_dir(base=scratch_dir) if capture else None
+        self.spill_dir = _events.make_spill_dir() if capture else None
         _events.init_worker(capture, None)
         initargs = (*initargs, capture, self.spill_dir)
         self.stats: SupervisionStats | None = None
@@ -614,9 +461,6 @@ class WorkerPool:
                 max_workers=workers, initializer=initializer, initargs=initargs
             )
             return
-        monitor = None
-        if scratch_dir is not None and resilience.heartbeat_timeout_s is not None:
-            monitor = _containment.HeartbeatMonitor(base_dir=scratch_dir)
         self._pool = SupervisedPool(
             workers,
             resilience,
@@ -624,7 +468,6 @@ class WorkerPool:
             initializer=initializer,
             initargs=initargs,
             quarantine=quarantine,
-            monitor=monitor,
         )
         self.stats = self._pool.stats
 
@@ -643,8 +486,8 @@ class WorkerPool:
         return list(self._pool.map(fn, jobs))
 
     def close(self) -> None:
-        """Reap the workers, harvest and remove the spill directory and
-        clear this process's worker state."""
+        """Reap the workers, harvest and remove the event-spill
+        directory and clear this process's worker state."""
         self._pool.shutdown(cancel_futures=True)
         if self.spill_dir is not None:
             _events.get_log().collect_spill(self.spill_dir)

@@ -343,17 +343,11 @@ def reset() -> None:
     _BUFFER.disable()
 
 
-def make_spill_dir(base: str | os.PathLike | None = None) -> str:
-    """A fresh private directory for one sweep's spill files.
-
-    Out-of-core sweeps pass their spill directory as *base* so worker
-    event files land next to the memmapped blocks instead of in a
-    cwd/tmp mix; the caller's ``finally`` removes the whole tree either
-    way via :func:`cleanup_spill_dir`.
-    """
-    return tempfile.mkdtemp(
-        prefix="focal-events-", dir=os.fspath(base) if base is not None else None
-    )
+def make_spill_dir() -> str:
+    """A fresh private temp directory for one pool's worker event
+    files; the caller's ``finally`` removes the whole tree via
+    :func:`cleanup_spill_dir`."""
+    return tempfile.mkdtemp(prefix="focal-events-")
 
 
 def cleanup_spill_dir(spill_dir: str | os.PathLike) -> None:

@@ -8,15 +8,17 @@ decomposes the sweep's wall-clock into five mutually exclusive,
 collectively exhaustive categories:
 
 ``compute``
-    Worker seconds inside ``factory.batch_arrays``, divided by the
-    worker count — the part that scales.
+    Worker CPU seconds inside ``factory.batch_arrays`` (per-thread CPU
+    time, so a worker waiting for a CPU on an oversubscribed host does
+    not count), divided by the worker count — the part that scales.
 ``shm``
     Worker seconds writing result columns into the shared block.
 ``dispatch``
     Pool overhead attributed to workers: shard time that is neither
-    compute nor shm (pickling columns in/out, queue handoff) plus the
-    idle gaps between one shard ending and the next starting inside a
-    worker's busy window.
+    compute nor shm (pickling columns in/out, queue handoff, and the
+    time a runnable worker waited for a CPU when the pool has more
+    workers than the host has CPUs) plus the idle gaps between one
+    shard ending and the next starting inside a worker's busy window.
 ``straggler``
     Kernel-phase time where a worker had no shard at all — the lead-in
     before its first shard, the tail after its last (waiting for the
@@ -33,7 +35,7 @@ The identity that makes the report trustworthy: *serial* is
 the five categories sum to the sweep wall-clock (shares sum to 100%).
 
 On top of the decomposition the report derives per-worker utilization
-(compute seconds / kernel wall) and an Amdahl-style attainable
+(compute CPU seconds / kernel wall) and an Amdahl-style attainable
 speedup: with serial time ``s`` and total compute ``c``, a perfect
 ``N``-worker run takes ``s + c/N`` against a serial ``s + c`` — the
 ceiling the current pool should be measured against.

@@ -12,16 +12,15 @@ from repro.dse import parallel as _parallel
 @pytest.fixture(scope="session", autouse=True)
 def _no_leaked_segments():
     """Leak detector: after the whole suite, every shared-memory
-    segment and spill file any test created must have been released.
+    segment any test created must have been released.
 
-    ``_LIVE_NAMES`` tracks allocations (shm names and ``file:`` spill
-    paths) process-wide; a non-empty set here points at the test — or
-    engine ``finally`` path — that dropped a block without
-    ``release()``.
+    ``_LIVE_NAMES`` tracks segment names process-wide; a non-empty set
+    here points at the test — or engine ``finally`` path — that
+    dropped a block without ``release()``.
     """
     yield
     assert _parallel.live_blocks() == frozenset(), (
-        "leaked shared segments / spill files: "
+        "leaked shared segments: "
         f"{sorted(_parallel.live_blocks())}"
     )
 

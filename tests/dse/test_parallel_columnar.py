@@ -1,15 +1,16 @@
 """The parallel-columnar engine must be invisible in the results:
 byte-identical sweep output, identical cache contents and identical
 category counts versus both the single-process columnar path and the
-scalar path — at every grid/chunk geometry, with and without shared
-memory, over numeric and string axes, and with nothing (workers, shm
-segments, spill files, module state) left behind afterwards."""
+scalar path — at every grid/chunk geometry, over numeric and string
+axes, on hosts that refuse shared memory too (the sweep then runs
+in-process), and with nothing (workers, shm segments, module state)
+left behind afterwards."""
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
-import tempfile
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from repro.core.design import DesignPoint
 from repro.core.scenario import EMBODIED_DOMINATED
-from repro.dse import parallel
+from repro.dse import batch, parallel
 from repro.dse.batch import (
     BatchExplorer,
     DesignArrays,
@@ -235,9 +236,8 @@ class TestEdgeGeometry:
 
 
 @pytest.fixture
-def no_shm(monkeypatch, tmp_path):
-    """A host without usable shared memory: segment creation fails, and
-    the temp dir the block falls back to is this test's own."""
+def no_shm(monkeypatch):
+    """A host without usable shared memory: segment creation fails."""
     real = shared_memory.SharedMemory
 
     def refuse(*args, create=False, **kwargs):
@@ -246,28 +246,37 @@ def no_shm(monkeypatch, tmp_path):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-    temp = tmp_path / "tmp"
-    temp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    return temp
 
 
 class TestSharedMemoryFallback:
-    def test_no_shm_host_falls_back_to_file_block(self, baseline, no_shm):
-        # Shared-memory creation fails: the result block moves to a
-        # file in the temp dir, workers still write their rows into it,
-        # and the results are bit-exact.
-        reference = _explorer(
-            SymmetricMulticoreFactory(), baseline
-        ).explore_arrays(GRID)
-        par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
-        result = par.explore_arrays(GRID)
-        assert_same_sweep(result, reference)
-        assert par.last_sweep.mode == "parallel-columnar"
-        assert par.last_sweep.shm_bytes == 0  # fallback reported honestly
-        assert par.last_sweep.spill_bytes >= len(GRID) * parallel.BYTES_PER_POINT
-        assert list(no_shm.iterdir()) == []
+    def test_refused_segment_leaves_nothing_live(self, no_shm):
+        with pytest.raises(OSError):
+            parallel.ColumnarBlock.allocate(1000)
         assert parallel.live_blocks() == frozenset()
+
+    def test_no_shm_host_sweeps_in_process(
+        self, baseline, no_shm, monkeypatch, caplog
+    ):
+        # Shared-memory creation fails: the sweep logs the cause, spawns
+        # no pool and runs the in-process columnar path, bit-exact.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was spawned without a block")
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", no_pool)
+        serial = _explorer(SymmetricMulticoreFactory(), baseline)
+        reference = serial.explore_arrays(GRID)
+        par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            result = par.explore_arrays(GRID)
+        assert_same_sweep(result, reference)
+        assert_same_entries(par.cache, serial.cache)
+        assert par.last_sweep.mode == "columnar"
+        assert par.last_sweep.shards == 0
+        assert par.last_sweep.shm_bytes == 0
+        assert "block.fallback" in caplog.text
+        assert "No space left on device" in caplog.text
+        assert parallel.live_blocks() == frozenset()
+        assert parallel._STATE == {}
 
     def test_shm_bytes_reported_when_backed(self, baseline):
         par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
@@ -359,8 +368,9 @@ class TestNonNumericAxes:
 
 
 class TestTransportParity:
-    """Every block backing gives the serial sweep's bytes: results,
-    cache entries and checkpoint files, on numeric and string grids."""
+    """The shared-memory block, and the in-process sweep a host without
+    one falls back to, give the serial sweep's bytes: results, cache
+    entries and checkpoint files, on numeric and string grids."""
 
     @staticmethod
     def _sweeps(factory, baseline, grid, tmp_path, key, **kwargs):
@@ -372,7 +382,7 @@ class TestTransportParity:
         ).explore_arrays(grid, checkpoint=ckpt)
         return explorer, result, checkpointed, ckpt.read_bytes()
 
-    @pytest.mark.parametrize("transport", ["shm", "spilled", "no-shm"])
+    @pytest.mark.parametrize("transport", ["shm", "no-shm"])
     @pytest.mark.parametrize(
         "factory,grid",
         [
@@ -387,15 +397,14 @@ class TestTransportParity:
         serial, reference, ref_ckpt, ref_bytes = self._sweeps(
             factory, baseline, grid, tmp_path, "serial"
         )
-        kwargs: dict = dict(workers=2)
-        if transport == "spilled":
-            kwargs.update(spill_dir=tmp_path / "spill", spill_bytes=1)
-        elif transport == "no-shm":
+        if transport == "no-shm":
             request.getfixturevalue("no_shm")
         par, result, checkpointed, ckpt_bytes = self._sweeps(
-            factory, baseline, grid, tmp_path, transport, **kwargs
+            factory, baseline, grid, tmp_path, transport, workers=2
         )
-        assert par.last_sweep.mode == "parallel-columnar"
+        assert par.last_sweep.mode == (
+            "parallel-columnar" if transport == "shm" else "columnar"
+        )
         assert (par.last_sweep.shm_bytes > 0) == (transport == "shm")
         assert_same_sweep(result, reference)
         assert_same_sweep(checkpointed, ref_ckpt)

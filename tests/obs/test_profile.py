@@ -201,3 +201,39 @@ class TestRenderProfile:
             profile_report(_report([_shard(1, 0.2, 0.6, compute=0.5)]))
         )
         assert "point provenance" not in page
+
+
+class TestComputeIsCpuTime:
+    def test_compute_fits_in_the_cpus_the_workers_shared(self, tmp_path):
+        """Worker ``compute_s`` is CPU time, so 4 workers time-slicing
+        on fewer CPUs cannot report more compute than those CPUs had
+        during the kernel phase (wall-clock timing reported about 4x
+        the kernel wall on 2 CPUs)."""
+        import json
+        import os
+
+        from repro.cli import main
+
+        workers = 4
+        out = tmp_path / "trace.json"
+        argv = [
+            "profile", "--bench", "--workers", str(workers), "--cores", "64",
+            "--fractions", "250", "--iters", "2500", "--chunk-size", "2048",
+            "--trace", str(out),
+        ]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        profile = profile_report(report)
+        compute = sum(
+            row["attrs"]["compute_s"]
+            for row in report["events"]
+            if row.get("name") == "shard"
+        )
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            cpus = os.cpu_count() or 1
+        bound = profile.kernel_s * min(workers, cpus) * 1.05 + 0.02
+        assert compute > 0.0
+        assert compute <= bound, (compute, profile.kernel_s, cpus)
+        assert profile.compute_total_s <= bound

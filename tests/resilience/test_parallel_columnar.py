@@ -3,19 +3,23 @@
 The parallel-columnar mode moves kernel execution into worker processes
 and results into shared memory — every recovery guarantee the scalar
 pool enjoys must hold there too: injected crashes/hangs/errors recover
-byte-identically, kill-then-resume is bit-exact, and aborted sweeps
-leave neither orphan workers nor shared-memory segments behind.
+byte-identically, kill-then-resume is bit-exact (a truncated checkpoint
+and a real worker crash alike), and aborted sweeps leave neither orphan
+workers nor shared-memory segments behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.dse import parallel
+from repro.dse.factories import SymmetricMulticoreFactory
 from repro.resilience import (
     CheckpointStore,
     FaultPlan,
@@ -43,6 +47,31 @@ def assert_identical(result, reference):
     assert np.array_equal(result.ncf_fixed_work, reference.ncf_fixed_work)
     assert np.array_equal(result.ncf_fixed_time, reference.ncf_fixed_time)
     assert np.array_equal(result.codes, reference.codes)
+
+
+@dataclasses.dataclass(frozen=True)
+class CrashOnceVectorFactory:
+    """A vector factory whose worker dies hard (``os._exit``) the first
+    time it sees the grid's ``cores=32`` tail, flagged through the
+    *flag* file so a resumed run evaluates clean. It stays a genuine
+    vector factory (unlike ``FaultPlan.wrap``), so the sweep takes the
+    parallel-columnar path with its shared-memory block."""
+
+    inner: SymmetricMulticoreFactory
+    flag: str
+
+    def __call__(self, params):
+        return self.inner(params)
+
+    def batch_arrays(self, columns):
+        cores = np.asarray(columns["cores"])
+        if cores.size and cores.max() >= 32 and not os.path.exists(self.flag):
+            open(self.flag, "w").close()
+            os._exit(13)
+        return self.inner.batch_arrays(columns)
+
+    def design_points(self, chunk, arrays):
+        return self.inner.design_points(chunk, arrays)
 
 
 @pytest.fixture
@@ -174,6 +203,38 @@ class TestParallelResume:
             store.load(kind="sweep", fingerprint=fingerprint)["chunks"]
             == full["chunks"]
         )
+
+    def test_worker_crash_then_resume_is_byte_identical(
+        self, make_explorer, grid, tmp_path, factory, reference
+    ):
+        """A worker dies for real (``os._exit``, unsupervised) in the
+        middle of a checkpointed parallel sweep; the resumed run on a
+        fresh pool finishes byte-identical to a never-crashed serial
+        sweep, checkpoint file included, and the crash leaves no
+        worker, segment or worker state behind."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        ckpt = tmp_path / "sweep.ckpt"
+        crashing = CrashOnceVectorFactory(factory, str(tmp_path / "crashed"))
+        doomed = make_explorer(factory=crashing, workers=2)
+        with pytest.raises(BrokenProcessPool):
+            doomed.explore_arrays(grid, checkpoint=ckpt)
+        assert os.path.exists(crashing.flag), "the fault never fired"
+        assert _settled_children() == []
+        assert parallel.live_blocks() == frozenset()
+        assert parallel._STATE == {}
+        resumed = make_explorer(factory=crashing, workers=2)
+        result = resumed.explore_arrays(grid, checkpoint=ckpt, resume=True)
+        assert resumed.last_sweep.mode == "parallel-columnar"
+        assert_identical(result, reference)
+        # The fault is spent: a serial run of the same factory writes
+        # the reference checkpoint (the fingerprint names the factory).
+        serial_ckpt = tmp_path / "serial.ckpt"
+        make_explorer(factory=crashing).explore_arrays(
+            grid, checkpoint=serial_ckpt
+        )
+        assert ckpt.read_bytes() == serial_ckpt.read_bytes()
+        assert parallel.live_blocks() == frozenset()
 
     def test_parallel_and_serial_checkpoints_identical(
         self, make_explorer, grid, tmp_path, factory, sweep_baseline
