@@ -955,16 +955,20 @@ def _stock_sweeps(runs: dict, prepare: dict | None = None) -> dict:
 
 def test_store_warm_read_against_a_cold_sweep(benchmark, emit, tmp_path):
     """A warm same-grid store sweep of the 100k stock grid serves every
-    chunk by its key digest: best of :data:`WARM_ROUNDS`, it takes at
-    most :data:`STORE_WARM_COLD_GATE` times a cold ``explore_arrays``
-    and ends byte-identical to it."""
+    chunk by position (the records carry the grid's tag and their chunk
+    index): best of :data:`WARM_ROUNDS`, it takes at most
+    :data:`STORE_WARM_COLD_GATE` times a cold ``explore_arrays`` and
+    ends byte-identical to it."""
     from repro.dse.store import ResultStore
 
     root = tmp_path / "stock-store"
-    runs = {
-        "cold": dict,
-        "warm": lambda: {"store": ResultStore(root)},
-    }
+    stores: list[ResultStore] = []
+
+    def warm_store() -> dict:
+        stores.append(ResultStore(root))
+        return {"store": stores[-1]}
+
+    runs = {"cold": dict, "warm": warm_store}
 
     def measure():
         _stock_sweeps({"write": runs["warm"]}, {})
@@ -974,6 +978,8 @@ def test_store_warm_read_against_a_cold_sweep(benchmark, emit, tmp_path):
     (cold, cold_s), (warm, warm_s) = best["cold"], best["warm"]
     identical = _sweep_bytes(warm) == _sweep_bytes(cold)
     ratio = warm_s / cold_s
+    chunks = -(-len(STOCK_GRID) // BatchExplorer.chunk_size)
+    positional = stores[-1].stats().positional_chunks
     _RESULTS.update(
         {
             "store_warm_read_s": warm_s,
@@ -981,9 +987,11 @@ def test_store_warm_read_against_a_cold_sweep(benchmark, emit, tmp_path):
             "store_warm_cold_ratio": ratio,
             "store_warm_cold_gate": STORE_WARM_COLD_GATE,
             "store_warm_read_bytes_identical": identical,
+            "store_warm_positional_chunks": positional,
         }
     )
     assert identical
+    assert positional == chunks
     assert ratio <= STORE_WARM_COLD_GATE
     emit(
         f"warm store read of a {len(STOCK_GRID)}-point grid: {warm_s:.3f} s "

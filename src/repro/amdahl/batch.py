@@ -15,6 +15,14 @@ of both, in one call. Validation mirrors the scalar constructors
 (:func:`~repro.core.batch.ensure_int_at_least_array`,
 :func:`~repro.core.batch.ensure_fraction_array`), so a bad corner is
 rejected with the flat index of the first offender.
+
+The module has two layers. The private raw kernels (``_symmetric_*``,
+``_asymmetric_*``, ``_dynamic_*``) take already-validated ``float64``
+arrays and only do the arithmetic; each public function validates
+every input once and composes them. A caller that validated its
+columns itself (the stock factories in :mod:`repro.dse.factories`)
+calls the raw kernels directly, so one sweep chunk pays one validation
+pass per input and evaluates each law once.
 """
 
 from __future__ import annotations
@@ -48,11 +56,26 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Symmetric multicore (Hill–Marty Eq. 1, Woo–Lee Eqs. 2–3)
 # ----------------------------------------------------------------------
+def _symmetric_speedup(n: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return 1.0 / ((1.0 - f) + f / n)
+
+
+def _symmetric_energy(n: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return 1.0 + (1.0 - f) * (n - 1.0) * g
+
+
+def _symmetric_inputs(
+    cores: object, parallel_fraction: object
+) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        ensure_int_at_least_array(cores, 1, "cores"),
+        ensure_fraction_array(parallel_fraction, "parallel_fraction"),
+    )
+
+
 def symmetric_speedup(cores: object, parallel_fraction: object) -> np.ndarray:
     """Array twin of :attr:`SymmetricMulticore.speedup`."""
-    n = ensure_int_at_least_array(cores, 1, "cores")
-    f = ensure_fraction_array(parallel_fraction, "parallel_fraction")
-    return 1.0 / ((1.0 - f) + f / n)
+    return _symmetric_speedup(*_symmetric_inputs(cores, parallel_fraction))
 
 
 def symmetric_energy(
@@ -61,10 +84,8 @@ def symmetric_energy(
     leakage: object = DEFAULT_LEAKAGE,
 ) -> np.ndarray:
     """Array twin of :attr:`SymmetricMulticore.energy`."""
-    n = ensure_int_at_least_array(cores, 1, "cores")
-    f = ensure_fraction_array(parallel_fraction, "parallel_fraction")
-    g = ensure_fraction_array(leakage, "leakage")
-    return 1.0 + (1.0 - f) * (n - 1.0) * g
+    n, f = _symmetric_inputs(cores, parallel_fraction)
+    return _symmetric_energy(n, f, ensure_fraction_array(leakage, "leakage"))
 
 
 def symmetric_power(
@@ -73,9 +94,9 @@ def symmetric_power(
     leakage: object = DEFAULT_LEAKAGE,
 ) -> np.ndarray:
     """Array twin of :attr:`SymmetricMulticore.power` (energy x speedup)."""
-    return symmetric_energy(cores, parallel_fraction, leakage) * symmetric_speedup(
-        cores, parallel_fraction
-    )
+    n, f = _symmetric_inputs(cores, parallel_fraction)
+    g = ensure_fraction_array(leakage, "leakage")
+    return _symmetric_energy(n, f, g) * _symmetric_speedup(n, f)
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +124,33 @@ def _asymmetric_times(
     return serial, parallel
 
 
+def _asymmetric_speedup(serial: np.ndarray, parallel: np.ndarray) -> np.ndarray:
+    return 1.0 / (serial + parallel)
+
+
+def _asymmetric_energy(
+    n: np.ndarray,
+    m: np.ndarray,
+    g: np.ndarray,
+    serial: np.ndarray,
+    parallel: np.ndarray,
+) -> np.ndarray:
+    small = n - m
+    serial_power = m + small * g
+    parallel_power = m * g + small
+    return serial * serial_power + parallel * parallel_power
+
+
+def _asymmetric_inputs(
+    total_bces: object, big_core_bces: object, parallel_fraction: object
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        ensure_int_at_least_array(total_bces, 2, "total_bces"),
+        ensure_int_at_least_array(big_core_bces, 1, "big_core_bces"),
+        ensure_fraction_array(parallel_fraction, "parallel_fraction"),
+    )
+
+
 def asymmetric_speedup(
     total_bces: object, big_core_bces: object, parallel_fraction: object
 ) -> np.ndarray:
@@ -111,11 +159,8 @@ def asymmetric_speedup(
     Callers must mask invalid (N, M) corners first (see
     :func:`asymmetric_valid_mask`); this kernel assumes ``M < N``.
     """
-    n = ensure_int_at_least_array(total_bces, 2, "total_bces")
-    m = ensure_int_at_least_array(big_core_bces, 1, "big_core_bces")
-    f = ensure_fraction_array(parallel_fraction, "parallel_fraction")
-    serial, parallel = _asymmetric_times(n, m, f)
-    return 1.0 / (serial + parallel)
+    n, m, f = _asymmetric_inputs(total_bces, big_core_bces, parallel_fraction)
+    return _asymmetric_speedup(*_asymmetric_times(n, m, f))
 
 
 def asymmetric_energy(
@@ -125,15 +170,9 @@ def asymmetric_energy(
     leakage: object = DEFAULT_LEAKAGE,
 ) -> np.ndarray:
     """Array twin of :attr:`AsymmetricMulticore.energy` (paper Eq. 6)."""
-    n = ensure_int_at_least_array(total_bces, 2, "total_bces")
-    m = ensure_int_at_least_array(big_core_bces, 1, "big_core_bces")
-    f = ensure_fraction_array(parallel_fraction, "parallel_fraction")
+    n, m, f = _asymmetric_inputs(total_bces, big_core_bces, parallel_fraction)
     g = ensure_fraction_array(leakage, "leakage")
-    serial, parallel = _asymmetric_times(n, m, f)
-    small = n - m
-    serial_power = m + small * g
-    parallel_power = m * g + small
-    return serial * serial_power + parallel * parallel_power
+    return _asymmetric_energy(n, m, g, *_asymmetric_times(n, m, f))
 
 
 def asymmetric_power(
@@ -143,36 +182,51 @@ def asymmetric_power(
     leakage: object = DEFAULT_LEAKAGE,
 ) -> np.ndarray:
     """Array twin of :attr:`AsymmetricMulticore.power` (paper Eq. 5)."""
-    return asymmetric_energy(
-        total_bces, big_core_bces, parallel_fraction, leakage
-    ) * asymmetric_speedup(total_bces, big_core_bces, parallel_fraction)
+    n, m, f = _asymmetric_inputs(total_bces, big_core_bces, parallel_fraction)
+    g = ensure_fraction_array(leakage, "leakage")
+    serial, parallel = _asymmetric_times(n, m, f)
+    return _asymmetric_energy(n, m, g, serial, parallel) * _asymmetric_speedup(
+        serial, parallel
+    )
 
 
 # ----------------------------------------------------------------------
 # Dynamic multicore (Hill–Marty's third organization)
 # ----------------------------------------------------------------------
-def dynamic_speedup(bces: object, parallel_fraction: object) -> np.ndarray:
-    """Array twin of :attr:`DynamicMulticore.speedup`."""
-    n = ensure_int_at_least_array(bces, 1, "bces")
-    f = ensure_fraction_array(parallel_fraction, "parallel_fraction")
+def _dynamic_speedup(n: np.ndarray, f: np.ndarray) -> np.ndarray:
     serial = (1.0 - f) / np.sqrt(n)
     parallel = f / n
     return 1.0 / (serial + parallel)
 
 
+def _dynamic_power(n: np.ndarray, f: np.ndarray) -> np.ndarray:
+    n, _ = np.broadcast_arrays(n, f)
+    return n.astype(np.float64)
+
+
+def _dynamic_inputs(
+    bces: object, parallel_fraction: object
+) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        ensure_int_at_least_array(bces, 1, "bces"),
+        ensure_fraction_array(parallel_fraction, "parallel_fraction"),
+    )
+
+
+def dynamic_speedup(bces: object, parallel_fraction: object) -> np.ndarray:
+    """Array twin of :attr:`DynamicMulticore.speedup`."""
+    return _dynamic_speedup(*_dynamic_inputs(bces, parallel_fraction))
+
+
 def dynamic_power(bces: object, parallel_fraction: object) -> np.ndarray:
     """Array twin of :attr:`DynamicMulticore.power`: all BCEs busy, P = N."""
-    n = ensure_int_at_least_array(bces, 1, "bces")
-    f = ensure_fraction_array(parallel_fraction, "parallel_fraction")
-    n, _ = np.broadcast_arrays(n, f)
-    return n.astype(np.float64).copy()
+    return _dynamic_power(*_dynamic_inputs(bces, parallel_fraction))
 
 
 def dynamic_energy(bces: object, parallel_fraction: object) -> np.ndarray:
     """Array twin of :attr:`DynamicMulticore.energy`: ``N / S``."""
-    return dynamic_power(bces, parallel_fraction) / dynamic_speedup(
-        bces, parallel_fraction
-    )
+    n, f = _dynamic_inputs(bces, parallel_fraction)
+    return _dynamic_power(n, f) / _dynamic_speedup(n, f)
 
 
 # ----------------------------------------------------------------------
@@ -190,4 +244,5 @@ def pollack_power_array(bces: object) -> np.ndarray:
 
 def pollack_energy_array(bces: object) -> np.ndarray:
     """Array twin of :func:`~repro.amdahl.pollack.pollack_energy`."""
-    return pollack_power_array(bces) / pollack_performance_array(bces)
+    n = ensure_positive_array(bces, "bces")
+    return n / np.sqrt(n)

@@ -252,9 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
             "process-pool workers (0 = in-process, 'auto' = calibrate: "
             "time the first chunk and engage a pool only when the "
             "dispatch math wins); a cold sweep of a vector factory runs "
-            "parallel-columnar: idle workers pick up geometrically "
-            "shrinking chunk-aligned shards and write their results "
-            "into one shared block"
+            "parallel-columnar: the rows to evaluate are cut into "
+            "N x 2 near-equal, chunk-aligned spans, idle workers take "
+            "the next span, and all write their results into one "
+            "shared block"
         ),
     )
     sweep.add_argument(

@@ -1080,9 +1080,9 @@ class _KnownRows:
     hits nor misses. ``owned`` marks the rows whose keys the sweep's
     record will own in the cache, and ``moved`` those of them another
     home gives up. ``stored`` holds the chunks the store served whole,
-    ``keys`` the grid's store key encoder and ``blocks`` the key
-    columns of the other chunks it was asked about whole, which their
-    store write reuses.
+    ``keys`` the grid's store key encoder, ``tag`` its grid tag at this
+    chunk size, and ``blocks`` the key columns of the other chunks it
+    was asked about whole, which their store write reuses.
     """
 
     def __init__(
@@ -1107,6 +1107,7 @@ class _KnownRows:
             durable[record.mark(np.flatnonzero(~durable), state.qsession)] = True
         self.stored: set[int] = set()
         self.keys: GridKeys | None = None
+        self.tag: bytes | None = None
         self.blocks: dict[int, PointKeys] = {}
         if state.session is not None:
             self._ask_store(record, state, durable, size)
@@ -1162,12 +1163,14 @@ class _KnownRows:
     ) -> None:
         """Ask the store about every chunk's rows no checkpoint or ledger
         claimed (no *durable* row is asked), and tally its answer
-        chunk by chunk. A chunk asked whole is looked up by the digest of
-        its key columns; every other asked row is matched in one
+        chunk by chunk. A chunk asked whole is looked up by position
+        when this grid at this chunk size wrote it, else by the digest
+        of its key columns; every other asked row is matched in one
         sort-join over the grid. No key is built per row."""
         index = record.index
         session, use = state.session, state.use
         keys = self.keys = GridKeys(index)
+        tag = self.tag = keys.tag(size)
         total = index.total
         asked = ~durable
         tiers = {"memory": 0, "disk": 0}
@@ -1177,12 +1180,15 @@ class _KnownRows:
             hi = min(lo + size, total)
             if not asked[lo:hi].all():
                 continue
-            block = keys.block(lo, hi)
-            found = session.find(block)
-            if found is None:
-                self.blocks[chunk] = block
-                continue
-            stored, tier = session.load(found)
+            served = session.at(tag, chunk, hi - lo)
+            if served is None:
+                block = keys.block(lo, hi)
+                found = session.find(block)
+                if found is None:
+                    self.blocks[chunk] = block
+                    continue
+                served = session.load(found)
+            stored, tier = served
             if chunk - 1 in self.stored:
                 runs[-1][1].append(stored)
             else:
@@ -1874,7 +1880,7 @@ class BatchExplorer:
                 keys = known.blocks.pop(index, None)
                 if keys is None:
                     keys = known.keys.block(lo, hi)
-                state.session.put_record(keys, data)
+                state.session.put_record(keys, data, known.tag, index)
             if checkpointed and not state.ckpt.commit(
                 kind="sweep", fingerprint=state.fingerprint, record=data
             ):

@@ -6,7 +6,10 @@ the studies always used (same DesignPoint names, same ``DomainError``
 corners), and handed a whole chunk of axis columns it evaluates the
 columnar substrate kernels (:mod:`repro.amdahl.batch`,
 :mod:`repro.dvfs.batch`) instead — bit-exact, in a handful of
-vectorized passes.
+vectorized passes. Each axis column and the leakage is validated once
+per call, with the public kernels' checks and messages, and each law
+is evaluated once: perf is the speedup, and power is energy x perf
+(the scalar properties' own order).
 
 All factories are frozen dataclasses, hence picklable: the same
 instance works with ``BatchExplorer(workers=N)`` process pools (where
@@ -22,10 +25,11 @@ import numpy as np
 
 from ..amdahl.asymmetric import AsymmetricMulticore
 from ..amdahl.batch import (
-    asymmetric_power,
-    asymmetric_speedup,
-    symmetric_power,
-    symmetric_speedup,
+    _asymmetric_energy,
+    _asymmetric_speedup,
+    _asymmetric_times,
+    _symmetric_energy,
+    _symmetric_speedup,
 )
 from ..amdahl.symmetric import DEFAULT_LEAKAGE, SymmetricMulticore
 from ..core.batch import ensure_fraction_array, ensure_int_at_least_array
@@ -67,11 +71,13 @@ class SymmetricMulticoreFactory:
         fractions = ensure_fraction_array(
             columns[self.fraction_param], "parallel_fraction"
         )
+        leakage = ensure_fraction_array(self.leakage, "leakage")
         cores, fractions = np.broadcast_arrays(cores, fractions)
+        perf = _symmetric_speedup(cores, fractions)
         return DesignArrays(
             area=cores,
-            perf=symmetric_speedup(cores, fractions),
-            power=symmetric_power(cores, fractions, self.leakage),
+            perf=perf,
+            power=_symmetric_energy(cores, fractions, leakage) * perf,
             valid=np.ones(cores.shape, dtype=bool),
         )
 
@@ -154,9 +160,14 @@ class AsymmetricMulticoreFactory:
         perf = np.ones(total.shape)
         power = np.ones(total.shape)
         if valid.any():
+            # The scalar path checks leakage only for a buildable (N, M).
+            leakage = ensure_fraction_array(self.leakage, "leakage")
             n, m, f = total[valid], big[valid], fraction[valid]
-            perf[valid] = asymmetric_speedup(n, m, f)
-            power[valid] = asymmetric_power(n, m, f, self.leakage)
+            serial, parallel = _asymmetric_times(n, m, f)
+            speedup = _asymmetric_speedup(serial, parallel)
+            perf[valid] = speedup
+            energy = _asymmetric_energy(n, m, leakage, serial, parallel)
+            power[valid] = energy * speedup
         return DesignArrays(area=total, perf=perf, power=power, valid=valid)
 
     def design_points(

@@ -24,16 +24,22 @@ reader at ``chunk_size=100, workers=0`` bit-exactly (outcomes depend
 only on ``factory(params)``). A sweep never builds a key per row: each
 axis value of its grid is encoded once (:class:`GridKeys`), a chunk is
 looked up by the digest of its key bytes, and any other rows are
-matched against every stored key in one vectorized sort-join.
+matched against every stored key in one vectorized sort-join. A
+sweep of the very grid and chunk size that wrote a record skips even
+the digest: each record carries its writer's grid tag
+(:meth:`GridKeys.tag`) and chunk index, and chunk *k* of a same-tag
+sweep maps to the record stamped *k* (:meth:`SweepStoreSession.at`),
+once its row count checks out.
 
 The store is its append-only run files
 (:class:`~repro.resilience.chunklog.ChunkLog`), one per factory or
 sampler fingerprint; a sweep session or sampler run holds the records
 it opened, so nothing is cached beside them::
 
-    focal-store.json   # marker: {"format": "focal-store/3"}
-    sweeps/<fp>.log    # header {factory}; per stored chunk: key digest,
-                       #   key columns + outcome record
+    focal-store.json   # marker: {"format": "focal-store/4"}
+    sweeps/<fp>.log    # header {factory}; per stored chunk: head (key
+                       #   digest, writer grid tag, chunk index, key
+                       #   size), key columns + outcome record
     mc/<fp>.log        # header {fingerprint}; per Monte-Carlo segment:
                        #   int8 codes + post-segment rng state
 
@@ -42,16 +48,17 @@ file fsyncs at most once per
 :data:`~repro.resilience.chunklog.SYNC_INTERVAL_S`, and the barrier
 every sweep (:meth:`SweepStoreSession.flush`) and sampler run
 (:meth:`ResultStore.sync`) calls where it ends fsyncs the rest. Opening
-a run file indexes its records by key digest (the key columns are read
-on the first sweep that needs a join). Damage is never an error and
-never a wrong answer: a torn or corrupt record is dropped with
+a run file indexes its records by key digest and by grid tag and chunk
+(the key columns are read on the first sweep that needs a join).
+Damage is never an error and never a wrong answer: a torn or corrupt record is dropped with
 everything after it, counted in ``focal_store_corrupt_total``, and its
 points recompute; the next append truncates the damage.
 ``ResultStore.gc`` removes temp litter, stray files, damaged tails and
 headerless run files, and with ``max_bytes`` evicts whole fingerprints
 oldest-first. A store of an older format — ``focal-store/1`` (JSON
-objects plus ``index.json``) or ``focal-store/2`` (point-key strings) —
-is refused with an error naming that format.
+objects plus ``index.json``), ``focal-store/2`` (point-key strings) or
+``focal-store/3`` (records without grid tags) — is refused with an
+error naming that format.
 """
 
 from __future__ import annotations
@@ -68,7 +75,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.design import DesignPoint
-from ..core.errors import DomainError, QuarantinedPoint, ValidationError
+from ..core.errors import (
+    CheckpointError,
+    DomainError,
+    QuarantinedPoint,
+    ValidationError,
+)
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import (
@@ -96,7 +108,7 @@ __all__ = [
 ]
 
 #: Format tag of the store marker and of every run-file header.
-STORE_FORMAT = "focal-store/3"
+STORE_FORMAT = "focal-store/4"
 
 #: Name of the marker file identifying a directory as a result store
 #: (``gc`` refuses to delete anything from a directory without it).
@@ -256,6 +268,20 @@ class GridKeys:
         self.texts = list(table)
         self._columns: tuple[np.ndarray, np.ndarray] | None = None
 
+    def tag(self, size: int) -> bytes:
+        """This grid's tag at chunk *size*: a digest of its axes (names,
+        strides, sizes, key cells) and *size*. Two sweeps share a tag
+        exactly when chunk *k* holds the same keys in both, so a record
+        stamped with the tag and *k* holds chunk *k*'s keys."""
+        shape = np.array([*self.strides, *self.sizes, size], "<i8")
+        cells = np.concatenate([*self.tags, *self.bits]).astype("<i8")
+        return _digest(
+            pack_texts(self.names)
+            + pack_texts(self.texts)
+            + shape.tobytes()
+            + cells.tobytes()
+        )
+
     def _positions(self, rows: np.ndarray) -> list[np.ndarray]:
         axes = zip(self.strides, self.sizes)
         return [(rows // stride) % size for stride, size in axes]
@@ -339,6 +365,8 @@ class StoreStats:
     :class:`~repro.dse.batch.CacheStats` counts lookups. A hit is a
     disk hit the first time a sweep session or sampler run reads its
     record, and a memory hit after that, or once it wrote the record.
+    ``positional_chunks`` counts the sweep chunks served by position
+    (:meth:`SweepStoreSession.at`).
     """
 
     memory_hits: int
@@ -349,6 +377,7 @@ class StoreStats:
     segments_written: int
     bytes_read: int
     bytes_written: int
+    positional_chunks: int
     disk_fallback: bool = False
 
     @property
@@ -799,6 +828,8 @@ def _key_columns(
     row."""
     groups: dict[tuple, list] = {}
     for index, record in enumerate(records):
+        if not record:
+            continue  # discarded by SweepStoreSession.at
         keys = PointKeys.from_bytes(record, _RECORD.size)
         bits = keys.bits
         cells = keys.tags >= _STR
@@ -827,19 +858,27 @@ def _tree_bytes(root: Path) -> int:
 # ----------------------------------------------------------------------
 # Sweep sessions
 # ----------------------------------------------------------------------
-#: A sweep record's head: the digest of its key columns and their size.
-_RECORD = struct.Struct("<16sI")
+#: A sweep record's head: the digest of its key columns, its writer's
+#: grid tag (:meth:`GridKeys.tag`; zero bytes for a record not written
+#: as a grid chunk), its chunk index in that grid, and the size of its
+#: key columns.
+_RECORD = struct.Struct("<16s16sII")
+
+#: The grid tag of a record no grid sweep wrote (:meth:`SweepStoreSession.put`).
+NO_GRID = bytes(16)
 
 
 class SweepStoreSession:
     """One sweep's view of the store, bound to one factory.
 
     Opening the session scans the factory's run file once and indexes
-    its records by key digest; a chunk whose key bytes a record holds
-    is served whole (:meth:`find`), and any other rows are matched
-    against the key columns of every record in one sort-join
-    (:meth:`join`), built on first use. :meth:`put_record` commits each
-    newly evaluated chunk as one appended record.
+    its records by key digest and by writer grid and chunk. A chunk of
+    the grid that wrote a record is served by position (:meth:`at`: no
+    key bytes, no digest); a chunk whose key bytes a record holds is
+    served whole (:meth:`find`); and any other rows are matched against
+    the key columns of every record in one sort-join (:meth:`join`),
+    built on first use. :meth:`put_record` commits each newly
+    evaluated chunk as one appended record.
     """
 
     def __init__(self, store: ResultStore, factory: object) -> None:
@@ -851,12 +890,13 @@ class SweepStoreSession:
         self._header = canonical_json(
             {"format": STORE_FORMAT, "factory": self.factory}
         ).encode("utf-8")
-        # Per record: its payload and digest; digest -> record; the
-        # records read as columns so far, by index; the join's stored
-        # key columns by axis names (None until a join needs them) and
-        # the text ids they share.
+        # Per record: its payload and digest; digest -> record; (grid
+        # tag, chunk) -> record; the records read as columns so far, by
+        # index; the join's stored key columns by axis names (None until
+        # a join needs them) and the text ids they share.
         self._records: list[tuple[bytes, bytes]] = []
         self._chunks: dict[bytes, int] = {}
+        self._grid_chunks: dict[tuple[bytes, int], int] = {}
         self._loaded: dict[int, OutcomeRecord] = {}
         self._stored: dict[tuple, tuple[np.ndarray, ...]] | None = None
         self._texts: dict[str, int] = {}
@@ -866,12 +906,46 @@ class SweepStoreSession:
             self._adopt(record)
 
     def _adopt(self, record: bytes) -> None:
-        digest, _ = _RECORD.unpack_from(record)
+        digest, tag, chunk, _ = _RECORD.unpack_from(record)
         self._chunks.setdefault(digest, len(self._records))
+        self._grid_chunks[tag, chunk] = len(self._records)
         self._records.append((record, digest))
         self._stored = None
 
     # -- reading -------------------------------------------------------
+    def at(
+        self, tag: bytes, chunk: int, rows: int
+    ) -> tuple[OutcomeRecord, str] | None:
+        """The record a sweep of the grid with *tag* wrote as its chunk
+        *chunk*, loaded (see :meth:`load`) when it holds *rows* rows, or
+        ``None``. The fast path of a warm same-grid re-sweep: no key
+        bytes, no digest. A record that does not decode or holds
+        another row count is discarded, counted as corrupt."""
+        self._probed = True
+        index = self._grid_chunks.get((tag, chunk))
+        if index is None:
+            return None
+        try:
+            stored, tier = self.load(index)
+            damage = None if len(stored) == rows else f"{len(stored)} rows"
+        except CheckpointError as exc:
+            damage = str(exc)
+        if damage is not None:
+            # Its checksum held, yet it is not this chunk's record: drop
+            # it from every lookup, the join's included, so its rows
+            # recompute.
+            _, digest = self._records[index]
+            del self._grid_chunks[tag, chunk]
+            if self._chunks.get(digest) == index:
+                del self._chunks[digest]
+            self._records[index] = (b"", digest)
+            self._loaded.pop(index, None)
+            self._stored = None
+            self.store._note_corrupt(self.path, f"chunk {chunk} record: {damage}")
+            return None
+        self.store._counts["positional_chunks"] += 1
+        return stored, tier
+
     def find(self, keys: PointKeys) -> int | None:
         """The record holding exactly the chunk *keys* (the fast path a
         warm re-sweep with unchanged chunking hits: one digest, no
@@ -948,7 +1022,7 @@ class SweepStoreSession:
         if stored is not None:
             return stored, "memory"
         record, _ = self._records[index]
-        (size,) = struct.unpack_from("<I", record, 16)
+        size = _RECORD.unpack_from(record)[3]
         stored = self._loaded[index] = OutcomeRecord(record, _RECORD.size + size)
         return stored, "disk"
 
@@ -1011,14 +1085,17 @@ class SweepStoreSession:
             return
         self.put_record(PointKeys.of_params(chunk), encode_outcomes(outcomes))
 
-    def put_record(self, keys: PointKeys, outcomes: bytes) -> None:
+    def put_record(
+        self, keys: PointKeys, outcomes: bytes, tag: bytes = NO_GRID, chunk: int = 0
+    ) -> None:
         """Store one chunk's *outcomes* record under its *keys* as one
-        appended record (idempotent: a chunk the run file already holds
-        is not appended again)."""
+        appended record, stamped with the writing grid's *tag* and the
+        *chunk* index (idempotent: a chunk the run file already holds is
+        not appended again)."""
         block, digest = keys.to_bytes(), keys.digest()
         if digest in self._chunks:
             return
-        record = _RECORD.pack(digest, len(block)) + block + outcomes
+        record = _RECORD.pack(digest, tag, chunk, len(block)) + block + outcomes
         if self.store._append(self._log, self._header, record, self._adopt):
             self.store._counts["objects_written"] += 1
         self._adopt(record)

@@ -64,10 +64,11 @@ def scale_design_arrays(
     s = ensure_positive_array(freq_multipliers, "freq_multipliers")
     dynamic = (1.0 - config.leakage_fraction) * design.power
     leakage = config.leakage_fraction * design.power
-    powers = dynamic * dynamic_power_factors(s) + leakage * leakage_power_factors(s)
+    # The factor twins' arithmetic on the once-validated s: s^3 for
+    # dynamic power, s for leakage power and for performance.
+    powers = dynamic * exact_pow(s, 3) + leakage * s
     area_factor = 1.0 + (
         config.regulator_area_overhead if include_regulator_area else 0.0
     )
     areas = np.full_like(s, design.area * area_factor)
-    perfs = design.perf * performance_factors(s)
-    return areas, perfs, powers
+    return areas, design.perf * s, powers

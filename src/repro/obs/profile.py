@@ -38,7 +38,10 @@ On top of the decomposition the report derives per-worker utilization
 (compute CPU seconds / kernel wall) and an Amdahl-style attainable
 speedup: with serial time ``s`` and total compute ``c``, a perfect
 ``N``-worker run takes ``s + c/N`` against a serial ``s + c`` — the
-ceiling the current pool should be measured against.
+ceiling the current pool should be measured against. ``N`` is the
+number of workers that can compute at once: ``min(workers, CPUs)``,
+the CPU count taken from the trace manifest's node roster, since
+workers beyond the host's CPUs only take turns.
 
 Sweeps recorded with reuse telemetry (any store-backed run) also carry
 a point-provenance section: how many grid points the store served from
@@ -92,6 +95,8 @@ class ProfileReport:
     #: (memo/store/fresh counts from the sweep span attributes); None
     #: for traces recorded before the result store existed.
     reuse: dict | None = None
+    #: The recording host's CPU count (manifest node roster), when known.
+    cpus: int | None = None
     top_cost: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -216,9 +221,11 @@ def profile_report(report: dict) -> ProfileReport:
     total = sum(seconds.values()) or 1.0
     shares = {key: value / total for key, value in seconds.items()}
 
+    cpus = ((report.get("manifest") or {}).get("node") or {}).get("cpu_count")
+    cpus = cpus if isinstance(cpus, int) and cpus >= 1 else None
     serial_ideal = serial + sum_shm / n  # shm does not parallel-scale away
     t1 = serial + sum_compute
-    t_n_ideal = serial_ideal + sum_compute / n
+    t_n_ideal = serial_ideal + sum_compute / min(n, cpus or n)
     return ProfileReport(
         wall_s=wall,
         kernel_s=k_dur,
@@ -232,6 +239,7 @@ def profile_report(report: dict) -> ProfileReport:
         amdahl_attainable=t1 / t_n_ideal if t_n_ideal > 0 else 0.0,
         achieved_speedup_estimate=t1 / wall if wall > 0 else 0.0,
         reuse=reuse,
+        cpus=cpus,
     )
 
 
@@ -286,14 +294,16 @@ def render_profile(profile: ProfileReport) -> str:
         title="per-worker kernel phase",
     )
     share = profile.shares[profile.top_cost]
+    on = f"{profile.workers} workers"
+    if profile.cpus is not None and profile.cpus < profile.workers:
+        on += f" on {profile.cpus} CPUs"
     lines = [
         f"top cost center: {profile.top_cost} "
         f"({100.0 * share:.1f}% of wall-clock)",
         (
             f"speedup: ~{profile.achieved_speedup_estimate:.2f}x achieved vs "
-            f"~{profile.amdahl_attainable:.2f}x attainable with "
-            f"{profile.workers} workers (Amdahl bound over the serial "
-            "residue)"
+            f"~{profile.amdahl_attainable:.2f}x attainable with {on} "
+            "(Amdahl bound over the serial residue)"
         ),
     ]
     if profile.observed_workers < profile.workers:

@@ -321,6 +321,14 @@ class TestOldFormat:
         with pytest.raises(ValidationError, match="focal-store/2"):
             ResultStore(tmp_path)
 
+    def test_untagged_record_store_raises_naming_it(self, tmp_path):
+        # focal-store/3 records carry no writer grid tag or chunk index.
+        (tmp_path / MARKER_NAME).write_text('{"format":"focal-store/3"}')
+        (tmp_path / "sweeps").mkdir()
+        (tmp_path / "sweeps" / "0123456789abcdef.log").write_bytes(MAGIC)
+        with pytest.raises(ValidationError, match="focal-store/3"):
+            ResultStore(tmp_path)
+
 
 class TestMemoryTier:
     def test_stats_reset_keeps_contents(self, tmp_path):

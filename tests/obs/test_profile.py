@@ -95,6 +95,23 @@ class TestProfileReport:
         assert profile.achieved_speedup_estimate == pytest.approx(1.6 / 1.0)
         assert profile.top_cost in CATEGORIES
 
+    def test_amdahl_bound_counts_only_the_cpus_the_workers_share(self):
+        # Four workers time-slicing two CPUs: at most two compute at
+        # once, so the ideal run is serial + compute / 2, not / 4.
+        report = _report(
+            [_shard(w, 0.2, 0.6, compute=0.3) for w in (1, 2, 3, 4)], workers=4
+        )
+        report["manifest"]["node"] = {"cpu_count": 2}
+        profile = profile_report(report)
+        assert profile.cpus == 2
+        # t1 = 0.4 + 1.2; ideal = 0.4 + 1.2 / 2 (vs 0.4 + 1.2 / 4).
+        assert profile.amdahl_attainable == pytest.approx(1.6 / 1.0)
+        page = render_profile(profile)
+        assert "~1.60x attainable with 4 workers on 2 CPUs" in page
+        # Without a node roster, the bound stays over the workers.
+        del report["manifest"]["node"]
+        assert profile_report(report).amdahl_attainable == pytest.approx(1.6 / 0.7)
+
     def test_requires_a_trace_report(self):
         with pytest.raises(ValidationError):
             profile_report({"metrics": []})
