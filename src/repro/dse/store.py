@@ -829,7 +829,7 @@ def _key_columns(
     groups: dict[tuple, list] = {}
     for index, record in enumerate(records):
         if not record:
-            continue  # discarded by SweepStoreSession.at
+            continue  # discarded by SweepStoreSession._discard
         keys = PointKeys.from_bytes(record, _RECORD.size)
         bits = keys.bits
         cells = keys.tags >= _STR
@@ -892,12 +892,14 @@ class SweepStoreSession:
         ).encode("utf-8")
         # Per record: its payload and digest; digest -> record; (grid
         # tag, chunk) -> record; the records read as columns so far, by
-        # index; the join's stored key columns by axis names (None until
-        # a join needs them) and the text ids they share.
+        # index, and those served or written so far; the join's stored
+        # key columns by axis names (None until a join needs them) and
+        # the text ids they share.
         self._records: list[tuple[bytes, bytes]] = []
         self._chunks: dict[bytes, int] = {}
         self._grid_chunks: dict[tuple[bytes, int], int] = {}
         self._loaded: dict[int, OutcomeRecord] = {}
+        self._served: set[int] = set()
         self._stored: dict[tuple, tuple[np.ndarray, ...]] | None = None
         self._texts: dict[str, int] = {}
         self._probed = False
@@ -922,36 +924,22 @@ class SweepStoreSession:
         bytes, no digest. A record that does not decode or holds
         another row count is discarded, counted as corrupt."""
         self._probed = True
-        index = self._grid_chunks.get((tag, chunk))
+        index = self._decoded(self._grid_chunks.get((tag, chunk)))
         if index is None:
             return None
-        try:
-            stored, tier = self.load(index)
-            damage = None if len(stored) == rows else f"{len(stored)} rows"
-        except CheckpointError as exc:
-            damage = str(exc)
-        if damage is not None:
-            # Its checksum held, yet it is not this chunk's record: drop
-            # it from every lookup, the join's included, so its rows
-            # recompute.
-            _, digest = self._records[index]
-            del self._grid_chunks[tag, chunk]
-            if self._chunks.get(digest) == index:
-                del self._chunks[digest]
-            self._records[index] = (b"", digest)
-            self._loaded.pop(index, None)
-            self._stored = None
-            self.store._note_corrupt(self.path, f"chunk {chunk} record: {damage}")
+        if len(self._loaded[index]) != rows:
+            # Its checksum held, yet it is not this chunk's record.
+            self._discard(index, f"{len(self._loaded[index])} rows")
             return None
         self.store._counts["positional_chunks"] += 1
-        return stored, tier
+        return self.load(index)
 
     def find(self, keys: PointKeys) -> int | None:
         """The record holding exactly the chunk *keys* (the fast path a
         warm re-sweep with unchanged chunking hits: one digest, no
         join), or ``None``."""
         self._probed = True
-        return self._chunks.get(keys.digest())
+        return self._decoded(self._chunks.get(keys.digest()))
 
     def join(
         self, keys: "PointKeys | GridKeys", asked: np.ndarray | None = None
@@ -962,8 +950,19 @@ class SweepStoreSession:
         is served by the later record). One vectorized sort-join: each
         axis maps the stored payloads onto the query's distinct values,
         the per-axis positions combine into one int64 code per row, and
-        the queried codes are looked up in the sorted stored ones."""
+        the queried codes are looked up in the sorted stored ones.
+        Every record it names decodes: one that does not is discarded
+        and the join runs again without it."""
         self._probed = True
+        while True:
+            record, row = self._join(keys, asked)
+            named = np.flatnonzero(np.bincount(record[record >= 0])).tolist()
+            if all(self._decoded(index) is not None for index in named):
+                return record, row
+
+    def _join(
+        self, keys: "PointKeys | GridKeys", asked: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
         count = len(keys) if asked is None else len(asked)
         record = np.full(count, -1, np.int64)
         row = np.zeros(count, np.int64)
@@ -1015,16 +1014,43 @@ class SweepStoreSession:
         return self._stored
 
     def load(self, index: int) -> tuple[OutcomeRecord, str]:
-        """Record *index*'s outcomes read as columns, and the tier that
-        served them: ``"disk"`` the first time this session reads the
-        record, ``"memory"`` after that or once it wrote the record."""
-        stored = self._loaded.get(index)
-        if stored is not None:
-            return stored, "memory"
+        """Record *index* (one :meth:`at`, :meth:`find` or :meth:`join`
+        named) read as columns, and the tier that served it: ``"disk"``
+        the first time this session serves the record, ``"memory"``
+        after that or once it wrote the record."""
+        if index in self._served:
+            return self._loaded[index], "memory"
+        self._served.add(index)
+        return self._loaded[index], "disk"
+
+    def _decoded(self, index: int | None) -> int | None:
+        """*index* once its record's outcomes are read as columns, or
+        ``None`` (also for a record that does not decode: its checksum
+        held, yet its bytes are not a record, so it is discarded)."""
+        if index is None or index in self._loaded:
+            return index
         record, _ = self._records[index]
         size = _RECORD.unpack_from(record)[3]
-        stored = self._loaded[index] = OutcomeRecord(record, _RECORD.size + size)
-        return stored, "disk"
+        try:
+            self._loaded[index] = OutcomeRecord(record, _RECORD.size + size)
+        except CheckpointError as exc:
+            self._discard(index, str(exc))
+            return None
+        return index
+
+    def _discard(self, index: int, damage: str) -> None:
+        """Drop record *index* from every lookup, the join's included,
+        and count it as corrupt, so the rows it held recompute."""
+        record, digest = self._records[index]
+        _, tag, chunk, _ = _RECORD.unpack_from(record)
+        if self._grid_chunks.get((tag, chunk)) == index:
+            del self._grid_chunks[tag, chunk]
+        if self._chunks.get(digest) == index:
+            del self._chunks[digest]
+        self._records[index] = (b"", digest)
+        self._loaded.pop(index, None)
+        self._stored = None
+        self.store._note_corrupt(self.path, f"chunk {chunk} record: {damage}")
 
     def count(self, memory: int = 0, disk: int = 0, misses: int = 0) -> None:
         """Tally points served from each tier and points missed."""
@@ -1099,9 +1125,9 @@ class SweepStoreSession:
         if self.store._append(self._log, self._header, record, self._adopt):
             self.store._counts["objects_written"] += 1
         self._adopt(record)
-        self._loaded[len(self._records) - 1] = OutcomeRecord(
-            record, _RECORD.size + len(block)
-        )
+        index = len(self._records) - 1
+        self._loaded[index] = OutcomeRecord(record, _RECORD.size + len(block))
+        self._served.add(index)
 
     def flush(self) -> None:
         """The barrier a sweep calls where it ends: fsync the records

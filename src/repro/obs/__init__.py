@@ -36,11 +36,6 @@ pre-instrumented; flip everything on with :func:`enable` or the CLI's
 from __future__ import annotations
 
 from .._lazy import lazy_exports
-from . import events, log, metrics, trace
-from .log import configure as configure_logging
-from .log import get_logger, kv
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
-from .trace import NULL_SPAN, Span, Tracer, get_tracer, span
 
 __all__ = [
     "trace",
@@ -71,17 +66,24 @@ __all__ = [
     "is_active",
 ]
 
-# The exporters and run manifests load on first access. The rest stays
-# eager: enable()/disable()/reset() reach events, metrics and trace as
-# module globals, which a module __getattr__ does not serve.
+# Every piece loads on first access, so ``import repro.obs`` costs
+# nothing and a command pays only for the pieces it runs; the engine
+# imports the submodules it instruments directly.
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
+        **{name: f".{name}" for name in ("trace", "metrics", "events", "log")},
+        **dict.fromkeys(
+            ("span", "Span", "NULL_SPAN", "Tracer", "get_tracer"), ".trace"
+        ),
+        **dict.fromkeys(
+            ("Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry"),
+            ".metrics",
+        ),
+        **dict.fromkeys(("get_logger", "configure_logging", "kv"), ".log"),
         "exporters": ".exporters",
         "manifest": ".manifest",
-        "RunManifest": ".manifest",
-        "build_manifest": ".manifest",
-        "build_report": ".manifest",
+        **dict.fromkeys(("RunManifest", "build_manifest", "build_report"), ".manifest"),
     },
 )
 
@@ -91,6 +93,8 @@ def enable(
 ) -> None:
     """Enable tracing, metrics and/or worker-event capture on the
     global instances."""
+    from . import events, metrics, trace
+
     if tracing:
         trace.enable()
     if metrics_:
@@ -101,6 +105,8 @@ def enable(
 
 def disable() -> None:
     """Disable tracing, metrics and events (collected data is kept)."""
+    from . import events, metrics, trace
+
     trace.disable()
     metrics.disable()
     events.disable()
@@ -109,6 +115,8 @@ def disable() -> None:
 def reset() -> None:
     """Disable and clear tracer, registry and event log (test/CLI
     isolation)."""
+    from . import events, metrics, trace
+
     trace.reset()
     metrics.reset()
     events.reset()
@@ -117,6 +125,8 @@ def reset() -> None:
 def is_active() -> bool:
     """True when any of tracing, metrics or event collection is on —
     the single check hot paths use to skip instrumentation entirely."""
+    from . import events, metrics, trace
+
     return (
         trace.is_enabled()
         or metrics.get_registry().enabled

@@ -12,27 +12,37 @@ Nothing is emitted until :func:`configure` attaches the stderr handler
 directly. Before configuration the logger carries a
 ``logging.NullHandler``, so importing the package never prints.
 
+``logging`` itself loads only when :func:`get_logger` first builds the
+logger, so a command that logs nothing at its level never imports it:
+:func:`configure` records its settings until then, and
+:func:`is_enabled_for` checks a level without the logger.
+
 Usage::
 
-    from repro.obs.log import get_logger, kv
+    from repro.obs.log import get_logger, is_enabled_for, kv
 
-    log = get_logger()
-    log.debug(kv("study.run", study=name))
+    if is_enabled_for("debug"):
+        get_logger().debug(kv("study.run", study=name))
 """
 
 from __future__ import annotations
 
-import logging
 import sys
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-__all__ = ["LOGGER_NAME", "LEVELS", "get_logger", "configure", "kv"]
+if TYPE_CHECKING:
+    import logging
+
+__all__ = ["LOGGER_NAME", "LEVELS", "get_logger", "configure", "is_enabled_for", "kv"]
 
 #: The one logger name the package emits on.
 LOGGER_NAME = "repro"
 
 #: Accepted ``--log-level`` spellings, least to most verbose.
 LEVELS = ("critical", "error", "warning", "info", "debug")
+
+#: ``logging``'s number for each :data:`LEVELS` name.
+_LEVEL_NUMBERS = dict(zip(LEVELS, (50, 40, 30, 20, 10)))
 
 _FORMAT = "%(asctime)s %(levelname)s %(name)s: %(message)s"
 _DATE_FORMAT = "%Y-%m-%dT%H:%M:%S"
@@ -41,13 +51,49 @@ _DATE_FORMAT = "%Y-%m-%dT%H:%M:%S"
 #: so re-configuration replaces rather than stacks handlers.
 _HANDLER_MARK = "_repro_obs_handler"
 
-_logger = logging.getLogger(LOGGER_NAME)
-_logger.addHandler(logging.NullHandler())
+#: The ``"repro"`` logger once :func:`get_logger` has built it.
+_logger: logging.Logger | None = None
+#: The level number and stream of the last :func:`configure` call.
+_configured: tuple[int, TextIO] | None = None
 
 
 def get_logger() -> logging.Logger:
-    """The shared ``"repro"`` logger."""
+    """The shared ``"repro"`` logger, built on the first call with the
+    last :func:`configure` settings."""
+    global _logger
+    if _logger is None:
+        import logging
+
+        _logger = logging.getLogger(LOGGER_NAME)
+        _logger.addHandler(logging.NullHandler())
+        if _configured is not None:
+            _apply(_logger, *_configured)
     return _logger
+
+
+def _level_number(level: str | int) -> int:
+    if not isinstance(level, str):
+        return level
+    try:
+        return _LEVEL_NUMBERS[level.lower()]
+    except KeyError:
+        from ..core.errors import ValidationError
+
+        raise ValidationError(
+            f"unknown log level {level!r}; use one of {', '.join(LEVELS)}"
+        ) from None
+
+
+def is_enabled_for(level: str | int) -> bool:
+    """``get_logger().isEnabledFor(level)``, without importing
+    ``logging`` when it is not loaded yet: then nothing can have changed
+    its defaults, so the level :func:`configure` set decides, or else
+    the root logger's default, ``WARNING``."""
+    number = _level_number(level)
+    if _logger is None and "logging" not in sys.modules:
+        configured = _configured[0] if _configured is not None else 0
+        return number >= (configured or _LEVEL_NUMBERS["warning"])
+    return get_logger().isEnabledFor(number)
 
 
 def _format_value(value: object) -> str:
@@ -66,28 +112,37 @@ def kv(event: str, **fields: object) -> str:
     return " ".join(parts)
 
 
-def configure(level: str | int = "warning", stream: TextIO | None = None) -> logging.Logger:
-    """Attach (or replace) the structured stderr handler at *level*.
+def configure(level: str | int = "warning", stream: TextIO | None = None) -> None:
+    """Set the structured stderr handler's *level* and *stream*.
 
     *level* is a :data:`LEVELS` name or a ``logging`` integer;
-    *stream* defaults to ``sys.stderr``. Idempotent: calling again
-    swaps the previous handler instead of stacking a duplicate.
+    *stream* defaults to the current ``sys.stderr``. The settings apply
+    at once if the logger is already built, otherwise when
+    :func:`get_logger` first builds it. Idempotent: calling again swaps
+    the previous handler instead of stacking a duplicate.
     """
-    if isinstance(level, str):
-        name = level.lower()
-        if name not in LEVELS:
-            from ..core.errors import ValidationError
+    global _configured
+    _configured = (
+        _level_number(level),
+        stream if stream is not None else sys.stderr,
+    )
+    if _logger is not None:
+        _apply(_logger, *_configured)
 
-            raise ValidationError(
-                f"unknown log level {level!r}; use one of {', '.join(LEVELS)}"
-            )
-        level = getattr(logging, name.upper())
-    for handler in list(_logger.handlers):
+
+def _apply(logger: logging.Logger, level: int, stream: TextIO) -> None:
+    """Replace *logger*'s configured handler by one on *stream*."""
+    import logging
+
+    for handler in list(logger.handlers):
         if getattr(handler, _HANDLER_MARK, False):
-            _logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+            logger.removeHandler(handler)
+    handler = logging.StreamHandler(stream)
     handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATE_FORMAT))
     setattr(handler, _HANDLER_MARK, True)
-    _logger.addHandler(handler)
-    _logger.setLevel(level)
-    return _logger
+    logger.addHandler(handler)
+    logger.setLevel(level)
+
+
+#: The name :mod:`repro.obs` re-exports :func:`configure` under.
+configure_logging = configure

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from typing import Callable, Iterator
 
 from ..core.errors import UnknownStudyError
-from ..obs.log import get_logger, kv
+from ..obs.log import get_logger, is_enabled_for, kv
 from ..obs.trace import NULL_SPAN, span
 from ..report.series import FigureResult
 
@@ -63,20 +63,20 @@ def run_study(name: str) -> FigureResult:
     logger — a driver blowing up is reported before the exception
     propagates, never swallowed silently.
     """
-    log = get_logger()
     try:
         driver = STUDIES[name]
     except KeyError:
-        log.error(kv("study.unknown", study=name))
+        get_logger().error(kv("study.unknown", study=name))
         raise UnknownStudyError(
             f"unknown study {name!r}; available: {', '.join(study_names())}"
         ) from None
-    log.debug(kv("study.run", study=name))
+    if is_enabled_for("debug"):
+        get_logger().debug(kv("study.run", study=name))
     with span(f"study:{name}", study=name) as sp:
         try:
             figure = driver()
         except Exception as exc:
-            log.error(kv("study.failed", study=name, error=repr(exc)))
+            get_logger().error(kv("study.failed", study=name, error=repr(exc)))
             raise
         if sp is not NULL_SPAN:
             sp.set(
@@ -87,5 +87,6 @@ def run_study(name: str) -> FigureResult:
                     for series in panel.series
                 ),
             )
-    log.debug(kv("study.done", study=name))
+    if is_enabled_for("debug"):
+        get_logger().debug(kv("study.done", study=name))
     return figure

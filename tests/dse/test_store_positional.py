@@ -202,3 +202,40 @@ class TestDamage:
         assert store.stats().corrupt == 1
         assert store.stats().positional_chunks == 0
         assert explorer.last_sweep.fresh_points == len(GRID)
+
+    @pytest.mark.parametrize("chunk_size", [32, 16])
+    def test_undecodable_record_recomputes_on_every_path(self, tmp_path, chunk_size):
+        """A record whose checksum holds but whose outcome bytes are 8
+        short: the positional read (same chunking) and the join (halved
+        chunking) both discard it, count it as corrupt and recompute its
+        rows, bit-exact with a cold sweep, cache included."""
+        _sweep(GRID, 32, ResultStore(tmp_path))
+        (run,) = tmp_path.glob("sweeps/*.log")
+        log = ChunkLog(run)
+        (header, *chunks), _ = log.read()
+        kind, payload = chunks[1]
+        chunks[1] = (kind, payload[:-8])
+        log.reset([header, *chunks])
+        cold_explorer, cold = _sweep(GRID, chunk_size)
+        store = ResultStore(tmp_path)
+        explorer, warm = _sweep(GRID, chunk_size, store)
+        _assert_same(warm, explorer, cold, cold_explorer)
+        assert store.stats().corrupt == 1
+        assert explorer.last_sweep.fresh_points == 32  # chunk 1's rows
+        assert explorer.last_sweep.store_points == len(GRID) - 32
+
+    def test_undecodable_record_is_not_probed(self, tmp_path):
+        """The digest lookup a scalar probe takes discards it too."""
+        _sweep(GRID, 32, ResultStore(tmp_path))
+        (run,) = tmp_path.glob("sweeps/*.log")
+        log = ChunkLog(run)
+        (header, *chunks), _ = log.read()
+        kind, payload = chunks[1]
+        log.reset([header, *chunks[:1], (kind, payload[:-8]), *chunks[2:]])
+        session = ResultStore(tmp_path).sweep_session(SymmetricMulticoreFactory())
+        grid = list(GRID)
+        probe = session.probe(grid[32:64])
+        assert probe.missing == list(range(32))
+        assert session.store.stats().corrupt == 1
+        served = session.probe(grid[:32])
+        assert served.missing == []

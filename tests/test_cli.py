@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.studies.registry import study_names
 
@@ -410,6 +416,74 @@ class TestObservabilityFlags:
     def test_default_level_is_quiet(self, capsys):
         assert main(["list"]) == 0
         assert "cli.start" not in capsys.readouterr().err
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter importing this checkout's
+    package (nothing logged, traced or configured beforehand)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestLazyLogging:
+    """``logging`` loads only when a line is logged, and nothing that was
+    logged or traced before goes missing."""
+
+    def test_debug_lines_reach_stderr_and_stdout_is_unchanged(self):
+        argv = ["figure", "figure3", "--format", "json"]
+        plain = _fresh("-m", "repro", *argv)
+        verbose = _fresh("-m", "repro", "-vv", *argv)
+        assert plain.returncode == verbose.returncode == 0
+        assert verbose.stdout == plain.stdout
+        assert plain.stderr == ""
+        events = [line.split(" ", 1)[1] for line in verbose.stderr.splitlines()]
+        assert events == [
+            "DEBUG repro: cli.start command=figure",
+            "DEBUG repro: study.run study=figure3",
+            "DEBUG repro: study.done study=figure3",
+            "DEBUG repro: cli.done command=figure exit_code=0",
+        ]
+
+    def test_traced_figure_reports_cli_and_study_spans(self, tmp_path, capsys):
+        trace_file, metrics_file = tmp_path / "t.json", tmp_path / "m.prom"
+        argv = ["figure", "figure3", "--format", "json"]
+        observed = ["--trace", str(trace_file), "--metrics", str(metrics_file)]
+        assert main([*argv, *observed]) == 0
+        captured = capsys.readouterr()
+        assert f"wrote trace {trace_file}" in captured.err
+        assert f"wrote metrics {metrics_file}" in captured.err
+        (root,) = json.loads(trace_file.read_text())["trace"]
+        assert root["name"] == "cli:figure"
+        assert [child["name"] for child in root["children"]] == ["study:figure3"]
+        assert root["children"][0]["attributes"]["panels"] > 0
+        assert metrics_file.exists()
+
+    def test_engine_warning_after_the_cli_configured_reaches_stderr(self, tmp_path):
+        """A store whose writes fail logs ``store.disk_fallback`` from
+        engine code, after ``main`` configured the ``warning`` level
+        without building the logger."""
+        code = f"""
+            import errno, sys
+            from repro.obs import log
+            from repro.resilience import chunklog
+
+            def full(path):
+                raise OSError(errno.ENOSPC, "injected: volume full")
+
+            chunklog.set_disk_fault_hook(full)
+            assert log._logger is None
+            from repro.cli import main
+
+            sys.exit(main(["sweep", "--max-cores", "4", "--store", {str(tmp_path)!r}]))
+        """
+        proc = _fresh("-c", textwrap.dedent(code))
+        assert proc.returncode == 0, proc.stderr
+        assert "WARNING repro: store.disk_fallback" in proc.stderr
+        assert "0 objects written" in proc.stdout
 
 
 class TestTraceShow:

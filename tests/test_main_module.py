@@ -74,6 +74,24 @@ HEAVY_MODULES = (
     "urllib.request",
 )
 
+#: Modules an untraced ``focal figure``, ``findings`` or ``list`` at the
+#: default log level must never import: the logging and observability
+#: stack beyond the root span, and the other commands' code.
+QUIET_PATH_NEVER_LOADS = (
+    "logging",
+    "repro.obs.events",
+    "repro.obs.metrics",
+    "repro.obs.manifest",
+    "repro.commands",
+)
+
+#: Every command of the paper path.
+PAPER_COMMANDS = (
+    *(("figure", f"figure{n}", "--format", "json") for n in range(1, 10)),
+    ("findings",),
+    ("list",),
+)
+
 
 def _run_child(code: str) -> str:
     """Run *code* in a fresh interpreter that imports this checkout's
@@ -237,6 +255,19 @@ class TestImportHygiene:
         assert not others & modules
         assert not set(FIGURE_NEVER_LOADS) & modules
         assert "repro.report.ascii_plot" not in modules
+
+    @pytest.mark.parametrize("argv", PAPER_COMMANDS, ids=" ".join)
+    def test_paper_path_loads_no_logging_observability_or_other_commands(
+        self, argv
+    ):
+        assert not set(QUIET_PATH_NEVER_LOADS) & self._loaded_by(list(argv))
+
+    def test_debug_level_and_tracing_load_what_they_use(self, tmp_path):
+        debug = self._loaded_by(["-vv", "list"])
+        assert "logging" in debug
+        assert "repro.commands" not in debug
+        traced = self._loaded_by(["list", "--trace", str(tmp_path / "t.json")])
+        assert set(QUIET_PATH_NEVER_LOADS) - {"logging"} <= traced
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)
